@@ -19,7 +19,6 @@ from .blackbox import (
     shifted_blackbox,
 )
 from .densepoly import (
-    NEWTON_THRESHOLD,
     DensePolyMod,
     MinShift,
     evaluate_range,

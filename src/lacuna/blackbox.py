@@ -10,11 +10,18 @@ programs, so tests can model genuinely opaque functions.
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
-from .densepoly import DensePolyMod, interpolate_range, _vec_pow
+from .densepoly import (
+    _GRID_LIMIT,
+    DensePolyMod,
+    _check_grid_prime,
+    _cyclic_tables,
+    _grid_eval_small,
+    interpolate_range,
+)
 from .errors import DenominatorVanished
 from .modular_core import frac_mod, is_prime
 
@@ -153,15 +160,18 @@ class LacunaryBox(ModularBlackBox):
         return acc
 
     def eval_range(self, p: int) -> list:
-        if p >= (1 << 31):
+        if p >= _GRID_LIMIT or not is_prime(p):
             return super().eval_range(p)
         c0, shift, coeffs = self._denominators_mod(p)
-        base = (np.arange(p, dtype=np.int64) - shift) % p
+        # acc[b] is f where theta - shift = b; b^e = g^(lg[b] * e) for b != 0
+        pw, lg = _cyclic_tables(p)
+        n = p - 1
         acc = np.full(p, c0, dtype=np.int64)
         for cm, (_, e) in zip(coeffs, self.poly.terms):
-            acc = (acc + cm * _vec_pow(base, e, p)) % p
+            acc = (acc + cm * pw[lg * (e % n) % n]) % p
+        acc[0] = c0  # every term has e >= 1, so it vanishes at b = 0
         self.calls += p
-        return acc.tolist()
+        return np.roll(acc, shift).tolist()
 
 
 class DenseBox(ModularBlackBox):
@@ -182,13 +192,9 @@ class DenseBox(ModularBlackBox):
         return acc
 
     def eval_range(self, p: int) -> list:
-        if p >= (1 << 31):
+        if p >= _GRID_LIMIT:
             return super().eval_range(p)
-        cm = [frac_mod(c, p) for c in self.coeffs]
-        xs = np.arange(p, dtype=np.int64)
-        acc = np.zeros(p, dtype=np.int64)
-        for c in reversed(cm):
-            acc = (acc * xs + c) % p
+        acc = _grid_eval_small([frac_mod(c, p) for c in self.coeffs], p)
         self.calls += p
         return acc.tolist()
 
@@ -266,14 +272,14 @@ def shifted_blackbox(bb: ModularBlackBox, alpha) -> ModularBlackBox:
     return ShiftedBox(bb, alpha)
 
 
-def reduce_mod(bb: ModularBlackBox, p: int, *, threshold: Optional[int] = None) -> DensePolyMod:
+def reduce_mod(bb: ModularBlackBox, p: int) -> DensePolyMod:
     """The degree-<p polynomial agreeing with the box on all of Z_p.
 
     Uses exactly p black-box queries followed by dense interpolation; the
     evaluation grid stays attached to the result so later shifts reuse it.
     DenominatorVanished propagates: the caller must discard p entirely.
+    Primes p >= 2^31 raise ValueError before any query.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _check_grid_prime(p)
     values = bb.eval_range(p)
-    return interpolate_range(values, p, threshold=threshold)
+    return interpolate_range(values, p)

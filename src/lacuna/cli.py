@@ -15,6 +15,7 @@ from . import prime_oracle
 from .blackbox import (
     DenseBox,
     ShiftedLacunary,
+    _fmt_rat,
     canonical_json,
     make_blackbox,
     reduce_mod,
@@ -37,10 +38,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_RECONSTRUCTION = 3
 EXIT_BLACKBOX = 4
-
-
-def _fmt_rat(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 def _load_poly_spec(text: str):
@@ -93,15 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("json", "pretty"), default="json")
     common.add_argument("--mu", type=float, default=None, help="density constant estimate (>= 1)")
     common.add_argument("--seed", type=int, default=0, help="seed for root-splitting retries")
-    common.add_argument(
-        "--threads", type=int, default=1, help="parallelism cap (execution is sequential)"
-    )
-    common.add_argument(
-        "--interp-threshold",
-        type=int,
-        default=None,
-        help="full-grid interpolation strategy switch point",
-    )
 
     ap = argparse.ArgumentParser(
         prog="lacuna",
@@ -179,7 +167,7 @@ def _cmd_reduce(args) -> int:
     if not is_prime(args.prime):
         print(f"error: {args.prime} is not prime", file=sys.stderr)
         return EXIT_USAGE
-    fp = reduce_mod(bb, args.prime, threshold=args.interp_threshold)
+    fp = reduce_mod(bb, args.prime)
     coeffs = [str(c) for c in fp.coeffs]
     pretty = " + ".join(f"{c}*x^{k}" for k, c in enumerate(fp.coeffs) if c) or "0"
     _emit(args, {"p": args.prime, "coeffs": coeffs}, pretty)
@@ -189,9 +177,7 @@ def _cmd_reduce(args) -> int:
 def _cmd_shift(args) -> int:
     bb, _ = _load_poly_spec(args.poly)
     bounds = _parse_bounds(args.bounds)
-    res = sparsest_shift(
-        bb, bounds, mu=_mu_from(args), threshold=args.interp_threshold
-    )
+    res = sparsest_shift(bb, bounds, mu=_mu_from(args))
     payload = {
         "alpha": _fmt_rat(res.alpha),
         "path": res.path.value,
@@ -212,13 +198,10 @@ def _cmd_interpolate(args) -> int:
             bounds,
             mu=mu,
             seed=args.seed,
-            threshold=args.interp_threshold,
         )
         result = ShiftedLacunary(shift=alpha, constant=flat.constant, terms=flat.terms)
     else:
-        result = full_interpolate(
-            bb, bounds, mu=mu, seed=args.seed, threshold=args.interp_threshold
-        )
+        result = full_interpolate(bb, bounds, mu=mu, seed=args.seed)
     _emit(args, json.loads(result.to_json()), _pretty_poly(result))
     return EXIT_OK
 
@@ -296,9 +279,6 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
     if args.mu is not None and args.mu < 1:
         print("error: --mu must be >= 1", file=sys.stderr)
         return EXIT_USAGE

@@ -1,28 +1,44 @@
 """Dense polynomial arithmetic over Z_m and the per-prime sparsest-shift search.
 
 The grid-backed operations (interpolation from the full evaluation grid
-{0, ..., p-1}, Taylor shift by index rotation, shift search) require a prime
-modulus and degree < p.  Small list-based helpers at the bottom work over any
-modulus and are shared with the exponent-polynomial machinery.
+{0, ..., p-1}, evaluation on it, Taylor shift by index rotation, shift
+search) require a prime modulus p < 2^31 and degree < p.  Both directions
+between coefficients and grid values go through one kernel,
+``_power_sums_fft``: with a generator g of Z_p^*, the values at the nonzero
+points g^j and the Lagrange coefficients are both sums
+s_j = sum_a u_a g^(a*j) over a = 0..p-2, an order-(p-1) transform that
+Bluestein's chirp identity turns into one cyclic convolution of 5-smooth
+length >= 2(p-1) - 1.  The convolution runs in float64 FFTs over limbs of
+the residues; the limb width is picked from the bit length of p and the FFT
+length so that Percival's error bound for FFT products, with a 5-fold margin
+for mixed-radix transforms, stays below 1/2 (``_limb_split``), which keeps
+the transform exact and O(p log p) for every such prime.  Small
+list-based helpers at the bottom work over any modulus and are shared with
+the exponent-polynomial machinery.
 """
 
 import math
+import random
 from collections import Counter
-from typing import NamedTuple, Optional, Sequence
+from functools import lru_cache
+from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .modular_core import inv_mod, is_prime
+from .errors import NotSplitting
+from .modular_core import _factorize, inv_mod, is_prime
 
-# Full-grid interpolation switches from O(p^2) Newton to the Lagrange
-# power-sum form above this point.
-NEWTON_THRESHOLD = 512
+# Grid operations need residue products below 2^62, so p < 2^31.
+_GRID_LIMIT = 1 << 31
 
-# Below this modulus, p * (p-1)^2 < 2^53 keeps float64 dot products exact.
-_EXACT_DOT_LIMIT = 1 << 17
-
-# Lagrange power sums switch from one matrix product to a chirp FFT here.
-_FFT_THRESHOLD = 4096
+# A float64 FFT convolution of length L of inputs whose 2-norms multiply to M
+# has every output within about 12 * 2^-53 * log2(L) * M of the exact sum
+# (Percival's bound for FFT products); log2(L) * M <= 2^46 keeps that below
+# 0.1, so rounding recovers every output exactly.  Percival proves the bound
+# for radix-2 transforms; numpy runs the 5-smooth lengths used here with
+# radix-3 and radix-5 butterflies too, whose constant is assumed to be of the
+# same size: the margin from 0.1 to 0.5 covers one up to 5 times larger.
+_EXACT_FFT_BITS = 46
 
 
 class DensePolyMod:
@@ -88,256 +104,183 @@ class MinShift(NamedTuple):
     tie: bool
 
 
-# ---------------- numpy modular kernels ----------------
-
-def _vec_pow(base: np.ndarray, e: int, p: int) -> np.ndarray:
-    """Elementwise base**e mod p by square-and-multiply (int64, p < 2^31)."""
-    r = np.ones_like(base)
-    b = base % p
-    while e:
-        if e & 1:
-            r = r * b % p
-        b = b * b % p
-        e >>= 1
-    return r
-
-
-def _interp_newton(values: np.ndarray, p: int) -> np.ndarray:
-    """Newton interpolation on the nodes 0..p-1 via forward differences."""
-    d = values
-    newt = np.empty(p, dtype=np.int64)
-    for k in range(p):
-        newt[k] = d[0]
-        d = (d[1:] - d[:-1]) % p
-    inv_fact = [1] * p
-    f = 1
-    for k in range(1, p):
-        f = f * k % p
-        inv_fact[k] = inv_mod(f, p)
-    res = np.zeros(p, dtype=np.int64)
-    basis = np.array([1], dtype=np.int64)
-    for k in range(p):
-        nk = int(newt[k]) * inv_fact[k] % p
-        if nk:
-            res[: k + 1] = (res[: k + 1] + nk * basis) % p
-        if k + 1 < p:
-            nb = np.zeros(k + 2, dtype=np.int64)
-            nb[1:] = basis
-            nb[: k + 1] = (nb[: k + 1] - k * basis) % p
-            basis = nb
-    return res
-
-
-def _interp_lagrange(values: np.ndarray, p: int) -> np.ndarray:
-    """Lagrange interpolation on the full grid of Z_p.
-
-    The node polynomial x^p - x has derivative -1 at every node, so the
-    coefficients collapse to power sums c_j = -sum_i v_i * inv(i)^j; these
-    are an order-(p-1) discrete Fourier transform over Z_p, computed by one
-    exact matrix product for moderate p and a chirp FFT beyond that.
-    """
-    s = _power_sums_matmul(values, p) if p <= _FFT_THRESHOLD else _power_sums_fft(values, p)
-    c = np.empty(p, dtype=np.int64)
-    c[1:] = (p - s) % p
-    c[0] = values[0]
-    c[p - 1] = (c[p - 1] - values[0]) % p
-    return c
-
-
-def _power_sums_matmul(v: np.ndarray, p: int) -> np.ndarray:
-    """s_j = sum_i v_i inv(i)^j for j = 1..p-1 via baby-step/giant-step."""
-    u = _vec_pow(np.arange(1, p, dtype=np.int64), p - 2, p)
-    m = math.isqrt(p - 1) + 1
-    blocks = -((p - 1) // -m)
-    baby = np.empty((m, p - 1), dtype=np.float64)
-    row = v[1:] * u % p
-    baby[0] = row
-    for b in range(1, m):
-        row = row * u % p
-        baby[b] = row
-    um = _vec_pow(u, m, p)
-    giant = np.empty((blocks, p - 1), dtype=np.float64)
-    grow = np.ones(p - 1, dtype=np.int64)
-    giant[0] = grow
-    for a in range(1, blocks):
-        grow = grow * um % p
-        giant[a] = grow
-    sums = baby @ giant.T  # exact: p * (p-1)^2 < 2^53
-    return sums.T.reshape(-1)[: p - 1].astype(np.int64) % p
-
+# ---------------- the chirp-transform kernel ----------------
 
 def _primitive_root(p: int) -> int:
-    """A generator of the multiplicative group of Z_p."""
+    """A generator of the multiplicative group of Z_p (1 for p = 2)."""
     n = p - 1
-    factors = set()
-    m = n
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            factors.add(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        factors.add(m)
-    for g in range(2, p):
+    factors = _factorize(n)
+    for g in range(1, p):
         if all(pow(g, n // r, p) != 1 for r in factors):
             return g
     raise AssertionError("no primitive root found for a prime modulus")
 
 
-def _power_sums_fft(v: np.ndarray, p: int) -> np.ndarray:
-    """Power sums as a Bluestein chirp transform, O(p log p) and exact.
+@lru_cache(maxsize=2)
+def _cyclic_tables(p: int):
+    """(pw, lg) with pw[a] = g^a for a < p-1 and lg[g^a] = a, g a generator.
 
-    With a generator g, s_j = sum_a W[a] g^(a*j) after permuting v by
-    discrete logarithms; 2aj = a(a-1) + j(j+1) - (j-a)(j-a+1) turns that
-    into one linear convolution, done in float FFTs over 9-bit limbs so
-    every intermediate stays far below 2^53.
+    Read-only int64 arrays; lg[0] is 0 and stands for no logarithm.  Two
+    primes are cached because reducing a box evaluates it and then
+    interpolates at the same prime.
     """
     n = p - 1
     g = _primitive_root(p)
-    # power and discrete-log tables via one baby-step/giant-step outer product
+    # baby steps g^b and giant steps g^(a*m), combined in one outer product
     m = math.isqrt(n) + 1
     small = np.empty(m, dtype=np.int64)
     small[0] = 1
     for i in range(1, m):
         small[i] = small[i - 1] * g % p
     big_step = int(small[m - 1]) * g % p
-    blocks = -(n // -m)
-    big = np.empty(blocks, dtype=np.int64)
+    big = np.empty(-(n // -m), dtype=np.int64)
     big[0] = 1
-    for i in range(1, blocks):
+    for i in range(1, len(big)):
         big[i] = big[i - 1] * big_step % p
-    pw = (np.outer(big, small) % p).reshape(-1)[:n]  # pw[a] = g^a mod p
-    # W[a] = v[g^(-a)]
-    w = v[pw[(n - np.arange(n)) % n]]
-    # chirp tables: 2aj = a(a-1) + j(j+1) - (j-a)(j-a+1)
-    ar = np.arange(n, dtype=np.int64)
-    t_a = (ar * (ar - 1) // 2) % n
-    t_j = (ar * (ar + 1) // 2) % n
-    k = np.arange(-(n - 1), n, dtype=np.int64)
-    t_k = (k * (k + 1)) // 2 % n
-    a_seq = w * pw[t_a] % p
-    b_seq = pw[(n - t_k) % n]
-    conv = _exact_convolve(a_seq, b_seq, p)
-    # k runs from -(n-1), so the term for exponent j sits at conv[j + n - 1]
-    s = conv[n - 1 : 2 * n - 1] * pw[t_j] % p
-    # callers index sums from j = 1; exponent j = p-1 wraps to the j = 0 slot
-    return np.roll(s, -1)
+    pw = (np.outer(big, small) % p).reshape(-1)[:n]
+    lg = np.zeros(p, dtype=np.int64)
+    lg[pw] = np.arange(n, dtype=np.int64)
+    pw.flags.writeable = False
+    lg.flags.writeable = False
+    return pw, lg
 
 
-def _exact_convolve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Linear convolution of int64 sequences with entries < p < 2^17, exact."""
-    size = len(a) + len(b) - 1
-    nfft = 1 << (size - 1).bit_length()
-    a_lo, a_hi = (a & 511).astype(np.float64), (a >> 9).astype(np.float64)
-    b_lo, b_hi = (b & 511).astype(np.float64), (b >> 9).astype(np.float64)
-    fa_lo = np.fft.rfft(a_lo, nfft)
-    fa_hi = np.fft.rfft(a_hi, nfft)
-    fb_lo = np.fft.rfft(b_lo, nfft)
-    fb_hi = np.fft.rfft(b_hi, nfft)
-    c00 = np.rint(np.fft.irfft(fa_lo * fb_lo, nfft)[:size]).astype(np.int64)
-    c11 = np.rint(np.fft.irfft(fa_hi * fb_hi, nfft)[:size]).astype(np.int64)
-    cx = np.rint(np.fft.irfft(fa_lo * fb_hi + fa_hi * fb_lo, nfft)[:size]).astype(np.int64)
-    return (c00 % p + (cx % p << 9) + (c11 % p << 18)) % p
+def _smooth_length(m: int) -> int:
+    """Smallest 2^i * 3^j * 5^k >= m: FFT lengths numpy transforms fast."""
+    best = 1 << (m - 1).bit_length()
+    f5 = 1
+    while f5 < best:
+        f35 = f5
+        while f35 < best:
+            f = f35
+            while f < m:
+                f *= 2
+            best = min(best, f)
+            f35 *= 3
+        f5 *= 5
+    return best
 
 
-def _interp_schoolbook(values, p: int) -> list:
-    """Arbitrary-precision fallback for moduli past the exact-float range."""
-    coeffs = [0] * p
-    inv = [0, 1] + [0] * (p - 2)
-    for i in range(2, p):
-        inv[i] = -(p // i) * inv[p % i] % p
-    for i, vi in enumerate(values):
-        if i == 0 or vi == 0:
-            continue
-        u = inv[i]
-        w = vi * u % p
-        for j in range(1, p):
-            coeffs[j] = (coeffs[j] - w) % p
-            w = w * u % p
-    coeffs[0] = values[0] % p
-    coeffs[p - 1] = (coeffs[p - 1] - values[0]) % p
-    return coeffs
+def _limb_split(p: int, n: int, size: int):
+    """(la, wa, lb, wb): split residues < p of the length-n and length-(2n-1)
+    inputs of a length-``size`` float64 convolution into la limbs of wa bits
+    and lb limbs of wb bits, with the fewest transforms that keep it exact.
+
+    Limbs below 2^wa and 2^wb have 2-norms multiplying to less than
+    2 * n * 2^(wa + wb), and one output sums the limb products of equal
+    weight wa*i + wb*j, at most la <= lb of them; that bounds the rounding
+    error.  Each distinct weight costs one inverse transform.
+    """
+    bits = (p - 1).bit_length()
+    best = None
+    for la in range(1, bits + 1):
+        if best is not None and 4 * la - 1 >= best[0]:
+            break  # la <= lb limbs take at least la + lb + (la + lb - 1) transforms
+        wa = -(-bits // la)
+        for lb in range(la, bits + 1):
+            wb = -(-bits // lb)
+            if (la * 2 * n << wa + wb) * size.bit_length() <= 1 << _EXACT_FFT_BITS:
+                weights = {wa * i + wb * j for i in range(la) for j in range(lb)}
+                if best is None or la + lb + len(weights) < best[0]:
+                    best = (la + lb + len(weights), la, wa, lb, wb)
+                break  # more limbs of b only add transforms
+    return best[1:]
 
 
-def _eval_grid(f: DensePolyMod) -> list:
-    """Evaluate f on the whole grid 0..p-1 (p prime, deg f < p)."""
+def _power_sums_fft(u: np.ndarray, p: int) -> np.ndarray:
+    """s[j] = sum_a u[a] * g^(a*j) mod p for j = 0..p-2, exact, O(p log p).
+
+    g is the generator of ``_cyclic_tables`` and u holds p-1 residues.
+    Bluestein's identity a*j = T(a-1) + T(j) - T(j-a), with T(k) = k(k+1)/2,
+    makes s[j] = g^T(j) * sum_a (u[a] g^T(a-1)) * g^-T(j-a): one convolution
+    against the chirp g^-T(k) for k = -(p-2)..p-2.  Only its outputs
+    j + p - 2 for j < p-1 are needed, so a cyclic convolution of any length
+    >= 2(p-1) - 1 gives them without wrap-around.
+    """
+    n = p - 1
+    pw, _ = _cyclic_tables(p)
+    tri = np.cumsum(np.arange(n, dtype=np.int64)) % n  # T(k) mod n; T(-1-k) = T(k)
+    twiddle = pw[tri]
+    chirp = pw[-tri]  # negative indices wrap modulo n
+    a_seq = u * np.concatenate(([1], twiddle[:-1])) % p
+    b_seq = np.concatenate((chirp[: n - 1][::-1], chirp))
+    size = _smooth_length(2 * n - 1)
+    la, wa, lb, wb = _limb_split(p, n, size)
+    fa = [np.fft.rfft(a_seq >> wa * i & (1 << wa) - 1, size) for i in range(la)]
+    fb = [np.fft.rfft(b_seq >> wb * j & (1 << wb) - 1, size) for j in range(lb)]
+    pairs = [(wa * i + wb * j, i, j) for i in range(la) for j in range(lb)]
+    conv = np.zeros(n, dtype=np.int64)
+    for weight in {w for w, _, _ in pairs}:  # limb products of weight 2^w, summed
+        spec = sum(fa[i] * fb[j] for w, i, j in pairs if w == weight)
+        part = np.rint(np.fft.irfft(spec, size)[n - 1 : 2 * n - 1]).astype(np.int64) % p
+        conv = (conv + part * pow(2, weight, p)) % p
+    return conv * twiddle % p
+
+
+def _check_grid_prime(p: int) -> None:
+    if not is_prime(p):
+        raise ValueError(f"modulus {p} is not prime")
+    if p >= _GRID_LIMIT:
+        raise ValueError(f"grid operations need a prime below 2^31, got {p}")
+
+
+def _eval_grid(f: DensePolyMod) -> np.ndarray:
+    """f on the whole grid 0..p-1: f(0) = c_0, and f(g^j) = s_j for the
+    coefficients folded modulo x^(p-1) - 1 (which vanishes off 0)."""
     p = f.modulus
-    if not f.coeffs:
-        return [0] * p
-    if p <= NEWTON_THRESHOLD or p >= _EXACT_DOT_LIMIT or len(f.coeffs) < 16:
-        xs = np.arange(p, dtype=object if p >= _EXACT_DOT_LIMIT else np.int64)
-        acc = np.zeros_like(xs)
-        for c in reversed(f.coeffs):
-            acc = (acc * xs + int(c)) % p
-        return acc.tolist()
-    coeffs = np.zeros(len(f.coeffs), dtype=np.int64)
-    coeffs[:] = f.coeffs
-    m = math.isqrt(len(coeffs)) + 1
-    blocks = -(len(coeffs) // -m)
-    pad = np.zeros(m * blocks, dtype=np.int64)
-    pad[: len(coeffs)] = coeffs
-    cmat = pad.reshape(blocks, m)  # cmat[a, b] = coeff of x^(a*m+b)
-    xs = np.arange(1, p, dtype=np.int64)
-    xm = _vec_pow(xs, m, p)
-    giant = np.empty((p - 1, blocks), dtype=np.int64)
-    giant[:, 0] = 1
-    for a in range(1, blocks):
-        giant[:, a] = giant[:, a - 1] * xm % p
-    inner = (giant.astype(np.float64) @ cmat.astype(np.float64)).astype(np.int64) % p
-    baby = np.empty((p - 1, m), dtype=np.int64)
-    baby[:, 0] = 1
-    for b in range(1, m):
-        baby[:, b] = baby[:, b - 1] * xs % p
-    vals = (baby * inner).sum(axis=1) % p
-    out = [int(f.coeffs[0])]
-    out.extend(vals.tolist())
-    return out
+    n = p - 1
+    c = np.asarray(f.coeffs, dtype=np.int64)
+    u = np.zeros(n, dtype=np.int64)
+    u[: min(len(c), n)] = c[:n]
+    if len(c) == p:
+        u[0] = (u[0] + c[n]) % p
+    pw, _ = _cyclic_tables(p)
+    grid = np.empty(p, dtype=np.int64)
+    grid[pw] = _power_sums_fft(u, p)
+    grid[0] = f.coeff(0)
+    return grid
 
 
 # ---------------- spec operations ----------------
 
-def interpolate_range(values: Sequence[int], p: int, *, threshold: Optional[int] = None) -> DensePolyMod:
-    """Unique polynomial of degree < p through (i, values[i]) for i in 0..p-1."""
-    if not is_prime(p):
-        raise ValueError(f"modulus {p} is not prime")
-    if p < (1 << 31):
-        vals = np.asarray(values, dtype=np.int64)
-        if vals.ndim != 1 or vals.shape[0] != p:
-            raise ValueError(f"need exactly {p} values, got {vals.shape[0] if vals.ndim == 1 else '?'}")
-        if vals.size and (int(vals.min()) < 0 or int(vals.max()) >= p):
-            raise ValueError("values must already be reduced modulo p")
-        cut = NEWTON_THRESHOLD if threshold is None else threshold
-        if p <= max(cut, 2):
-            coeffs = _interp_newton(vals, p)
-        elif p < _EXACT_DOT_LIMIT:
-            coeffs = _interp_lagrange(vals, p)
-        else:
-            coeffs = np.asarray(_interp_schoolbook(vals.tolist(), p), dtype=np.int64)
-        return DensePolyMod(p, coeffs, _grid=vals)
-    # arbitrary-size modulus: exact but quadratic in pure Python
-    values = [int(v) for v in values]
-    if len(values) != p:
-        raise ValueError(f"need exactly {p} values, got {len(values)}")
-    if any(not 0 <= v < p for v in values):
+def interpolate_range(values: Sequence[int], p: int) -> DensePolyMod:
+    """Unique polynomial of degree < p through (i, values[i]) for i in 0..p-1.
+
+    Lagrange interpolation on the full grid: x^p - x has derivative -1 at
+    every node, so c_0 = v_0, c_j = -sum_{i>0} v_i i^-j for 0 < j < p-1, and
+    c_{p-1} = -v_0 - sum_{i>0} v_i.  With i = g^-a these sums are
+    ``_power_sums_fft`` of u[a] = v[g^-a]: exact and O(p log p) for every
+    prime p < 2^31, with limbs narrow enough that each float64 product sum
+    stays within its exact range (see ``_limb_split``).  Larger moduli raise
+    ValueError.
+    """
+    _check_grid_prime(p)
+    vals = np.asarray(values, dtype=np.int64)
+    if vals.ndim != 1 or vals.shape[0] != p:
+        raise ValueError(f"need exactly {p} values, got {vals.shape[0] if vals.ndim == 1 else '?'}")
+    if int(vals.min()) < 0 or int(vals.max()) >= p:
         raise ValueError("values must already be reduced modulo p")
-    return DensePolyMod(p, _interp_schoolbook(values, p), _grid=values)
+    n = p - 1
+    pw, _ = _cyclic_tables(p)
+    s = _power_sums_fft(vals[np.roll(pw[::-1], 1)], p)  # u[a] = v[g^-a]
+    c = np.empty(p, dtype=np.int64)
+    c[0] = vals[0]
+    c[1:n] = (p - s[1:]) % p
+    c[n] = (2 * p - s[0] - vals[0]) % p
+    return DensePolyMod(p, c, _grid=vals)
 
 
 def evaluate_range(f: DensePolyMod) -> tuple:
     """Full evaluation grid of f over Z_p, cached on the polynomial."""
     if f._grid is None:
-        p = f.modulus
-        if not is_prime(p):
-            raise ValueError("grid evaluation requires a prime modulus")
-        if f.degree >= p:
+        _check_grid_prime(f.modulus)
+        if f.degree >= f.modulus:
             raise ValueError("degree must be < modulus for grid semantics")
-        f._grid = tuple(_eval_grid(f))
+        f._grid = tuple(_eval_grid(f).tolist())
     return f._grid
 
 
-def taylor_shift(f: DensePolyMod, gamma: int, *, threshold: Optional[int] = None) -> DensePolyMod:
+def taylor_shift(f: DensePolyMod, gamma: int) -> DensePolyMod:
     """Return g with g(x) = f(x + gamma) over Z_p.
 
     Works on the evaluation grid: shifting the argument only rotates the
@@ -350,7 +293,7 @@ def taylor_shift(f: DensePolyMod, gamma: int, *, threshold: Optional[int] = None
     if gamma == 0:
         return f
     rolled = grid[gamma:] + grid[:gamma]
-    return interpolate_range(rolled, p, threshold=threshold)
+    return interpolate_range(rolled, p)
 
 
 def tau(f: DensePolyMod) -> int:
@@ -358,12 +301,7 @@ def tau(f: DensePolyMod) -> int:
     return sum(1 for c in f.coeffs[1:] if c)
 
 
-def min_shift(
-    f: DensePolyMod,
-    *,
-    tau_cap: Optional[int] = None,
-    threshold: Optional[int] = None,
-) -> Optional[MinShift]:
+def min_shift(f: DensePolyMod, *, tau_cap: Optional[int] = None) -> Optional[MinShift]:
     """Shift gamma minimizing tau(f(x + gamma)) over all of Z_p.
 
     Returns (gamma, tau, tie) equal to the exhaustive search over every
@@ -373,37 +311,32 @@ def min_shift(
     With ``tau_cap`` set, only shifts achieving tau <= tau_cap are of
     interest: the unique such shift is returned if it exists (requires
     deg f >= 2*tau_cap + 1 for uniqueness), else None.  This is the cheap
-    path used by the shift-recovery loop.
+    path used by the shift-recovery loop.  Without it, candidate searches
+    for tau <= 1, 2, 4, ... run first and the exhaustive search last.
     """
     p = f.modulus
-    if not is_prime(p):
-        raise ValueError("min_shift requires a prime modulus")
+    _check_grid_prime(p)
     if f.degree >= p:
         raise ValueError("degree must be < modulus")
     d = f.degree
     if d <= 0:
-        res = MinShift(0, 0, p > 1)
-        return res if tau_cap is None or res.tau <= tau_cap else res
+        return MinShift(0, 0, p > 1)
     smax = (d - 1) // 2
     if tau_cap is not None:
         s = min(tau_cap, smax)
         if s < 1:
-            res = _min_shift_exhaustive(f, threshold)
+            res = _min_shift_exhaustive(f)
             return res if res.tau <= tau_cap else None
-        hit = _min_shift_candidates(f, s, threshold)
-        return hit  # None when no shift reaches tau <= s <= tau_cap
-    cut = NEWTON_THRESHOLD if threshold is None else threshold
-    if p <= max(cut, 2) or smax < 1:
-        return _min_shift_exhaustive(f, threshold)
+        return _min_shift_candidates(f, s)  # None when no shift reaches tau <= s
     s = 1
-    while True:
-        hit = _min_shift_candidates(f, s, threshold)
+    while s <= smax:
+        hit = _min_shift_candidates(f, s)
         if hit is not None:
             return hit
-        if s >= smax:
+        if s == smax:
             break
         s = min(2 * s, smax)
-    return _min_shift_exhaustive(f, threshold)
+    return _min_shift_exhaustive(f)
 
 
 # ---------------- shift search internals ----------------
@@ -439,7 +372,7 @@ def _grid_eval_small(row, p: int) -> np.ndarray:
     return acc
 
 
-def _min_shift_candidates(f: DensePolyMod, s: int, threshold) -> Optional[MinShift]:
+def _min_shift_candidates(f: DensePolyMod, s: int) -> Optional[MinShift]:
     """Find the unique shift with tau <= s, if any (requires deg f >= 2s+1).
 
     Any such shift zeroes at least s+1 of the 2s coefficient polynomials
@@ -458,50 +391,24 @@ def _min_shift_candidates(f: DensePolyMod, s: int, threshold) -> Optional[MinShi
             votes[int(g)] += 1
     cands = sorted((g for g, v in votes.items() if v >= s + 1), key=lambda g: (-votes[g], g))
     for g in cands:
-        t = tau(taylor_shift(f, g, threshold=threshold))
+        t = tau(taylor_shift(f, g))
         if t <= s:
             return MinShift(g, t, False)
     return None
 
 
-def _min_shift_exhaustive(f: DensePolyMod, threshold) -> MinShift:
+def _min_shift_exhaustive(f: DensePolyMod) -> MinShift:
     """Exact tau for every shift; smallest winning gamma, tie flag precise."""
     p, d = f.modulus, f.degree
     if d <= 0:
         return MinShift(0, 0, p > 1)
-    if d <= 128 or p > 2048:
-        taus = np.zeros(p, dtype=np.int64)
-        rows = _hasse_rows(f, range(1, d + 1))
-        for k in range(1, d + 1):
-            taus += _grid_eval_small(rows[k], p) != 0
-    else:
-        taus = _tau_table_matmul(f)
+    taus = np.zeros(p, dtype=np.int64)
+    rows = _hasse_rows(f, range(1, d + 1))
+    for k in range(1, d + 1):
+        taus += _grid_eval_small(rows[k], p) != 0
     best = int(taus.min())
     where = np.nonzero(taus == best)[0]
     return MinShift(int(where[0]), best, len(where) > 1)
-
-
-def _tau_table_matmul(f: DensePolyMod) -> np.ndarray:
-    """tau of every shift at once: one interpolation matrix times all rolls."""
-    p = f.modulus
-    v = np.asarray(evaluate_range(f), dtype=np.int64)
-    u = _vec_pow(np.arange(1, p, dtype=np.int64), p - 2, p)
-    U = np.empty((p, p), dtype=np.float64)
-    U[0, :] = 0.0
-    U[0, 0] = 1.0
-    row = (p - u) % p  # -u mod p
-    U[1, 0] = 0.0
-    U[1, 1:] = row
-    acc = u.copy()
-    for j in range(2, p):
-        acc = acc * u % p
-        U[j, 0] = 0.0
-        U[j, 1:] = (p - acc) % p
-    U[p - 1, 0] = p - 1
-    idx = (np.arange(p)[:, None] + np.arange(p)[None, :]) % p
-    V = v[idx].astype(np.float64)
-    C = (U @ V).astype(np.int64) % p
-    return np.count_nonzero(C[1:, :], axis=0).astype(np.int64)
 
 
 # ---------------- small list-based helpers over Z_m ----------------
@@ -574,3 +481,49 @@ def poly_powmod(base: Sequence[int], e: int, mod_poly: Sequence[int], m: int) ->
         b = poly_rem_mod(poly_mul_mod(b, b, m), mod_poly, m)
         e >>= 1
     return result
+
+
+def poly_roots_mod(a: Sequence[int], r: int, *, seed: int = 0) -> list:
+    """Distinct roots in Z_r of a nonzero polynomial over Z_r (r an odd prime).
+
+    gcd(x^r - x, a) keeps one linear factor per root, and equal-degree
+    splitting with deterministic retry seeds separates them.
+    """
+    a = poly_trim([c % r for c in a])
+    if len(a) <= 1:
+        return []
+    z = [0, 1]
+    linear_part = poly_gcd_mod(poly_sub_mod(poly_powmod(z, r, a, r), z, r), a, r)
+    return _split_into_roots(linear_part, r, random.Random(seed))
+
+
+def _split_into_roots(h: Sequence[int], r: int, rng: random.Random) -> List[int]:
+    """Roots of a monic product of distinct linear factors over Z_r."""
+    deg = len(h) - 1
+    if deg <= 0:
+        return []
+    if deg == 1:
+        return [(-h[0]) % r]
+    for _ in range(200):
+        a = rng.randrange(r)
+        w = poly_powmod([a, 1], (r - 1) // 2, h, r)
+        w = poly_sub_mod(w, [1], r)
+        d = poly_gcd_mod(w, h, r)
+        if 0 < len(d) - 1 < deg:
+            rest = poly_divide_out(h, d, r)
+            return _split_into_roots(d, r, rng) + _split_into_roots(rest, r, rng)
+    raise NotSplitting("equal-degree splitting failed to converge")
+
+
+def poly_divide_out(h: Sequence[int], d: Sequence[int], r: int) -> List[int]:
+    """Exact quotient h / d over Z_r (d divides h)."""
+    h = list(h)
+    out = [0] * (len(h) - len(d) + 1)
+    inv_lead = inv_mod(d[-1], r)
+    for k in range(len(out) - 1, -1, -1):
+        c = h[k + len(d) - 1] * inv_lead % r
+        out[k] = c
+        if c:
+            for i, di in enumerate(d):
+                h[k + i] = (h[k + i] - c * di) % r
+    return out

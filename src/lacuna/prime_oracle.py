@@ -153,8 +153,8 @@ def _build_reservoir(beta1: int, beta2: int, ell: int, mu: float):
                 if len(records) == need:
                     break
         if len(records) == need:
-            ps = [r.p for r in records]
-            assert len(set(ps)) == need, "S(q) must be injective on the interval"
+            if len({r.p for r in records}) != need:
+                raise RuntimeError(f"S(q) is not injective on [{n}, {2 * n})")
             records.sort()
             return records, mu, n
         mu *= 2

@@ -10,32 +10,26 @@ matching plus rational reconstruction yields the coefficients.
 """
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from .blackbox import ModularBlackBox, ShiftedLacunary, reduce_mod, shifted_blackbox
-from .densepoly import (
-    DensePolyMod,
-    poly_gcd_mod,
-    poly_mul_mod,
-    poly_powmod,
-    poly_sub_mod,
-    tau,
-)
+from .densepoly import DensePolyMod, poly_mul_mod, poly_roots_mod, tau
 from .errors import (
     AmbiguousMatch,
     BlackBoxFailure,
     DenominatorVanished,
     InconsistentResidues,
     NoMatch,
+    NoReconstruction,
     NotSplitting,
 )
 from .modular_core import (
     Residue,
     crt_list,
-    inv_mod,
     next_prime_above,
     rational_reconstruct,
     remo,
@@ -57,12 +51,12 @@ class PrimeImage:
 
     @classmethod
     def from_poly(cls, fp: DensePolyMod) -> "PrimeImage":
-        slots = tuple(k for k in range(1, fp.degree + 1) if fp.coeff(k))
+        slots = tuple((np.flatnonzero(np.asarray(fp.coeffs[1:])) + 1).tolist())
         return cls(
             p=fp.modulus,
             poly=fp,
             exponents=slots,
-            coeff_residues=tuple((k, fp.coeff(k)) for k in slots),
+            coeff_residues=tuple((k, fp.coeffs[k]) for k in slots),
             c0=fp.coeff(0),
         )
 
@@ -117,12 +111,11 @@ def q_target_bits(bounds: Bounds) -> int:
 class _Collector:
     """Resumable image collector implementing the accumulation loop."""
 
-    def __init__(self, bb, bounds, stream, mu, max_regenerations, threshold):
+    def __init__(self, bb, bounds, stream, mu, max_regenerations):
         self.bb = bb
         self.bounds = bounds
         self.stream = stream if stream is not None else generate(interp_oracle_config(bounds, mu))
         self.max_regenerations = max_regenerations
-        self.threshold = threshold
         self.images: List[PrimeImage] = []
         self.t = 0
         self.prod = 1
@@ -149,7 +142,7 @@ class _Collector:
                 )
             p = self.stream.next_prime()
             try:
-                fp = reduce_mod(self.bb, p, threshold=self.threshold)
+                fp = reduce_mod(self.bb, p)
             except DenominatorVanished:
                 self.stream.discard(p)
                 continue
@@ -168,9 +161,9 @@ class _Collector:
         new_lcm = math.lcm(self.q_lcm, img.p - 1)
         if self.images:
             # progress check: a fresh certified q >= n multiplies the lcm
-            rec = self.stream.record_for(img.p) if hasattr(self.stream, "record_for") else None
-            if rec is not None and self.q_lcm % rec.q != 0:
-                assert new_lcm >= self.q_lcm * rec.q, "lcm must gain the certified factor"
+            rec = self.stream.record_for(img.p)
+            if rec is not None and self.q_lcm % rec.q != 0 and new_lcm < self.q_lcm * rec.q:
+                raise RuntimeError(f"lcm did not gain the certified factor {rec.q} of {img.p} - 1")
         self.images.append(img)
         self.prod *= img.p
         self.q_lcm = new_lcm
@@ -194,10 +187,9 @@ def collect_images(
     stream: Optional[PrimeStream] = None,
     mu: float = 1.0,
     max_regenerations: int = 10,
-    threshold: Optional[int] = None,
 ) -> List[PrimeImage]:
     """Reductions sharing the maximal term count, with enough mass for CRT."""
-    c = _Collector(bb, bounds, stream, mu, max_regenerations, threshold)
+    c = _Collector(bb, bounds, stream, mu, max_regenerations)
     c.collect()
     return c.images
 
@@ -250,50 +242,13 @@ def integer_roots(g: SymPoly, bound: int, *, seed: int = 0) -> Set[int]:
             return {e}
         raise NotSplitting(f"single root {e} is outside [1, {bound}]")
     r = next_prime_above(4 * bound)
-    gr = [c % r for c in g.coeffs]
-    z = [0, 1]
-    zr = poly_powmod(z, r, gr, r)
-    linear_part = poly_gcd_mod(poly_sub_mod(zr, z, r), gr, r)
-    rng = random.Random(seed)
-    roots_mod = _split_into_roots(linear_part, r, rng)
+    roots_mod = poly_roots_mod(g.coeffs, r, seed=seed)
     verified = {rm for rm in roots_mod if 1 <= rm <= bound and g(rm) == 0}
     if len(verified) != t:
         raise NotSplitting(
             f"found {len(verified)} verified roots in [1, {bound}], expected {t}"
         )
     return verified
-
-
-def _split_into_roots(h: Sequence[int], r: int, rng: random.Random) -> List[int]:
-    """Roots of a monic product of distinct linear factors over Z_r."""
-    deg = len(h) - 1
-    if deg <= 0:
-        return []
-    if deg == 1:
-        return [(-h[0]) % r]
-    for _ in range(200):
-        a = rng.randrange(r)
-        w = poly_powmod([a, 1], (r - 1) // 2, h, r)
-        w = poly_sub_mod(w, [1], r)
-        d = poly_gcd_mod(w, h, r)
-        if 0 < len(d) - 1 < deg:
-            rest = poly_divide_out(h, d, r)
-            return _split_into_roots(d, r, rng) + _split_into_roots(rest, r, rng)
-    raise NotSplitting("equal-degree splitting failed to converge")
-
-
-def poly_divide_out(h: Sequence[int], d: Sequence[int], r: int) -> List[int]:
-    """Exact quotient h / d over Z_r (d divides h)."""
-    h = list(h)
-    out = [0] * (len(h) - len(d) + 1)
-    inv_lead = inv_mod(d[-1], r)
-    for k in range(len(out) - 1, -1, -1):
-        c = h[k + len(d) - 1] * inv_lead % r
-        out[k] = c
-        if c:
-            for i, di in enumerate(d):
-                h[k + i] = (h[k + i] - c * di) % r
-    return out
 
 
 # ---------------- matching and coefficient recovery ----------------
@@ -342,10 +297,13 @@ def sparse_interpolate(
     mu: float = 1.0,
     seed: int = 0,
     max_regenerations: int = 10,
-    threshold: Optional[int] = None,
 ) -> ShiftedLacunary:
-    """The sparse polynomial (shift 0) behind the black box, bit-exact."""
-    coll = _Collector(bb, bounds, stream, mu, max_regenerations, threshold)
+    """The sparse polynomial (shift 0) behind the black box, bit-exact.
+
+    Raises NoReconstruction when the image set keeps failing to yield a
+    consistent answer, which means the data violate the bounds.
+    """
+    coll = _Collector(bb, bounds, stream, mu, max_regenerations)
     sym_bound = (1 + (1 << bounds.bn)) ** bounds.bt
     for _ in range(128):
         coll.collect()
@@ -363,7 +321,7 @@ def sparse_interpolate(
             coll.drop()
         except (NoMatch, AmbiguousMatch) as exc:
             coll.drop(exc.p)
-    raise BlackBoxFailure("image set never stabilized; bounds are likely wrong")
+    raise NoReconstruction("image set never stabilized; bounds are likely wrong")
 
 
 def full_interpolate(
@@ -373,12 +331,9 @@ def full_interpolate(
     mu: float = 1.0,
     seed: int = 0,
     max_regenerations: int = 10,
-    threshold: Optional[int] = None,
 ) -> ShiftedLacunary:
     """Shift recovery followed by sparse interpolation of f(x + alpha)."""
-    sr = sparsest_shift(
-        bb, bounds, mu=mu, max_regenerations=max_regenerations, threshold=threshold
-    )
+    sr = sparsest_shift(bb, bounds, mu=mu, max_regenerations=max_regenerations)
     if sr.path is ShiftPath.DENSE:
         shifted = taylor_shift_exact(sr.dense_coeffs, sr.alpha)
         constant = shifted[0] if shifted else Fraction(0)
@@ -390,6 +345,5 @@ def full_interpolate(
         mu=mu,
         seed=seed,
         max_regenerations=max_regenerations,
-        threshold=threshold,
     )
     return ShiftedLacunary(shift=sr.alpha, constant=flat.constant, terms=flat.terms)

@@ -9,13 +9,14 @@ candidate search.
 """
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .blackbox import ModularBlackBox, reduce_mod
-from .densepoly import min_shift
+from .densepoly import min_shift, poly_roots_mod
 from .errors import (
     BlackBoxFailure,
     DenominatorVanished,
@@ -26,6 +27,7 @@ from .modular_core import (
     Residue,
     crt_list,
     inv_mod,
+    is_prime,
     next_prime_above,
     rational_reconstruct,
     size_of,
@@ -83,7 +85,6 @@ def sparsest_shift(
     mu: float = 1.0,
     stream: Optional[PrimeStream] = None,
     max_regenerations: int = 10,
-    threshold: Optional[int] = None,
 ) -> ShiftResult:
     """A sparsest shift of the polynomial behind the black box.
 
@@ -103,12 +104,12 @@ def sparsest_shift(
             )
         p = stream.next_prime()
         try:
-            fp = reduce_mod(bb, p, threshold=threshold)
+            fp = reduce_mod(bb, p)
         except DenominatorVanished:
             stream.discard(p)
             continue
         if fp.degree >= 2 * bounds.bt + 1:
-            hit = min_shift(fp, tau_cap=bounds.bt, threshold=threshold)
+            hit = min_shift(fp, tau_cap=bounds.bt)
             if hit is None or hit.tie:
                 continue  # degree passed but no unique sparse shift: bad prime
             recorded.append((hit.gamma, p))
@@ -143,24 +144,39 @@ def reconstruct_shift(residues: Sequence[Tuple[int, int]], ba: int) -> Fraction:
 # ---------------- dense (low-degree) regime ----------------
 
 def dense_case_recover(bb: ModularBlackBox, bounds: Bounds) -> List[Fraction]:
-    """Exact dense f (degree <= 2*bt) from one big prime.
+    """Exact dense f (degree d <= 2*bt) from 2*bt + 1 evaluations per prime.
 
-    Coefficient sizes over the power basis are at most 2*bt*ba + bh bits, so
-    a single prime q with log2 q > 2*bt*ba + bh supports rational
-    reconstruction of every coefficient from 2*bt + 1 evaluations.
+    Write f = c_0 + sum_i c_i (x - r/s)^(e_i) with at most bt terms, e_i <= d,
+    c_i = a_i/b_i with |a_i|, b_i < 2^bh and |r|, s < 2^ba.  The coefficient
+    of x^k is sum_i c_i C(e_i, k) (-r/s)^(e_i - k), plus c_0 at k = 0.  Over
+    the common denominator b_0 b_1 ... b_t s^d its numerator is
+    sum_i a_i (prod_{j != i} b_j) C(e_i, k) (-r)^(e_i - k) s^(d - e_i + k):
+    at most bt + 1 terms, each below 2^(bh*(bt+1)) * 2^d * 2^(ba*d).  So in
+    lowest terms every coefficient has numerator at most
+    N = (bt + 1) * 2^(bh*(bt+1) + 2*bt*(ba+1)) and denominator at most
+    2^(bh*(bt+1) + 2*bt*ba) <= N.  Two such fractions that agree modulo
+    q > 2*N^2 are equal, so rational reconstruction modulo q is exact.
+
+    q is the product of consecutive primes from the first one above
+    min(2*N^2, 2^62): fixed Miller-Rabin bases prove primes below 2^81,
+    while one prime past that would need its p - 1 factored.
     """
-    sbits = 2 * bounds.bt * bounds.ba + bounds.bh
+    num_bits = bounds.bh * (bounds.bt + 1) + 2 * bounds.bt * (bounds.ba + 1)
+    num = (bounds.bt + 1) << num_bits
     npts = 2 * bounds.bt + 1
-    q = next_prime_above(1 << sbits)
-    while True:
+    images = [[] for _ in range(npts)]
+    q, prod = min(2 * num * num, 1 << 62), 1
+    while prod <= 2 * num * num:
+        q = next_prime_above(q)
         try:
             vals = [bb.eval(q, i) for i in range(npts)]
-            break
         except DenominatorVanished:
-            q = next_prime_above(q)  # finitely many primes divide denominators
-    coeffs_mod = _interpolate_points(vals, q)
-    bound = 1 << sbits
-    coeffs = [rational_reconstruct(Residue(c, q), bound) for c in coeffs_mod]
+            continue  # finitely many primes divide denominators
+        coeffs_q = _interpolate_points(vals, q)
+        for k in range(npts):
+            images[k].append(Residue(coeffs_q[k] if k < len(coeffs_q) else 0, q))
+        prod *= q
+    coeffs = [rational_reconstruct(crt_list(rs), num) for rs in images]
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return coeffs
@@ -235,7 +251,15 @@ def dense_sparsest_shift(coeffs: Sequence[Fraction], ba: int) -> Fraction:
 
 
 def _bounded_rational_roots(row: Sequence[Fraction], box: int) -> List[Fraction]:
-    """Rational roots a/b of the polynomial with |a| <= box and b <= box."""
+    """Rational roots a/b of the polynomial with |a| <= box and 1 <= b <= box.
+
+    Scaled to coprime integers, the polynomial stays nonzero modulo a prime
+    r > 2*box^2, and each bounded root a/b maps to the root a * b^-1 there.
+    Each root modulo r comes from at most one bounded rational, which
+    rational reconstruction finds and an exact evaluation confirms.  r has
+    the form k * 2^m + 1, so r - 1 factors at once when a large r needs a
+    primality certificate.
+    """
     coeffs = list(row)
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
@@ -243,35 +267,15 @@ def _bounded_rational_roots(row: Sequence[Fraction], box: int) -> List[Fraction]
         return []
     den_lcm = math.lcm(*(c.denominator for c in coeffs))
     ints = [int(c * den_lcm) for c in coeffs]
+    g = math.gcd(*ints)
+    m = (2 * box * box).bit_length()
+    r = next(k << m | 1 for k in itertools.count(1) if is_prime(k << m | 1))
     roots = []
-    while ints and ints[0] == 0:
-        ints.pop(0)
-        if Fraction(0) not in roots:
-            roots.append(Fraction(0))
-    if len(ints) <= 1:
-        return roots
-    g = math.gcd(*(abs(v) for v in ints))
-    ints = [v // g for v in ints]
-    lead, const = abs(ints[-1]), abs(ints[0])
-    nums = _divisors_up_to(const, box)
-    dens = _divisors_up_to(lead, box)
-    deg = len(ints) - 1
-    for b in dens:
-        for a in nums:
-            if math.gcd(a, b) != 1:
-                continue
-            for num in (a, -a):
-                # evaluate sum ints[j] * num^j * b^(deg-j) exactly
-                acc = 0
-                npow = 1
-                for j in range(deg + 1):
-                    acc += ints[j] * npow * b ** (deg - j)
-                    npow *= num
-                if acc == 0:
-                    roots.append(Fraction(num, b))
+    for u in poly_roots_mod([v // g for v in ints], r):
+        try:
+            cand = rational_reconstruct(Residue(u, r), box)
+        except NoReconstruction:
+            continue
+        if sum(c * cand**j for j, c in enumerate(coeffs)) == 0:
+            roots.append(cand)
     return roots
-
-
-def _divisors_up_to(n: int, cap: int) -> List[int]:
-    n = abs(n)
-    return [d for d in range(1, min(n, cap) + 1) if n % d == 0]

@@ -133,6 +133,25 @@ def naive_termwise_reduction(poly: ShiftedLacunary, p: int):
     return dense
 
 
+def naive_interpolate(values, p):
+    """Coefficients (trimmed) of the degree-<p polynomial through (i, values[i])
+    over Z_p, by the schoolbook Lagrange sums c_j = -sum_i v_i * i^-j."""
+    coeffs = [0] * p
+    for i, vi in enumerate(values):
+        if i == 0 or vi == 0:
+            continue
+        u = pow(i, -1, p)
+        w = vi * u % p
+        for j in range(1, p):
+            coeffs[j] = (coeffs[j] - w) % p
+            w = w * u % p
+    coeffs[0] = values[0] % p
+    coeffs[p - 1] = (coeffs[p - 1] - values[0]) % p
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
 def naive_taylor_coeffs(coeffs, gamma, p):
     """Coefficients of f(x + gamma) over Z_p by repeated synthetic division."""
     out = [c % p for c in coeffs]

@@ -152,14 +152,24 @@ def test_exit_usage_on_bad_args(capsys):
     assert code == 2
     code, _, _ = invoke(capsys, "sq")  # neither --q nor --scan-to
     assert code == 2
-    code, _, _ = invoke(capsys, "shift", "--poly", GOLDEN_JSON, "--bounds", GOLDEN_BOUNDS, "--threads", "0")
-    assert code == 2
+    # the strategy switch and the no-op parallelism flag are gone
+    for flag in ("--threads", "--interp-threshold"):
+        code, _, _ = invoke(capsys, "shift", "--poly", GOLDEN_JSON, "--bounds", GOLDEN_BOUNDS, flag, "1")
+        assert code == 2
 
 
 def test_exit_reconstruction_failure(capsys):
     # shift 5 cannot fit |a|, b <= 2^1
     poly = '{"shift":"5","constant":"0","terms":[{"coeff":"1","exp":9}]}'
     code, _, err = invoke(capsys, "shift", "--poly", poly, "--bounds", "BA=1,BT=1,BH=2,BN=4")
+    assert code == 3
+    assert "reconstruction" in err.lower()
+
+
+def test_exit_reconstruction_failure_on_violated_degree_bound(capsys):
+    # degree 15 needs BN = 4; with BN = 3 the image set never yields a
+    # consistent answer, which is a reconstruction failure, not a box failure
+    code, _, err = invoke(capsys, "interpolate", "--poly", GOLDEN_JSON, "--bounds", "BA=4,BT=2,BH=4,BN=3")
     assert code == 3
     assert "reconstruction" in err.lower()
 

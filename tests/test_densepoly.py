@@ -2,13 +2,16 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from lacuna import (
     DensePolyMod,
     evaluate_range,
     interpolate_range,
+    is_prime,
     min_shift,
+    next_prime_above,
     tau,
     taylor_shift,
 )
@@ -18,19 +21,32 @@ from lacuna.densepoly import (
     poly_gcd_mod,
     poly_mul_mod,
     poly_rem_mod,
+    poly_roots_mod,
 )
 
-from conftest import naive_min_shift, naive_taylor_coeffs
+from conftest import naive_interpolate, naive_min_shift, naive_taylor_coeffs
+
+PRIMES_BELOW_600 = [p for p in range(600) if is_prime(p)]
+
+
+def horner(coeffs, x, p):
+    y = 0
+    for c in reversed(coeffs):
+        y = (y * x + c) % p
+    return y
 
 
 def grid_of(coeffs, p):
-    out = []
-    for i in range(p):
-        y = 0
-        for c in reversed(coeffs):
-            y = (y * i + c) % p
-        out.append(y)
-    return out
+    return [horner(coeffs, i, p) for i in range(p)]
+
+
+def horner_grid(coeffs, p):
+    """grid_of with the points as one int64 vector (exact for p < 2^31)."""
+    xs = np.arange(p, dtype=np.int64)
+    acc = np.zeros(p, dtype=np.int64)
+    for c in reversed(coeffs):
+        acc = (acc * xs + int(c)) % p
+    return acc.tolist()
 
 
 # ---------------- interpolate_range ----------------
@@ -70,13 +86,54 @@ def test_interpolate_round_trip_small_primes():
 
 
 def test_interpolation_strategies_agree():
+    # the chirp kernel against the schoolbook Lagrange reference, on a
+    # planted half-degree polynomial and on random full-degree values
     rng = random.Random(29)
     for p in (521, 1031):
         coeffs = [rng.randrange(p) for _ in range(p // 2)]
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
         vals = grid_of(coeffs, p)
-        newton = interpolate_range(vals, p, threshold=1 << 14)
-        lagrange = interpolate_range(vals, p, threshold=2)
-        assert newton.coeffs == lagrange.coeffs
+        assert list(interpolate_range(vals, p).coeffs) == naive_interpolate(vals, p) == coeffs
+        vals = [rng.randrange(p) for _ in range(p)]
+        assert list(interpolate_range(vals, p).coeffs) == naive_interpolate(vals, p)
+
+
+def test_kernel_exact_every_prime_below_600():
+    # both directions, on the whole grid of every such prime, p = 2 included
+    rng = random.Random(30)
+    for p in PRIMES_BELOW_600:
+        vals = [rng.randrange(p) for _ in range(p)]
+        assert horner_grid(interpolate_range(vals, p).coeffs, p) == vals
+        coeffs = [rng.randrange(p) for _ in range(p)]
+        assert list(evaluate_range(DensePolyMod(p, coeffs))) == horner_grid(coeffs, p)
+
+
+@pytest.mark.parametrize("p", [next_prime_above(1 << 17), next_prime_above(1 << 20)])
+def test_kernel_exact_past_2_17(p):
+    # 2 and 3 limbs: checked against Horner evaluation at random points
+    rng = np.random.default_rng(p)
+    vals = rng.integers(0, p, size=p)
+    f = interpolate_range(vals, p)
+    coeffs = rng.integers(0, p, size=p).tolist()
+    grid = evaluate_range(DensePolyMod(p, coeffs))
+    points = [0, p - 1, *rng.integers(1, p - 1, size=2).tolist()]
+    for x in points:
+        assert horner(f.coeffs, x, p) == vals[x]
+        assert horner(coeffs, x, p) == grid[x]
+    # the largest residues everywhere: sums at their maximum, both ways.
+    # -(1 + x + ... + x^(p-1)) is -1 at x = 0, 0 at x = 1 and -1 elsewhere
+    assert interpolate_range(np.full(p, p - 1), p).coeffs == (p - 1,)
+    grid = evaluate_range(DensePolyMod(p, [p - 1] * p))
+    assert grid == (p - 1, 0) + (p - 1,) * (p - 2)
+
+
+def test_interpolate_rejects_moduli_past_2_31():
+    p = next_prime_above(1 << 31)
+    with pytest.raises(ValueError):
+        interpolate_range([0] * 4, p)
+    with pytest.raises(ValueError):
+        evaluate_range(DensePolyMod(p, [1, 2, 3]))
 
 
 def test_evaluate_range_matches_horner():
@@ -215,7 +272,7 @@ def test_min_shift_candidate_path_agrees_with_exhaustive():
             f = DensePolyMod(p, dense)
             if f.degree < 3:
                 continue
-            got = min_shift(f, threshold=2)  # low threshold: candidate machinery
+            got = min_shift(f)  # candidate searches run before the exhaustive one
             want = naive_min_shift(f.coeffs, p)
             assert (got.gamma, got.tau, got.tie) == want
             capped = min_shift(f, tau_cap=t)
@@ -230,9 +287,16 @@ def test_min_shift_internal_paths_agree():
         f = DensePolyMod(p, dense)
         if f.degree < 1:
             continue
-        ex = _min_shift_exhaustive(f, None)
         want = naive_min_shift(f.coeffs, p)
+        ex = _min_shift_exhaustive(f)
         assert (ex.gamma, ex.tau, ex.tie) == want
+        got = min_shift(f)
+        assert (got.gamma, got.tau, got.tie) == want
+        # every candidate search below the true minimum finds nothing
+        s = 1
+        while 2 * s + 1 <= f.degree and s < want[1]:
+            assert _min_shift_candidates(f, s) is None
+            s *= 2
 
 
 def test_min_shift_tau_cap_miss_returns_none():
@@ -261,3 +325,13 @@ def test_poly_helpers():
     assert poly_rem_mod(prod, b, m) == []
     # gcd(a*b, b) is b made monic: inv(5) = 3 mod 7, so 3*(4 + 5x) = 5 + x
     assert poly_gcd_mod(prod, b, m) == [5, 1]
+
+
+def test_poly_roots_mod():
+    r = 101
+    # 3 (x - 4)^2 (x - 17) (x^2 - 2); 2 is a non-residue mod 101
+    poly = [3]
+    for factor in ([-4, 1], [-4, 1], [-17, 1], [-2, 0, 1]):
+        poly = poly_mul_mod(poly, [c % r for c in factor], r)
+    assert sorted(poly_roots_mod(poly, r)) == [4, 17]
+    assert poly_roots_mod([5], r) == [] and poly_roots_mod([], r) == []

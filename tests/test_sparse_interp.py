@@ -11,6 +11,7 @@ from lacuna import (
     DensePolyMod,
     InconsistentResidues,
     NotSplitting,
+    PrimeRecord,
     ShiftedLacunary,
     SymPoly,
     build_g_image,
@@ -58,6 +59,19 @@ def test_collect_images_flushes_colliding_prime():
     stream2 = FakeStream([7, 11, 13, 23, 29, 37, 47], guarantee_after=3)
     images2 = collect_images(bb, bounds, stream=stream2)
     assert all(im.p != 11 for im in images2)
+
+
+def test_collect_images_rejects_false_prime_record():
+    # a record claiming q = 5 for p = 13, where 5 does not divide 12, breaks
+    # the lcm growth the reservoir certifies: a typed error, under -O too
+    class FalseRecordStream(FakeStream):
+        def record_for(self, p):
+            return PrimeRecord(p, 5, 0) if p == 13 else None
+
+    bb = make_blackbox(unshifted_two_term())
+    stream = FalseRecordStream([7, 13, 23, 29, 37, 47, 53], guarantee_after=3)
+    with pytest.raises(RuntimeError, match="certified factor"):
+        collect_images(bb, Bounds(ba=4, bt=2, bh=4, bn=4), stream=stream)
 
 
 def test_collect_images_constant_box():

@@ -11,6 +11,7 @@ from lacuna import (
     InconsistentResidues,
     ShiftedLacunary,
     ShiftPath,
+    full_interpolate,
     make_blackbox,
     reconstruct_shift,
     size_of,
@@ -118,8 +119,9 @@ def test_dense_case_recover_example():
     bounds = Bounds(ba=2, bt=1, bh=3, bn=2)
     coeffs = dense_case_recover(bb, bounds)
     assert coeffs == [Fraction(-1, 2), Fraction(1), Fraction(3)]
-    # least prime with log2 q > 2*1*2 + 3 = 7 is 131
-    assert set(bb.primes) == {131}
+    # numerators and denominators up to N = 2 * 2^12: the least prime above
+    # 2*N^2 = 2^27 is 134217757
+    assert set(bb.primes) == {134217757}
 
 
 def test_dense_case_recover_trivial():
@@ -147,10 +149,48 @@ class VanishAt:
 
 def test_dense_case_recover_skips_vanishing_prime():
     inner = RecordingBox(DenseBox([Fraction(-1, 2), Fraction(1), Fraction(3)]))
-    bb = VanishAt(inner, 131)
+    bb = VanishAt(inner, 134217757)
     coeffs = dense_case_recover(bb, Bounds(ba=2, bt=1, bh=3, bn=2))
     assert coeffs == [Fraction(-1, 2), Fraction(1), Fraction(3)]
-    assert inner.primes and set(inner.primes) == {137}  # advanced past 131
+    assert inner.primes and set(inner.primes) == {134217773}  # advanced past 134217757
+
+
+# Instances from the benchmark's dense workload whose power-basis
+# coefficients outgrow a modulus of 2^(2*bt*ba + bh): recovering them from
+# such a modulus gave a wrong constant.
+DENSE_REGIME_CASES = [
+    ('{"constant":"-1/2","shift":"32/6625","terms":[{"coeff":"3","exp":2}]}',
+     Bounds(ba=20, bt=1, bh=4, bn=2)),
+    ('{"constant":"-19/3","shift":"-5/2913","terms":[{"coeff":"11/6","exp":3},'
+     '{"coeff":"-19/3","exp":4}]}', Bounds(ba=16, bt=2, bh=8, bn=3)),
+    ('{"constant":"-12/7","shift":"1021/26","terms":[{"coeff":"-1/34","exp":1},'
+     '{"coeff":"-1/61","exp":4}]}', Bounds(ba=16, bt=2, bh=8, bn=3)),
+]
+
+
+def dense_coeffs_of(poly):
+    """Power-basis coefficients of a shifted-sparse polynomial, exactly."""
+    flat = [Fraction(0)] * (poly.degree + 1)
+    flat[0] = poly.constant
+    for c, e in poly.terms:
+        flat[e] = c
+    return taylor_shift_exact(flat, -poly.shift)
+
+
+@pytest.mark.parametrize("spec, bounds", DENSE_REGIME_CASES)
+def test_dense_regime_recovers_large_coefficients(spec, bounds):
+    f = ShiftedLacunary.from_json(spec)
+    assert dense_case_recover(make_blackbox(f), bounds) == dense_coeffs_of(f)
+    assert full_interpolate(make_blackbox(f), bounds) == f
+
+
+def test_dense_regime_with_24_bit_shift():
+    # |num|, den of the shift need 24 bits each: ba = 49, a 2^49 search box
+    f = ShiftedLacunary(Fraction(16777213, 16777199), Fraction(5),
+                        ((Fraction(2), 3), (Fraction(-3, 7), 4)))
+    coeffs = dense_coeffs_of(f)
+    assert dense_sparsest_shift(coeffs, 49) == f.shift
+    assert full_interpolate(make_blackbox(f), Bounds(ba=49, bt=2, bh=5, bn=3)) == f
 
 
 # ---------------- dense sparsest shift ----------------
