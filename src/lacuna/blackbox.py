@@ -10,7 +10,7 @@ programs, so tests can model genuinely opaque functions.
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -20,9 +20,10 @@ from .densepoly import (
     _check_grid_prime,
     _cyclic_tables,
     _grid_eval_small,
+    _read_only,
     interpolate_range,
 )
-from .errors import DenominatorVanished
+from .errors import BlackBoxFailure, DenominatorVanished
 from .modular_core import frac_mod, is_prime
 
 
@@ -125,10 +126,11 @@ class ModularBlackBox:
         self.calls += 1
         return self._eval(p, theta)
 
-    def eval_range(self, p: int) -> list:
-        """All of f(0), ..., f(p-1) mod p; counts as p queries."""
+    def eval_range(self, p: int) -> np.ndarray:
+        """All of f(0), ..., f(p-1) mod p as a read-only int64 array; counts
+        as p queries."""
         self.calls += p
-        return [self._eval(p, i) for i in range(p)]
+        return _read_only(np.array([self._eval(p, i) for i in range(p)], dtype=np.int64))
 
     def _eval(self, p: int, theta: int) -> int:
         raise NotImplementedError
@@ -159,7 +161,7 @@ class LacunaryBox(ModularBlackBox):
             acc = (acc + cm * pow(base, e, p)) % p
         return acc
 
-    def eval_range(self, p: int) -> list:
+    def eval_range(self, p: int) -> np.ndarray:
         if p >= _GRID_LIMIT or not is_prime(p):
             return super().eval_range(p)
         c0, shift, coeffs = self._denominators_mod(p)
@@ -171,7 +173,7 @@ class LacunaryBox(ModularBlackBox):
             acc = (acc + cm * pw[lg * (e % n) % n]) % p
         acc[0] = c0  # every term has e >= 1, so it vanishes at b = 0
         self.calls += p
-        return np.roll(acc, shift).tolist()
+        return _read_only(np.roll(acc, shift))
 
 
 class DenseBox(ModularBlackBox):
@@ -191,12 +193,12 @@ class DenseBox(ModularBlackBox):
             acc = (acc * theta + frac_mod(c, p)) % p
         return acc
 
-    def eval_range(self, p: int) -> list:
+    def eval_range(self, p: int) -> np.ndarray:
         if p >= _GRID_LIMIT:
             return super().eval_range(p)
         acc = _grid_eval_small([frac_mod(c, p) for c in self.coeffs], p)
         self.calls += p
-        return acc.tolist()
+        return _read_only(acc)
 
 
 class ProgramBox(ModularBlackBox):
@@ -253,11 +255,11 @@ class ShiftedBox(ModularBlackBox):
         a = frac_mod(self.alpha, p)
         return self.inner.eval(p, (theta + a) % p)
 
-    def eval_range(self, p: int) -> list:
+    def eval_range(self, p: int) -> np.ndarray:
         a = frac_mod(self.alpha, p)
         grid = self.inner.eval_range(p)
         self.calls += p
-        return grid[a:] + grid[:a]
+        return _read_only(np.roll(grid, -a))
 
 
 # ---------------- spec operations ----------------
@@ -283,3 +285,28 @@ def reduce_mod(bb: ModularBlackBox, p: int) -> DensePolyMod:
     _check_grid_prime(p)
     values = bb.eval_range(p)
     return interpolate_range(values, p)
+
+
+# Reservoir regenerations a driver's prime loop allows before it gives up.
+_MAX_REGENERATIONS = 10
+
+
+def _reductions(bb: ModularBlackBox, stream) -> Iterator[DensePolyMod]:
+    """f^(p) for each next prime of the stream, endlessly.
+
+    A prime where a denominator vanishes is discarded from the stream, so it
+    never counts toward the guarantee.  BlackBoxFailure once the stream has
+    regenerated its reservoir more than _MAX_REGENERATIONS times.
+    """
+    while True:
+        if stream.regenerations > _MAX_REGENERATIONS:
+            raise BlackBoxFailure(
+                f"no usable primes after {stream.regenerations} reservoir regenerations"
+            )
+        p = stream.next_prime()
+        try:
+            fp = reduce_mod(bb, p)
+        except DenominatorVanished:
+            stream.discard(p)
+            continue
+        yield fp

@@ -7,7 +7,6 @@ failure (bounds too small for the data), 4 black-box failure.
 import argparse
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 
@@ -70,26 +69,9 @@ def _parse_bounds(text: str) -> Bounds:
     return Bounds(ba=vals["BA"], bt=vals["BT"], bh=vals["BH"], bn=vals["BN"])
 
 
-def _mu_from(args) -> float:
-    if args.mu is not None:
-        return args.mu
-    env = os.environ.get("LACUNA_MU")
-    if env:
-        try:
-            mu = float(env)
-        except ValueError as exc:
-            raise ValueError(f"bad LACUNA_MU value {env!r}") from exc
-        if mu < 1:
-            raise ValueError("LACUNA_MU must be >= 1")
-        return mu
-    return 1.0
-
-
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "pretty"), default="json")
-    common.add_argument("--mu", type=float, default=None, help="density constant estimate (>= 1)")
-    common.add_argument("--seed", type=int, default=0, help="seed for root-splitting retries")
 
     ap = argparse.ArgumentParser(
         prog="lacuna",
@@ -121,6 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_or.add_argument("--beta1", type=int, required=True)
     p_or.add_argument("--beta2", type=int, required=True)
     p_or.add_argument("--ell", type=int, required=True)
+    p_or.add_argument("--mu", type=float, default=1.0, help="density constant estimate (>= 1)")
 
     p_sq = sub.add_parser("sq", parents=[common], help="least prime congruent to 1 modulo q")
     p_sq.add_argument("--q", type=int)
@@ -164,20 +147,16 @@ def _cmd_eval(args) -> int:
 
 def _cmd_reduce(args) -> int:
     bb, _ = _load_poly_spec(args.poly)
-    if not is_prime(args.prime):
-        print(f"error: {args.prime} is not prime", file=sys.stderr)
-        return EXIT_USAGE
-    fp = reduce_mod(bb, args.prime)
-    coeffs = [str(c) for c in fp.coeffs]
-    pretty = " + ".join(f"{c}*x^{k}" for k, c in enumerate(fp.coeffs) if c) or "0"
-    _emit(args, {"p": args.prime, "coeffs": coeffs}, pretty)
+    coeffs = reduce_mod(bb, args.prime).coeffs.tolist()  # ValueError unless a prime < 2^31
+    pretty = " + ".join(f"{c}*x^{k}" for k, c in enumerate(coeffs) if c) or "0"
+    _emit(args, {"p": args.prime, "coeffs": [str(c) for c in coeffs]}, pretty)
     return EXIT_OK
 
 
 def _cmd_shift(args) -> int:
     bb, _ = _load_poly_spec(args.poly)
     bounds = _parse_bounds(args.bounds)
-    res = sparsest_shift(bb, bounds, mu=_mu_from(args))
+    res = sparsest_shift(bb, bounds)
     payload = {
         "alpha": _fmt_rat(res.alpha),
         "path": res.path.value,
@@ -190,18 +169,12 @@ def _cmd_shift(args) -> int:
 def _cmd_interpolate(args) -> int:
     bb, _ = _load_poly_spec(args.poly)
     bounds = _parse_bounds(args.bounds)
-    mu = _mu_from(args)
     if args.assume_shift is not None:
         alpha = Fraction(args.assume_shift)
-        flat = sparse_interpolate(
-            shifted_blackbox(bb, alpha),
-            bounds,
-            mu=mu,
-            seed=args.seed,
-        )
+        flat = sparse_interpolate(shifted_blackbox(bb, alpha), bounds)
         result = ShiftedLacunary(shift=alpha, constant=flat.constant, terms=flat.terms)
     else:
-        result = full_interpolate(bb, bounds, mu=mu, seed=args.seed)
+        result = full_interpolate(bb, bounds)
     _emit(args, json.loads(result.to_json()), _pretty_poly(result))
     return EXIT_OK
 
@@ -211,7 +184,7 @@ def _cmd_oracle(args) -> int:
         print("error: need beta1, beta2 >= 0 and ell >= 1", file=sys.stderr)
         return EXIT_USAGE
     config = prime_oracle.OracleConfig(
-        beta1=args.beta1, beta2=args.beta2, ell=args.ell, mu=_mu_from(args)
+        beta1=args.beta1, beta2=args.beta2, ell=args.ell, mu=args.mu
     )
     stream = prime_oracle.generate(config)
     payload = {
@@ -279,9 +252,6 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.mu is not None and args.mu < 1:
-        print("error: --mu must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:

@@ -42,45 +42,35 @@ _EXACT_FFT_BITS = 46
 
 
 class DensePolyMod:
-    """Dense polynomial over Z_m: coefficient tuple indexed by degree.
+    """Dense polynomial over Z_m, m < 2^31: coefficients indexed by degree.
 
-    Trailing zeros are trimmed; the zero polynomial has an empty tuple and
-    degree -1.  Instances are immutable except for a lazily cached full
-    evaluation grid.
+    ``coeffs`` is a read-only int64 array with trailing zeros trimmed; the
+    zero polynomial has an empty one and degree -1.  Instances are immutable
+    except for a lazily cached full evaluation grid, also a read-only int64
+    array.
     """
 
     __slots__ = ("modulus", "coeffs", "_grid")
 
     def __init__(self, modulus: int, coeffs, _grid=None):
-        if modulus < 2:
-            raise ValueError("modulus must be >= 2")
-        if isinstance(coeffs, np.ndarray):
-            arr = coeffs % modulus
-            nz = np.nonzero(arr)[0]
-            c = arr[: int(nz[-1]) + 1].tolist() if nz.size else []
-        else:
-            c = [int(x) % modulus for x in coeffs]
-            while c and c[-1] == 0:
-                c.pop()
+        if not 2 <= modulus < _GRID_LIMIT:
+            raise ValueError(f"modulus must be in [2, 2^31), got {modulus}")
+        c = np.asarray(coeffs, dtype=np.int64) % modulus
+        nz = np.flatnonzero(c)
         self.modulus = modulus
-        self.coeffs = tuple(c)
-        if _grid is None:
-            self._grid = None
-        elif isinstance(_grid, np.ndarray):
-            self._grid = tuple(_grid.tolist())
-        else:
-            self._grid = tuple(int(v) for v in _grid)
+        self.coeffs = _read_only(c[: nz[-1] + 1 if nz.size else 0])
+        self._grid = None if _grid is None else _read_only(_grid)
 
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
     def coeff(self, k: int) -> int:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
+        return int(self.coeffs[k]) if 0 <= k < len(self.coeffs) else 0
 
     def __call__(self, x: int) -> int:
         y = 0
-        for c in reversed(self.coeffs):
+        for c in reversed(self.coeffs.tolist()):
             y = (y * x + c) % self.modulus
         return y
 
@@ -88,14 +78,19 @@ class DensePolyMod:
         return (
             isinstance(other, DensePolyMod)
             and self.modulus == other.modulus
-            and self.coeffs == other.coeffs
+            and np.array_equal(self.coeffs, other.coeffs)
         )
 
     def __hash__(self):
-        return hash((self.modulus, self.coeffs))
+        return hash((self.modulus, self.coeffs.tobytes()))
 
     def __repr__(self):
-        return f"DensePolyMod({self.modulus}, {list(self.coeffs)})"
+        return f"DensePolyMod({self.modulus}, {self.coeffs.tolist()})"
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 class MinShift(NamedTuple):
@@ -218,10 +213,10 @@ def _power_sums_fft(u: np.ndarray, p: int) -> np.ndarray:
 
 
 def _check_grid_prime(p: int) -> None:
-    if not is_prime(p):
-        raise ValueError(f"modulus {p} is not prime")
     if p >= _GRID_LIMIT:
         raise ValueError(f"grid operations need a prime below 2^31, got {p}")
+    if not is_prime(p):
+        raise ValueError(f"modulus {p} is not prime")
 
 
 def _eval_grid(f: DensePolyMod) -> np.ndarray:
@@ -229,7 +224,7 @@ def _eval_grid(f: DensePolyMod) -> np.ndarray:
     coefficients folded modulo x^(p-1) - 1 (which vanishes off 0)."""
     p = f.modulus
     n = p - 1
-    c = np.asarray(f.coeffs, dtype=np.int64)
+    c = f.coeffs
     u = np.zeros(n, dtype=np.int64)
     u[: min(len(c), n)] = c[:n]
     if len(c) == p:
@@ -255,7 +250,7 @@ def interpolate_range(values: Sequence[int], p: int) -> DensePolyMod:
     ValueError.
     """
     _check_grid_prime(p)
-    vals = np.asarray(values, dtype=np.int64)
+    vals = np.array(values, dtype=np.int64)  # a copy: the result keeps it as its grid
     if vals.ndim != 1 or vals.shape[0] != p:
         raise ValueError(f"need exactly {p} values, got {vals.shape[0] if vals.ndim == 1 else '?'}")
     if int(vals.min()) < 0 or int(vals.max()) >= p:
@@ -270,13 +265,14 @@ def interpolate_range(values: Sequence[int], p: int) -> DensePolyMod:
     return DensePolyMod(p, c, _grid=vals)
 
 
-def evaluate_range(f: DensePolyMod) -> tuple:
-    """Full evaluation grid of f over Z_p, cached on the polynomial."""
+def evaluate_range(f: DensePolyMod) -> np.ndarray:
+    """Full evaluation grid of f over Z_p as a read-only int64 array, cached
+    on the polynomial."""
     if f._grid is None:
         _check_grid_prime(f.modulus)
         if f.degree >= f.modulus:
             raise ValueError("degree must be < modulus for grid semantics")
-        f._grid = tuple(_eval_grid(f).tolist())
+        f._grid = _read_only(_eval_grid(f))
     return f._grid
 
 
@@ -292,13 +288,12 @@ def taylor_shift(f: DensePolyMod, gamma: int) -> DensePolyMod:
     grid = evaluate_range(f)
     if gamma == 0:
         return f
-    rolled = grid[gamma:] + grid[:gamma]
-    return interpolate_range(rolled, p)
+    return interpolate_range(np.roll(grid, -gamma), p)
 
 
 def tau(f: DensePolyMod) -> int:
     """Number of nonzero, non-constant terms of f."""
-    return sum(1 for c in f.coeffs[1:] if c)
+    return int(np.count_nonzero(f.coeffs[1:]))
 
 
 def min_shift(f: DensePolyMod, *, tau_cap: Optional[int] = None) -> Optional[MinShift]:
@@ -348,6 +343,7 @@ def _hasse_rows(f: DensePolyMod, ks) -> dict:
     vanishes mod p, so row k has degree exactly deg f - k.
     """
     p, d = f.modulus, f.degree
+    coeffs = f.coeffs.tolist()
     inv = [0, 1] + [0] * max(0, d - 1)
     for i in range(2, d + 1):
         inv[i] = -(p // i) * inv[p % i] % p
@@ -356,7 +352,7 @@ def _hasse_rows(f: DensePolyMod, ks) -> dict:
         binom = 1
         row = []
         for j in range(k, d + 1):
-            row.append(binom * f.coeffs[j] % p)
+            row.append(binom * coeffs[j] % p)
             if j < d:
                 binom = binom * (j + 1) % p * inv[j + 1 - k] % p
         rows[k] = row

@@ -16,12 +16,10 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .blackbox import ModularBlackBox, ShiftedLacunary, reduce_mod, shifted_blackbox
+from .blackbox import ModularBlackBox, ShiftedLacunary, _reductions, shifted_blackbox
 from .densepoly import DensePolyMod, poly_mul_mod, poly_roots_mod, tau
 from .errors import (
     AmbiguousMatch,
-    BlackBoxFailure,
-    DenominatorVanished,
     InconsistentResidues,
     NoMatch,
     NoReconstruction,
@@ -51,12 +49,13 @@ class PrimeImage:
 
     @classmethod
     def from_poly(cls, fp: DensePolyMod) -> "PrimeImage":
-        slots = tuple((np.flatnonzero(np.asarray(fp.coeffs[1:])) + 1).tolist())
+        slots = np.flatnonzero(fp.coeffs[1:]) + 1
+        exponents = tuple(slots.tolist())
         return cls(
             p=fp.modulus,
             poly=fp,
-            exponents=slots,
-            coeff_residues=tuple((k, fp.coeffs[k]) for k in slots),
+            exponents=exponents,
+            coeff_residues=tuple(zip(exponents, fp.coeffs[slots].tolist())),
             c0=fp.coeff(0),
         )
 
@@ -86,13 +85,12 @@ class SymPoly:
         return acc
 
 
-def interp_oracle_config(bounds: Bounds, mu: float = 1.0) -> OracleConfig:
+def interp_oracle_config(bounds: Bounds) -> OracleConfig:
     """Oracle sizing for interpolation: beta1 = 2*bh*bt, beta2 = bn*bt*(bt-1)/2."""
     return OracleConfig(
         beta1=2 * bounds.bh * bounds.bt,
         beta2=bounds.bn * bounds.bt * (bounds.bt - 1) // 2,
         ell=max(2 * bounds.bh + 1, bounds.bn),
-        mu=mu,
     )
 
 
@@ -111,11 +109,10 @@ def q_target_bits(bounds: Bounds) -> int:
 class _Collector:
     """Resumable image collector implementing the accumulation loop."""
 
-    def __init__(self, bb, bounds, stream, mu, max_regenerations):
-        self.bb = bb
+    def __init__(self, bb, bounds, stream):
         self.bounds = bounds
-        self.stream = stream if stream is not None else generate(interp_oracle_config(bounds, mu))
-        self.max_regenerations = max_regenerations
+        self.stream = stream if stream is not None else generate(interp_oracle_config(bounds))
+        self._reduced = _reductions(bb, self.stream)
         self.images: List[PrimeImage] = []
         self.t = 0
         self.prod = 1
@@ -136,23 +133,14 @@ class _Collector:
 
     def collect(self) -> None:
         while not self.satisfied():
-            if self.stream.regenerations > self.max_regenerations:
-                raise BlackBoxFailure(
-                    f"no usable primes after {self.stream.regenerations} reservoir regenerations"
-                )
-            p = self.stream.next_prime()
-            try:
-                fp = reduce_mod(self.bb, p)
-            except DenominatorVanished:
-                self.stream.discard(p)
-                continue
+            fp = next(self._reduced)
             t_p = tau(fp)
             if t_p > self.t:
                 # every previously kept image was a bad prime: flush
                 self.images = [PrimeImage.from_poly(fp)]
                 self.t = t_p
-                self.prod = p
-                self.q_lcm = p - 1
+                self.prod = fp.modulus
+                self.q_lcm = fp.modulus - 1
             elif t_p == self.t:
                 self._append(PrimeImage.from_poly(fp))
             # t_p < self.t: provably bad prime, keep only the delivery count
@@ -185,11 +173,9 @@ def collect_images(
     bounds: Bounds,
     *,
     stream: Optional[PrimeStream] = None,
-    mu: float = 1.0,
-    max_regenerations: int = 10,
 ) -> List[PrimeImage]:
     """Reductions sharing the maximal term count, with enough mass for CRT."""
-    c = _Collector(bb, bounds, stream, mu, max_regenerations)
+    c = _Collector(bb, bounds, stream)
     c.collect()
     return c.images
 
@@ -294,16 +280,13 @@ def sparse_interpolate(
     bounds: Bounds,
     *,
     stream: Optional[PrimeStream] = None,
-    mu: float = 1.0,
-    seed: int = 0,
-    max_regenerations: int = 10,
 ) -> ShiftedLacunary:
     """The sparse polynomial (shift 0) behind the black box, bit-exact.
 
     Raises NoReconstruction when the image set keeps failing to yield a
     consistent answer, which means the data violate the bounds.
     """
-    coll = _Collector(bb, bounds, stream, mu, max_regenerations)
+    coll = _Collector(bb, bounds, stream)
     sym_bound = (1 + (1 << bounds.bn)) ** bounds.bt
     for _ in range(128):
         coll.collect()
@@ -313,7 +296,7 @@ def sparse_interpolate(
             if any(abs(a) > sym_bound for a in g.coeffs):
                 # symmetric functions of roots <= 2^bn cannot be this big
                 raise NotSplitting("exponent polynomial exceeds its size bound")
-            roots = integer_roots(g, 1 << bounds.bn, seed=seed)
+            roots = integer_roots(g, 1 << bounds.bn)
             return match_and_recover(sorted(roots), coll.images, bounds.bh)
         except InconsistentResidues:
             coll.drop()
@@ -324,26 +307,13 @@ def sparse_interpolate(
     raise NoReconstruction("image set never stabilized; bounds are likely wrong")
 
 
-def full_interpolate(
-    bb: ModularBlackBox,
-    bounds: Bounds,
-    *,
-    mu: float = 1.0,
-    seed: int = 0,
-    max_regenerations: int = 10,
-) -> ShiftedLacunary:
+def full_interpolate(bb: ModularBlackBox, bounds: Bounds) -> ShiftedLacunary:
     """Shift recovery followed by sparse interpolation of f(x + alpha)."""
-    sr = sparsest_shift(bb, bounds, mu=mu, max_regenerations=max_regenerations)
+    sr = sparsest_shift(bb, bounds)
     if sr.path is ShiftPath.DENSE:
         shifted = taylor_shift_exact(sr.dense_coeffs, sr.alpha)
         constant = shifted[0] if shifted else Fraction(0)
         terms = tuple((c, k) for k, c in enumerate(shifted) if k >= 1 and c != 0)
         return ShiftedLacunary(shift=sr.alpha, constant=constant, terms=terms)
-    flat = sparse_interpolate(
-        shifted_blackbox(bb, sr.alpha),
-        bounds,
-        mu=mu,
-        seed=seed,
-        max_regenerations=max_regenerations,
-    )
+    flat = sparse_interpolate(shifted_blackbox(bb, sr.alpha), bounds)
     return ShiftedLacunary(shift=sr.alpha, constant=flat.constant, terms=flat.terms)

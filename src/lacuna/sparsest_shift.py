@@ -3,7 +3,9 @@
 The main loop reduces the black box modulo oracle primes; every prime whose
 reduction has degree >= 2*B_T + 1 pins the shift modulo p, and Chinese
 remaindering plus rational reconstruction recovers it once the recorded
-moduli multiply past 2^(2*B_A + 1).  Polynomials of degree <= 2*B_T never
+moduli multiply past 2^(2*B_A + 1).  Primes that record no residue count
+against the oracle's bad-prime budget, so violated bounds fail after at most
+beta1 + beta2 + k delivered primes.  Polynomials of degree <= 2*B_T never
 pass the degree test and fall through to exact dense recovery plus a direct
 candidate search.
 """
@@ -15,14 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .blackbox import ModularBlackBox, reduce_mod
+from .blackbox import ModularBlackBox, _reductions
 from .densepoly import min_shift, poly_roots_mod
-from .errors import (
-    BlackBoxFailure,
-    DenominatorVanished,
-    InconsistentResidues,
-    NoReconstruction,
-)
+from .errors import DenominatorVanished, InconsistentResidues, NoReconstruction
 from .modular_core import (
     Residue,
     crt_list,
@@ -68,13 +65,12 @@ class ShiftResult:
     dense_coeffs: Optional[Tuple[Fraction, ...]] = None
 
 
-def shift_oracle_config(bounds: Bounds, mu: float = 1.0) -> OracleConfig:
+def shift_oracle_config(bounds: Bounds) -> OracleConfig:
     """Oracle sizing for shift recovery: beta1 = 2*bh, beta2 = bn*(3*bt - 1)."""
     return OracleConfig(
         beta1=2 * bounds.bh,
         beta2=bounds.bn * (3 * bounds.bt - 1),
         ell=2 * bounds.ba + 1,
-        mu=mu,
     )
 
 
@@ -82,39 +78,39 @@ def sparsest_shift(
     bb: ModularBlackBox,
     bounds: Bounds,
     *,
-    mu: float = 1.0,
     stream: Optional[PrimeStream] = None,
-    max_regenerations: int = 10,
 ) -> ShiftResult:
     """A sparsest shift of the polynomial behind the black box.
 
     Unique whenever deg f >= 2*bounds.bt + 1.  Raises InconsistentResidues
-    when reconstruction fails (the true polynomial violated the bounds) and
+    when reconstruction fails and NoReconstruction when a good prime gave no
+    unique sparse shift (both: the true polynomial violated the bounds), and
     BlackBoxFailure when evaluation failures outlast the regeneration limit.
     """
     if stream is None:
-        stream = generate(shift_oracle_config(bounds, mu))
+        stream = generate(shift_oracle_config(bounds))
     ptarget = 1 << (2 * bounds.ba + 1)
     prod = 1
     recorded: List[Tuple[int, int]] = []
-    while prod < ptarget:
-        if stream.regenerations > max_regenerations:
-            raise BlackBoxFailure(
-                f"no usable primes after {stream.regenerations} reservoir regenerations"
-            )
-        p = stream.next_prime()
-        try:
-            fp = reduce_mod(bb, p)
-        except DenominatorVanished:
-            stream.discard(p)
-            continue
+    passed = False  # some reduction passed the degree test, so deg f > 2*bt
+    for fp in _reductions(bb, stream):
         if fp.degree >= 2 * bounds.bt + 1:
+            passed = True
             hit = min_shift(fp, tau_cap=bounds.bt)
-            if hit is None or hit.tie:
-                continue  # degree passed but no unique sparse shift: bad prime
-            recorded.append((hit.gamma, p))
-            prod *= p
-        elif prod == 1 and stream.guarantee_reached(1):
+            if hit is not None and not hit.tie:
+                recorded.append((hit.gamma, fp.modulus))
+                prod *= fp.modulus
+                if prod >= ptarget:
+                    break
+                continue
+        if passed:
+            # among beta1 + beta2 + k delivered primes at least k are good,
+            # and every good prime records a residue
+            if stream.guarantee_reached(len(recorded) + 1):
+                raise NoReconstruction(
+                    f"{stream.delivered} primes gave only {len(recorded)} unique sparse shifts"
+                )
+        elif stream.guarantee_reached(1):
             # Degree never reaches 2*bt + 1, so deg f <= 2*bt: dense regime.
             coeffs = dense_case_recover(bb, bounds)
             alpha = dense_sparsest_shift(coeffs, bounds.ba)

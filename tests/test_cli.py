@@ -127,14 +127,18 @@ def test_sq_scan(capsys):
     assert obj["checked"] == 94  # odd primes up to 500
 
 
-def test_mu_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("LACUNA_MU", "2.0")
-    code, out, _ = invoke(capsys, "oracle", "--beta1", "0", "--beta2", "0", "--ell", "1")
+def test_oracle_mu_option(capsys, monkeypatch):
+    oracle = ("oracle", "--beta1", "0", "--beta2", "0", "--ell", "1")
+    code, out, _ = invoke(capsys, *oracle, "--mu", "2.0")
     assert code == 0
     assert json.loads(out)["mu"] == 2.0
+    for bad in ("bogus", "0.5"):
+        code, _, _ = invoke(capsys, *oracle, "--mu", bad)
+        assert code == 2
+    # the environment no longer sets it
     monkeypatch.setenv("LACUNA_MU", "bogus")
-    code, _, err = invoke(capsys, "oracle", "--beta1", "0", "--beta2", "0", "--ell", "1")
-    assert code == 2 and "LACUNA_MU" in err
+    code, out, _ = invoke(capsys, *oracle)
+    assert code == 0 and json.loads(out)["mu"] == 1.0
 
 
 # ---------------- exit codes ----------------
@@ -152,8 +156,9 @@ def test_exit_usage_on_bad_args(capsys):
     assert code == 2
     code, _, _ = invoke(capsys, "sq")  # neither --q nor --scan-to
     assert code == 2
-    # the strategy switch and the no-op parallelism flag are gone
-    for flag in ("--threads", "--interp-threshold"):
+    # the strategy switch, the no-op parallelism flag and the knobs only the
+    # oracle's own dump reads are gone
+    for flag in ("--threads", "--interp-threshold", "--seed", "--mu"):
         code, _, _ = invoke(capsys, "shift", "--poly", GOLDEN_JSON, "--bounds", GOLDEN_BOUNDS, flag, "1")
         assert code == 2
 
@@ -170,6 +175,25 @@ def test_exit_reconstruction_failure_on_violated_degree_bound(capsys):
     # degree 15 needs BN = 4; with BN = 3 the image set never yields a
     # consistent answer, which is a reconstruction failure, not a box failure
     code, _, err = invoke(capsys, "interpolate", "--poly", GOLDEN_JSON, "--bounds", "BA=4,BT=2,BH=4,BN=3")
+    assert code == 3
+    assert "reconstruction" in err.lower()
+
+
+def test_reduce_rejects_huge_prime_before_primality_test(capsys, monkeypatch):
+    def no_primality_test(n):
+        raise AssertionError(f"is_prime({n}) called")
+
+    for module in ("cli", "blackbox", "densepoly", "modular_core"):
+        monkeypatch.setattr(f"lacuna.{module}.is_prime", no_primality_test)
+    code, _, err = invoke(capsys, "reduce", "--poly", GOLDEN_JSON, "--prime", str(2**89 - 1))
+    assert code == 2
+    assert "2^31" in err
+
+
+def test_exit_reconstruction_failure_on_violated_term_bound(capsys):
+    # the golden polynomial has two terms: with BT = 1 no prime gives a
+    # unique one-term shift, and the prime budget runs out
+    code, _, err = invoke(capsys, "interpolate", "--poly", GOLDEN_JSON, "--bounds", "BA=4,BT=1,BH=4,BN=4")
     assert code == 3
     assert "reconstruction" in err.lower()
 

@@ -56,13 +56,13 @@ def test_interpolate_golden_grid(golden_poly):
     vals = [(pow(i - 3, 15, 7) - 2 * pow(i - 3, 5, 7)) % 7 for i in range(7)]
     assert vals == [4, 0, 1, 0, 6, 0, 3]
     fp = interpolate_range(vals, 7)
-    assert fp.coeffs == (4, 1, 6, 3, 2, 5)  # 5x^5 + 2x^4 + 3x^3 + 6x^2 + x + 4
+    assert fp.coeffs.tolist() == [4, 1, 6, 3, 2, 5]  # 5x^5 + 2x^4 + 3x^3 + 6x^2 + x + 4
 
 
 def test_interpolate_constant_and_identity():
-    assert interpolate_range([5] * 11, 11).coeffs == (5,)
-    assert interpolate_range(list(range(13)), 13).coeffs == (0, 1)
-    assert interpolate_range([0] * 11, 11).coeffs == ()
+    assert interpolate_range([5] * 11, 11).coeffs.tolist() == [5]
+    assert interpolate_range(list(range(13)), 13).coeffs.tolist() == [0, 1]
+    assert interpolate_range([0] * 11, 11).coeffs.tolist() == []
 
 
 def test_interpolate_rejects_bad_input():
@@ -123,9 +123,29 @@ def test_kernel_exact_past_2_17(p):
         assert horner(coeffs, x, p) == grid[x]
     # the largest residues everywhere: sums at their maximum, both ways.
     # -(1 + x + ... + x^(p-1)) is -1 at x = 0, 0 at x = 1 and -1 elsewhere
-    assert interpolate_range(np.full(p, p - 1), p).coeffs == (p - 1,)
+    assert interpolate_range(np.full(p, p - 1), p).coeffs.tolist() == [p - 1]
     grid = evaluate_range(DensePolyMod(p, [p - 1] * p))
-    assert grid == (p - 1, 0) + (p - 1,) * (p - 2)
+    assert grid.tolist() == [p - 1, 0] + [p - 1] * (p - 2)
+
+
+def test_coeffs_and_grid_are_read_only():
+    vals = np.array([4, 0, 1, 0, 6, 0, 3])  # the golden polynomial over Z_7
+    fp = interpolate_range(vals, 7)
+    with pytest.raises(ValueError):
+        fp.coeffs[0] = 1
+    grid = evaluate_range(fp)
+    with pytest.raises(ValueError):
+        grid[0] = 1
+    # the grid is the polynomial's own copy of the values
+    vals[0] = 5
+    assert evaluate_range(fp).tolist() == [4, 0, 1, 0, 6, 0, 3]
+    # and so are the coefficients, and a grid evaluated later
+    coeffs = np.array([1, 2, 3])
+    f = DensePolyMod(7, coeffs)
+    coeffs[0] = 0
+    assert f.coeffs.tolist() == [1, 2, 3]
+    with pytest.raises(ValueError):
+        evaluate_range(f)[1] = 0
 
 
 def test_interpolate_rejects_moduli_past_2_31():
@@ -149,13 +169,13 @@ def test_evaluate_range_matches_horner():
 def test_taylor_shift_golden(golden_poly):
     vals = [(pow(i - 3, 15, 7) - 2 * pow(i - 3, 5, 7)) % 7 for i in range(7)]
     fp = interpolate_range(vals, 7)
-    assert taylor_shift(fp, 3).coeffs == (0, 0, 0, 1, 0, 5)  # 5x^5 + x^3
+    assert taylor_shift(fp, 3).coeffs.tolist() == [0, 0, 0, 1, 0, 5]  # 5x^5 + x^3
 
 
 def test_taylor_shift_identity_and_binomial():
     f = DensePolyMod(5, [0, 0, 1])
     assert taylor_shift(f, 0) is f
-    assert taylor_shift(f, 1).coeffs == (1, 2, 1)
+    assert taylor_shift(f, 1).coeffs.tolist() == [1, 2, 1]
 
 
 def test_taylor_shift_group_action():
@@ -164,7 +184,7 @@ def test_taylor_shift_group_action():
         coeffs = [rng.randrange(p) for _ in range(p - 1)]
         f = DensePolyMod(p, coeffs)
         for g in (1, p // 2, p - 1):
-            assert taylor_shift(taylor_shift(f, g), p - g).coeffs == f.coeffs
+            assert taylor_shift(taylor_shift(f, g), p - g).coeffs.tolist() == f.coeffs.tolist()
 
 
 def test_taylor_shift_is_evaluation_homomorphism():

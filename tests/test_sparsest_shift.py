@@ -9,9 +9,12 @@ from lacuna import (
     Bounds,
     DenseBox,
     InconsistentResidues,
+    NoReconstruction,
     ShiftedLacunary,
     ShiftPath,
     full_interpolate,
+    generate,
+    is_prime,
     make_blackbox,
     reconstruct_shift,
     size_of,
@@ -20,6 +23,7 @@ from lacuna import (
 from lacuna.sparsest_shift import (
     dense_case_recover,
     dense_sparsest_shift,
+    shift_oracle_config,
     taylor_shift_exact,
 )
 
@@ -66,6 +70,28 @@ def test_good_prime_residues_match_planted_shift():
         assert res.alpha == f.shift
         for ap, p in res.residues:
             assert ap == f.shift.numerator * pow(f.shift.denominator, -1, p) % p
+
+
+def test_violated_term_bound_fails_within_prime_budget(golden_box):
+    # two terms under bt = 1: every prime passes the degree test, none gives
+    # a unique one-term shift; beta1 + beta2 + 1 = 8 + 8 + 1 primes prove it
+    bounds = Bounds(ba=4, bt=1, bh=4, bn=4)
+    stream = generate(shift_oracle_config(bounds))
+    with pytest.raises(NoReconstruction):
+        sparsest_shift(golden_box, bounds, stream=stream)
+    assert stream.config.beta1 + stream.config.beta2 + 1 == 17
+    assert stream.delivered <= 17
+    # the same through a scripted stream, counted by its deliveries
+    fake = FakeStream([p for p in range(37, 400) if is_prime(p)], guarantee_after=17)
+    with pytest.raises(NoReconstruction):
+        sparsest_shift(golden_box, bounds, stream=fake)
+    assert fake.delivered <= 17
+    # once p = 37 proved deg f > 2*bt, the low-degree image at p = 3 (both
+    # terms fold onto x) spends the budget instead of starting dense recovery
+    box = RecordingBox(golden_box)
+    with pytest.raises(NoReconstruction):
+        sparsest_shift(box, bounds, stream=FakeStream([37, 3, 41, 43], guarantee_after=2))
+    assert box.primes == [37, 3]
 
 
 def test_vanishing_denominator_prime_is_discarded(golden_poly):
