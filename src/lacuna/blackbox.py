@@ -110,9 +110,7 @@ def canonical_json(obj) -> str:
 # ---------------- black boxes ----------------
 
 class ModularBlackBox:
-    """Base class: pure evaluation plus a query counter and a cost hint."""
-
-    cost_hint = 1
+    """Base class: pure evaluation plus a query counter."""
 
     def __init__(self):
         self.calls = 0
@@ -142,7 +140,6 @@ class LacunaryBox(ModularBlackBox):
     def __init__(self, poly: ShiftedLacunary):
         super().__init__()
         self.poly = poly
-        self.cost_hint = 3 + sum(2 * e.bit_length() + 2 for _, e in poly.terms)
 
     def _denominators_mod(self, p: int):
         f = self.poly
@@ -185,7 +182,6 @@ class DenseBox(ModularBlackBox):
         while c and c[-1] == 0:
             c.pop()
         self.coeffs = tuple(c)
-        self.cost_hint = 2 * len(c) + 1
 
     def _eval(self, p: int, theta: int) -> int:
         acc = 0
@@ -223,7 +219,6 @@ class ProgramBox(ModularBlackBox):
             if op[0] in ("add", "sub", "mul") and not (0 <= op[1] < idx and 0 <= op[2] < idx):
                 raise ValueError("operands must reference earlier registers")
         self.ops = tuple(ops)
-        self.cost_hint = len(ops)
 
     def _eval(self, p: int, theta: int) -> int:
         regs = []
@@ -249,7 +244,6 @@ class ShiftedBox(ModularBlackBox):
         super().__init__()
         self.inner = inner
         self.alpha = Fraction(alpha)
-        self.cost_hint = inner.cost_hint + 2
 
     def _eval(self, p: int, theta: int) -> int:
         a = frac_mod(self.alpha, p)

@@ -21,17 +21,14 @@ from .blackbox import (
     shifted_blackbox,
 )
 from .errors import (
-    AmbiguousMatch,
     BlackBoxFailure,
     DenominatorVanished,
     InconsistentResidues,
-    NoMatch,
     NoReconstruction,
-    NotSplitting,
 )
-from .modular_core import is_prime
+from .modular_core import _MR_PROVEN_LIMIT, is_prime
 from .sparse_interp import full_interpolate, sparse_interpolate
-from .sparsest_shift import Bounds, ShiftPath, sparsest_shift
+from .sparsest_shift import Bounds, sparsest_shift
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -47,10 +44,16 @@ def _load_poly_spec(text: str):
             raw = fh.read().strip()
     obj = json.loads(raw)
     if "dense" in obj:
-        coeffs = [Fraction(s) for s in obj["dense"]]
-        return DenseBox(coeffs), None
-    poly = ShiftedLacunary.from_json(json.dumps(obj))
-    return make_blackbox(poly), poly
+        return DenseBox([Fraction(s) for s in obj["dense"]])
+    return make_blackbox(ShiftedLacunary.from_json(json.dumps(obj)))
+
+
+def _small_prime(n: int) -> bool:
+    """is_prime for n within the fixed Miller-Rabin range.  Past it a proof
+    factors n - 1, which can take hours, so such n raise ValueError."""
+    if n > _MR_PROVEN_LIMIT:
+        raise ValueError(f"primes above {_MR_PROVEN_LIMIT} are not accepted, got {n}")
+    return is_prime(n)
 
 
 def _parse_bounds(text: str) -> Bounds:
@@ -133,8 +136,8 @@ def _pretty_poly(f: ShiftedLacunary) -> str:
 
 
 def _cmd_eval(args) -> int:
-    bb, _ = _load_poly_spec(args.poly)
-    if args.prime < 2 or not is_prime(args.prime):
+    bb = _load_poly_spec(args.poly)
+    if not _small_prime(args.prime):
         print(f"error: {args.prime} is not prime", file=sys.stderr)
         return EXIT_USAGE
     if not 0 <= args.point < args.prime:
@@ -146,7 +149,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    bb, _ = _load_poly_spec(args.poly)
+    bb = _load_poly_spec(args.poly)
     coeffs = reduce_mod(bb, args.prime).coeffs.tolist()  # ValueError unless a prime < 2^31
     pretty = " + ".join(f"{c}*x^{k}" for k, c in enumerate(coeffs) if c) or "0"
     _emit(args, {"p": args.prime, "coeffs": [str(c) for c in coeffs]}, pretty)
@@ -154,7 +157,7 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_shift(args) -> int:
-    bb, _ = _load_poly_spec(args.poly)
+    bb = _load_poly_spec(args.poly)
     bounds = _parse_bounds(args.bounds)
     res = sparsest_shift(bb, bounds)
     payload = {
@@ -167,7 +170,7 @@ def _cmd_shift(args) -> int:
 
 
 def _cmd_interpolate(args) -> int:
-    bb, _ = _load_poly_spec(args.poly)
+    bb = _load_poly_spec(args.poly)
     bounds = _parse_bounds(args.bounds)
     if args.assume_shift is not None:
         alpha = Fraction(args.assume_shift)
@@ -227,7 +230,7 @@ def _cmd_sq(args) -> int:
         }
         _emit(args, payload, f"checked {checked} primes, all hold")
         return EXIT_OK
-    if args.q is None or args.q < 2 or not is_prime(args.q):
+    if args.q is None or not _small_prime(args.q):
         print("error: --q must be prime (or use --scan-to)", file=sys.stderr)
         return EXIT_USAGE
     s, holds = _sq_one(args.q, args.cap_exp)
@@ -257,7 +260,7 @@ def run(argv=None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (NoReconstruction, InconsistentResidues, NotSplitting, NoMatch, AmbiguousMatch) as exc:
+    except (NoReconstruction, InconsistentResidues) as exc:
         print(f"reconstruction failed (bounds too small?): {exc}", file=sys.stderr)
         return EXIT_RECONSTRUCTION
     except (DenominatorVanished, BlackBoxFailure) as exc:

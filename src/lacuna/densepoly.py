@@ -340,12 +340,15 @@ def _hasse_rows(f: DensePolyMod, ks) -> dict:
     """Coefficient polynomials of f(x+y): row k maps y to the x^k coefficient.
 
     Row k is sum_j C(j, k) f_j y^(j-k); with deg f < p no binomial in range
-    vanishes mod p, so row k has degree exactly deg f - k.
+    vanishes mod p, so row k has degree exactly deg f - k.  The binomial
+    updates divide by 1 .. deg f - min(ks) only, so the inverse table stops
+    there.
     """
     p, d = f.modulus, f.degree
     coeffs = f.coeffs.tolist()
-    inv = [0, 1] + [0] * max(0, d - 1)
-    for i in range(2, d + 1):
+    m = d - min(ks)
+    inv = [0, 1] + [0] * max(0, m - 1)
+    for i in range(2, m + 1):
         inv[i] = -(p // i) * inv[p % i] % p
     rows = {}
     for k in ks:

@@ -35,17 +35,9 @@ class NotSplitting(LacunaError):
 class NoMatch(LacunaError):
     """A recovered exponent has no matching term in some modular image."""
 
-    def __init__(self, p, detail=""):
-        self.p = p
-        super().__init__(f"no matching exponent residue in image for p={p}" + (f": {detail}" if detail else ""))
-
 
 class AmbiguousMatch(LacunaError):
     """Two recovered exponents collide on the same term of a modular image."""
-
-    def __init__(self, p, detail=""):
-        self.p = p
-        super().__init__(f"ambiguous exponent match in image for p={p}" + (f": {detail}" if detail else ""))
 
 
 class BlackBoxFailure(LacunaError):

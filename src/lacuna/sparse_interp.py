@@ -39,10 +39,9 @@ from .sparsest_shift import Bounds, ShiftPath, sparsest_shift, taylor_shift_exac
 
 @dataclass(frozen=True)
 class PrimeImage:
-    """One good reduction: its prime, polynomial, term slots and residues."""
+    """One good reduction: its prime, term slots and residues."""
 
     p: int
-    poly: DensePolyMod
     exponents: Tuple[int, ...]          # slots with nonzero coefficient, ascending
     coeff_residues: Tuple[Tuple[int, int], ...]  # (slot, coefficient mod p)
     c0: int
@@ -53,7 +52,6 @@ class PrimeImage:
         exponents = tuple(slots.tolist())
         return cls(
             p=fp.modulus,
-            poly=fp,
             exponents=exponents,
             coeff_residues=tuple(zip(exponents, fp.coeffs[slots].tolist())),
             c0=fp.coeff(0),
@@ -106,78 +104,45 @@ def q_target_bits(bounds: Bounds) -> int:
 
 # ---------------- image collection (the oracle loop) ----------------
 
-class _Collector:
-    """Resumable image collector implementing the accumulation loop."""
-
-    def __init__(self, bb, bounds, stream):
-        self.bounds = bounds
-        self.stream = stream if stream is not None else generate(interp_oracle_config(bounds))
-        self._reduced = _reductions(bb, self.stream)
-        self.images: List[PrimeImage] = []
-        self.t = 0
-        self.prod = 1
-        self.q_lcm = 1
-
-    def _p_target(self) -> int:
-        return 1 << (2 * self.bounds.bh + 1)
-
-    def _q_target(self) -> int:
-        return 1 << q_target_bits(self.bounds)
-
-    def satisfied(self) -> bool:
-        return (
-            self.prod >= self._p_target()
-            and self.q_lcm >= self._q_target()
-            and self.stream.guarantee_reached(1)
-        )
-
-    def collect(self) -> None:
-        while not self.satisfied():
-            fp = next(self._reduced)
-            t_p = tau(fp)
-            if t_p > self.t:
-                # every previously kept image was a bad prime: flush
-                self.images = [PrimeImage.from_poly(fp)]
-                self.t = t_p
-                self.prod = fp.modulus
-                self.q_lcm = fp.modulus - 1
-            elif t_p == self.t:
-                self._append(PrimeImage.from_poly(fp))
-            # t_p < self.t: provably bad prime, keep only the delivery count
-
-    def _append(self, img: PrimeImage) -> None:
-        new_lcm = math.lcm(self.q_lcm, img.p - 1)
-        if self.images:
-            # progress check: a fresh certified q >= n multiplies the lcm
-            rec = self.stream.record_for(img.p)
-            if rec is not None and self.q_lcm % rec.q != 0 and new_lcm < self.q_lcm * rec.q:
-                raise RuntimeError(f"lcm did not gain the certified factor {rec.q} of {img.p} - 1")
-        self.images.append(img)
-        self.prod *= img.p
-        self.q_lcm = new_lcm
-
-    def drop(self, p: Optional[int] = None) -> None:
-        """Remove one image (the newest, or the one for prime p) and re-derive sums."""
-        if not self.images:
-            return
-        if p is None:
-            self.images.pop()
-        else:
-            self.images = [im for im in self.images if im.p != p]
-        self.prod = math.prod(im.p for im in self.images) if self.images else 1
-        self.q_lcm = math.lcm(*(im.p - 1 for im in self.images)) if self.images else 1
-
-
 def collect_images(
     bb: ModularBlackBox,
     bounds: Bounds,
     *,
     stream: Optional[PrimeStream] = None,
 ) -> List[PrimeImage]:
-    """Reductions sharing the maximal term count, with enough mass for CRT."""
-    c = _Collector(bb, bounds, stream)
-    c.collect()
-    return c.images
+    """Reductions sharing the maximal term count, with enough mass for CRT.
+
+    A collision of two exponents modulo p - 1 or a coefficient vanishing
+    modulo p only ever removes terms, so a reduction with the maximal term
+    count comes from a good prime, and one with fewer terms from a bad one.
+    Among any beta1 + beta2 + 1 delivered oracle primes at least one is
+    good, so once the guarantee is reached the maximal count seen is the
+    true t and every kept image is good.  Images kept before a higher count
+    appears came from bad primes and are flushed.  Returns once the primes
+    multiply past 2^(2*bh + 1) and lcm(p - 1) reaches 2^q_target_bits.
+    """
+    if stream is None:
+        stream = generate(interp_oracle_config(bounds))
+    p_target = 1 << (2 * bounds.bh + 1)
+    q_target = 1 << q_target_bits(bounds)
+    images: List[PrimeImage] = []
+    t, prod, q_lcm = -1, 1, 1
+    for fp in _reductions(bb, stream):
+        p, t_p = fp.modulus, tau(fp)
+        if t_p > t:
+            # every image kept so far came from a bad prime: flush
+            images, t, prod, q_lcm = [], t_p, 1, 1
+        if t_p == t:
+            new_lcm = math.lcm(q_lcm, p - 1)
+            # progress check: a fresh certified q >= n multiplies the lcm
+            rec = stream.record_for(p)
+            if rec is not None and q_lcm % rec.q != 0 and new_lcm < q_lcm * rec.q:
+                raise RuntimeError(f"lcm did not gain the certified factor {rec.q} of {p} - 1")
+            images.append(PrimeImage.from_poly(fp))
+            prod *= p
+            q_lcm = new_lcm
+        if prod >= p_target and q_lcm >= q_target and stream.guarantee_reached(1):
+            return images
 
 
 # ---------------- exponent polynomial ----------------
@@ -255,14 +220,14 @@ def match_and_recover(
     for im in images:
         cmap = im.coeff_map
         if len(im.exponents) != t:
-            raise NoMatch(im.p, f"image has {len(im.exponents)} terms, expected {t}")
+            raise NoMatch(f"image for p={im.p} has {len(im.exponents)} terms, expected {t}")
         used = set()
         for i, e in enumerate(exps):
             slot = remo(e, im.p - 1)
             if slot not in cmap:
-                raise NoMatch(im.p, f"exponent {e} reduces to missing slot {slot}")
+                raise NoMatch(f"exponent {e} reduces to slot {slot}, missing at p={im.p}")
             if slot in used:
-                raise AmbiguousMatch(im.p, f"slot {slot} matched twice")
+                raise AmbiguousMatch(f"slot {slot} matched twice at p={im.p}")
             used.add(slot)
             per_term[i].append(Residue(cmap[slot], im.p))
         c0_res.append(Residue(im.c0, im.p))
@@ -283,28 +248,22 @@ def sparse_interpolate(
 ) -> ShiftedLacunary:
     """The sparse polynomial (shift 0) behind the black box, bit-exact.
 
-    Raises NoReconstruction when the image set keeps failing to yield a
-    consistent answer, which means the data violate the bounds.
+    Every image collect_images keeps is good when the bounds hold (see
+    there), so one pass suffices: any failure to rebuild the exponent
+    polynomial, split it or match its roots means the data violate the
+    bounds, and raises NoReconstruction.
     """
-    coll = _Collector(bb, bounds, stream)
+    images = collect_images(bb, bounds, stream=stream)
     sym_bound = (1 + (1 << bounds.bn)) ** bounds.bt
-    for _ in range(128):
-        coll.collect()
-        try:
-            gs = [build_g_image(im.exponents, im.p - 1) for im in coll.images]
-            g = recover_g(gs)
-            if any(abs(a) > sym_bound for a in g.coeffs):
-                # symmetric functions of roots <= 2^bn cannot be this big
-                raise NotSplitting("exponent polynomial exceeds its size bound")
-            roots = integer_roots(g, 1 << bounds.bn)
-            return match_and_recover(sorted(roots), coll.images, bounds.bh)
-        except InconsistentResidues:
-            coll.drop()
-        except NotSplitting:
-            coll.drop()
-        except (NoMatch, AmbiguousMatch) as exc:
-            coll.drop(exc.p)
-    raise NoReconstruction("image set never stabilized; bounds are likely wrong")
+    try:
+        g = recover_g([build_g_image(im.exponents, im.p - 1) for im in images])
+        if any(abs(a) > sym_bound for a in g.coeffs):
+            # symmetric functions of roots <= 2^bn cannot be this big
+            raise NotSplitting("exponent polynomial exceeds its size bound")
+        roots = integer_roots(g, 1 << bounds.bn)
+        return match_and_recover(sorted(roots), images, bounds.bh)
+    except (InconsistentResidues, NotSplitting, NoMatch, AmbiguousMatch) as exc:
+        raise NoReconstruction(f"images do not fit the bounds: {exc}") from exc
 
 
 def full_interpolate(bb: ModularBlackBox, bounds: Bounds) -> ShiftedLacunary:

@@ -190,6 +190,24 @@ def test_reduce_rejects_huge_prime_before_primality_test(capsys, monkeypatch):
     assert "2^31" in err
 
 
+def test_eval_and_sq_reject_huge_prime_before_primality_test(capsys, monkeypatch):
+    # proving this prime needs p - 1 = 84 * q1 * q2 factored, with q1 and q2
+    # near 2^47: about 20 s of Pollard rho
+    big = "1676789783212331770922271776557"
+
+    def no_primality_test(n):
+        raise AssertionError(f"is_prime({n}) called")
+
+    for module in ("cli", "prime_oracle", "modular_core"):
+        monkeypatch.setattr(f"lacuna.{module}.is_prime", no_primality_test)
+    code, _, err = invoke(capsys, "eval", "--poly", GOLDEN_JSON, "--prime", big, "--point", "0")
+    assert code == 2
+    assert "not accepted" in err
+    code, _, err = invoke(capsys, "sq", "--q", big)
+    assert code == 2
+    assert "not accepted" in err
+
+
 def test_exit_reconstruction_failure_on_violated_term_bound(capsys):
     # the golden polynomial has two terms: with BT = 1 no prime gives a
     # unique one-term shift, and the prime budget runs out
