@@ -15,7 +15,6 @@ from typing import Iterator, Sequence, Tuple
 import numpy as np
 
 from .densepoly import (
-    _GRID_LIMIT,
     DensePolyMod,
     _check_grid_prime,
     _cyclic_tables,
@@ -24,7 +23,7 @@ from .densepoly import (
     interpolate_range,
 )
 from .errors import BlackBoxFailure, DenominatorVanished
-from .modular_core import frac_mod, is_prime
+from .modular_core import frac_mod
 
 
 # ---------------- the output representation ----------------
@@ -126,12 +125,20 @@ class ModularBlackBox:
 
     def eval_range(self, p: int) -> np.ndarray:
         """All of f(0), ..., f(p-1) mod p as a read-only int64 array; counts
-        as p queries."""
+        as p queries.  p must be a prime below 2^31: anything else raises
+        ValueError before any query."""
+        _check_grid_prime(p)
+        grid = self._grid(p)
         self.calls += p
-        return _read_only(np.array([self._eval(p, i) for i in range(p)], dtype=np.int64))
+        return _read_only(grid)
 
     def _eval(self, p: int, theta: int) -> int:
         raise NotImplementedError
+
+    def _grid(self, p: int) -> np.ndarray:
+        """eval_range's values for a checked grid prime p, point by point
+        unless a box has a faster way."""
+        return np.array([self._eval(p, i) for i in range(p)], dtype=np.int64)
 
 
 class LacunaryBox(ModularBlackBox):
@@ -158,9 +165,7 @@ class LacunaryBox(ModularBlackBox):
             acc = (acc + cm * pow(base, e, p)) % p
         return acc
 
-    def eval_range(self, p: int) -> np.ndarray:
-        if p >= _GRID_LIMIT or not is_prime(p):
-            return super().eval_range(p)
+    def _grid(self, p: int) -> np.ndarray:
         c0, shift, coeffs = self._denominators_mod(p)
         # acc[b] is f where theta - shift = b; b^e = g^(lg[b] * e) for b != 0
         pw, lg = _cyclic_tables(p)
@@ -169,8 +174,7 @@ class LacunaryBox(ModularBlackBox):
         for cm, (_, e) in zip(coeffs, self.poly.terms):
             acc = (acc + cm * pw[lg * (e % n) % n]) % p
         acc[0] = c0  # every term has e >= 1, so it vanishes at b = 0
-        self.calls += p
-        return _read_only(np.roll(acc, shift))
+        return np.roll(acc, shift)
 
 
 class DenseBox(ModularBlackBox):
@@ -189,12 +193,8 @@ class DenseBox(ModularBlackBox):
             acc = (acc * theta + frac_mod(c, p)) % p
         return acc
 
-    def eval_range(self, p: int) -> np.ndarray:
-        if p >= _GRID_LIMIT:
-            return super().eval_range(p)
-        acc = _grid_eval_small([frac_mod(c, p) for c in self.coeffs], p)
-        self.calls += p
-        return _read_only(acc)
+    def _grid(self, p: int) -> np.ndarray:
+        return _grid_eval_small([frac_mod(c, p) for c in self.coeffs], p)
 
 
 class ProgramBox(ModularBlackBox):
@@ -249,11 +249,9 @@ class ShiftedBox(ModularBlackBox):
         a = frac_mod(self.alpha, p)
         return self.inner.eval(p, (theta + a) % p)
 
-    def eval_range(self, p: int) -> np.ndarray:
+    def _grid(self, p: int) -> np.ndarray:
         a = frac_mod(self.alpha, p)
-        grid = self.inner.eval_range(p)
-        self.calls += p
-        return _read_only(np.roll(grid, -a))
+        return np.roll(self.inner.eval_range(p), -a)
 
 
 # ---------------- spec operations ----------------

@@ -26,7 +26,7 @@ from .errors import (
     InconsistentResidues,
     NoReconstruction,
 )
-from .modular_core import _MR_PROVEN_LIMIT, is_prime
+from .modular_core import is_prime
 from .sparse_interp import full_interpolate, sparse_interpolate
 from .sparsest_shift import Bounds, sparsest_shift
 
@@ -46,14 +46,6 @@ def _load_poly_spec(text: str):
     if "dense" in obj:
         return DenseBox([Fraction(s) for s in obj["dense"]])
     return make_blackbox(ShiftedLacunary.from_json(json.dumps(obj)))
-
-
-def _small_prime(n: int) -> bool:
-    """is_prime for n within the fixed Miller-Rabin range.  Past it a proof
-    factors n - 1, which can take hours, so such n raise ValueError."""
-    if n > _MR_PROVEN_LIMIT:
-        raise ValueError(f"primes above {_MR_PROVEN_LIMIT} are not accepted, got {n}")
-    return is_prime(n)
 
 
 def _parse_bounds(text: str) -> Bounds:
@@ -137,7 +129,7 @@ def _pretty_poly(f: ShiftedLacunary) -> str:
 
 def _cmd_eval(args) -> int:
     bb = _load_poly_spec(args.poly)
-    if not _small_prime(args.prime):
+    if not is_prime(args.prime):
         print(f"error: {args.prime} is not prime", file=sys.stderr)
         return EXIT_USAGE
     if not 0 <= args.point < args.prime:
@@ -230,7 +222,7 @@ def _cmd_sq(args) -> int:
         }
         _emit(args, payload, f"checked {checked} primes, all hold")
         return EXIT_OK
-    if args.q is None or not _small_prime(args.q):
+    if args.q is None or not is_prime(args.q):
         print("error: --q must be prime (or use --scan-to)", file=sys.stderr)
         return EXIT_USAGE
     s, holds = _sq_one(args.q, args.cap_exp)

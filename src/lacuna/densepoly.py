@@ -13,8 +13,9 @@ the residues; the limb width is picked from the bit length of p and the FFT
 length so that Percival's error bound for FFT products, with a 5-fold margin
 for mixed-radix transforms, stays below 1/2 (``_limb_split``), which keeps
 the transform exact and O(p log p) for every such prime.  Small
-list-based helpers at the bottom work over any modulus and are shared with
-the exponent-polynomial machinery.
+list-based helpers at the bottom work over any modulus; on top of them
+``bounded_rational_roots`` is the one root finder for both the exponent
+polynomial and the dense-regime shift search.
 """
 
 import math
@@ -25,8 +26,8 @@ from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import NotSplitting
-from .modular_core import _factorize, inv_mod, is_prime
+from .errors import NoReconstruction, NotSplitting
+from .modular_core import Residue, _factorize, inv_mod, is_prime, proth_primes, rational_reconstruct
 
 # Grid operations need residue products below 2^62, so p < 2^31.
 _GRID_LIMIT = 1 << 31
@@ -108,7 +109,7 @@ def _primitive_root(p: int) -> int:
     for g in range(1, p):
         if all(pow(g, n // r, p) != 1 for r in factors):
             return g
-    raise AssertionError("no primitive root found for a prime modulus")
+    raise RuntimeError(f"no primitive root found modulo {p}")
 
 
 @lru_cache(maxsize=2)
@@ -482,18 +483,47 @@ def poly_powmod(base: Sequence[int], e: int, mod_poly: Sequence[int], m: int) ->
     return result
 
 
-def poly_roots_mod(a: Sequence[int], r: int, *, seed: int = 0) -> list:
+def poly_roots_mod(a: Sequence[int], r: int) -> list:
     """Distinct roots in Z_r of a nonzero polynomial over Z_r (r an odd prime).
 
     gcd(x^r - x, a) keeps one linear factor per root, and equal-degree
-    splitting with deterministic retry seeds separates them.
+    splitting with a fixed random sequence separates them.
     """
     a = poly_trim([c % r for c in a])
     if len(a) <= 1:
         return []
     z = [0, 1]
     linear_part = poly_gcd_mod(poly_sub_mod(poly_powmod(z, r, a, r), z, r), a, r)
-    return _split_into_roots(linear_part, r, random.Random(seed))
+    return _split_into_roots(linear_part, r, random.Random(0))
+
+
+def bounded_rational_roots(coeffs: Sequence, box: int) -> list:
+    """Rational roots a/b with |a| <= box and 1 <= b <= box of the polynomial
+    whose Fraction or int coefficients ``coeffs`` run from degree 0 up.
+
+    Scaled to coprime integers, the polynomial stays nonzero modulo a prime
+    r > 2*box^2, and each bounded root a/b maps to the root a * b^-1 there.
+    Each root modulo r comes from at most one bounded rational, which
+    rational reconstruction finds and an exact evaluation confirms.  r is
+    the first of ``proth_primes`` above 2*box^2, so it is proven prime at
+    any size.
+    """
+    coeffs = poly_trim(list(coeffs))
+    if len(coeffs) <= 1:
+        return []
+    den_lcm = math.lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * den_lcm) for c in coeffs]
+    g = math.gcd(*ints)
+    r = next(proth_primes((2 * box * box).bit_length()))
+    roots = []
+    for u in poly_roots_mod([v // g for v in ints], r):
+        try:
+            cand = rational_reconstruct(Residue(u, r), box)
+        except NoReconstruction:
+            continue
+        if sum(c * cand**j for j, c in enumerate(coeffs)) == 0:
+            roots.append(cand)
+    return roots
 
 
 def _split_into_roots(h: Sequence[int], r: int, rng: random.Random) -> List[int]:

@@ -3,12 +3,18 @@
 Rationals are plain ``fractions.Fraction`` values (always in lowest terms,
 positive denominator), re-exported here as ``Rat``.  Everything in this
 module is pure and safe for concurrent use.
+
+Primality is always proven: ``is_prime`` takes n below about 3.3e24, where
+fixed Miller-Rabin witness sets are proven, and ``proth_primes`` is the one
+source of larger primes, k * 2^m + 1, each proven by Proth's theorem.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterator
 
 from .errors import DenominatorVanished, InconsistentResidues, NoReconstruction
 
@@ -114,82 +120,33 @@ _MR_PROVEN_LIMIT = _MR_TIERS[-1][0]
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-def _rho_factor(n: int, seed: int = 1) -> int:
-    """Pollard rho (Brent variant); returns a nontrivial factor of composite n."""
-    if n % 2 == 0:
-        return 2
-    c = seed
-    while True:
-        x = y = 2
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
-        if d != n:
-            return d
-        c += 1
-
-
 def _factorize(n: int) -> dict:
-    """Full prime factorization {prime: multiplicity} (Las Vegas for big n)."""
+    """Prime factorization {prime: multiplicity} by trial division.
+
+    Meant for the group orders p - 1 < 2^31 of grid primes.
+    """
     fac = {}
-    for p in _SMALL_PRIMES:
-        while n % p == 0:
-            fac[p] = fac.get(p, 0) + 1
-            n //= p
-    d = 41
-    while d * d <= n and d < 100000:
+    d = 2
+    while d * d <= n:
         while n % d == 0:
             fac[d] = fac.get(d, 0) + 1
             n //= d
-        d += 2
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if is_prime(m):
-            fac[m] = fac.get(m, 0) + 1
-            continue
-        f = _rho_factor(m)
-        stack.append(f)
-        stack.append(m // f)
+        d += 1 if d == 2 else 2
+    if n > 1:
+        fac[n] = fac.get(n, 0) + 1
     return fac
-
-
-def _lucas_certified_prime(n: int) -> bool:
-    """Lucas N-1 primality proof for n past the deterministic witness range.
-
-    Needs the full factorization of n-1; an answer, once returned, is
-    unconditionally correct (the factoring step is Las Vegas, so only the
-    running time is randomized).
-    """
-    for a in _SMALL_PRIMES:
-        if _mr_witness(n, a):
-            return False
-    fac = _factorize(n - 1)
-    for r in fac:
-        for a in range(2, 100000):
-            if pow(a, n - 1, n) != 1:
-                return False
-            if pow(a, (n - 1) // r, n) != 1:
-                break  # r certified: an element of order divisible by r exists
-        else:
-            # For prime n at least half of all bases certify each r, so this
-            # is unreachable for primes; refuse to guess rather than be wrong.
-            raise RuntimeError(f"primality of {n} undecided after base search")
-    return True
 
 
 @lru_cache(maxsize=None)
 def is_prime(n: int) -> bool:
-    """Deterministic primality test, correct for every n.
+    """Deterministic primality test for n below _MR_PROVEN_LIMIT (about 3.3e24).
 
-    Uses fixed Miller-Rabin witness sets (proven below ~3.3e24) and a Lucas
-    N-1 certificate beyond that range.
+    Uses the fixed Miller-Rabin witness set proven for the size of n.
+    Larger n raise ValueError: proving them in general means factoring
+    n - 1.  ``proth_primes`` supplies large primes with a proof.
     """
+    if n >= _MR_PROVEN_LIMIT:
+        raise ValueError(f"{n} is not accepted: primality is proven only below {_MR_PROVEN_LIMIT}")
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -197,16 +154,38 @@ def is_prime(n: int) -> bool:
             return True
         if n % p == 0:
             return False
-    if n <= _MR_PROVEN_LIMIT:
-        for limit, bases in _MR_TIERS:
-            if n < limit:
-                return not any(_mr_witness(n, a) for a in bases)
-        raise AssertionError("unreachable")
-    return _lucas_certified_prime(n)
+    bases = next(bases for limit, bases in _MR_TIERS if n < limit)
+    return not any(_mr_witness(n, a) for a in bases)
+
+
+def proth_primes(m: int) -> Iterator[int]:
+    """The proven primes k * 2^m + 1 for k = 1, 2, ..., in increasing order.
+
+    Below _MR_PROVEN_LIMIT each candidate goes to ``is_prime``.  Above it,
+    Proth's theorem proves n = k * 2^m + 1 with k < 2^m prime as soon as
+    a^((n-1)/2) = -1 (mod n) for some a: every prime factor of n is then
+    1 (mod 2^m), hence above sqrt(n).  The bases tried are _SMALL_PRIMES;
+    a power other than 1 or -1 proves n composite, and a candidate that no
+    base decides is skipped.
+    """
+    for k in itertools.count(1):
+        n = k << m | 1
+        if n < _MR_PROVEN_LIMIT:
+            if is_prime(n):
+                yield n
+            continue
+        if k >= 1 << m:
+            raise RuntimeError(f"no proven prime k * 2^{m} + 1 with k < 2^{m}")
+        for a in _SMALL_PRIMES:
+            x = pow(a, n >> 1, n)
+            if x != 1:
+                if x == n - 1:
+                    yield n
+                break
 
 
 def next_prime_above(n: int) -> int:
-    """Least prime strictly greater than n."""
+    """Least prime strictly greater than n; ValueError past is_prime's range."""
     c = n + 1
     if c <= 2:
         return 2

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from .blackbox import ModularBlackBox, ShiftedLacunary, _reductions, shifted_blackbox
-from .densepoly import DensePolyMod, poly_mul_mod, poly_roots_mod, tau
+from .densepoly import DensePolyMod, bounded_rational_roots, poly_mul_mod, tau
 from .errors import (
     AmbiguousMatch,
     InconsistentResidues,
@@ -28,7 +28,6 @@ from .errors import (
 from .modular_core import (
     Residue,
     crt_list,
-    next_prime_above,
     rational_reconstruct,
     remo,
     signed_lift,
@@ -177,29 +176,20 @@ def recover_g(images: Sequence[DensePolyMod]) -> SymPoly:
     return SymPoly(tuple(lifted))
 
 
-def integer_roots(g: SymPoly, bound: int, *, seed: int = 0) -> Set[int]:
+def integer_roots(g: SymPoly, bound: int) -> Set[int]:
     """All deg(g) distinct integer roots of g in [1, bound].
 
-    Roots are located modulo an auxiliary prime r > 4*bound by equal-degree
-    splitting with deterministic retry seeds, then verified by exact integer
-    evaluation; NotSplitting means g was corrupted upstream.
+    g is monic, so its rational roots are integers: they are the roots of
+    ``bounded_rational_roots`` with box = bound, each verified exactly.
+    Fewer than deg(g) of them in [1, bound] raise NotSplitting, which means
+    g was corrupted upstream.
     """
-    t = g.degree
-    if t == 0:
-        return set()
-    if t == 1:
-        e = -g.coeffs[0]
-        if 1 <= e <= bound and g(e) == 0:
-            return {e}
-        raise NotSplitting(f"single root {e} is outside [1, {bound}]")
-    r = next_prime_above(4 * bound)
-    roots_mod = poly_roots_mod(g.coeffs, r, seed=seed)
-    verified = {rm for rm in roots_mod if 1 <= rm <= bound and g(rm) == 0}
-    if len(verified) != t:
+    roots = {int(x) for x in bounded_rational_roots(g.coeffs, bound) if 1 <= x <= bound}
+    if len(roots) != g.degree:
         raise NotSplitting(
-            f"found {len(verified)} verified roots in [1, {bound}], expected {t}"
+            f"found {len(roots)} verified roots in [1, {bound}], expected {g.degree}"
         )
-    return verified
+    return roots
 
 
 # ---------------- matching and coefficient recovery ----------------

@@ -11,21 +11,19 @@ candidate search.
 """
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .blackbox import ModularBlackBox, _reductions
-from .densepoly import min_shift, poly_roots_mod
+from .densepoly import bounded_rational_roots, min_shift
 from .errors import DenominatorVanished, InconsistentResidues, NoReconstruction
 from .modular_core import (
     Residue,
     crt_list,
     inv_mod,
-    is_prime,
-    next_prime_above,
+    proth_primes,
     rational_reconstruct,
     size_of,
 )
@@ -153,29 +151,18 @@ def dense_case_recover(bb: ModularBlackBox, bounds: Bounds) -> List[Fraction]:
     2^(bh*(bt+1) + 2*bt*ba) <= N.  Two such fractions that agree modulo
     q > 2*N^2 are equal, so rational reconstruction modulo q is exact.
 
-    q is the product of consecutive primes from the first one above
-    min(2*N^2, 2^62): fixed Miller-Rabin bases prove primes below 2^81,
-    while one prime past that would need its p - 1 factored.
+    q is the first of ``proth_primes`` above 2*N^2 whose reduction keeps
+    every needed denominator, so it is proven prime at any size.
     """
     num_bits = bounds.bh * (bounds.bt + 1) + 2 * bounds.bt * (bounds.ba + 1)
     num = (bounds.bt + 1) << num_bits
     npts = 2 * bounds.bt + 1
-    images = [[] for _ in range(npts)]
-    q, prod = min(2 * num * num, 1 << 62), 1
-    while prod <= 2 * num * num:
-        q = next_prime_above(q)
+    for q in proth_primes((2 * num * num).bit_length()):
         try:
             vals = [bb.eval(q, i) for i in range(npts)]
         except DenominatorVanished:
             continue  # finitely many primes divide denominators
-        coeffs_q = _interpolate_points(vals, q)
-        for k in range(npts):
-            images[k].append(Residue(coeffs_q[k] if k < len(coeffs_q) else 0, q))
-        prod *= q
-    coeffs = [rational_reconstruct(crt_list(rs), num) for rs in images]
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
+        return [rational_reconstruct(Residue(c, q), num) for c in _interpolate_points(vals, q)]
 
 
 def _interpolate_points(vals: Sequence[int], m: int) -> List[int]:
@@ -237,41 +224,10 @@ def dense_sparsest_shift(coeffs: Sequence[Fraction], ba: int) -> Fraction:
     for k in range(1, d + 1):
         # coefficient of x^k in f(x+y) as a polynomial in y
         row = [f[j] * math.comb(j, k) for j in range(k, d + 1)]
-        candidates.update(_bounded_rational_roots(row, box))
+        candidates.update(bounded_rational_roots(row, box))
     best = None
     for alpha in candidates:
         key = (_tau_exact(f, alpha), size_of(alpha), alpha)
         if best is None or key < best[0]:
             best = (key, alpha)
     return best[1]
-
-
-def _bounded_rational_roots(row: Sequence[Fraction], box: int) -> List[Fraction]:
-    """Rational roots a/b of the polynomial with |a| <= box and 1 <= b <= box.
-
-    Scaled to coprime integers, the polynomial stays nonzero modulo a prime
-    r > 2*box^2, and each bounded root a/b maps to the root a * b^-1 there.
-    Each root modulo r comes from at most one bounded rational, which
-    rational reconstruction finds and an exact evaluation confirms.  r has
-    the form k * 2^m + 1, so r - 1 factors at once when a large r needs a
-    primality certificate.
-    """
-    coeffs = list(row)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    if len(coeffs) <= 1:
-        return []
-    den_lcm = math.lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * den_lcm) for c in coeffs]
-    g = math.gcd(*ints)
-    m = (2 * box * box).bit_length()
-    r = next(k << m | 1 for k in itertools.count(1) if is_prime(k << m | 1))
-    roots = []
-    for u in poly_roots_mod([v // g for v in ints], r):
-        try:
-            cand = rational_reconstruct(Residue(u, r), box)
-        except NoReconstruction:
-            continue
-        if sum(c * cand**j for j, c in enumerate(coeffs)) == 0:
-            roots.append(cand)
-    return roots

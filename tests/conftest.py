@@ -183,6 +183,33 @@ def naive_crt_scan(pairs, limit):
     return None
 
 
+FIRST_40_PRIMES = [q for q in range(2, 174) if all(q % d for d in range(2, q))]
+
+
+def naive_probable_prime(n):
+    """Strong probable-prime test to the first 40 prime bases."""
+    if n < 2:
+        return False
+    if n in FIRST_40_PRIMES:
+        return True
+    if any(n % q == 0 for q in FIRST_40_PRIMES):
+        return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in FIRST_40_PRIMES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 # ---------------- random instance generation ----------------
 
 def random_instance(rng: random.Random, max_t=4, max_exp=1 << 10,

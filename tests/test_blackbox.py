@@ -187,6 +187,26 @@ def test_shifted_box_range_matches_pointwise(golden_box):
         assert values.tolist() == [bb.eval(p, i) for i in range(p)]
 
 
+def test_eval_range_rejects_non_grid_moduli_before_any_query(golden_box):
+    # 2^31 + 11 is past the grid limit and 15 is composite: a point-by-point
+    # fallback would make p queries
+    def no_query(p, theta):
+        raise AssertionError(f"_eval({p}, {theta}) called")
+
+    boxes = [
+        golden_box,
+        shifted_blackbox(golden_box, Fraction(5, 3)),
+        DenseBox(expand_golden_dense()),
+        ProgramBox([("input",), ("mul", 0, 0), ("const", Fraction(2, 3)), ("sub", 1, 2)]),
+    ]
+    for bb in boxes:
+        bb._eval = no_query
+        for p in ((1 << 31) + 11, 15):
+            with pytest.raises(ValueError):
+                bb.eval_range(p)
+        assert bb.calls == 0
+
+
 # ---------------- oracle equivalence over random instances ----------------
 
 def test_reduce_equals_termwise_random_instances():

@@ -183,7 +183,7 @@ def test_reduce_rejects_huge_prime_before_primality_test(capsys, monkeypatch):
     def no_primality_test(n):
         raise AssertionError(f"is_prime({n}) called")
 
-    for module in ("cli", "blackbox", "densepoly", "modular_core"):
+    for module in ("cli", "densepoly", "modular_core"):
         monkeypatch.setattr(f"lacuna.{module}.is_prime", no_primality_test)
     code, _, err = invoke(capsys, "reduce", "--poly", GOLDEN_JSON, "--prime", str(2**89 - 1))
     assert code == 2
@@ -191,15 +191,13 @@ def test_reduce_rejects_huge_prime_before_primality_test(capsys, monkeypatch):
 
 
 def test_eval_and_sq_reject_huge_prime_before_primality_test(capsys, monkeypatch):
-    # proving this prime needs p - 1 = 84 * q1 * q2 factored, with q1 and q2
-    # near 2^47: about 20 s of Pollard rho
+    # past the proven witness range is_prime refuses before any witness test
     big = "1676789783212331770922271776557"
 
-    def no_primality_test(n):
-        raise AssertionError(f"is_prime({n}) called")
+    def no_witness_test(n, a):
+        raise AssertionError(f"_mr_witness({n}, {a}) called")
 
-    for module in ("cli", "prime_oracle", "modular_core"):
-        monkeypatch.setattr(f"lacuna.{module}.is_prime", no_primality_test)
+    monkeypatch.setattr("lacuna.modular_core._mr_witness", no_witness_test)
     code, _, err = invoke(capsys, "eval", "--poly", GOLDEN_JSON, "--prime", big, "--point", "0")
     assert code == 2
     assert "not accepted" in err

@@ -1,5 +1,6 @@
 """Integer, rational and modular primitive tests."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -20,10 +21,10 @@ from lacuna import (
     signed_lift,
     size_of,
 )
-from lacuna.modular_core import frac_mod, inv_mod, xgcd
+from lacuna.modular_core import _MR_PROVEN_LIMIT, frac_mod, inv_mod, proth_primes, xgcd
 from lacuna.errors import DenominatorVanished
 
-from conftest import naive_crt_scan
+from conftest import naive_crt_scan, naive_probable_prime
 
 
 # ---------------- size_of ----------------
@@ -89,10 +90,39 @@ def test_is_prime_agrees_with_sieve_to_hundred_thousand():
 
 
 def test_is_prime_large_certified():
-    # 2^89 - 1 is prime; 2^89 + 1 = 3 * 179951 * 3203431780337 is not.
-    # Both sit beyond the fixed witness range, exercising the N-1 proof.
-    assert is_prime((1 << 89) - 1)
-    assert not is_prime((1 << 89) + 1)
+    # 2^89 - 1 is prime and 2^89 + 1 = 3 * 179951 * 3203431780337 is not;
+    # both sit past the proven witness range, where is_prime refuses to answer
+    for n in ((1 << 89) - 1, (1 << 89) + 1, _MR_PROVEN_LIMIT):
+        with pytest.raises(ValueError, match="not accepted"):
+            is_prime(n)
+    # just below it, the top witness tier answers
+    for n in range(_MR_PROVEN_LIMIT - 200, _MR_PROVEN_LIMIT):
+        assert is_prime(n) == naive_probable_prime(n), n
+
+
+# ---------------- proth_primes ----------------
+
+def test_proth_primes_first_is_least_probable_prime():
+    for m in range(1, 65):
+        want = next(k << m | 1 for k in itertools.count(1) if naive_probable_prime(k << m | 1))
+        assert next(proth_primes(m)) == want, m
+
+
+@pytest.mark.parametrize("m", [84, 132, 200, 264])
+def test_proth_primes_past_witness_range(m):
+    gen = proth_primes(m)
+    first, second = next(gen), next(gen)
+    assert _MR_PROVEN_LIMIT < first < second
+    for r in (first, second):
+        k, rest = divmod(r - 1, 1 << m)
+        assert rest == 0 and 1 <= k < 1 << m
+        assert naive_probable_prime(r)
+
+
+def test_proth_primes_skips_composite_fermat_number():
+    # 2^32 + 1 = 641 * 6700417
+    first = next(proth_primes(32))
+    assert first > (1 << 32) + 1 and (first - 1) % (1 << 32) == 0
 
 
 def test_next_prime_above():

@@ -6,12 +6,24 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "lacuna"
 
 
+def _raises_assertion_error(node):
+    if not isinstance(node, ast.Raise) or node.exc is None:
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
 def test_no_assert_statements():
-    # python -O strips assert statements: invariants must raise explicitly
+    # python -O strips assert statements, and an AssertionError reads as a
+    # failed assert: invariants must raise a real error type explicitly
     paths = sorted(SRC.glob("*.py"))
     assert paths, f"no modules under {SRC}"
     found = []
     for path in paths:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
-    assert not found, f"assert statements in src/lacuna: {found}"
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assert) or _raises_assertion_error(node)
+        ]
+    assert not found, f"assert statements or raise AssertionError in src/lacuna: {found}"

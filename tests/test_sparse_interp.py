@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from lacuna import (
     recover_g,
     sparse_interpolate,
 )
+from lacuna import modular_core
 from lacuna.sparse_interp import PrimeImage, q_target_bits
 
 from conftest import FakeStream, naive_crt_scan, random_instance
@@ -173,8 +175,7 @@ def test_integer_roots_random_planted():
                 (coeffs[i - 1] if i else 0) - e * (coeffs[i] if i < len(coeffs) else 0)
                 for i in range(len(coeffs) + 1)
             ]
-        got = integer_roots(SymPoly(tuple(coeffs)), bound, seed=rng.randint(0, 99))
-        assert got == roots
+        assert integer_roots(SymPoly(tuple(coeffs)), bound) == roots
 
 
 def test_integer_roots_rejects_out_of_range():
@@ -185,7 +186,29 @@ def test_integer_roots_rejects_out_of_range():
 
 def test_integer_roots_deterministic_for_seed():
     g = SymPoly((75, -20, 1))
-    assert integer_roots(g, 16, seed=5) == integer_roots(g, 16, seed=5)
+    assert integer_roots(g, 16) == integer_roots(g, 16) == {5, 15}
+
+
+def test_integer_roots_past_witness_range_never_test_large_primality(monkeypatch):
+    # the auxiliary prime lies near 2^264, far past the proven witness range
+    original = modular_core.is_prime
+
+    def small_is_prime(n):
+        if n > modular_core._MR_PROVEN_LIMIT:
+            raise AssertionError(f"is_prime({n}) called")
+        return original(n)
+
+    bindings = [
+        module
+        for name, module in list(sys.modules.items())
+        if name.split(".")[0] == "lacuna" and getattr(module, "is_prime", None) is original
+    ]
+    assert modular_core in bindings
+    for module in bindings:
+        monkeypatch.setattr(module, "is_prime", small_is_prime)
+    e1, e2 = (1 << 131) - 1234567, (1 << 131) + 98765
+    g = SymPoly((e1 * e2, -(e1 + e2), 1))
+    assert integer_roots(g, 1 << 132) == {e1, e2}
 
 
 # ---------------- match_and_recover ----------------

@@ -145,9 +145,9 @@ def test_dense_case_recover_example():
     bounds = Bounds(ba=2, bt=1, bh=3, bn=2)
     coeffs = dense_case_recover(bb, bounds)
     assert coeffs == [Fraction(-1, 2), Fraction(1), Fraction(3)]
-    # numerators and denominators up to N = 2 * 2^12: the least prime above
-    # 2*N^2 = 2^27 is 134217757
-    assert set(bb.primes) == {134217757}
+    # numerators and denominators up to N = 2 * 2^12: the least prime
+    # k * 2^28 + 1 above 2*N^2 = 2^27 is 3221225473 (k = 12)
+    assert set(bb.primes) == {3221225473}
 
 
 def test_dense_case_recover_trivial():
@@ -175,10 +175,11 @@ class VanishAt:
 
 def test_dense_case_recover_skips_vanishing_prime():
     inner = RecordingBox(DenseBox([Fraction(-1, 2), Fraction(1), Fraction(3)]))
-    bb = VanishAt(inner, 134217757)
+    bb = VanishAt(inner, 3221225473)
     coeffs = dense_case_recover(bb, Bounds(ba=2, bt=1, bh=3, bn=2))
     assert coeffs == [Fraction(-1, 2), Fraction(1), Fraction(3)]
-    assert inner.primes and set(inner.primes) == {134217773}  # advanced past 134217757
+    # advanced past 3221225473 to the next prime 13 * 2^28 + 1
+    assert inner.primes and set(inner.primes) == {3489660929}
 
 
 # Instances from the benchmark's dense workload whose power-basis
