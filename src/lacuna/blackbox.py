@@ -4,10 +4,13 @@ A modular black box answers queries (p, theta) with f(theta) as an element
 of Z_p, or raises DenominatorVanished when p divides a denominator the
 evaluation needs.  Concrete boxes are provided for the shifted-sparse
 representation, a dense rational coefficient list, and straight-line
-programs, so tests can model genuinely opaque functions.
+programs, so tests can model genuinely opaque functions.  Every one of them
+evaluates the whole grid Z_p in bulk on int64 arrays; the straight-line
+program box runs one interpreter over either a Python int or that array.
 """
 
 import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence, Tuple
@@ -136,8 +139,9 @@ class ModularBlackBox:
         raise NotImplementedError
 
     def _grid(self, p: int) -> np.ndarray:
-        """eval_range's values for a checked grid prime p, point by point
-        unless a box has a faster way."""
+        """eval_range's values for a checked grid prime p.  This default
+        queries point by point, for boxes defined outside the library;
+        every box in this module evaluates the grid in bulk instead."""
         return np.array([self._eval(p, i) for i in range(p)], dtype=np.int64)
 
 
@@ -204,37 +208,68 @@ class ProgramBox(ModularBlackBox):
       ("input",)          push the evaluation point
       ("const", q)        push the rational constant q
       ("add"|"sub"|"mul", i, j)   combine registers i and j
-    The last register is the result.
+    The last register is the result.  A malformed instruction raises
+    ValueError at construction.
+
+    One interpreter runs the program over a single point as a Python int
+    (``eval``, at any modulus, such as the 100-190-bit Proth primes of the
+    dense regime) or over the int64 array of all of Z_p at once
+    (``eval_range``: p < 2^31 keeps every product of two residues below
+    2^62).
     """
 
-    _OPS = {"input", "const", "add", "sub", "mul"}
+    _ARITY = {"input": 0, "const": 1, "add": 2, "sub": 2, "mul": 2}
 
     def __init__(self, ops: Sequence[tuple]):
         super().__init__()
         if not ops:
             raise ValueError("program must have at least one instruction")
+        program = []
         for idx, op in enumerate(ops):
-            if op[0] not in self._OPS:
-                raise ValueError(f"unknown instruction {op[0]!r}")
-            if op[0] in ("add", "sub", "mul") and not (0 <= op[1] < idx and 0 <= op[2] < idx):
-                raise ValueError("operands must reference earlier registers")
-        self.ops = tuple(ops)
+            kind = op[0] if isinstance(op, (tuple, list)) and op else None
+            if not isinstance(kind, str) or kind not in self._ARITY:
+                raise ValueError(f"instruction {idx}: unknown instruction {op!r}")
+            args = op[1:]
+            if len(args) != self._ARITY[kind]:
+                raise ValueError(f"instruction {idx}: {op!r} has the wrong number of operands")
+            try:
+                if kind == "const":
+                    args = [Fraction(args[0])]
+                elif any(isinstance(r, bool) for r in args):
+                    raise ValueError
+                else:
+                    args = [operator.index(r) for r in args]
+                    if not all(0 <= r < idx for r in args):
+                        raise ValueError
+            except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+                raise ValueError(f"instruction {idx}: {op!r} must read a rational constant "
+                                 "or earlier registers") from None
+            program.append((kind, *args))
+        self.ops = tuple(program)
 
-    def _eval(self, p: int, theta: int) -> int:
+    def _eval(self, p: int, x):
+        """The program's value modulo p at x: a reduced Python int, or an
+        int64 array of reduced points when p < 2^31."""
         regs = []
-        for op in self.ops:
-            kind = op[0]
+        for kind, *args in self.ops:
             if kind == "input":
-                regs.append(theta % p)
+                regs.append(x)
             elif kind == "const":
-                regs.append(frac_mod(Fraction(op[1]), p))
-            elif kind == "add":
-                regs.append((regs[op[1]] + regs[op[2]]) % p)
-            elif kind == "sub":
-                regs.append((regs[op[1]] - regs[op[2]]) % p)
+                regs.append(frac_mod(args[0], p))
             else:
-                regs.append(regs[op[1]] * regs[op[2]] % p)
+                a, b = regs[args[0]], regs[args[1]]
+                if kind == "add":
+                    regs.append((a + b) % p)
+                elif kind == "sub":
+                    regs.append((a - b) % p)
+                else:
+                    regs.append(a * b % p)
         return regs[-1]
+
+    def _grid(self, p: int) -> np.ndarray:
+        values = self._eval(p, np.arange(p, dtype=np.int64))
+        # a program that never reads its input gives one int for every point
+        return values if isinstance(values, np.ndarray) else np.full(p, values, dtype=np.int64)
 
 
 class ShiftedBox(ModularBlackBox):

@@ -9,7 +9,6 @@ fixed Miller-Rabin witness sets are proven, and ``proth_primes`` is the one
 source of larger primes, k * 2^m + 1, each proven by Proth's theorem.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -166,13 +165,28 @@ def proth_primes(m: int) -> Iterator[int]:
     a^((n-1)/2) = -1 (mod n) for some a: every prime factor of n is then
     1 (mod 2^m), hence above sqrt(n).  The bases tried are _SMALL_PRIMES;
     a power other than 1 or -1 proves n composite, and a candidate that no
-    base decides is skipped.
+    base decides is skipped.  The primes proven for each m are kept for
+    the life of the process, so a later call yields them without testing
+    any candidate again.
     """
-    for k in itertools.count(1):
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    k = 0
+    while True:
+        n = _next_proth_prime(m, k)
+        yield n
+        k = n >> m
+
+
+@lru_cache(maxsize=None)
+def _next_proth_prime(m: int, k: int) -> int:
+    """The least proven prime k' * 2^m + 1 with k' > k."""
+    while True:
+        k += 1
         n = k << m | 1
         if n < _MR_PROVEN_LIMIT:
             if is_prime(n):
-                yield n
+                return n
             continue
         if k >= 1 << m:
             raise RuntimeError(f"no proven prime k * 2^{m} + 1 with k < 2^{m}")
@@ -180,7 +194,7 @@ def proth_primes(m: int) -> Iterator[int]:
             x = pow(a, n >> 1, n)
             if x != 1:
                 if x == n - 1:
-                    yield n
+                    return n
                 break
 
 

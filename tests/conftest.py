@@ -92,6 +92,20 @@ def naive_frac_mod(q, p):
     return q.numerator * pow(q.denominator, -1, p) % p
 
 
+def naive_program_value(ops, x):
+    """Value over Q of a ProgramBox instruction list at x, in Fractions."""
+    regs = []
+    for kind, *args in ops:
+        if kind == "input":
+            regs.append(Fraction(x))
+        elif kind == "const":
+            regs.append(Fraction(args[0]))
+        else:
+            a, b = regs[args[0]], regs[args[1]]
+            regs.append(a + b if kind == "add" else a - b if kind == "sub" else a * b)
+    return regs[-1]
+
+
 def naive_remo(a, m):
     r = a % m
     return r if r != 0 else m

@@ -18,7 +18,15 @@ from lacuna import (
     shifted_blackbox,
 )
 
-from conftest import GOLDEN_JSON, naive_termwise_reduction, random_instance
+from lacuna.modular_core import proth_primes
+
+from conftest import (
+    GOLDEN_JSON,
+    naive_frac_mod,
+    naive_program_value,
+    naive_termwise_reduction,
+    random_instance,
+)
 
 
 def expand_golden_dense():
@@ -149,6 +157,133 @@ def test_program_box():
         prog.eval(3, 1)
     with pytest.raises(ValueError):
         ProgramBox([("mul", 0, 1)])
+
+
+@pytest.mark.parametrize("ops", [
+    [],
+    [("const",)],
+    [("input",), ("add", 0)],
+    [("const", "abc")],
+    [("const", "1/0")],
+    [("const", None)],
+    [("const", 1, 2)],
+    [("input", 0)],
+    [("neg", 0)],
+    [()],
+    ["input"],
+    [("input",), ("mul", 0, 1)],
+    [("input",), ("add", 0, "0")],
+    [("input",), ("add", 0, 0.0)],
+    [("input",), ("add", 0, True)],
+    [("input",), ("add", 0, np.int64(1))],
+])
+def test_program_box_rejects_malformed_program_at_construction(ops):
+    with pytest.raises(ValueError):
+        ProgramBox(ops)
+
+
+def test_program_box_accepts_numpy_integer_operands():
+    i0, i1 = np.int64(0), np.int32(1)
+    prog = ProgramBox([("input",), ("const", 3), ("mul", i0, i1), ("add", np.int64(2), i0)])
+    assert all(type(r) is int for op in prog.ops[2:] for r in op[1:])
+    assert prog.eval(7, 2) == 1 and prog.eval_range(7).tolist() == [4 * x % 7 for x in range(7)]
+
+
+def random_program(rng, length):
+    """Random instruction list; the constants' denominators vanish at 2, 3, 5 or 7."""
+    ops = [("input",)]
+    while len(ops) < length:
+        r = rng.random()
+        if r < 0.15:
+            ops.append(("input",))
+        elif r < 0.4:
+            ops.append(("const", Fraction(rng.randint(-60, 60), rng.choice((1, 1, 1, 2, 9, 35)))))
+        else:
+            kind = rng.choice(("add", "sub", "mul"))
+            ops.append((kind, rng.randrange(len(ops)), rng.randrange(len(ops))))
+    return ops
+
+
+def program_image(ops, p, points):
+    """The reference values mod p of the program at points, or None when a
+    constant's denominator vanishes mod p."""
+    if any(op[0] == "const" and Fraction(op[1]).denominator % p == 0 for op in ops):
+        return None
+    return [naive_frac_mod(naive_program_value(ops, x), p) for x in points]
+
+
+def assert_grid_matches_reference(ops, p):
+    bb = ProgramBox(ops)
+    want = program_image(ops, p, range(p))
+    if want is None:
+        with pytest.raises(DenominatorVanished):
+            bb.eval_range(p)
+        assert bb.calls == 0
+        return
+    values = bb.eval_range(p)
+    assert values.dtype == np.int64 and values.shape == (p,)
+    assert values.tolist() == want, (ops, p)
+    assert bb.calls == p
+
+
+def test_program_box_grid_matches_exact_reference():
+    rng = random.Random(606)
+    for p in (2, 3, 5, 7, 31, 101, 1009):
+        for _ in range(12):
+            assert_grid_matches_reference(random_program(rng, rng.randint(2, 12)), p)
+
+
+@pytest.mark.parametrize("ops", [
+    [("const", Fraction(-7, 4))],                                 # never reads its input
+    [("const", 3), ("const", 5), ("mul", 0, 1)],
+    [("input",)],                                                 # the result is the input
+    [("input",), ("const", Fraction(1, 2)), ("mul", 0, 1), ("input",)],
+    [("input",), ("const", Fraction(1, 7)), ("mul", 0, 1)],       # vanishes at p = 7
+])
+def test_program_box_grid_edge_programs(ops):
+    for p in (2, 3, 7, 13):
+        assert_grid_matches_reference(ops, p)
+
+
+def test_program_box_grid_is_fresh_and_read_only():
+    bb = ProgramBox([("const", 4)])
+    values = bb.eval_range(11)
+    assert values.tolist() == [4] * 11 and not values.flags.writeable
+    assert bb.eval_range(11) is not values
+
+
+def test_program_box_scalar_path_exact_past_int64():
+    # products of residues near a 70-bit prime wrap in int64: the scalar
+    # path must stay on Python ints
+    p = next(proth_primes(70))
+    assert p > 1 << 64
+    rng = random.Random(607)
+    programs = [
+        [("input",), ("mul", 0, 0), ("mul", 1, 0), ("const", -1), ("mul", 2, 3)],
+        *(random_program(rng, 10) for _ in range(6)),
+    ]
+    points = (p - 1, p - 2, p // 2, 12345)
+    for ops in programs:
+        bb = ProgramBox(ops)
+        want = program_image(ops, p, points)
+        assert [bb.eval(p, x) for x in points] == want, ops
+
+
+def test_program_box_array_path_no_overflow_near_grid_limit():
+    # at p = 2^31 - 1 a product of two residues near p is near 2^62
+    p = (1 << 31) - 1
+    points = [p - 1, p - 2, p - 3, p // 2 + 1, 1]
+    rng = random.Random(608)
+    programs = [
+        [("input",), ("mul", 0, 0)],
+        [("input",), ("const", -1), ("mul", 0, 1), ("mul", 2, 2), ("add", 3, 3)],
+        [("input",), ("const", Fraction(-1, 3)), ("sub", 1, 0), ("mul", 2, 2)],
+        *(random_program(rng, 10) for _ in range(6)),
+    ]
+    for ops in programs:
+        want = program_image(ops, p, points)
+        got = ProgramBox(ops)._eval(p, np.array(points, dtype=np.int64))
+        assert np.broadcast_to(got, (len(points),)).tolist() == want, ops
 
 
 # ---------------- shifted_blackbox ----------------

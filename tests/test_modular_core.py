@@ -21,7 +21,7 @@ from lacuna import (
     signed_lift,
     size_of,
 )
-from lacuna.modular_core import _MR_PROVEN_LIMIT, frac_mod, inv_mod, proth_primes, xgcd
+from lacuna.modular_core import _MR_PROVEN_LIMIT, _next_proth_prime, frac_mod, inv_mod, proth_primes, xgcd
 from lacuna.errors import DenominatorVanished
 
 from conftest import naive_crt_scan, naive_probable_prime
@@ -123,6 +123,25 @@ def test_proth_primes_skips_composite_fermat_number():
     # 2^32 + 1 = 641 * 6700417
     first = next(proth_primes(32))
     assert first > (1 << 32) + 1 and (first - 1) % (1 << 32) == 0
+
+
+@pytest.mark.parametrize("m", [84, 132, 200])
+def test_proth_primes_second_call_reads_the_cache(m, monkeypatch):
+    _next_proth_prime.cache_clear()
+    gen = proth_primes(m)
+    first = [next(gen), next(gen)]
+
+    # every test of a candidate, Proth's or Miller-Rabin's, takes a modular power
+    def no_power(*args):
+        raise AssertionError(f"candidate tested again: pow{args}")
+
+    monkeypatch.setattr("lacuna.modular_core.pow", no_power, raising=False)
+    again, interleaved = proth_primes(m), proth_primes(m)
+    assert [next(again), next(interleaved), next(again), next(interleaved)] == [
+        first[0], first[0], first[1], first[1]]
+    monkeypatch.delattr("lacuna.modular_core.pow")
+    # past the cache, the search resumes after the last proven prime
+    assert first[1] < next(again) == next(interleaved)
 
 
 def test_next_prime_above():

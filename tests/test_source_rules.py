@@ -3,6 +3,8 @@
 import ast
 from pathlib import Path
 
+from lacuna import blackbox
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "lacuna"
 
 
@@ -27,3 +29,16 @@ def test_no_assert_statements():
             if isinstance(node, ast.Assert) or _raises_assertion_error(node)
         ]
     assert not found, f"assert statements or raise AssertionError in src/lacuna: {found}"
+
+
+def test_every_library_box_evaluates_grids_in_bulk():
+    # the base class's point-by-point _grid is for boxes defined outside the
+    # library: a library box falling back to it costs p Python calls a prime
+    boxes = [
+        cls for cls in vars(blackbox).values()
+        if isinstance(cls, type) and issubclass(cls, blackbox.ModularBlackBox)
+        and cls is not blackbox.ModularBlackBox and cls.__module__ == blackbox.__name__
+    ]
+    assert boxes, "no box classes in lacuna.blackbox"
+    missing = [cls.__name__ for cls in boxes if "_grid" not in vars(cls)]
+    assert not missing, f"boxes without a bulk _grid: {missing}"
