@@ -23,6 +23,7 @@ from .densepoly import (
     MinShift,
     evaluate_range,
     interpolate_range,
+    interpolate_sparse,
     min_shift,
     tau,
     taylor_shift,

@@ -318,12 +318,14 @@ def reduce_mod(bb: ModularBlackBox, p: int) -> DensePolyMod:
 _MAX_REGENERATIONS = 10
 
 
-def _reductions(bb: ModularBlackBox, stream) -> Iterator[DensePolyMod]:
-    """f^(p) for each next prime of the stream, endlessly.
+def _reductions(bb: ModularBlackBox, stream) -> Iterator[Tuple[int, np.ndarray]]:
+    """(p, f on all of Z_p) for each next prime p of the stream, endlessly.
 
-    A prime where a denominator vanishes is discarded from the stream, so it
-    never counts toward the guarantee.  BlackBoxFailure once the stream has
-    regenerated its reservoir more than _MAX_REGENERATIONS times.
+    Each grid costs p queries; the caller interpolates it (densely in the
+    shift phase, sparsely in the interpolation phase).  A prime where a
+    denominator vanishes is discarded from the stream, so it never counts
+    toward the guarantee.  BlackBoxFailure once the stream has regenerated
+    its reservoir more than _MAX_REGENERATIONS times.
     """
     while True:
         if stream.regenerations > _MAX_REGENERATIONS:
@@ -332,8 +334,8 @@ def _reductions(bb: ModularBlackBox, stream) -> Iterator[DensePolyMod]:
             )
         p = stream.next_prime()
         try:
-            fp = reduce_mod(bb, p)
+            values = bb.eval_range(p)
         except DenominatorVanished:
             stream.discard(p)
             continue
-        yield fp
+        yield p, values

@@ -3,19 +3,26 @@
 The grid-backed operations (interpolation from the full evaluation grid
 {0, ..., p-1}, evaluation on it, Taylor shift by index rotation, shift
 search) require a prime modulus p < 2^31 and degree < p.  Both directions
-between coefficients and grid values go through one kernel,
-``_power_sums_fft``: with a generator g of Z_p^*, the values at the nonzero
-points g^j and the Lagrange coefficients are both sums
+between coefficients and grid values of a dense polynomial go through one
+kernel, ``_power_sums_fft``: with a generator g of Z_p^*, the values at the
+nonzero points g^j and the Lagrange coefficients are both sums
 s_j = sum_a u_a g^(a*j) over a = 0..p-2, an order-(p-1) transform that
 Bluestein's chirp identity turns into one cyclic convolution of 5-smooth
 length >= 2(p-1) - 1.  The convolution runs in float64 FFTs over limbs of
 the residues; the limb width is picked from the bit length of p and the FFT
 length so that Percival's error bound for FFT products, with a 5-fold margin
 for mixed-radix transforms, stays below 1/2 (``_limb_split``), which keeps
-the transform exact and O(p log p) for every such prime.  Small
-list-based helpers at the bottom work over any modulus; on top of them
-``bounded_rational_roots`` is the one root finder for both the exponent
-polynomial and the dense-regime shift search.
+the transform exact and O(p log p) for every such prime.
+
+A grid whose interpolant has at most s non-constant terms takes the sparse
+kernel, ``interpolate_sparse``, instead: Ben-Or and Tiwari's method reads
+the terms off f(0) and f(g^i) for i < 2s (Berlekamp-Massey, a root search
+over the powers of g, a transposed Vandermonde solve), and a check of the
+recurrence along every grid value makes the answer exact, or None when the
+interpolant has more than s terms.  Small list-based helpers at the bottom
+work over any modulus; on top of them ``bounded_rational_roots`` is the one
+root finder for both the exponent polynomial and the dense-regime shift
+search.
 """
 
 import math
@@ -220,6 +227,17 @@ def _check_grid_prime(p: int) -> None:
         raise ValueError(f"modulus {p} is not prime")
 
 
+def _checked_grid(vals: np.ndarray, p: int) -> np.ndarray:
+    """vals, after checking that it holds the p reduced values of a grid
+    over a prime p < 2^31; ValueError otherwise."""
+    _check_grid_prime(p)
+    if vals.ndim != 1 or vals.shape[0] != p:
+        raise ValueError(f"need exactly {p} values, got {vals.shape[0] if vals.ndim == 1 else '?'}")
+    if int(vals.min()) < 0 or int(vals.max()) >= p:
+        raise ValueError("values must already be reduced modulo p")
+    return vals
+
+
 def _eval_grid(f: DensePolyMod) -> np.ndarray:
     """f on the whole grid 0..p-1: f(0) = c_0, and f(g^j) = s_j for the
     coefficients folded modulo x^(p-1) - 1 (which vanishes off 0)."""
@@ -237,6 +255,33 @@ def _eval_grid(f: DensePolyMod) -> np.ndarray:
     return grid
 
 
+# ---------------- the sparse kernel ----------------
+
+def _berlekamp_massey(seq: Sequence[int], p: int):
+    """(C, L): the shortest linear recurrence over Z_p that generates seq.
+
+    C = [1, c_1, ..., c_L] (list length L + 1, trailing entries possibly
+    zero) with sum_j C[j] * seq[i-j] = 0 mod p for every L <= i < len(seq).
+    """
+    c, b = [1], [1]
+    length, gap, last = 0, 1, 1
+    for i, x in enumerate(seq):
+        d = (x + sum(c[j] * seq[i - j] for j in range(1, len(c)))) % p
+        if d == 0:
+            gap += 1
+            continue
+        factor = d * pow(last, -1, p) % p
+        prev = list(c)
+        c += [0] * (len(b) + gap - len(c))
+        for j, bj in enumerate(b):
+            c[j + gap] = (c[j + gap] - factor * bj) % p
+        if 2 * length <= i:
+            length, b, last, gap = i + 1 - length, prev, d, 1
+        else:
+            gap += 1
+    return c + [0] * (length + 1 - len(c)), length
+
+
 # ---------------- spec operations ----------------
 
 def interpolate_range(values: Sequence[int], p: int) -> DensePolyMod:
@@ -250,12 +295,7 @@ def interpolate_range(values: Sequence[int], p: int) -> DensePolyMod:
     stays within its exact range (see ``_limb_split``).  Larger moduli raise
     ValueError.
     """
-    _check_grid_prime(p)
-    vals = np.array(values, dtype=np.int64)  # a copy: the result keeps it as its grid
-    if vals.ndim != 1 or vals.shape[0] != p:
-        raise ValueError(f"need exactly {p} values, got {vals.shape[0] if vals.ndim == 1 else '?'}")
-    if int(vals.min()) < 0 or int(vals.max()) >= p:
-        raise ValueError("values must already be reduced modulo p")
+    vals = _checked_grid(np.array(values, dtype=np.int64), p)  # a copy: the result keeps it
     n = p - 1
     pw, _ = _cyclic_tables(p)
     s = _power_sums_fft(vals[np.roll(pw[::-1], 1)], p)  # u[a] = v[g^-a]
@@ -264,6 +304,70 @@ def interpolate_range(values: Sequence[int], p: int) -> DensePolyMod:
     c[1:n] = (p - s[1:]) % p
     c[n] = (2 * p - s[0] - vals[0]) % p
     return DensePolyMod(p, c, _grid=vals)
+
+
+def interpolate_sparse(values: Sequence[int], p: int, s: int) -> Optional[DensePolyMod]:
+    """``interpolate_range(values, p)`` if it has at most s non-constant
+    terms, else None.
+
+    Ben-Or and Tiwari's method on the grid already in hand.  With c_0 the
+    value at 0, the values a_j = f(g^j) - c_0 = sum_k c_k (g^e_k)^j satisfy
+    a linear recurrence whose characteristic polynomial has the roots g^e_k,
+    one per term, a slot e_k in 1..p-1 (x^(p-1) is 1 at every nonzero
+    point, so slot p-1 has root 1 = g^0).  Berlekamp-Massey finds the
+    recurrence from a_0..a_(2s-1).  It is then checked along all of
+    a_0..a_(p-2); one Horner pass over the powers of g (the tables of
+    ``_cyclic_tables``) finds its roots and their slots, and a transposed
+    Vandermonde solve fits the coefficients to a_0..a_(L-1).  A sequence
+    that obeys a recurrence with L distinct roots is fixed by its first L
+    values, so the result matches all p values, and a polynomial of degree
+    < p that does is the interpolant: the answer is exact whatever the
+    input.  More than s terms show up as a recurrence longer than s, a
+    failed check or too few roots.  Every product stays below p^2 < 2^62.
+    O(s p) numpy work plus O(s^2) Python integer work.
+    """
+    if s < 0:
+        raise ValueError(f"term bound must be >= 0, got {s}")
+    vals = _checked_grid(np.asarray(values, dtype=np.int64), p)
+    n = p - 1
+    s = min(s, n)  # no grid has more than p - 1 non-constant terms
+    pw, _ = _cyclic_tables(p)
+    c0 = int(vals[0])
+    seq = (vals[pw] - c0) % p  # seq[j] = f(g^j) - c_0
+    head = seq[np.arange(2 * s) % n].tolist()
+    conn, length = _berlekamp_massey(head, p)
+    if length > s:
+        return None
+    # the recurrence must hold along the whole grid, not just the 2s values
+    rest = seq[length:].copy()
+    for m in range(1, length + 1):
+        rest += conn[m] * seq[length - m : n - m]
+        rest %= p
+    if rest.any():
+        return None
+    # roots of z^L C(1/z), whose coefficients from the top are conn, at every g^i
+    acc = np.ones(n, dtype=np.int64)
+    for a in conn[1:]:
+        acc *= pw
+        acc += a
+        acc %= p
+    logs = np.flatnonzero(acc == 0).tolist()
+    if len(logs) < length:  # repeated roots, roots outside Z_p^*, or root 0
+        return None
+    slots = [i or n for i in logs]  # root g^0 = 1 is the slot of x^(p-1)
+    out = np.zeros(max(slots, default=0) + 1, dtype=np.int64)
+    out[0] = c0
+    for i, e in zip(logs, slots):
+        root = int(pw[i])
+        quot = [1]  # z^L C(1/z) / (z - root), from the top
+        for a in conn[1:length]:
+            quot.append((a + root * quot[-1]) % p)
+        num = sum(q * x for q, x in zip(quot, reversed(head[:length])))
+        den = 0
+        for q in quot:
+            den = (den * root + q) % p
+        out[e] = num * pow(den, -1, p) % p
+    return DensePolyMod(p, out)
 
 
 def evaluate_range(f: DensePolyMod) -> np.ndarray:
@@ -281,8 +385,10 @@ def taylor_shift(f: DensePolyMod, gamma: int) -> DensePolyMod:
     """Return g with g(x) = f(x + gamma) over Z_p.
 
     Works on the evaluation grid: shifting the argument only rotates the
-    indices of the already-evaluated points, so the cost is one
-    re-interpolation.
+    indices of the already-evaluated points, so the cost is one dense
+    re-interpolation.  The shift search does not use it: it only needs the
+    sparse shifted images, which ``interpolate_sparse`` gets from the same
+    rotated grid.
     """
     p = f.modulus
     gamma = gamma % p
@@ -297,69 +403,62 @@ def tau(f: DensePolyMod) -> int:
     return int(np.count_nonzero(f.coeffs[1:]))
 
 
-def min_shift(f: DensePolyMod, *, tau_cap: Optional[int] = None) -> Optional[MinShift]:
-    """Shift gamma minimizing tau(f(x + gamma)) over all of Z_p.
+def min_shift(f: DensePolyMod, *, tau_cap: int) -> Optional[MinShift]:
+    """The shift gamma in Z_p with tau(f(x + gamma)) <= tau_cap, or None.
 
-    Returns (gamma, tau, tie) equal to the exhaustive search over every
-    gamma, with the smallest gamma on ties.  When deg f >= 2*tau + 1 the
-    winner is provably the unique sparsest shift and tie is False.
-
-    With ``tau_cap`` set, only shifts achieving tau <= tau_cap are of
-    interest: the unique such shift is returned if it exists (requires
-    deg f >= 2*tau_cap + 1 for uniqueness), else None.  This is the cheap
-    path used by the shift-recovery loop.  Without it, candidate searches
-    for tau <= 1, 2, 4, ... run first and the exhaustive search last.
+    Needs tau_cap >= 1 and deg f >= 2*tau_cap + 1, which make such a shift
+    unique (tie is always False); ValueError otherwise.  Any such shift
+    zeroes at least tau_cap + 1 of the 2*tau_cap coefficient polynomials of
+    f(x + y) directly below the leading one (the leading term is itself one
+    of the at most tau_cap terms), so the common roots of their grid values
+    are a complete candidate filter.  Each candidate, most votes first, is
+    checked exactly by ``interpolate_sparse`` on the rotated grid.
     """
-    p = f.modulus
+    p, d = f.modulus, f.degree
     _check_grid_prime(p)
-    if f.degree >= p:
+    if d >= p:
         raise ValueError("degree must be < modulus")
-    d = f.degree
-    if d <= 0:
-        return MinShift(0, 0, p > 1)
-    smax = (d - 1) // 2
-    if tau_cap is not None:
-        s = min(tau_cap, smax)
-        if s < 1:
-            res = _min_shift_exhaustive(f)
-            return res if res.tau <= tau_cap else None
-        return _min_shift_candidates(f, s)  # None when no shift reaches tau <= s
-    s = 1
-    while s <= smax:
-        hit = _min_shift_candidates(f, s)
+    if tau_cap < 1:
+        raise ValueError(f"tau_cap must be >= 1, got {tau_cap}")
+    if d < 2 * tau_cap + 1:
+        raise ValueError(f"the shift search needs deg f >= 2*tau_cap + 1 = {2 * tau_cap + 1}, "
+                         f"got {d}")
+    votes = Counter()
+    for row in _hasse_band(f, tau_cap):
+        for g in np.flatnonzero(_grid_eval_small(row, p) == 0).tolist():
+            votes[g] += 1
+    grid = evaluate_range(f)
+    for g in sorted((g for g, v in votes.items() if v > tau_cap), key=lambda g: (-votes[g], g)):
+        hit = interpolate_sparse(np.roll(grid, -g), p, tau_cap)
         if hit is not None:
-            return hit
-        if s == smax:
-            break
-        s = min(2 * s, smax)
-    return _min_shift_exhaustive(f)
+            return MinShift(g, tau(hit), False)
+    return None
 
 
 # ---------------- shift search internals ----------------
 
-def _hasse_rows(f: DensePolyMod, ks) -> dict:
-    """Coefficient polynomials of f(x+y): row k maps y to the x^k coefficient.
+def _hasse_band(f: DensePolyMod, s: int) -> list:
+    """Rows deg f - 2s .. deg f - 1 of f(x+y): row k maps y to the x^k
+    coefficient.
 
     Row k is sum_j C(j, k) f_j y^(j-k); with deg f < p no binomial in range
     vanishes mod p, so row k has degree exactly deg f - k.  The binomial
-    updates divide by 1 .. deg f - min(ks) only, so the inverse table stops
-    there.
+    updates divide by 1 .. 2s only, so the inverse table stops there.
     """
     p, d = f.modulus, f.degree
     coeffs = f.coeffs.tolist()
-    m = d - min(ks)
-    inv = [0, 1] + [0] * max(0, m - 1)
-    for i in range(2, m + 1):
+    inv = [0, 1] + [0] * (2 * s - 1)
+    for i in range(2, 2 * s + 1):
         inv[i] = -(p // i) * inv[p % i] % p
-    rows = {}
-    for k in ks:
+    rows = []
+    for k in range(d - 2 * s, d):
         binom = 1
         row = []
         for j in range(k, d + 1):
             row.append(binom * coeffs[j] % p)
             if j < d:
                 binom = binom * (j + 1) % p * inv[j + 1 - k] % p
-        rows[k] = row
+        rows.append(row)
     return rows
 
 
@@ -370,45 +469,6 @@ def _grid_eval_small(row, p: int) -> np.ndarray:
     for c in reversed(row):
         acc = (acc * xs + int(c)) % p
     return acc
-
-
-def _min_shift_candidates(f: DensePolyMod, s: int) -> Optional[MinShift]:
-    """Find the unique shift with tau <= s, if any (requires deg f >= 2s+1).
-
-    Any such shift zeroes at least s+1 of the 2s coefficient polynomials
-    directly below the leading one, so scanning their root sets is a
-    complete candidate filter; each surviving candidate is checked exactly.
-    """
-    p, d = f.modulus, f.degree
-    if d < 2 * s + 1:
-        raise ValueError("candidate filter needs deg f >= 2s+1")
-    band = range(d - 2 * s, d)
-    rows = _hasse_rows(f, band)
-    votes = Counter()
-    for k in band:
-        vals = _grid_eval_small(rows[k], p)
-        for g in np.nonzero(vals == 0)[0]:
-            votes[int(g)] += 1
-    cands = sorted((g for g, v in votes.items() if v >= s + 1), key=lambda g: (-votes[g], g))
-    for g in cands:
-        t = tau(taylor_shift(f, g))
-        if t <= s:
-            return MinShift(g, t, False)
-    return None
-
-
-def _min_shift_exhaustive(f: DensePolyMod) -> MinShift:
-    """Exact tau for every shift; smallest winning gamma, tie flag precise."""
-    p, d = f.modulus, f.degree
-    if d <= 0:
-        return MinShift(0, 0, p > 1)
-    taus = np.zeros(p, dtype=np.int64)
-    rows = _hasse_rows(f, range(1, d + 1))
-    for k in range(1, d + 1):
-        taus += _grid_eval_small(rows[k], p) != 0
-    best = int(taus.min())
-    where = np.nonzero(taus == best)[0]
-    return MinShift(int(where[0]), best, len(where) > 1)
 
 
 # ---------------- small list-based helpers over Z_m ----------------

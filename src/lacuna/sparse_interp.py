@@ -17,7 +17,13 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from .blackbox import ModularBlackBox, ShiftedLacunary, _reductions, shifted_blackbox
-from .densepoly import DensePolyMod, bounded_rational_roots, poly_mul_mod, tau
+from .densepoly import (
+    DensePolyMod,
+    bounded_rational_roots,
+    interpolate_sparse,
+    poly_mul_mod,
+    tau,
+)
 from .errors import (
     AmbiguousMatch,
     InconsistentResidues,
@@ -111,7 +117,12 @@ def collect_images(
 ) -> List[PrimeImage]:
     """Reductions sharing the maximal term count, with enough mass for CRT.
 
-    A collision of two exponents modulo p - 1 or a coefficient vanishing
+    The polynomial behind the box has shift 0 (``full_interpolate`` passes
+    the box already shifted by alpha), so every reduction f^(p) has at most
+    t <= bt non-constant terms: ``interpolate_sparse`` with s = bt reads
+    each image off the grid, and a grid whose interpolant has more terms
+    raises NoReconstruction, since the bounds are then violated.  A
+    collision of two exponents modulo p - 1 or a coefficient vanishing
     modulo p only ever removes terms, so a reduction with the maximal term
     count comes from a good prime, and one with fewer terms from a bad one.
     Among any beta1 + beta2 + 1 delivered oracle primes at least one is
@@ -126,8 +137,11 @@ def collect_images(
     q_target = 1 << q_target_bits(bounds)
     images: List[PrimeImage] = []
     t, prod, q_lcm = -1, 1, 1
-    for fp in _reductions(bb, stream):
-        p, t_p = fp.modulus, tau(fp)
+    for p, values in _reductions(bb, stream):
+        fp = interpolate_sparse(values, p, bounds.bt)
+        if fp is None:
+            raise NoReconstruction(f"the reduction at p={p} has more than bt={bounds.bt} terms")
+        t_p = tau(fp)
         if t_p > t:
             # every image kept so far came from a bad prime: flush
             images, t, prod, q_lcm = [], t_p, 1, 1
@@ -239,9 +253,9 @@ def sparse_interpolate(
     """The sparse polynomial (shift 0) behind the black box, bit-exact.
 
     Every image collect_images keeps is good when the bounds hold (see
-    there), so one pass suffices: any failure to rebuild the exponent
-    polynomial, split it or match its roots means the data violate the
-    bounds, and raises NoReconstruction.
+    there), so one pass suffices: a reduction with more than bt terms, or
+    any failure to rebuild the exponent polynomial, split it or match its
+    roots, means the data violate the bounds, and raises NoReconstruction.
     """
     images = collect_images(bb, bounds, stream=stream)
     sym_bound = (1 + (1 << bounds.bn)) ** bounds.bt

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .blackbox import ModularBlackBox, _reductions
-from .densepoly import bounded_rational_roots, min_shift
+from .densepoly import bounded_rational_roots, interpolate_range, min_shift
 from .errors import DenominatorVanished, InconsistentResidues, NoReconstruction
 from .modular_core import (
     Residue,
@@ -91,13 +91,14 @@ def sparsest_shift(
     prod = 1
     recorded: List[Tuple[int, int]] = []
     passed = False  # some reduction passed the degree test, so deg f > 2*bt
-    for fp in _reductions(bb, stream):
+    for p, values in _reductions(bb, stream):
+        fp = interpolate_range(values, p)
         if fp.degree >= 2 * bounds.bt + 1:
             passed = True
             hit = min_shift(fp, tau_cap=bounds.bt)
-            if hit is not None and not hit.tie:
-                recorded.append((hit.gamma, fp.modulus))
-                prod *= fp.modulus
+            if hit is not None:
+                recorded.append((hit.gamma, p))
+                prod *= p
                 if prod >= ptarget:
                     break
                 continue

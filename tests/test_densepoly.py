@@ -9,6 +9,7 @@ from lacuna import (
     DensePolyMod,
     evaluate_range,
     interpolate_range,
+    interpolate_sparse,
     is_prime,
     min_shift,
     next_prime_above,
@@ -16,8 +17,6 @@ from lacuna import (
     taylor_shift,
 )
 from lacuna.densepoly import (
-    _min_shift_candidates,
-    _min_shift_exhaustive,
     poly_gcd_mod,
     poly_mul_mod,
     poly_rem_mod,
@@ -164,6 +163,105 @@ def test_evaluate_range_matches_horner():
         assert list(evaluate_range(f)) == grid_of(list(f.coeffs), p)
 
 
+# ---------------- interpolate_sparse ----------------
+
+def sparse_grid(p, c0, terms):
+    """Grid of c0 + sum c x^e over Z_p, for (c, e) in terms, term by term
+    with square-and-multiply on int64 vectors (exact for p < 2^31)."""
+    xs = np.arange(p, dtype=np.int64)
+    acc = np.full(p, c0 % p, dtype=np.int64)
+    for c, e in terms:
+        power, base = np.ones(p, dtype=np.int64), xs
+        while e:
+            if e & 1:
+                power = power * base % p
+            base = base * base % p
+            e >>= 1
+        acc = (acc + c * power) % p
+    return acc
+
+
+def sparse_or_none(vals, p, s):
+    """What interpolate_sparse must return: the dense interpolant if it has
+    at most s non-constant terms, else None."""
+    f = interpolate_range(vals, p)
+    return f if tau(f) <= s else None
+
+
+def test_sparse_kernel_every_grid_at_tiny_primes():
+    # p - 1 < 2s here, so the 2s values wrap around the powers of g and the
+    # recurrence may be longer than s while still fitting every value
+    import itertools
+
+    seen_longer = 0
+    for p in (2, 3, 5):
+        for vals in itertools.product(range(p), repeat=p):
+            for s in (1, 2, 3):
+                want = sparse_or_none(list(vals), p, s)
+                assert interpolate_sparse(list(vals), p, s) == want, (p, vals, s)
+                seen_longer += want is None and s >= (p - 1) / 2
+    assert seen_longer > 0
+
+
+def test_sparse_kernel_equals_dense_on_sparse_grids():
+    rng = random.Random(71)
+    for p, count in ((7, 12), (13, 12), (101, 12), (1009, 12), (10007, 12),
+                     (next_prime_above(1 << 17), 4)):
+        for _ in range(count):
+            s = rng.randint(1, 6)
+            t = rng.randint(0, min(s, p - 1))
+            slots = rng.sample(range(1, p), t)
+            if t and rng.random() < 0.3:
+                slots[0] = p - 1  # root 1 = g^0: the slot of x^(p-1)
+            c0 = rng.choice([0, rng.randrange(p)])
+            vals = sparse_grid(p, c0, [(rng.randrange(1, p), e) for e in slots])
+            got = interpolate_sparse(vals, p, s)
+            assert got is not None and got == interpolate_range(vals, p), (p, s, slots)
+            assert tau(got) == t and got.coeff(0) == c0
+
+
+def test_sparse_kernel_rejects_one_term_too_many_and_dense_grids():
+    rng = random.Random(73)
+    for p in (11, 101, 1009, 10007):
+        for s in range(1, 6):
+            slots = rng.sample(range(1, p), s + 1)
+            vals = sparse_grid(p, rng.randrange(p), [(rng.randrange(1, p), e) for e in slots])
+            assert interpolate_sparse(vals, p, s) is None
+            assert interpolate_sparse(vals, p, s + 1) == interpolate_range(vals, p)
+            dense = [rng.randrange(p) for _ in range(p)]
+            assert interpolate_sparse(dense, p, s) is None
+
+
+def test_sparse_kernel_edge_grids():
+    for p in (2, 3, 7, 101):
+        zero = interpolate_sparse([0] * p, p, 1)
+        assert zero == DensePolyMod(p, []) and zero.degree == -1
+        assert interpolate_sparse([4 % p] * p, p, 1) == DensePolyMod(p, [4])
+        assert interpolate_sparse([4 % p] * p, p, 0) == DensePolyMod(p, [4])
+        # x^(p-1) - c0 is c0 at 0 and 1 - c0 elsewhere: slot p - 1 shares node 1
+        # with the constant, which the kernel has already taken off
+        for c0 in (0, 1, p - 1):
+            vals = sparse_grid(p, c0, [(1, p - 1)])
+            want = DensePolyMod(p, [c0] + [0] * (p - 2) + [1])
+            assert interpolate_sparse(vals, p, 1) == want == interpolate_range(vals, p)
+            assert interpolate_sparse(vals, p, 0) is None
+        if p > 2:  # x and x^(p-1) with zero constant
+            vals = sparse_grid(p, 0, [(2, 1), (3 % p or 1, p - 1)])
+            assert interpolate_sparse(vals, p, 2) == interpolate_range(vals, p)
+            assert interpolate_sparse(vals, p, 1) is None
+
+
+def test_sparse_kernel_rejects_bad_input():
+    with pytest.raises(ValueError):
+        interpolate_sparse([0, 1, 2, 3], 4, 1)  # composite
+    with pytest.raises(ValueError):
+        interpolate_sparse([0, 1], 3, 1)  # length mismatch
+    with pytest.raises(ValueError):
+        interpolate_sparse([0, 5, 1], 3, 1)  # unreduced value
+    with pytest.raises(ValueError):
+        interpolate_sparse([0, 1, 2], 3, -1)  # negative term bound
+
+
 # ---------------- taylor_shift ----------------
 
 def test_taylor_shift_golden(golden_poly):
@@ -221,19 +319,50 @@ def test_tau_examples():
 
 # ---------------- min_shift ----------------
 
+def assert_capped_search_matches_exhaustive(f):
+    """The naive search's gamma when its tau <= cap (and then that shift is
+    unique), else None: for the caps next to the naive tau, the smallest
+    ones and the largest one that deg f admits."""
+    p = f.modulus
+    gamma, tau_min, tie = naive_min_shift(f.coeffs.tolist(), p)
+    top = (f.degree - 1) // 2
+    for cap in sorted({1, 2, tau_min - 1, tau_min, tau_min + 1, top} & set(range(1, top + 1))):
+        got = min_shift(f, tau_cap=cap)
+        if tau_min <= cap:
+            assert not tie, (p, f.coeffs.tolist(), cap)
+            assert got is not None and tuple(got) == (gamma, tau_min, False), (p, cap)
+        else:
+            assert got is None, (p, f.coeffs.tolist(), cap)
+
+
+def planted(p, g0, terms):
+    """Coefficients of sum c (x - g0)^e over Z_p, for (c, e) in terms."""
+    flat = [0] * (max(e for _, e in terms) + 1)
+    for c, e in terms:
+        flat[e] = c % p
+    return naive_taylor_coeffs(flat, -g0 % p, p)
+
+
 def test_min_shift_golden(golden_poly):
     vals = [(pow(i - 3, 15, 7) - 2 * pow(i - 3, 5, 7)) % 7 for i in range(7)]
     fp = interpolate_range(vals, 7)
-    got = min_shift(fp)
+    got = min_shift(fp, tau_cap=2)
     assert (got.gamma, got.tau, got.tie) == (3, 2, False)
+    assert min_shift(fp, tau_cap=1) is None  # degree 5 admits caps 1 and 2
 
 
 def test_min_shift_trivial_cases():
-    got = min_shift(DensePolyMod(5, [0, 0, 1]))
-    assert (got.gamma, got.tau) == (0, 1)
-    # constants and zero: tau = 0 at gamma = 0 (every shift ties)
-    assert min_shift(DensePolyMod(5, [2]))[:2] == (0, 0)
-    assert min_shift(DensePolyMod(5, []))[:2] == (0, 0)
+    # constants, zero and low degrees are outside the search: deg f < 2*cap + 1
+    for coeffs, cap in (([0, 0, 1], 1), ([2], 1), ([], 1), ([1, 2, 3, 4, 1], 2)):
+        with pytest.raises(ValueError, match="2\\*tau_cap"):
+            min_shift(DensePolyMod(5, coeffs), tau_cap=cap)
+    f = DensePolyMod(11, [0, 0, 0, 1])
+    assert tuple(min_shift(f, tau_cap=1)) == (0, 1, False)
+    for cap in (0, -1):
+        with pytest.raises(ValueError, match="tau_cap must be >= 1"):
+            min_shift(f, tau_cap=cap)
+    with pytest.raises(TypeError):
+        min_shift(f)  # the cap is required
 
 
 def test_min_shift_planted_quintic():
@@ -251,8 +380,9 @@ def test_min_shift_planted_quintic():
             coeffs[i] = (coeffs[i] + t) % 11
     f = DensePolyMod(11, coeffs)
     want = naive_min_shift(f.coeffs, 11)
-    got = min_shift(f)
+    got = min_shift(f, tau_cap=2)
     assert (got.gamma, got.tau, got.tie) == want == (2, 2, False)
+    assert_capped_search_matches_exhaustive(f)
 
 
 def test_min_shift_equals_exhaustive_search_random():
@@ -261,13 +391,21 @@ def test_min_shift_equals_exhaustive_search_random():
         for _ in range(8):
             coeffs = [rng.randrange(p) for _ in range(rng.randint(2, p))]
             f = DensePolyMod(p, coeffs)
-            want = naive_min_shift(f.coeffs, p)
-            got = min_shift(f)
-            assert (got.gamma, got.tau, got.tie) == want, (p, coeffs)
+            if f.degree < 3:
+                with pytest.raises(ValueError):
+                    min_shift(f, tau_cap=1)
+                continue
+            assert_capped_search_matches_exhaustive(f)
+        for _ in range(4):  # planted sparse shifts, so that the caps hit too
+            d = rng.randrange(3, p)
+            t = rng.randint(1, (d - 1) // 2)
+            exps = rng.sample(range(1, d), t - 1) + [d]
+            terms = [(rng.randrange(1, p), e) for e in exps]
+            f = DensePolyMod(p, planted(p, rng.randrange(p), terms))
+            assert_capped_search_matches_exhaustive(f)
 
 
 def test_min_shift_candidate_path_agrees_with_exhaustive():
-    # force the candidate path at medium primes and cross-check
     rng = random.Random(53)
     for p in (103, 211, 401):
         for t in (1, 2, 3):
@@ -275,47 +413,28 @@ def test_min_shift_candidate_path_agrees_with_exhaustive():
             if 2 * t + 1 > exps[-1]:
                 exps[-1] = min(p - 2, 2 * t + 1 + rng.randint(0, 5))
             g0 = rng.randrange(p)
-            coeffs = [0] * p
-            base = [1]
-            dense = [0] * p
-            for e in exps:
-                # accumulate (x - g0)^e
-                term = [1]
-                for _ in range(e):
-                    nxt = [0] * (len(term) + 1)
-                    for i, tv in enumerate(term):
-                        nxt[i + 1] = (nxt[i + 1] + tv) % p
-                        nxt[i] = (nxt[i] - g0 * tv) % p
-                    term = nxt
-                for i, tv in enumerate(term):
-                    dense[i] = (dense[i] + tv) % p
-            f = DensePolyMod(p, dense)
+            f = DensePolyMod(p, planted(p, g0, [(1, e) for e in exps]))
             if f.degree < 3:
                 continue
-            got = min_shift(f)  # candidate searches run before the exhaustive one
-            want = naive_min_shift(f.coeffs, p)
-            assert (got.gamma, got.tau, got.tie) == want
-            capped = min_shift(f, tau_cap=t)
-            if not want[2] and want[1] <= t and f.degree >= 2 * t + 1:
-                assert capped is not None and (capped.gamma, capped.tau) == want[:2]
+            assert_capped_search_matches_exhaustive(f)
+            got = min_shift(f, tau_cap=t)
+            if f.degree >= 2 * t + 1 and len(set(exps)) == t:
+                assert got is not None and got.gamma == g0
 
 
-def test_min_shift_internal_paths_agree():
+def test_min_shift_dense_random_caps_agree_with_exhaustive():
     rng = random.Random(59)
     for p in (131, 257):
         dense = [rng.randrange(p) for _ in range(p)]
         f = DensePolyMod(p, dense)
-        if f.degree < 1:
-            continue
-        want = naive_min_shift(f.coeffs, p)
-        ex = _min_shift_exhaustive(f)
-        assert (ex.gamma, ex.tau, ex.tie) == want
-        got = min_shift(f)
-        assert (got.gamma, got.tau, got.tie) == want
-        # every candidate search below the true minimum finds nothing
+        gamma, tau_min, _ = naive_min_shift(f.coeffs.tolist(), p)
         s = 1
-        while 2 * s + 1 <= f.degree and s < want[1]:
-            assert _min_shift_candidates(f, s) is None
+        while 2 * s + 1 <= f.degree:
+            got = min_shift(f, tau_cap=s)
+            if tau_min <= s:
+                assert got is not None and (got.gamma, got.tau) == (gamma, tau_min)
+            else:
+                assert got is None
             s *= 2
 
 
@@ -329,9 +448,9 @@ def test_min_shift_tau_cap_miss_returns_none():
 
 def test_min_shift_rejects_composite_or_overflow_degree():
     with pytest.raises(ValueError):
-        min_shift(DensePolyMod(6, [1, 1]))
+        min_shift(DensePolyMod(6, [1, 1, 1, 1]), tau_cap=1)
     with pytest.raises(ValueError):
-        min_shift(DensePolyMod(3, [1, 1, 1, 1]))  # degree 3 >= modulus
+        min_shift(DensePolyMod(3, [1, 1, 1, 1]), tau_cap=1)  # degree 3 >= modulus
 
 
 # ---------------- small helpers over Z_m ----------------

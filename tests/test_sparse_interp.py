@@ -11,6 +11,7 @@ from lacuna import (
     Bounds,
     DensePolyMod,
     InconsistentResidues,
+    NoReconstruction,
     NotSplitting,
     PrimeRecord,
     ShiftedLacunary,
@@ -22,6 +23,7 @@ from lacuna import (
     make_blackbox,
     match_and_recover,
     recover_g,
+    shifted_blackbox,
     sparse_interpolate,
 )
 from lacuna import modular_core
@@ -94,6 +96,54 @@ def test_collect_images_accumulates_lcm_target():
     q = math.lcm(*(im.p - 1 for im in images))
     assert q >= 1 << q_target_bits(bounds)
     assert q_target_bits(bounds) == 2 * (4 + 1) + 1
+
+
+def dense_path_images(bb, images):
+    """The same primes' images by dense reduction and interpolation."""
+    from lacuna import reduce_mod
+
+    return [PrimeImage.from_poly(reduce_mod(bb, im.p)) for im in images]
+
+
+def test_collect_images_equal_dense_images(golden_poly, golden_bounds):
+    bb = shifted_blackbox(make_blackbox(golden_poly), golden_poly.shift)
+    images = collect_images(bb, golden_bounds)
+    assert len(images) >= 2 and images == dense_path_images(bb, images)
+    rng = random.Random(89)
+    for _ in range(6):
+        f, bounds = random_instance(rng, max_t=3, max_exp=1 << 8)
+        bb = shifted_blackbox(make_blackbox(f), f.shift)
+        images = collect_images(bb, bounds)
+        assert images == dense_path_images(bb, images)
+        assert all(len(im.exponents) == f.t for im in images)
+
+
+def test_collect_images_rejects_more_terms_than_bt_after_one_grid():
+    # three terms with bt = 2: the first grid already has three terms
+    poly = ShiftedLacunary(Fraction(0), Fraction(1), ((Fraction(1), 1), (Fraction(2), 3),
+                                                      (Fraction(3), 5)))
+    bb = make_blackbox(poly)
+    stream = FakeStream([101, 103, 107, 109], guarantee_after=1)
+    with pytest.raises(NoReconstruction, match="more than bt=2 terms"):
+        collect_images(bb, Bounds(ba=1, bt=2, bh=3, bn=3), stream=stream)
+    assert bb.calls == 101 and stream.delivered == 1
+
+
+def test_golden_runs_the_chirp_kernel_once(golden_poly, golden_bounds, monkeypatch):
+    # one dense grid in the shift phase; the shift candidates and all of the
+    # interpolation phase take the sparse kernel
+    from lacuna import densepoly
+
+    calls = []
+    kernel = densepoly._power_sums_fft
+
+    def counted(u, p):
+        calls.append(p)
+        return kernel(u, p)
+
+    monkeypatch.setattr(densepoly, "_power_sums_fft", counted)
+    assert full_interpolate(make_blackbox(golden_poly), golden_bounds) == golden_poly
+    assert len(calls) == 1
 
 
 # ---------------- build_g_image ----------------
