@@ -5,8 +5,9 @@ of Z_p, or raises DenominatorVanished when p divides a denominator the
 evaluation needs.  Concrete boxes are provided for the shifted-sparse
 representation, a dense rational coefficient list, and straight-line
 programs, so tests can model genuinely opaque functions.  Every one of them
-evaluates the whole grid Z_p in bulk on int64 arrays; the straight-line
-program box runs one interpreter over either a Python int or that array.
+evaluates the whole grid Z_p in bulk on int64 arrays; the dense box and
+the straight-line program box each run one evaluator over either a Python
+int or that array.
 """
 
 import json
@@ -21,7 +22,7 @@ from .densepoly import (
     DensePolyMod,
     _check_grid_prime,
     _cyclic_tables,
-    _grid_eval_small,
+    _horner,
     _read_only,
     interpolate_range,
 )
@@ -84,7 +85,10 @@ class ShiftedLacunary:
     @classmethod
     def from_json(cls, text: str) -> "ShiftedLacunary":
         obj = json.loads(text)
-        terms = tuple((_parse_rat(t["coeff"]), int(t["exp"])) for t in obj.get("terms", ()))
+        try:
+            terms = tuple((_parse_rat(t["coeff"]), int(t["exp"])) for t in obj.get("terms", ()))
+        except (KeyError, TypeError):
+            raise ValueError("every term needs a \"coeff\" and an integer \"exp\"") from None
         return cls(
             shift=_parse_rat(obj.get("shift", "0")),
             constant=_parse_rat(obj.get("constant", "0")),
@@ -97,11 +101,12 @@ def _fmt_rat(q: Fraction) -> str:
 
 
 def _parse_rat(s) -> Fraction:
-    if isinstance(s, str):
+    if not isinstance(s, (str, int)):
+        raise ValueError(f"rationals must be decimal strings, got {s!r}")
+    try:
         return Fraction(s)
-    if isinstance(s, int):
-        return Fraction(s)
-    raise ValueError(f"rationals must be decimal strings, got {s!r}")
+    except ZeroDivisionError:
+        raise ValueError(f"rational {s!r} has a zero denominator") from None
 
 
 def canonical_json(obj) -> str:
@@ -191,14 +196,13 @@ class DenseBox(ModularBlackBox):
             c.pop()
         self.coeffs = tuple(c)
 
-    def _eval(self, p: int, theta: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * theta + frac_mod(c, p)) % p
-        return acc
+    def _eval(self, p: int, x):
+        """f(x) mod p: a reduced Python int, or an int64 array of reduced
+        points when p < 2^31."""
+        return _horner([frac_mod(c, p) for c in self.coeffs], x, p)
 
     def _grid(self, p: int) -> np.ndarray:
-        return _grid_eval_small([frac_mod(c, p) for c in self.coeffs], p)
+        return self._eval(p, np.arange(p, dtype=np.int64))
 
 
 class ProgramBox(ModularBlackBox):

@@ -8,13 +8,13 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
 
 from . import prime_oracle
 from .blackbox import (
     DenseBox,
     ShiftedLacunary,
     _fmt_rat,
+    _parse_rat,
     canonical_json,
     make_blackbox,
     reduce_mod,
@@ -44,7 +44,9 @@ def _load_poly_spec(text: str):
             raw = fh.read().strip()
     obj = json.loads(raw)
     if "dense" in obj:
-        return DenseBox([Fraction(s) for s in obj["dense"]])
+        if not isinstance(obj["dense"], list):
+            raise ValueError('"dense" must be a list of rationals')
+        return DenseBox([_parse_rat(s) for s in obj["dense"]])
     return make_blackbox(ShiftedLacunary.from_json(json.dumps(obj)))
 
 
@@ -165,7 +167,7 @@ def _cmd_interpolate(args) -> int:
     bb = _load_poly_spec(args.poly)
     bounds = _parse_bounds(args.bounds)
     if args.assume_shift is not None:
-        alpha = Fraction(args.assume_shift)
+        alpha = _parse_rat(args.assume_shift)
         flat = sparse_interpolate(shifted_blackbox(bb, alpha), bounds)
         result = ShiftedLacunary(shift=alpha, constant=flat.constant, terms=flat.terms)
     else:

@@ -20,21 +20,23 @@ the terms off f(0) and f(g^i) for i < 2s (Berlekamp-Massey, a root search
 over the powers of g, a transposed Vandermonde solve), and a check of the
 recurrence along every grid value makes the answer exact, or None when the
 interpolant has more than s terms.  Small list-based helpers at the bottom
-work over any modulus; on top of them ``bounded_rational_roots`` is the one
-root finder for both the exponent polynomial and the dense-regime shift
-search.
+work over any modulus.  They hold the library's one Horner evaluator,
+``_horner``, for a single int or Fraction point as well as a whole int64
+grid, and its one polynomial division, ``poly_divmod``; on top of them
+``bounded_rational_roots`` is the one root finder for both the exponent
+polynomial and the dense-regime shift search.
 """
 
 import math
 import random
 from collections import Counter
 from functools import lru_cache
-from typing import List, NamedTuple, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import NoReconstruction, NotSplitting
-from .modular_core import Residue, _factorize, inv_mod, is_prime, proth_primes, rational_reconstruct
+from .modular_core import Residue, _factorize, is_prime, proth_primes, rational_reconstruct
 
 # Grid operations need residue products below 2^62, so p < 2^31.
 _GRID_LIMIT = 1 << 31
@@ -77,10 +79,7 @@ class DensePolyMod:
         return int(self.coeffs[k]) if 0 <= k < len(self.coeffs) else 0
 
     def __call__(self, x: int) -> int:
-        y = 0
-        for c in reversed(self.coeffs.tolist()):
-            y = (y * x + c) % self.modulus
-        return y
+        return _horner(self.coeffs.tolist(), x, self.modulus)
 
     def __eq__(self, other):
         return (
@@ -346,12 +345,7 @@ def interpolate_sparse(values: Sequence[int], p: int, s: int) -> Optional[DenseP
     if rest.any():
         return None
     # roots of z^L C(1/z), whose coefficients from the top are conn, at every g^i
-    acc = np.ones(n, dtype=np.int64)
-    for a in conn[1:]:
-        acc *= pw
-        acc += a
-        acc %= p
-    logs = np.flatnonzero(acc == 0).tolist()
+    logs = np.flatnonzero(_horner(conn[::-1], pw, p) == 0).tolist()
     if len(logs) < length:  # repeated roots, roots outside Z_p^*, or root 0
         return None
     slots = [i or n for i in logs]  # root g^0 = 1 is the slot of x^(p-1)
@@ -363,9 +357,7 @@ def interpolate_sparse(values: Sequence[int], p: int, s: int) -> Optional[DenseP
         for a in conn[1:length]:
             quot.append((a + root * quot[-1]) % p)
         num = sum(q * x for q, x in zip(quot, reversed(head[:length])))
-        den = 0
-        for q in quot:
-            den = (den * root + q) % p
+        den = _horner(quot[::-1], root, p)
         out[e] = num * pow(den, -1, p) % p
     return DensePolyMod(p, out)
 
@@ -424,8 +416,9 @@ def min_shift(f: DensePolyMod, *, tau_cap: int) -> Optional[MinShift]:
         raise ValueError(f"the shift search needs deg f >= 2*tau_cap + 1 = {2 * tau_cap + 1}, "
                          f"got {d}")
     votes = Counter()
+    xs = np.arange(p, dtype=np.int64)
     for row in _hasse_band(f, tau_cap):
-        for g in np.flatnonzero(_grid_eval_small(row, p) == 0).tolist():
+        for g in np.flatnonzero(_horner(row, xs, p) == 0).tolist():
             votes[g] += 1
     grid = evaluate_range(f)
     for g in sorted((g for g, v in votes.items() if v > tau_cap), key=lambda g: (-votes[g], g)):
@@ -462,16 +455,28 @@ def _hasse_band(f: DensePolyMod, s: int) -> list:
     return rows
 
 
-def _grid_eval_small(row, p: int) -> np.ndarray:
-    """Evaluate a short coefficient list on the whole grid of Z_p."""
-    xs = np.arange(p, dtype=np.int64)
-    acc = np.zeros(p, dtype=np.int64)
-    for c in reversed(row):
-        acc = (acc * xs + int(c)) % p
+# ---------------- small list-based helpers over Z_m ----------------
+
+def _horner(coeffs: Sequence, x, m: Optional[int] = None):
+    """sum_k coeffs[k] * x^k, coefficients from degree 0 up; with m given,
+    the coefficients are residues modulo m and so is the result.
+
+    x is an int, a Fraction, or an int64 array of residues modulo m < 2^31:
+    every partial sum then stays below m^2 + m < 2^63.  The accumulator is
+    a fresh value, so the in-place updates never write to x; starting it at
+    the leading coefficient rather than at zero saves three passes over an
+    array x.
+    """
+    acc = x * 0
+    if len(coeffs):
+        acc += coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        acc *= x
+        acc += c
+        if m is not None:
+            acc %= m
     return acc
 
-
-# ---------------- small list-based helpers over Z_m ----------------
 
 def poly_trim(a: list) -> list:
     while a and a[-1] == 0:
@@ -501,21 +506,25 @@ def poly_sub_mod(a: Sequence[int], b: Sequence[int], m: int) -> list:
     return poly_trim(out)
 
 
-def poly_rem_mod(a: Sequence[int], b: Sequence[int], m: int) -> list:
-    """Remainder of a modulo b over Z_m; the leading coeff of b must be invertible."""
-    a = [x % m for x in a]
-    poly_trim(a)
+def poly_divmod(a: Sequence[int], b: Sequence[int], m: int) -> Tuple[list, list]:
+    """(quotient, remainder) of a by b over Z_m: a = q*b + r, deg r < deg b.
+
+    The leading coefficient of b must be invertible modulo m.
+    """
+    r = poly_trim([x % m for x in a])
     db = len(b) - 1
     if db < 0:
         raise ZeroDivisionError("division by zero polynomial")
-    inv_lead = inv_mod(b[-1], m)
-    while len(a) - 1 >= db:
-        k = len(a) - 1 - db
-        factor = a[-1] * inv_lead % m
+    inv_lead = pow(b[-1], -1, m)
+    q = [0] * max(len(r) - db, 0)
+    while len(r) - 1 >= db:
+        k = len(r) - 1 - db
+        factor = r[-1] * inv_lead % m
+        q[k] = factor
         for i in range(db + 1):
-            a[k + i] = (a[k + i] - factor * b[i]) % m
-        poly_trim(a)
-    return a
+            r[k + i] = (r[k + i] - factor * b[i]) % m
+        poly_trim(r)
+    return q, r
 
 
 def poly_gcd_mod(a: Sequence[int], b: Sequence[int], m: int) -> list:
@@ -524,9 +533,9 @@ def poly_gcd_mod(a: Sequence[int], b: Sequence[int], m: int) -> list:
     poly_trim(a)
     poly_trim(b)
     while b:
-        a, b = b, poly_rem_mod(a, b, m)
+        a, b = b, poly_divmod(a, b, m)[1]
     if a:
-        inv_lead = inv_mod(a[-1], m)
+        inv_lead = pow(a[-1], -1, m)
         a = [x * inv_lead % m for x in a]
     return a
 
@@ -534,11 +543,11 @@ def poly_gcd_mod(a: Sequence[int], b: Sequence[int], m: int) -> list:
 def poly_powmod(base: Sequence[int], e: int, mod_poly: Sequence[int], m: int) -> list:
     """base**e modulo mod_poly over Z_m."""
     result = [1]
-    b = poly_rem_mod(list(base), mod_poly, m)
+    b = poly_divmod(base, mod_poly, m)[1]
     while e:
         if e & 1:
-            result = poly_rem_mod(poly_mul_mod(result, b, m), mod_poly, m)
-        b = poly_rem_mod(poly_mul_mod(b, b, m), mod_poly, m)
+            result = poly_divmod(poly_mul_mod(result, b, m), mod_poly, m)[1]
+        b = poly_divmod(poly_mul_mod(b, b, m), mod_poly, m)[1]
         e >>= 1
     return result
 
@@ -581,7 +590,7 @@ def bounded_rational_roots(coeffs: Sequence, box: int) -> list:
             cand = rational_reconstruct(Residue(u, r), box)
         except NoReconstruction:
             continue
-        if sum(c * cand**j for j, c in enumerate(coeffs)) == 0:
+        if _horner(coeffs, cand) == 0:
             roots.append(cand)
     return roots
 
@@ -599,20 +608,6 @@ def _split_into_roots(h: Sequence[int], r: int, rng: random.Random) -> List[int]
         w = poly_sub_mod(w, [1], r)
         d = poly_gcd_mod(w, h, r)
         if 0 < len(d) - 1 < deg:
-            rest = poly_divide_out(h, d, r)
+            rest, _ = poly_divmod(h, d, r)
             return _split_into_roots(d, r, rng) + _split_into_roots(rest, r, rng)
     raise NotSplitting("equal-degree splitting failed to converge")
-
-
-def poly_divide_out(h: Sequence[int], d: Sequence[int], r: int) -> List[int]:
-    """Exact quotient h / d over Z_r (d divides h)."""
-    h = list(h)
-    out = [0] * (len(h) - len(d) + 1)
-    inv_lead = inv_mod(d[-1], r)
-    for k in range(len(out) - 1, -1, -1):
-        c = h[k + len(d) - 1] * inv_lead % r
-        out[k] = c
-        if c:
-            for i, di in enumerate(d):
-                h[k + i] = (h[k + i] - c * di) % r
-    return out

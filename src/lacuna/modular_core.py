@@ -48,38 +48,19 @@ def remo(a: int, m: int) -> int:
     return (a - 1) % m + 1
 
 
-# ---------------- gcd helpers ----------------
-
-def xgcd(a: int, b: int):
-    """Return (g, x, y) with a*x + b*y = g = gcd(a, b), g >= 0."""
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        a, x0, y0 = -a, -x0, -y0
-    return a, x0, y0
-
-
-def inv_mod(a: int, m: int) -> int:
-    """Inverse of a modulo m; raises ValueError when gcd(a, m) != 1."""
-    if m == 1:
-        return 0
-    g, x, _ = xgcd(a % m, m)
-    if g != 1:
-        raise ValueError(f"{a} is not invertible modulo {m}")
-    return x % m
-
+# ---------------- modular inverses ----------------
 
 def frac_mod(q, m: int) -> int:
-    """Image of the rational q in Z_m; DenominatorVanished if gcd(den, m) > 1."""
+    """Image of the rational q in Z_m; DenominatorVanished if gcd(den, m) > 1.
+
+    Modular inverses, here and across the library, are the builtin
+    ``pow(a, -1, m)``.
+    """
     q = Fraction(q)
     den = q.denominator
     if math.gcd(den, m) != 1:
         raise DenominatorVanished(m, f"denominator {den}")
-    return q.numerator * inv_mod(den, m) % m
+    return q.numerator * pow(den, -1, m) % m
 
 
 # ---------------- primality ----------------
@@ -246,7 +227,7 @@ def crt_pair(a: Residue, b: Residue) -> Residue:
             f"{a.value} (mod {ma}) and {b.value} (mod {mb}) conflict modulo {g}"
         )
     l = ma // g * mb
-    step = inv_mod(ma // g, mb // g)
+    step = pow(ma // g, -1, mb // g)
     x = a.value + ma * (diff // g * step % (mb // g))
     return Residue(x % l, l)
 

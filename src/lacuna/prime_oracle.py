@@ -1,11 +1,15 @@
 """Deterministic prime generation with a useful-prime guarantee.
 
-The reservoir is built from an interval [n, 2n) chosen so that the density
-function Upsilon certifies enough primes q whose least prime p = k*q + 1
-stays below q^1.89.  Among any beta1 + beta2 + k delivered reservoir primes,
-at least k satisfy p not dividing C1 and (p-1) not dividing C2 for every
-pair (C1, C2) with log2 C1 <= beta1 and log2 C2 <= beta2, because each
-failing prime consumes a distinct prime divisor of C1 or C2.
+The reservoir is built from an interval [n, 2n), n the least integer at
+which the density function Upsilon certifies enough primes q whose least
+prime p = k*q + 1 stays below q^1.89.  ``choose_n`` finds n by a search on
+``upsilon`` itself, the one place its formula is written, and refuses
+n >= 2^30: every reservoir prime exceeds 2n and must stay below 2^31.
+
+Among any beta1 + beta2 + k delivered reservoir primes, at least k satisfy
+p not dividing C1 and (p-1) not dividing C2 for every pair (C1, C2) with
+log2 C1 <= beta1 and log2 C2 <= beta2, because each failing prime consumes
+a distinct prime divisor of C1 or C2.
 
 All logarithms here are natural.
 """
@@ -34,8 +38,8 @@ class OracleConfig:
             raise ValueError("beta bounds must be >= 0")
         if self.ell < 1:
             raise ValueError("ell must be >= 1")
-        if self.mu < 1:
-            raise ValueError("mu must be >= 1")
+        if not 1 <= self.mu < math.inf:
+            raise ValueError("mu must be finite and >= 1")
 
 
 class PrimeRecord(NamedTuple):
@@ -58,45 +62,36 @@ def upsilon(x: float, mu: float) -> float:
     return xf * coef
 
 
+# Every reservoir prime is p = k*q + 1 with q >= n odd and k >= 2, so
+# p > 2n; grid primes stay below 2^31, so n stays below 2^30.
+_N_LIMIT = 1 << 30
+
+
 def choose_n(target: int, mu: float) -> int:
-    """Smallest integer n with n > 21, n > mu and upsilon(n) > target."""
+    """Smallest integer n with n > 21, n > mu and upsilon(n) > target.
+
+    Upsilon is increasing wherever it is positive (its derivative there is
+    (u (ln x - 1) + mu) / ln^3 x with u = 3 ln x / 5 - mu > 0), so
+    upsilon(n) > target >= 1 holds for every n past the least one.  The
+    search doubles n until the test holds and bisects the last step, with
+    no formula of its own.  ValueError when the least n is >= 2^30.
+    """
     if target < 1:
         raise ValueError("target must be >= 1")
     lo = max(22, math.floor(mu) + 1)
-    window_end = lo + (1 << 23)
-    # exact scan over a generous window; desk-scale configurations land here
-    chunk = 1 << 15
-    n = lo
-    while n < window_end:
-        xs = np.arange(n, min(n + chunk, window_end), dtype=np.float64)
-        lg = np.log(xs)
-        ys = xs * (3 / (5 * lg) - mu / (lg * lg))
-        hits = np.nonzero(ys > target)[0]
-        if hits.size:
-            return n + int(hits[0])
-        n += chunk
-
-    # far regime (huge mu pushes n past the window, possibly past floats):
-    # compare in log space and close in by squaring plus bisection
-    log_target = math.log(target)
-
-    def exceeds(x: int) -> bool:
-        lg = math.log(x)
-        coef = 3 / (5 * lg) - mu / (lg * lg)
-        return coef > 0 and lg + math.log(coef) > log_target
-
-    hi = window_end
-    while not exceeds(hi):
-        hi = hi * 2 if hi.bit_length() <= 1024 else hi * hi
-    low = window_end
-    for _ in range(4096):  # exact once the range fits; else a fine bracket
-        if low + 1 >= hi:
-            break
-        mid = (low + hi) // 2
-        if exceeds(mid):
+    hi = lo
+    while hi >= _N_LIMIT or upsilon(hi, mu) <= target:
+        if hi >= _N_LIMIT - 1:
+            raise ValueError(f"mu = {mu} and target = {target} need n >= 2^30; "
+                             "reservoir primes must stay below 2^31")
+        lo, hi = hi + 1, min(2 * hi, _N_LIMIT - 1)
+    # upsilon(hi) > target, and the least such n is in [lo, hi]
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if upsilon(mid, mu) > target:
             hi = mid
         else:
-            low = mid
+            lo = mid + 1
     return hi
 
 

@@ -19,6 +19,7 @@ import numpy as np
 from .blackbox import ModularBlackBox, ShiftedLacunary, _reductions, shifted_blackbox
 from .densepoly import (
     DensePolyMod,
+    _horner,
     bounded_rational_roots,
     interpolate_sparse,
     poly_mul_mod,
@@ -82,10 +83,7 @@ class SymPoly:
         return len(self.coeffs) - 1
 
     def __call__(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return _horner(self.coeffs, x)
 
 
 def interp_oracle_config(bounds: Bounds) -> OracleConfig:

@@ -22,7 +22,6 @@ from .errors import DenominatorVanished, InconsistentResidues, NoReconstruction
 from .modular_core import (
     Residue,
     crt_list,
-    inv_mod,
     proth_primes,
     rational_reconstruct,
     size_of,
@@ -171,7 +170,7 @@ def _interpolate_points(vals: Sequence[int], m: int) -> List[int]:
     k = len(vals)
     dd = [v % m for v in vals]  # divided-difference table, updated in place
     for level in range(1, k):
-        inv = inv_mod(level, m)
+        inv = pow(level, -1, m)
         for i in range(k - 1, level - 1, -1):
             dd[i] = (dd[i] - dd[i - 1]) * inv % m
     # fold the Newton form back into monomials, Horner-style from the top

@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -132,9 +133,12 @@ def test_oracle_mu_option(capsys, monkeypatch):
     code, out, _ = invoke(capsys, *oracle, "--mu", "2.0")
     assert code == 0
     assert json.loads(out)["mu"] == 2.0
-    for bad in ("bogus", "0.5"):
-        code, _, _ = invoke(capsys, *oracle, "--mu", bad)
-        assert code == 2
+    # 13 and up need a reservoir interval past 2^30; inf and nan are not finite
+    for bad in ("bogus", "0.5", "13", "16", "1e308", "inf", "nan"):
+        start = time.perf_counter()
+        code, _, err = invoke(capsys, *oracle, "--mu", bad)
+        assert code == 2, (bad, err)
+        assert time.perf_counter() - start < 5, bad
     # the environment no longer sets it
     monkeypatch.setenv("LACUNA_MU", "bogus")
     code, out, _ = invoke(capsys, *oracle)
@@ -155,6 +159,16 @@ def test_exit_usage_on_bad_args(capsys):
     code, _, _ = invoke(capsys, "eval", "--poly", GOLDEN_JSON)  # missing args
     assert code == 2
     code, _, _ = invoke(capsys, "sq")  # neither --q nor --scan-to
+    assert code == 2
+    # malformed polynomial specs: zero denominators, a term without an
+    # exponent, dense coefficients that are not a list
+    zero_den = '{"shift":"0","constant":"0","terms":[{"coeff":"1/0","exp":2}]}'
+    for poly in ('{"dense":["1","1/0"]}', zero_den, '{"shift":"1/0","terms":[{"coeff":"1","exp":2}]}',
+                 '{"terms":[{"coeff":"1"}]}', '{"dense":"12"}'):
+        code, _, err = invoke(capsys, "eval", "--poly", poly, "--prime", "7", "--point", "1")
+        assert code == 2, (poly, err)
+    code, _, _ = invoke(capsys, "interpolate", "--poly", GOLDEN_JSON, "--bounds", GOLDEN_BOUNDS,
+                        "--assume-shift", "1/0")
     assert code == 2
     # the strategy switch, the no-op parallelism flag and the knobs only the
     # oracle's own dump reads are gone

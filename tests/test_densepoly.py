@@ -1,6 +1,7 @@
 """Dense polynomial arithmetic and shift-search tests."""
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,10 +18,12 @@ from lacuna import (
     taylor_shift,
 )
 from lacuna.densepoly import (
+    _horner,
+    poly_divmod,
     poly_gcd_mod,
     poly_mul_mod,
-    poly_rem_mod,
     poly_roots_mod,
+    poly_sub_mod,
 )
 
 from conftest import naive_interpolate, naive_min_shift, naive_taylor_coeffs
@@ -461,9 +464,50 @@ def test_poly_helpers():
     b = [4, 5]
     prod = poly_mul_mod(a, b, m)
     assert prod == [4, 6, 1, 1]
-    assert poly_rem_mod(prod, b, m) == []
+    assert poly_divmod(prod, b, m) == ([1, 2, 3], [])
     # gcd(a*b, b) is b made monic: inv(5) = 3 mod 7, so 3*(4 + 5x) = 5 + x
     assert poly_gcd_mod(prod, b, m) == [5, 1]
+
+
+def test_poly_divmod_random():
+    rng = random.Random(41)
+    for m in (2, 7, 101, 2**31 - 1):
+        for _ in range(40):
+            a = [rng.randrange(m) for _ in range(rng.randrange(0, 9))]
+            b = [rng.randrange(m) for _ in range(rng.randrange(0, 5))] + [rng.randrange(1, m)]
+            q, r = poly_divmod(a, b, m)
+            assert len(r) < len(b)  # deg r < deg b
+            assert not q or q[-1] != 0
+            assert poly_sub_mod(a, poly_mul_mod(q, b, m), m) == r  # a = q*b + r
+    with pytest.raises(ZeroDivisionError):
+        poly_divmod([1, 2], [], 7)
+
+
+def test_horner_matches_naive_evaluation():
+    rng = random.Random(43)
+    for _ in range(50):
+        coeffs = [rng.randrange(-10**6, 10**6) for _ in range(rng.randrange(0, 8))]
+        x = rng.randrange(-10**4, 10**4)
+        assert _horner(coeffs, x) == sum(c * x**k for k, c in enumerate(coeffs))
+        residues = [c % 1009 for c in coeffs]
+        assert _horner(residues, x, 1009) == sum(c * x**k for k, c in enumerate(coeffs)) % 1009
+        fracs = [Fraction(c, rng.randrange(1, 50)) for c in coeffs]
+        y = Fraction(rng.randrange(-99, 100), rng.randrange(1, 100))
+        got = _horner(fracs, y)
+        assert isinstance(got, Fraction)
+        assert got == sum(c * y**k for k, c in enumerate(fracs))
+    assert _horner([], 5) == 0 and _horner([], 5, 7) == 0
+    assert _horner([], Fraction(1, 3)) == 0
+    # int64 arrays at the largest grid prime, points and coefficients near
+    # p - 1: any product that left int64 would show here
+    p = 2**31 - 1
+    xs = np.array([p - 1, p - 2, p - 3, 0, 1, 2**30], dtype=np.int64)
+    coeffs = [p - 1, p - 2, 1, p - 1, p - 5]
+    got = _horner(coeffs, xs, p)
+    assert got.dtype == np.int64
+    assert got.tolist() == [sum(c * int(x)**k for k, c in enumerate(coeffs)) % p for x in xs]
+    assert xs.tolist() == [p - 1, p - 2, p - 3, 0, 1, 2**30]  # x is not written to
+    assert _horner([], xs, p).tolist() == [0] * len(xs)
 
 
 def test_poly_roots_mod():

@@ -21,7 +21,7 @@ from lacuna import (
     signed_lift,
     size_of,
 )
-from lacuna.modular_core import _MR_PROVEN_LIMIT, _next_proth_prime, frac_mod, inv_mod, proth_primes, xgcd
+from lacuna.modular_core import _MR_PROVEN_LIMIT, _next_proth_prime, frac_mod, proth_primes
 from lacuna.errors import DenominatorVanished
 
 from conftest import naive_crt_scan, naive_probable_prime
@@ -151,21 +151,7 @@ def test_next_prime_above():
     assert next_prime_above(131) == 137
 
 
-# ---------------- xgcd / inverses ----------------
-
-def test_xgcd_and_inverse():
-    rng = random.Random(5)
-    for _ in range(300):
-        a, b = rng.randint(-10**9, 10**9), rng.randint(-10**9, 10**9)
-        g, x, y = xgcd(a, b)
-        assert g == math.gcd(a, b)
-        assert a * x + b * y == g
-    for _ in range(200):
-        m = rng.randint(2, 10**9)
-        a = rng.randint(1, m - 1)
-        if math.gcd(a, m) == 1:
-            assert a * inv_mod(a, m) % m == 1
-
+# ---------------- frac_mod ----------------
 
 def test_frac_mod_vanishes():
     with pytest.raises(DenominatorVanished):

@@ -43,15 +43,24 @@ def test_choose_n_lower_cutoff():
 
 
 def test_choose_n_minimality():
-    n = choose_n(25, 1.0)
-    assert n == 341
-    assert upsilon(n, 1.0) > 25
-    assert upsilon(n - 1, 1.0) <= 25
+    assert choose_n(25, 1.0) == 341
+    targets = list(range(1, 400)) + list(range(400, 200001, 997))
+    for mu in (1.0, 2.0, 4.0, 8.0):
+        for target in targets:
+            n = choose_n(target, mu)
+            assert n > 21 and n > mu
+            assert upsilon(n, mu) > target
+            if n > 22:
+                assert upsilon(n - 1, mu) <= target, (mu, target, n)
 
 
 def test_choose_n_respects_mu_cutoff():
-    n = choose_n(1, 10**6)
-    assert n > 10**6
+    # mu = 12 puts the least n just past e^20 ~ 4.9e8, below 2^30;
+    # mu = 13 needs ln n > 5 * 13 / 3, past 2^30, and so does mu = 10^6
+    assert choose_n(1, 12) < 1 << 30
+    for mu in (13, 10**6):
+        with pytest.raises(ValueError):
+            choose_n(1, mu)
 
 
 # ---------------- s_of_q ----------------
@@ -189,5 +198,6 @@ def test_config_validation():
         OracleConfig(-1, 0, 1)
     with pytest.raises(ValueError):
         OracleConfig(0, 0, 0)
-    with pytest.raises(ValueError):
-        OracleConfig(0, 0, 1, mu=0.5)
+    for mu in (0.5, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            OracleConfig(0, 0, 1, mu=mu)
