@@ -26,7 +26,7 @@ from .densepoly import (
     _read_only,
     interpolate_range,
 )
-from .errors import BlackBoxFailure, DenominatorVanished
+from .errors import DenominatorVanished
 from .modular_core import frac_mod
 
 
@@ -311,15 +311,9 @@ def reduce_mod(bb: ModularBlackBox, p: int) -> DensePolyMod:
     Uses exactly p black-box queries followed by dense interpolation; the
     evaluation grid stays attached to the result so later shifts reuse it.
     DenominatorVanished propagates: the caller must discard p entirely.
-    Primes p >= 2^31 raise ValueError before any query.
+    Anything but a prime below 2^31 raises ValueError before any query.
     """
-    _check_grid_prime(p)
-    values = bb.eval_range(p)
-    return interpolate_range(values, p)
-
-
-# Reservoir regenerations a driver's prime loop allows before it gives up.
-_MAX_REGENERATIONS = 10
+    return interpolate_range(bb.eval_range(p), p)
 
 
 def _reductions(bb: ModularBlackBox, stream) -> Iterator[Tuple[int, np.ndarray]]:
@@ -328,14 +322,10 @@ def _reductions(bb: ModularBlackBox, stream) -> Iterator[Tuple[int, np.ndarray]]
     Each grid costs p queries; the caller interpolates it (densely in the
     shift phase, sparsely in the interpolation phase).  A prime where a
     denominator vanishes is discarded from the stream, so it never counts
-    toward the guarantee.  BlackBoxFailure once the stream has regenerated
-    its reservoir more than _MAX_REGENERATIONS times.
+    toward the guarantee.  The stream raises BlackBoxFailure once it has
+    regenerated its reservoir past its limit.
     """
     while True:
-        if stream.regenerations > _MAX_REGENERATIONS:
-            raise BlackBoxFailure(
-                f"no usable primes after {stream.regenerations} reservoir regenerations"
-            )
         p = stream.next_prime()
         try:
             values = bb.eval_range(p)

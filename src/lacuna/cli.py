@@ -1,7 +1,9 @@
 """Command-line front end exposing every pipeline stage.
 
-Exit codes: 0 success, 2 invalid arguments or bounds, 3 reconstruction
-failure (bounds too small for the data), 4 black-box failure.
+Exit codes: 0 success, 2 invalid arguments or bounds (each checked once,
+by the library type or method that takes it), 3 reconstruction failure
+(bounds too small for the data) or any other library error, 4 black-box
+failure.
 """
 
 import argparse
@@ -20,12 +22,7 @@ from .blackbox import (
     reduce_mod,
     shifted_blackbox,
 )
-from .errors import (
-    BlackBoxFailure,
-    DenominatorVanished,
-    InconsistentResidues,
-    NoReconstruction,
-)
+from .errors import BlackBoxFailure, DenominatorVanished, LacunaError
 from .modular_core import is_prime
 from .sparse_interp import full_interpolate, sparse_interpolate
 from .sparsest_shift import Bounds, sparsest_shift
@@ -61,8 +58,6 @@ def _parse_bounds(text: str) -> Bounds:
     missing = {"BA", "BT", "BH", "BN"} - set(vals)
     if missing:
         raise ValueError(f"bounds missing {sorted(missing)}")
-    if any(v < 0 for v in vals.values()):
-        raise ValueError("bounds must be >= 0")
     return Bounds(ba=vals["BA"], bt=vals["BT"], bh=vals["BH"], bn=vals["BN"])
 
 
@@ -134,9 +129,6 @@ def _cmd_eval(args) -> int:
     if not is_prime(args.prime):
         print(f"error: {args.prime} is not prime", file=sys.stderr)
         return EXIT_USAGE
-    if not 0 <= args.point < args.prime:
-        print("error: point must satisfy 0 <= point < prime", file=sys.stderr)
-        return EXIT_USAGE
     value = bb.eval(args.prime, args.point)
     _emit(args, {"p": args.prime, "point": args.point, "value": str(value)}, str(value))
     return EXIT_OK
@@ -177,9 +169,6 @@ def _cmd_interpolate(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    if args.beta1 < 0 or args.beta2 < 0 or args.ell < 1:
-        print("error: need beta1, beta2 >= 0 and ell >= 1", file=sys.stderr)
-        return EXIT_USAGE
     config = prime_oracle.OracleConfig(
         beta1=args.beta1, beta2=args.beta2, ell=args.ell, mu=args.mu
     )
@@ -254,12 +243,12 @@ def run(argv=None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (NoReconstruction, InconsistentResidues) as exc:
-        print(f"reconstruction failed (bounds too small?): {exc}", file=sys.stderr)
-        return EXIT_RECONSTRUCTION
     except (DenominatorVanished, BlackBoxFailure) as exc:
         print(f"black-box failure: {exc}", file=sys.stderr)
         return EXIT_BLACKBOX
+    except LacunaError as exc:
+        print(f"reconstruction failed (bounds too small?): {exc}", file=sys.stderr)
+        return EXIT_RECONSTRUCTION
 
 
 def main() -> None:

@@ -22,7 +22,9 @@ recurrence along every grid value makes the answer exact, or None when the
 interpolant has more than s terms.  Small list-based helpers at the bottom
 work over any modulus.  They hold the library's one Horner evaluator,
 ``_horner``, for a single int or Fraction point as well as a whole int64
-grid, and its one polynomial division, ``poly_divmod``; on top of them
+grid, its one polynomial division, ``poly_divmod``, and its one expansion
+of f(x + y) into polynomials in y, ``_taylor_rows``, for both shift
+searches and the exact Taylor shift.  On top of them
 ``bounded_rational_roots`` is the one root finder for both the exponent
 polynomial and the dense-regime shift search.
 """
@@ -403,8 +405,11 @@ def min_shift(f: DensePolyMod, *, tau_cap: int) -> Optional[MinShift]:
     zeroes at least tau_cap + 1 of the 2*tau_cap coefficient polynomials of
     f(x + y) directly below the leading one (the leading term is itself one
     of the at most tau_cap terms), so the common roots of their grid values
-    are a complete candidate filter.  Each candidate, most votes first, is
-    checked exactly by ``interpolate_sparse`` on the rotated grid.
+    are a complete candidate filter.  Those are rows deg f - 2*tau_cap ..
+    deg f - 1 of ``_taylor_rows``, reduced modulo p; with deg f < p no
+    binomial in them vanishes, so row k keeps degree deg f - k.  Each
+    candidate, most votes first, is checked exactly by
+    ``interpolate_sparse`` on the rotated grid.
     """
     p, d = f.modulus, f.degree
     _check_grid_prime(p)
@@ -417,8 +422,8 @@ def min_shift(f: DensePolyMod, *, tau_cap: int) -> Optional[MinShift]:
                          f"got {d}")
     votes = Counter()
     xs = np.arange(p, dtype=np.int64)
-    for row in _hasse_band(f, tau_cap):
-        for g in np.flatnonzero(_horner(row, xs, p) == 0).tolist():
+    for row in _taylor_rows(f.coeffs.tolist(), range(d - 2 * tau_cap, d)):
+        for g in np.flatnonzero(_horner([c % p for c in row], xs, p) == 0).tolist():
             votes[g] += 1
     grid = evaluate_range(f)
     for g in sorted((g for g, v in votes.items() if v > tau_cap), key=lambda g: (-votes[g], g)):
@@ -428,34 +433,18 @@ def min_shift(f: DensePolyMod, *, tau_cap: int) -> Optional[MinShift]:
     return None
 
 
-# ---------------- shift search internals ----------------
-
-def _hasse_band(f: DensePolyMod, s: int) -> list:
-    """Rows deg f - 2s .. deg f - 1 of f(x+y): row k maps y to the x^k
-    coefficient.
-
-    Row k is sum_j C(j, k) f_j y^(j-k); with deg f < p no binomial in range
-    vanishes mod p, so row k has degree exactly deg f - k.  The binomial
-    updates divide by 1 .. 2s only, so the inverse table stops there.
-    """
-    p, d = f.modulus, f.degree
-    coeffs = f.coeffs.tolist()
-    inv = [0, 1] + [0] * (2 * s - 1)
-    for i in range(2, 2 * s + 1):
-        inv[i] = -(p // i) * inv[p % i] % p
-    rows = []
-    for k in range(d - 2 * s, d):
-        binom = 1
-        row = []
-        for j in range(k, d + 1):
-            row.append(binom * coeffs[j] % p)
-            if j < d:
-                binom = binom * (j + 1) % p * inv[j + 1 - k] % p
-        rows.append(row)
-    return rows
-
-
 # ---------------- small list-based helpers over Z_m ----------------
+
+def _taylor_rows(coeffs: Sequence, ks) -> list:
+    """Rows k in ks of f(x + y), f = sum_j coeffs[j] x^j: row k holds the
+    coefficients, from degree 0 up, of the x^k coefficient of f(x + y) as a
+    polynomial in y, that is C(j, k) f_j for j = k..deg f, or
+    f^(k)(y) / k!.  Exact in the coefficients' own ring (ints or
+    Fractions); callers working modulo p reduce the rows themselves.
+    """
+    d = len(coeffs) - 1
+    return [[math.comb(j, k) * coeffs[j] for j in range(k, d + 1)] for k in ks]
+
 
 def _horner(coeffs: Sequence, x, m: Optional[int] = None):
     """sum_k coeffs[k] * x^k, coefficients from degree 0 up; with m given,

@@ -41,4 +41,5 @@ class AmbiguousMatch(LacunaError):
 
 
 class BlackBoxFailure(LacunaError):
-    """The black box kept failing past the reservoir regeneration limit."""
+    """The black box kept failing until the prime stream passed its
+    regeneration limit (raised by ``PrimeStream.next_prime``)."""

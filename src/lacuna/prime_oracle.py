@@ -20,6 +20,8 @@ from typing import List, NamedTuple, Optional
 
 import numpy as np
 
+from .densepoly import _GRID_LIMIT
+from .errors import BlackBoxFailure
 from .modular_core import is_prime
 
 
@@ -63,8 +65,8 @@ def upsilon(x: float, mu: float) -> float:
 
 
 # Every reservoir prime is p = k*q + 1 with q >= n odd and k >= 2, so
-# p > 2n; grid primes stay below 2^31, so n stays below 2^30.
-_N_LIMIT = 1 << 30
+# p > 2n; grid primes stay below _GRID_LIMIT = 2^31, so n stays below 2^30.
+_N_LIMIT = _GRID_LIMIT // 2
 
 
 def choose_n(target: int, mu: float) -> int:
@@ -155,13 +157,26 @@ def _build_reservoir(beta1: int, beta2: int, ell: int, mu: float):
         mu *= 2
 
 
+# Reservoir regenerations a stream allows before it gives up.
+_MAX_REGENERATIONS = 10
+
+
 class PrimeStream:
     """Stateful producer over the reservoir with guarantee accounting.
 
     Primes are handed out in ascending order.  ``delivered`` counts handed
     minus discarded primes; discarded primes (black-box failures) never
     count toward the guarantee.  An exhausted reservoir regenerates itself
-    with ell doubled, never re-delivering a prime.
+    with ell doubled, never re-delivering a prime; a request made after
+    more than _MAX_REGENERATIONS regenerations raises BlackBoxFailure.
+
+    Regeneration cannot be sized away.  The reservoir covers beta1 + beta2
+    bad primes plus ell good ones, but the bounds (beta1, beta2, ell) say
+    nothing about the denominators a box meets while it evaluates: a
+    straight-line program may multiply by the constant 1/P and then by P,
+    for P the product of the primes of any reservoir sized from the
+    bounds, so its polynomial satisfies the bounds while every one of
+    those primes is discarded.  No such reservoir covers the discards.
     """
 
     def __init__(self, config: OracleConfig):
@@ -183,6 +198,10 @@ class PrimeStream:
         return tuple(r.p for r in self.records)
 
     def next_prime(self) -> int:
+        if self.regenerations > _MAX_REGENERATIONS:
+            raise BlackBoxFailure(
+                f"no usable primes after {self.regenerations} reservoir regenerations"
+            )
         while True:
             if self._cursor >= len(self.records):
                 self._regenerate()

@@ -8,16 +8,27 @@ against the oracle's bad-prime budget, so violated bounds fail after at most
 beta1 + beta2 + k delivered primes.  Polynomials of degree <= 2*B_T never
 pass the degree test and fall through to exact dense recovery plus a direct
 candidate search.
+
+Both searches read the shift off the coefficients of f(x + y) as
+polynomials in y, ``densepoly._taylor_rows``: ``min_shift`` reduces a band
+of them modulo each good prime, and the dense search takes their rational
+roots, as in Lakshman and Saunders; at y = alpha they give
+``taylor_shift_exact``.
 """
 
 import enum
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .blackbox import ModularBlackBox, _reductions
-from .densepoly import bounded_rational_roots, interpolate_range, min_shift
+from .densepoly import (
+    _horner,
+    _taylor_rows,
+    bounded_rational_roots,
+    interpolate_range,
+    min_shift,
+)
 from .errors import DenominatorVanished, InconsistentResidues, NoReconstruction
 from .modular_core import (
     Residue,
@@ -189,29 +200,21 @@ def _interpolate_points(vals: Sequence[int], m: int) -> List[int]:
 
 
 def taylor_shift_exact(coeffs: Sequence[Fraction], alpha) -> List[Fraction]:
-    """Coefficients of f(x + alpha) over the rationals (small degrees only)."""
+    """Coefficients of f(x + alpha) over the rationals: each row of
+    ``_taylor_rows`` evaluated at y = alpha (small degrees only)."""
     alpha = Fraction(alpha)
-    out = [Fraction(c) for c in coeffs]
-    n = len(out)
-    # repeated synthetic division by (x - (-alpha))
-    for i in range(n):
-        for j in range(n - 2, i - 1, -1):
-            out[j] += alpha * out[j + 1]
-    return out
-
-
-def _tau_exact(coeffs: Sequence[Fraction], alpha: Fraction) -> int:
-    shifted = taylor_shift_exact(coeffs, alpha)
-    return sum(1 for c in shifted[1:] if c != 0)
+    f = [Fraction(c) for c in coeffs]
+    return [_horner(row, alpha) for row in _taylor_rows(f, range(len(f)))]
 
 
 def dense_sparsest_shift(coeffs: Sequence[Fraction], ba: int) -> Fraction:
     """Sparsest shift of an explicit rational f with |num|, den <= 2^ba.
 
     Candidates are 0 and every rational root of a coefficient of f(x + y)
-    viewed as a polynomial in y: any shift that removes a term annihilates
-    one of those coefficients.  Ties break toward smaller term count, then
-    smaller bit size, then smaller value.
+    viewed as a polynomial in y (rows 1..deg f - 1 of ``_taylor_rows``; row
+    deg f is the nonzero constant f_d): any shift that removes a term
+    annihilates one of those coefficients.  Ties break toward smaller term
+    count, then smaller bit size, then smaller value.
     """
     f = [Fraction(c) for c in coeffs]
     while f and f[-1] == 0:
@@ -221,13 +224,11 @@ def dense_sparsest_shift(coeffs: Sequence[Fraction], ba: int) -> Fraction:
         return Fraction(0)
     box = 1 << ba
     candidates = {Fraction(0)}
-    for k in range(1, d + 1):
-        # coefficient of x^k in f(x+y) as a polynomial in y
-        row = [f[j] * math.comb(j, k) for j in range(k, d + 1)]
+    for row in _taylor_rows(f, range(1, d)):
         candidates.update(bounded_rational_roots(row, box))
-    best = None
-    for alpha in candidates:
-        key = (_tau_exact(f, alpha), size_of(alpha), alpha)
-        if best is None or key < best[0]:
-            best = (key, alpha)
-    return best[1]
+
+    def key(alpha):
+        terms = sum(1 for c in taylor_shift_exact(f, alpha)[1:] if c != 0)
+        return terms, size_of(alpha), alpha
+
+    return min(candidates, key=key)

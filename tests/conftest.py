@@ -61,7 +61,6 @@ class FakeStream:
         self._primes = list(primes)
         self._i = 0
         self.delivered = 0
-        self.regenerations = 0
         self.guarantee_after = guarantee_after
 
     def next_prime(self):

@@ -2,12 +2,13 @@
 
 import json
 import random
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 
-from lacuna import ShiftedLacunary, make_blackbox
+from lacuna import NotSplitting, ShiftedLacunary, make_blackbox
 from lacuna.cli import run
 
 from conftest import GOLDEN_JSON
@@ -160,6 +161,14 @@ def test_exit_usage_on_bad_args(capsys):
     assert code == 2
     code, _, _ = invoke(capsys, "sq")  # neither --q nor --scan-to
     assert code == 2
+    # checked once, by OracleConfig and ModularBlackBox.eval
+    for argv in (("oracle", "--beta1", "-1", "--beta2", "0", "--ell", "1"),
+                 ("oracle", "--beta1", "0", "--beta2", "-1", "--ell", "1"),
+                 ("oracle", "--beta1", "0", "--beta2", "0", "--ell", "0"),
+                 ("eval", "--poly", GOLDEN_JSON, "--prime", "7", "--point", "7"),
+                 ("eval", "--poly", GOLDEN_JSON, "--prime", "7", "--point", "-1")):
+        code, _, err = invoke(capsys, *argv)
+        assert code == 2, (argv, err)
     # malformed polynomial specs: zero denominators, a term without an
     # exponent, dense coefficients that are not a list
     zero_den = '{"shift":"0","constant":"0","terms":[{"coeff":"1/0","exp":2}]}'
@@ -191,6 +200,20 @@ def test_exit_reconstruction_failure_on_violated_degree_bound(capsys):
     code, _, err = invoke(capsys, "interpolate", "--poly", GOLDEN_JSON, "--bounds", "BA=4,BT=2,BH=4,BN=3")
     assert code == 3
     assert "reconstruction" in err.lower()
+
+
+def test_exit_reconstruction_on_any_library_error(capsys, monkeypatch):
+    # a library error without an exit code of its own, here raised inside
+    # the dense shift search, exits 3 instead of escaping as a traceback
+    def not_splitting(coeffs, ba):
+        raise NotSplitting("equal-degree splitting failed to converge")
+
+    # the package re-exports the function under the module's name
+    monkeypatch.setattr(sys.modules["lacuna.sparsest_shift"], "dense_sparsest_shift", not_splitting)
+    code, _, err = invoke(capsys, "shift", "--poly", '{"dense":["1","2","1"]}',
+                          "--bounds", "BA=2,BT=1,BH=2,BN=2")
+    assert code == 3
+    assert "splitting" in err
 
 
 def test_reduce_rejects_huge_prime_before_primality_test(capsys, monkeypatch):

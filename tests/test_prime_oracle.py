@@ -6,6 +6,7 @@ import random
 import pytest
 
 from lacuna import (
+    BlackBoxFailure,
     OracleConfig,
     choose_n,
     generate,
@@ -15,6 +16,7 @@ from lacuna import (
     s_of_q,
     upsilon,
 )
+from lacuna import prime_oracle
 from lacuna.prime_oracle import PrimeStream, sieve_interval
 
 
@@ -164,6 +166,19 @@ def test_exhaustion_regenerates_with_fresh_primes():
     assert st.regenerations >= 1
     assert second != first
     assert st.delivered == 2
+
+
+def test_regeneration_limit_raises_black_box_failure(monkeypatch):
+    # a one-prime reservoir regenerates on the 2nd and 3rd requests; with
+    # the limit lowered to one regeneration the 4th request is refused
+    monkeypatch.setattr(prime_oracle, "_MAX_REGENERATIONS", 1)
+    st = generate(OracleConfig(0, 0, 1))
+    primes = [st.next_prime() for _ in range(3)]
+    assert len(set(primes)) == 3
+    assert st.regenerations == 2
+    with pytest.raises(BlackBoxFailure, match="after 2 reservoir regenerations"):
+        st.next_prime()
+    assert st.delivered == 3
 
 
 def test_regeneration_reuses_primality_work():

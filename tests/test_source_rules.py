@@ -3,7 +3,7 @@
 import ast
 from pathlib import Path
 
-from lacuna import blackbox
+from lacuna import blackbox, errors
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "lacuna"
 
@@ -29,6 +29,31 @@ def test_no_assert_statements():
             if isinstance(node, ast.Assert) or _raises_assertion_error(node)
         ]
     assert not found, f"assert statements or raise AssertionError in src/lacuna: {found}"
+
+
+# the built-in errors the library raises besides its own LacunaError types:
+# ValueError for bad input, RuntimeError for a broken internal invariant,
+# ZeroDivisionError and NotImplementedError for the helpers' own contracts
+_BUILTIN_ERRORS = {"ValueError", "RuntimeError", "ZeroDivisionError", "NotImplementedError"}
+
+
+def test_every_raise_names_a_typed_error():
+    # the command line gives every LacunaError and every ValueError an exit
+    # code; a new exception type would escape it as a traceback
+    allowed = _BUILTIN_ERRORS | {
+        name for name, cls in vars(errors).items()
+        if isinstance(cls, type) and issubclass(cls, errors.LacunaError)
+    }
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue  # a bare raise re-raises what was caught
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if not (isinstance(exc, ast.Name) and exc.id in allowed):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"raise of an untyped error in src/lacuna: {found}"
 
 
 def test_every_library_box_evaluates_grids_in_bulk():

@@ -8,26 +8,33 @@ from fractions import Fraction
 import pytest
 
 from lacuna import (
+    BlackBoxFailure,
     Bounds,
+    DenominatorVanished,
     DensePolyMod,
     InconsistentResidues,
+    ModularBlackBox,
     NoReconstruction,
     NotSplitting,
     PrimeRecord,
+    ProgramBox,
     ShiftedLacunary,
     SymPoly,
     build_g_image,
     collect_images,
     full_interpolate,
+    generate,
     integer_roots,
     make_blackbox,
     match_and_recover,
     recover_g,
     shifted_blackbox,
     sparse_interpolate,
+    sparsest_shift,
 )
-from lacuna import modular_core
-from lacuna.sparse_interp import PrimeImage, q_target_bits
+from lacuna import modular_core, prime_oracle
+from lacuna.sparse_interp import PrimeImage, interp_oracle_config, q_target_bits
+from lacuna.sparsest_shift import shift_oracle_config
 
 from conftest import FakeStream, naive_crt_scan, random_instance
 
@@ -392,6 +399,44 @@ def test_full_interpolate_dense_fallback_converts_exactly():
     assert got.shift == -1
     assert got.terms == ((Fraction(1), 2),)
     assert got.constant == 0
+
+
+def test_regeneration_outlasts_a_box_that_divides_by_every_reservoir_prime(golden_poly,
+                                                                         golden_bounds):
+    # The bounds do not bound the denominators a box meets while it
+    # evaluates: this program is golden times 1/P times P, P the product of
+    # both phases' first reservoirs, so every one of their primes is
+    # discarded and only regenerated reservoirs give usable primes.
+    shift_stream = generate(shift_oracle_config(golden_bounds))
+    interp_stream = generate(interp_oracle_config(golden_bounds))
+    big = math.prod(shift_stream.reservoir) * math.prod(interp_stream.reservoir)
+    box = ProgramBox([
+        ("input",), ("const", 3), ("sub", 0, 1),            # 2: x - 3
+        ("mul", 2, 2), ("mul", 3, 3), ("mul", 4, 2),        # 5: (x - 3)^5
+        ("mul", 5, 5), ("mul", 6, 5),                       # 7: (x - 3)^15
+        ("const", -2), ("mul", 8, 5), ("add", 7, 9),        # 10: golden
+        ("const", Fraction(1, big)), ("mul", 10, 11), ("const", big), ("mul", 12, 13),
+    ])
+    shift = sparsest_shift(box, golden_bounds, stream=shift_stream)
+    flat = sparse_interpolate(shifted_blackbox(box, shift.alpha), golden_bounds,
+                              stream=interp_stream)
+    assert ShiftedLacunary(shift.alpha, flat.constant, flat.terms) == golden_poly
+    assert shift_stream.regenerations >= 1
+    assert interp_stream.regenerations >= 1
+
+
+class _VanishesEverywhere(ModularBlackBox):
+    """A user box whose every evaluation hits a vanishing denominator."""
+
+    def _eval(self, p, theta):
+        raise DenominatorVanished(p)
+
+
+def test_box_failing_at_every_prime_ends_in_black_box_failure(monkeypatch, golden_bounds):
+    # the real limit (10 regenerations) takes seconds to reach
+    monkeypatch.setattr(prime_oracle, "_MAX_REGENERATIONS", 1)
+    with pytest.raises(BlackBoxFailure):
+        full_interpolate(_VanishesEverywhere(), golden_bounds)
 
 
 def test_signed_lift_bound_guard():

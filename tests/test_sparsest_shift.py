@@ -312,3 +312,7 @@ def test_taylor_shift_exact_round_trip():
         there = taylor_shift_exact(coeffs, a)
         back = taylor_shift_exact(there, -a)
         assert back == coeffs
+        # the round trip alone holds for the identity map too
+        for x in (Fraction(0), Fraction(1), Fraction(-7, 3), Fraction(5, 2)):
+            shifted = sum(c * x**k for k, c in enumerate(there))
+            assert shifted == sum(c * (x + a) ** k for k, c in enumerate(coeffs))
