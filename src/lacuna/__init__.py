@@ -21,12 +21,10 @@ from .blackbox import (
 from .densepoly import (
     DensePolyMod,
     MinShift,
-    evaluate_range,
     interpolate_range,
     interpolate_sparse,
     min_shift,
     tau,
-    taylor_shift,
 )
 from .errors import (
     AmbiguousMatch,

@@ -86,7 +86,8 @@ class ShiftedLacunary:
     def from_json(cls, text: str) -> "ShiftedLacunary":
         obj = json.loads(text)
         try:
-            terms = tuple((_parse_rat(t["coeff"]), int(t["exp"])) for t in obj.get("terms", ()))
+            terms = tuple((_parse_rat(t["coeff"]), _parse_exp(t["exp"]))
+                          for t in obj.get("terms", ()))
         except (KeyError, TypeError):
             raise ValueError("every term needs a \"coeff\" and an integer \"exp\"") from None
         return cls(
@@ -100,8 +101,15 @@ def _fmt_rat(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
+def _parse_exp(e) -> int:
+    """A JSON integer; ValueError for a bool, TypeError for a float."""
+    if isinstance(e, bool):
+        raise ValueError(f"exponents must be integers, got {e!r}")
+    return operator.index(e)
+
+
 def _parse_rat(s) -> Fraction:
-    if not isinstance(s, (str, int)):
+    if isinstance(s, bool) or not isinstance(s, (str, int)):
         raise ValueError(f"rationals must be decimal strings, got {s!r}")
     try:
         return Fraction(s)
@@ -308,8 +316,7 @@ def shifted_blackbox(bb: ModularBlackBox, alpha) -> ModularBlackBox:
 def reduce_mod(bb: ModularBlackBox, p: int) -> DensePolyMod:
     """The degree-<p polynomial agreeing with the box on all of Z_p.
 
-    Uses exactly p black-box queries followed by dense interpolation; the
-    evaluation grid stays attached to the result so later shifts reuse it.
+    Uses exactly p black-box queries followed by dense interpolation.
     DenominatorVanished propagates: the caller must discard p entirely.
     Anything but a prime below 2^31 raises ValueError before any query.
     """

@@ -40,6 +40,8 @@ def _load_poly_spec(text: str):
         with open(raw, "r", encoding="utf-8") as fh:
             raw = fh.read().strip()
     obj = json.loads(raw)
+    if not isinstance(obj, dict):
+        raise ValueError("a polynomial spec must be a JSON object")
     if "dense" in obj:
         if not isinstance(obj["dense"], list):
             raise ValueError('"dense" must be a list of rationals')

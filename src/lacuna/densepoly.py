@@ -1,18 +1,18 @@
 """Dense polynomial arithmetic over Z_m and the per-prime sparsest-shift search.
 
-The grid-backed operations (interpolation from the full evaluation grid
-{0, ..., p-1}, evaluation on it, Taylor shift by index rotation, shift
-search) require a prime modulus p < 2^31 and degree < p.  Both directions
-between coefficients and grid values of a dense polynomial go through one
-kernel, ``_power_sums_fft``: with a generator g of Z_p^*, the values at the
-nonzero points g^j and the Lagrange coefficients are both sums
-s_j = sum_a u_a g^(a*j) over a = 0..p-2, an order-(p-1) transform that
-Bluestein's chirp identity turns into one cyclic convolution of 5-smooth
-length >= 2(p-1) - 1.  The convolution runs in float64 FFTs over limbs of
-the residues; the limb width is picked from the bit length of p and the FFT
-length so that Percival's error bound for FFT products, with a 5-fold margin
-for mixed-radix transforms, stays below 1/2 (``_limb_split``), which keeps
-the transform exact and O(p log p) for every such prime.
+A solve only ever turns grid values into coefficients: each prime's image
+f^(p) is read off the box's values on the full grid {0, ..., p-1}, and the
+grid operations (interpolation, shift search) require a prime modulus
+p < 2^31 and degree < p.  Dense interpolation goes through one kernel,
+``_power_sums_fft``: with a generator g of Z_p^*, the Lagrange coefficients
+are sums s_j = sum_a u_a g^(a*j) over a = 0..p-2, an order-(p-1) transform
+that Bluestein's chirp identity turns into one cyclic convolution of
+5-smooth length >= 2(p-1) - 1.  The convolution runs in float64 FFTs over
+limbs of the residues; the limb width is picked from the bit length of p
+and the FFT length so that Percival's error bound for FFT products, with a
+5-fold margin for mixed-radix transforms, stays below 1/2
+(``_limb_split``), which keeps the transform exact and O(p log p) for every
+such prime.
 
 A grid whose interpolant has at most s non-constant terms takes the sparse
 kernel, ``interpolate_sparse``, instead: Ben-Or and Tiwari's method reads
@@ -56,22 +56,21 @@ _EXACT_FFT_BITS = 46
 class DensePolyMod:
     """Dense polynomial over Z_m, m < 2^31: coefficients indexed by degree.
 
-    ``coeffs`` is a read-only int64 array with trailing zeros trimmed; the
-    zero polynomial has an empty one and degree -1.  Instances are immutable
-    except for a lazily cached full evaluation grid, also a read-only int64
-    array.
+    ``coeffs`` is a read-only int64 array with trailing zeros trimmed, a
+    copy of the input; the zero polynomial has an empty one and degree -1.
+    Instances are immutable values: equality and the hash read only the
+    modulus and the coefficients.
     """
 
-    __slots__ = ("modulus", "coeffs", "_grid")
+    __slots__ = ("modulus", "coeffs")
 
-    def __init__(self, modulus: int, coeffs, _grid=None):
+    def __init__(self, modulus: int, coeffs):
         if not 2 <= modulus < _GRID_LIMIT:
             raise ValueError(f"modulus must be in [2, 2^31), got {modulus}")
         c = np.asarray(coeffs, dtype=np.int64) % modulus
         nz = np.flatnonzero(c)
         self.modulus = modulus
         self.coeffs = _read_only(c[: nz[-1] + 1 if nz.size else 0])
-        self._grid = None if _grid is None else _read_only(_grid)
 
     @property
     def degree(self) -> int:
@@ -79,9 +78,6 @@ class DensePolyMod:
 
     def coeff(self, k: int) -> int:
         return int(self.coeffs[k]) if 0 <= k < len(self.coeffs) else 0
-
-    def __call__(self, x: int) -> int:
-        return _horner(self.coeffs.tolist(), x, self.modulus)
 
     def __eq__(self, other):
         return (
@@ -239,23 +235,6 @@ def _checked_grid(vals: np.ndarray, p: int) -> np.ndarray:
     return vals
 
 
-def _eval_grid(f: DensePolyMod) -> np.ndarray:
-    """f on the whole grid 0..p-1: f(0) = c_0, and f(g^j) = s_j for the
-    coefficients folded modulo x^(p-1) - 1 (which vanishes off 0)."""
-    p = f.modulus
-    n = p - 1
-    c = f.coeffs
-    u = np.zeros(n, dtype=np.int64)
-    u[: min(len(c), n)] = c[:n]
-    if len(c) == p:
-        u[0] = (u[0] + c[n]) % p
-    pw, _ = _cyclic_tables(p)
-    grid = np.empty(p, dtype=np.int64)
-    grid[pw] = _power_sums_fft(u, p)
-    grid[0] = f.coeff(0)
-    return grid
-
-
 # ---------------- the sparse kernel ----------------
 
 def _berlekamp_massey(seq: Sequence[int], p: int):
@@ -294,9 +273,9 @@ def interpolate_range(values: Sequence[int], p: int) -> DensePolyMod:
     ``_power_sums_fft`` of u[a] = v[g^-a]: exact and O(p log p) for every
     prime p < 2^31, with limbs narrow enough that each float64 product sum
     stays within its exact range (see ``_limb_split``).  Larger moduli raise
-    ValueError.
+    ValueError.  ``values`` is only read, never copied or kept.
     """
-    vals = _checked_grid(np.array(values, dtype=np.int64), p)  # a copy: the result keeps it
+    vals = _checked_grid(np.asarray(values, dtype=np.int64), p)
     n = p - 1
     pw, _ = _cyclic_tables(p)
     s = _power_sums_fft(vals[np.roll(pw[::-1], 1)], p)  # u[a] = v[g^-a]
@@ -304,7 +283,7 @@ def interpolate_range(values: Sequence[int], p: int) -> DensePolyMod:
     c[0] = vals[0]
     c[1:n] = (p - s[1:]) % p
     c[n] = (2 * p - s[0] - vals[0]) % p
-    return DensePolyMod(p, c, _grid=vals)
+    return DensePolyMod(p, c)
 
 
 def interpolate_sparse(values: Sequence[int], p: int, s: int) -> Optional[DensePolyMod]:
@@ -364,55 +343,29 @@ def interpolate_sparse(values: Sequence[int], p: int, s: int) -> Optional[DenseP
     return DensePolyMod(p, out)
 
 
-def evaluate_range(f: DensePolyMod) -> np.ndarray:
-    """Full evaluation grid of f over Z_p as a read-only int64 array, cached
-    on the polynomial."""
-    if f._grid is None:
-        _check_grid_prime(f.modulus)
-        if f.degree >= f.modulus:
-            raise ValueError("degree must be < modulus for grid semantics")
-        f._grid = _read_only(_eval_grid(f))
-    return f._grid
-
-
-def taylor_shift(f: DensePolyMod, gamma: int) -> DensePolyMod:
-    """Return g with g(x) = f(x + gamma) over Z_p.
-
-    Works on the evaluation grid: shifting the argument only rotates the
-    indices of the already-evaluated points, so the cost is one dense
-    re-interpolation.  The shift search does not use it: it only needs the
-    sparse shifted images, which ``interpolate_sparse`` gets from the same
-    rotated grid.
-    """
-    p = f.modulus
-    gamma = gamma % p
-    grid = evaluate_range(f)
-    if gamma == 0:
-        return f
-    return interpolate_range(np.roll(grid, -gamma), p)
-
-
 def tau(f: DensePolyMod) -> int:
     """Number of nonzero, non-constant terms of f."""
     return int(np.count_nonzero(f.coeffs[1:]))
 
 
-def min_shift(f: DensePolyMod, *, tau_cap: int) -> Optional[MinShift]:
+def min_shift(f: DensePolyMod, grid: Sequence[int], *, tau_cap: int) -> Optional[MinShift]:
     """The shift gamma in Z_p with tau(f(x + gamma)) <= tau_cap, or None.
 
-    Needs tau_cap >= 1 and deg f >= 2*tau_cap + 1, which make such a shift
-    unique (tie is always False); ValueError otherwise.  Any such shift
-    zeroes at least tau_cap + 1 of the 2*tau_cap coefficient polynomials of
-    f(x + y) directly below the leading one (the leading term is itself one
-    of the at most tau_cap terms), so the common roots of their grid values
-    are a complete candidate filter.  Those are rows deg f - 2*tau_cap ..
-    deg f - 1 of ``_taylor_rows``, reduced modulo p; with deg f < p no
-    binomial in them vanishes, so row k keeps degree deg f - k.  Each
-    candidate, most votes first, is checked exactly by
-    ``interpolate_sparse`` on the rotated grid.
+    ``grid`` must hold f's p values at 0..p-1, reduced modulo p: the box's
+    grid that f was read off.  Needs tau_cap >= 1 and deg f >= 2*tau_cap + 1,
+    which make such a shift unique (tie is always False); ValueError
+    otherwise, and for a grid of the wrong length or unreduced.  Any such
+    shift zeroes at least tau_cap + 1 of the 2*tau_cap coefficient
+    polynomials of f(x + y) directly below the leading one (the leading term
+    is itself one of the at most tau_cap terms), so the common roots of
+    their grid values are a complete candidate filter.  Those are rows
+    deg f - 2*tau_cap .. deg f - 1 of ``_taylor_rows``, reduced modulo p;
+    with deg f < p no binomial in them vanishes, so row k keeps degree
+    deg f - k.  Each candidate, most votes first, is checked exactly by
+    ``interpolate_sparse`` on the grid rotated by it.
     """
     p, d = f.modulus, f.degree
-    _check_grid_prime(p)
+    grid = _checked_grid(np.asarray(grid, dtype=np.int64), p)
     if d >= p:
         raise ValueError("degree must be < modulus")
     if tau_cap < 1:
@@ -425,7 +378,6 @@ def min_shift(f: DensePolyMod, *, tau_cap: int) -> Optional[MinShift]:
     for row in _taylor_rows(f.coeffs.tolist(), range(d - 2 * tau_cap, d)):
         for g in np.flatnonzero(_horner([c % p for c in row], xs, p) == 0).tolist():
             votes[g] += 1
-    grid = evaluate_range(f)
     for g in sorted((g for g, v in votes.items() if v > tau_cap), key=lambda g: (-votes[g], g)):
         hit = interpolate_sparse(np.roll(grid, -g), p, tau_cap)
         if hit is not None:

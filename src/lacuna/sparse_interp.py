@@ -19,7 +19,6 @@ import numpy as np
 from .blackbox import ModularBlackBox, ShiftedLacunary, _reductions, shifted_blackbox
 from .densepoly import (
     DensePolyMod,
-    _horner,
     bounded_rational_roots,
     interpolate_sparse,
     poly_mul_mod,
@@ -81,9 +80,6 @@ class SymPoly:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def __call__(self, x: int) -> int:
-        return _horner(self.coeffs, x)
 
 
 def interp_oracle_config(bounds: Bounds) -> OracleConfig:

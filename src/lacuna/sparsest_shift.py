@@ -11,9 +11,9 @@ candidate search.
 
 Both searches read the shift off the coefficients of f(x + y) as
 polynomials in y, ``densepoly._taylor_rows``: ``min_shift`` reduces a band
-of them modulo each good prime, and the dense search takes their rational
-roots, as in Lakshman and Saunders; at y = alpha they give
-``taylor_shift_exact``.
+of them modulo each good prime and tests their common roots on the box's
+grid for that prime, and the dense search takes their rational roots, as in
+Lakshman and Saunders; at y = alpha they give ``taylor_shift_exact``.
 """
 
 import enum
@@ -105,7 +105,7 @@ def sparsest_shift(
         fp = interpolate_range(values, p)
         if fp.degree >= 2 * bounds.bt + 1:
             passed = True
-            hit = min_shift(fp, tau_cap=bounds.bt)
+            hit = min_shift(fp, values, tau_cap=bounds.bt)
             if hit is not None:
                 recorded.append((hit.gamma, p))
                 prod *= p

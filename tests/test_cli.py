@@ -148,7 +148,7 @@ def test_oracle_mu_option(capsys, monkeypatch):
 
 # ---------------- exit codes ----------------
 
-def test_exit_usage_on_bad_args(capsys):
+def test_exit_usage_on_bad_args(capsys, tmp_path):
     code, _, _ = invoke(capsys, "reduce", "--poly", GOLDEN_JSON, "--prime", "6")
     assert code == 2
     code, _, _ = invoke(capsys, "shift", "--poly", GOLDEN_JSON, "--bounds", "BA=4")
@@ -170,12 +170,21 @@ def test_exit_usage_on_bad_args(capsys):
         code, _, err = invoke(capsys, *argv)
         assert code == 2, (argv, err)
     # malformed polynomial specs: zero denominators, a term without an
-    # exponent, dense coefficients that are not a list
+    # exponent, dense coefficients that are not a list, exponents that are
+    # not JSON integers, and booleans read as rationals
     zero_den = '{"shift":"0","constant":"0","terms":[{"coeff":"1/0","exp":2}]}'
     for poly in ('{"dense":["1","1/0"]}', zero_den, '{"shift":"1/0","terms":[{"coeff":"1","exp":2}]}',
-                 '{"terms":[{"coeff":"1"}]}', '{"dense":"12"}'):
+                 '{"terms":[{"coeff":"1"}]}', '{"dense":"12"}',
+                 '{"terms":[{"coeff":"1","exp":2.7}]}', '{"terms":[{"coeff":"1","exp":true}]}',
+                 '{"terms":[{"coeff":true,"exp":2}]}', '{"terms":[{"coeff":"1","exp":1e400}]}'):
         code, _, err = invoke(capsys, "eval", "--poly", poly, "--prime", "7", "--point", "1")
         assert code == 2, (poly, err)
+    # a spec file must hold a JSON object
+    path = tmp_path / "poly.json"
+    for text in ('["1", "2"]', "5"):
+        path.write_text(text)
+        code, _, err = invoke(capsys, "eval", "--poly", str(path), "--prime", "7", "--point", "1")
+        assert code == 2, (text, err)
     code, _, _ = invoke(capsys, "interpolate", "--poly", GOLDEN_JSON, "--bounds", GOLDEN_BOUNDS,
                         "--assume-shift", "1/0")
     assert code == 2

@@ -8,14 +8,12 @@ import pytest
 
 from lacuna import (
     DensePolyMod,
-    evaluate_range,
     interpolate_range,
     interpolate_sparse,
     is_prime,
     min_shift,
     next_prime_above,
     tau,
-    taylor_shift,
 )
 from lacuna.densepoly import (
     _horner,
@@ -102,13 +100,11 @@ def test_interpolation_strategies_agree():
 
 
 def test_kernel_exact_every_prime_below_600():
-    # both directions, on the whole grid of every such prime, p = 2 included
+    # on the whole grid of every such prime, p = 2 included
     rng = random.Random(30)
     for p in PRIMES_BELOW_600:
         vals = [rng.randrange(p) for _ in range(p)]
         assert horner_grid(interpolate_range(vals, p).coeffs, p) == vals
-        coeffs = [rng.randrange(p) for _ in range(p)]
-        assert list(evaluate_range(DensePolyMod(p, coeffs))) == horner_grid(coeffs, p)
 
 
 @pytest.mark.parametrize("p", [next_prime_above(1 << 17), next_prime_above(1 << 20)])
@@ -117,53 +113,29 @@ def test_kernel_exact_past_2_17(p):
     rng = np.random.default_rng(p)
     vals = rng.integers(0, p, size=p)
     f = interpolate_range(vals, p)
-    coeffs = rng.integers(0, p, size=p).tolist()
-    grid = evaluate_range(DensePolyMod(p, coeffs))
     points = [0, p - 1, *rng.integers(1, p - 1, size=2).tolist()]
     for x in points:
         assert horner(f.coeffs, x, p) == vals[x]
-        assert horner(coeffs, x, p) == grid[x]
-    # the largest residues everywhere: sums at their maximum, both ways.
-    # -(1 + x + ... + x^(p-1)) is -1 at x = 0, 0 at x = 1 and -1 elsewhere
+    # the largest residues everywhere: sums at their maximum
     assert interpolate_range(np.full(p, p - 1), p).coeffs.tolist() == [p - 1]
-    grid = evaluate_range(DensePolyMod(p, [p - 1] * p))
-    assert grid.tolist() == [p - 1, 0] + [p - 1] * (p - 2)
 
 
-def test_coeffs_and_grid_are_read_only():
+def test_coeffs_are_a_read_only_copy():
     vals = np.array([4, 0, 1, 0, 6, 0, 3])  # the golden polynomial over Z_7
     fp = interpolate_range(vals, 7)
     with pytest.raises(ValueError):
         fp.coeffs[0] = 1
-    grid = evaluate_range(fp)
-    with pytest.raises(ValueError):
-        grid[0] = 1
-    # the grid is the polynomial's own copy of the values
-    vals[0] = 5
-    assert evaluate_range(fp).tolist() == [4, 0, 1, 0, 6, 0, 3]
-    # and so are the coefficients, and a grid evaluated later
+    # the coefficients are the polynomial's own copy
     coeffs = np.array([1, 2, 3])
     f = DensePolyMod(7, coeffs)
     coeffs[0] = 0
     assert f.coeffs.tolist() == [1, 2, 3]
-    with pytest.raises(ValueError):
-        evaluate_range(f)[1] = 0
 
 
 def test_interpolate_rejects_moduli_past_2_31():
     p = next_prime_above(1 << 31)
     with pytest.raises(ValueError):
         interpolate_range([0] * 4, p)
-    with pytest.raises(ValueError):
-        evaluate_range(DensePolyMod(p, [1, 2, 3]))
-
-
-def test_evaluate_range_matches_horner():
-    rng = random.Random(31)
-    for p in (17, 101, 521, 1031):
-        coeffs = [rng.randrange(p) for _ in range(min(p - 1, 60))]
-        f = DensePolyMod(p, coeffs)
-        assert list(evaluate_range(f)) == grid_of(list(f.coeffs), p)
 
 
 # ---------------- interpolate_sparse ----------------
@@ -265,52 +237,6 @@ def test_sparse_kernel_rejects_bad_input():
         interpolate_sparse([0, 1, 2], 3, -1)  # negative term bound
 
 
-# ---------------- taylor_shift ----------------
-
-def test_taylor_shift_golden(golden_poly):
-    vals = [(pow(i - 3, 15, 7) - 2 * pow(i - 3, 5, 7)) % 7 for i in range(7)]
-    fp = interpolate_range(vals, 7)
-    assert taylor_shift(fp, 3).coeffs.tolist() == [0, 0, 0, 1, 0, 5]  # 5x^5 + x^3
-
-
-def test_taylor_shift_identity_and_binomial():
-    f = DensePolyMod(5, [0, 0, 1])
-    assert taylor_shift(f, 0) is f
-    assert taylor_shift(f, 1).coeffs.tolist() == [1, 2, 1]
-
-
-def test_taylor_shift_group_action():
-    rng = random.Random(37)
-    for p in (7, 31, 101):
-        coeffs = [rng.randrange(p) for _ in range(p - 1)]
-        f = DensePolyMod(p, coeffs)
-        for g in (1, p // 2, p - 1):
-            assert taylor_shift(taylor_shift(f, g), p - g).coeffs.tolist() == f.coeffs.tolist()
-
-
-def test_taylor_shift_is_evaluation_homomorphism():
-    rng = random.Random(41)
-    for p in (5, 13, 31):
-        coeffs = [rng.randrange(p) for _ in range(p - 1)]
-        f = DensePolyMod(p, coeffs)
-        for g in range(p):
-            shifted = taylor_shift(f, g)
-            for x in range(p):
-                assert shifted(x) == f((x + g) % p)
-
-
-def test_taylor_shift_matches_synthetic_division():
-    rng = random.Random(43)
-    for p in (11, 101, 607):
-        coeffs = [rng.randrange(p) for _ in range(p // 2)]
-        f = DensePolyMod(p, coeffs)
-        g = rng.randrange(1, p)
-        want = naive_taylor_coeffs(list(f.coeffs), g, p)
-        while want and want[-1] == 0:
-            want.pop()
-        assert list(taylor_shift(f, g).coeffs) == want
-
-
 # ---------------- tau ----------------
 
 def test_tau_examples():
@@ -328,9 +254,10 @@ def assert_capped_search_matches_exhaustive(f):
     ones and the largest one that deg f admits."""
     p = f.modulus
     gamma, tau_min, tie = naive_min_shift(f.coeffs.tolist(), p)
+    grid = horner_grid(f.coeffs.tolist(), p)
     top = (f.degree - 1) // 2
     for cap in sorted({1, 2, tau_min - 1, tau_min, tau_min + 1, top} & set(range(1, top + 1))):
-        got = min_shift(f, tau_cap=cap)
+        got = min_shift(f, grid, tau_cap=cap)
         if tau_min <= cap:
             assert not tie, (p, f.coeffs.tolist(), cap)
             assert got is not None and tuple(got) == (gamma, tau_min, False), (p, cap)
@@ -349,23 +276,25 @@ def planted(p, g0, terms):
 def test_min_shift_golden(golden_poly):
     vals = [(pow(i - 3, 15, 7) - 2 * pow(i - 3, 5, 7)) % 7 for i in range(7)]
     fp = interpolate_range(vals, 7)
-    got = min_shift(fp, tau_cap=2)
+    grid = horner_grid(fp.coeffs.tolist(), 7)
+    got = min_shift(fp, grid, tau_cap=2)
     assert (got.gamma, got.tau, got.tie) == (3, 2, False)
-    assert min_shift(fp, tau_cap=1) is None  # degree 5 admits caps 1 and 2
+    assert min_shift(fp, grid, tau_cap=1) is None  # degree 5 admits caps 1 and 2
 
 
 def test_min_shift_trivial_cases():
     # constants, zero and low degrees are outside the search: deg f < 2*cap + 1
     for coeffs, cap in (([0, 0, 1], 1), ([2], 1), ([], 1), ([1, 2, 3, 4, 1], 2)):
         with pytest.raises(ValueError, match="2\\*tau_cap"):
-            min_shift(DensePolyMod(5, coeffs), tau_cap=cap)
+            min_shift(DensePolyMod(5, coeffs), horner_grid(coeffs, 5), tau_cap=cap)
     f = DensePolyMod(11, [0, 0, 0, 1])
-    assert tuple(min_shift(f, tau_cap=1)) == (0, 1, False)
+    grid = horner_grid(f.coeffs.tolist(), 11)
+    assert tuple(min_shift(f, grid, tau_cap=1)) == (0, 1, False)
     for cap in (0, -1):
         with pytest.raises(ValueError, match="tau_cap must be >= 1"):
-            min_shift(f, tau_cap=cap)
+            min_shift(f, grid, tau_cap=cap)
     with pytest.raises(TypeError):
-        min_shift(f)  # the cap is required
+        min_shift(f, grid)  # the cap is required
 
 
 def test_min_shift_planted_quintic():
@@ -383,7 +312,7 @@ def test_min_shift_planted_quintic():
             coeffs[i] = (coeffs[i] + t) % 11
     f = DensePolyMod(11, coeffs)
     want = naive_min_shift(f.coeffs, 11)
-    got = min_shift(f, tau_cap=2)
+    got = min_shift(f, horner_grid(f.coeffs.tolist(), 11), tau_cap=2)
     assert (got.gamma, got.tau, got.tie) == want == (2, 2, False)
     assert_capped_search_matches_exhaustive(f)
 
@@ -396,7 +325,7 @@ def test_min_shift_equals_exhaustive_search_random():
             f = DensePolyMod(p, coeffs)
             if f.degree < 3:
                 with pytest.raises(ValueError):
-                    min_shift(f, tau_cap=1)
+                    min_shift(f, horner_grid(f.coeffs.tolist(), p), tau_cap=1)
                 continue
             assert_capped_search_matches_exhaustive(f)
         for _ in range(4):  # planted sparse shifts, so that the caps hit too
@@ -420,7 +349,7 @@ def test_min_shift_candidate_path_agrees_with_exhaustive():
             if f.degree < 3:
                 continue
             assert_capped_search_matches_exhaustive(f)
-            got = min_shift(f, tau_cap=t)
+            got = min_shift(f, horner_grid(f.coeffs.tolist(), p), tau_cap=t)
             if f.degree >= 2 * t + 1 and len(set(exps)) == t:
                 assert got is not None and got.gamma == g0
 
@@ -431,9 +360,10 @@ def test_min_shift_dense_random_caps_agree_with_exhaustive():
         dense = [rng.randrange(p) for _ in range(p)]
         f = DensePolyMod(p, dense)
         gamma, tau_min, _ = naive_min_shift(f.coeffs.tolist(), p)
+        grid = horner_grid(f.coeffs.tolist(), p)
         s = 1
         while 2 * s + 1 <= f.degree:
-            got = min_shift(f, tau_cap=s)
+            got = min_shift(f, grid, tau_cap=s)
             if tau_min <= s:
                 assert got is not None and (got.gamma, got.tau) == (gamma, tau_min)
             else:
@@ -446,14 +376,27 @@ def test_min_shift_tau_cap_miss_returns_none():
     p = 101
     dense = [rng.randrange(1, p) for _ in range(40)]  # dense: no sparse shift
     f = DensePolyMod(p, dense)
-    assert min_shift(f, tau_cap=1) is None
+    assert min_shift(f, horner_grid(f.coeffs.tolist(), p), tau_cap=1) is None
 
 
 def test_min_shift_rejects_composite_or_overflow_degree():
-    with pytest.raises(ValueError):
-        min_shift(DensePolyMod(6, [1, 1, 1, 1]), tau_cap=1)
-    with pytest.raises(ValueError):
-        min_shift(DensePolyMod(3, [1, 1, 1, 1]), tau_cap=1)  # degree 3 >= modulus
+    with pytest.raises(ValueError, match="not prime"):
+        min_shift(DensePolyMod(6, [1, 1, 1, 1]), horner_grid([1, 1, 1, 1], 6), tau_cap=1)
+    with pytest.raises(ValueError, match="degree"):
+        min_shift(DensePolyMod(3, [1, 1, 1, 1]), horner_grid([1, 1, 1, 1], 3), tau_cap=1)
+
+
+def test_min_shift_rejects_a_grid_of_wrong_length_or_unreduced():
+    f = DensePolyMod(11, [0, 0, 0, 1])
+    grid = horner_grid(f.coeffs.tolist(), 11)
+    with pytest.raises(ValueError, match="exactly 11 values"):
+        min_shift(f, grid[:-1], tau_cap=1)  # wrong length
+    with pytest.raises(ValueError, match="exactly 11 values"):
+        min_shift(f, grid + [0], tau_cap=1)
+    with pytest.raises(ValueError, match="reduced"):
+        min_shift(f, [v + 11 for v in grid], tau_cap=1)  # unreduced
+    with pytest.raises(ValueError, match="reduced"):
+        min_shift(f, [-1] + grid[1:], tau_cap=1)
 
 
 # ---------------- small helpers over Z_m ----------------

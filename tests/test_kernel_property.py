@@ -11,8 +11,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lacuna import (
-    DensePolyMod,
-    evaluate_range,
     interpolate_range,
     interpolate_sparse,
     is_prime,
@@ -43,7 +41,6 @@ def test_kernel_round_trip_property(p, seed):
         coeffs.pop()
     grid = grid_of(coeffs, p)
     assert list(interpolate_range(grid, p).coeffs) == coeffs
-    assert list(evaluate_range(DensePolyMod(p, coeffs))) == grid
 
 
 @settings(max_examples=120, deadline=None)
