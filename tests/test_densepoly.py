@@ -23,6 +23,7 @@ from lacuna.densepoly import (
     poly_roots_mod,
     poly_sub_mod,
 )
+from lacuna.sparsest_shift import taylor_shift_exact
 
 from conftest import naive_interpolate, naive_min_shift, naive_taylor_coeffs
 
@@ -120,11 +121,15 @@ def test_kernel_exact_past_2_17(p):
     assert interpolate_range(np.full(p, p - 1), p).coeffs.tolist() == [p - 1]
 
 
-def test_coeffs_are_a_read_only_copy():
+def test_coeffs_and_grid_are_read_only():
     vals = np.array([4, 0, 1, 0, 6, 0, 3])  # the golden polynomial over Z_7
     fp = interpolate_range(vals, 7)
     with pytest.raises(ValueError):
         fp.coeffs[0] = 1
+    # the grid is only read: left as it was, and not aliased by the result
+    assert vals.tolist() == [4, 0, 1, 0, 6, 0, 3]
+    vals[0] = 5
+    assert fp == interpolate_range([4, 0, 1, 0, 6, 0, 3], 7)
     # the coefficients are the polynomial's own copy
     coeffs = np.array([1, 2, 3])
     f = DensePolyMod(7, coeffs)
@@ -235,6 +240,64 @@ def test_sparse_kernel_rejects_bad_input():
         interpolate_sparse([0, 5, 1], 3, 1)  # unreduced value
     with pytest.raises(ValueError):
         interpolate_sparse([0, 1, 2], 3, -1)  # negative term bound
+
+
+# ---------------- Taylor shift by grid rotation ----------------
+# f(x + g) over Z_p has the grid of f rotated by g; min_shift's candidate
+# test interpolates exactly that rotation.
+
+def shifted_image(grid, g, p):
+    return interpolate_range(np.roll(grid, -g), p)
+
+
+def test_taylor_shift_golden(golden_poly):
+    vals = [(pow(i - 3, 15, 7) - 2 * pow(i - 3, 5, 7)) % 7 for i in range(7)]
+    assert shifted_image(vals, 3, 7).coeffs.tolist() == [0, 0, 0, 1, 0, 5]  # 5x^5 + x^3
+    assert interpolate_sparse(np.roll(vals, -3), 7, 2).coeffs.tolist() == [0, 0, 0, 1, 0, 5]
+
+
+def test_taylor_shift_identity_and_binomial():
+    grid = horner_grid([0, 0, 1], 5)
+    assert shifted_image(grid, 0, 5).coeffs.tolist() == [0, 0, 1]
+    assert shifted_image(grid, 1, 5).coeffs.tolist() == [1, 2, 1]
+    assert taylor_shift_exact([0, 0, 1], 0) == [0, 0, 1]
+    assert taylor_shift_exact([0, 0, 1], 1) == [1, 2, 1]
+
+
+def test_taylor_shift_group_action():
+    rng = random.Random(37)
+    for p in (7, 31, 101):
+        coeffs = [rng.randrange(p) for _ in range(p - 1)]
+        f = DensePolyMod(p, coeffs)
+        grid = horner_grid(coeffs, p)
+        for g in (1, p // 2, p - 1):
+            there = shifted_image(grid, g, p)
+            back = shifted_image(horner_grid(there.coeffs.tolist(), p), p - g, p)
+            assert back == f
+
+
+def test_taylor_shift_is_evaluation_homomorphism():
+    rng = random.Random(41)
+    for p in (5, 13, 31):
+        coeffs = [rng.randrange(p) for _ in range(p - 1)]
+        grid = horner_grid(coeffs, p)
+        for g in range(p):
+            shifted = shifted_image(grid, g, p).coeffs.tolist()
+            for x in range(p):
+                assert _horner(shifted, x, p) == _horner(coeffs, (x + g) % p, p)
+
+
+def test_taylor_shift_matches_synthetic_division():
+    rng = random.Random(43)
+    for p in (11, 101, 607):
+        coeffs = [rng.randrange(p) for _ in range(p // 2)]
+        g = rng.randrange(1, p)
+        want = naive_taylor_coeffs(coeffs, g, p)
+        while want and want[-1] == 0:
+            want.pop()
+        assert shifted_image(horner_grid(coeffs, p), g, p).coeffs.tolist() == want
+        # and the exact expansion over the rationals, reduced mod p
+        assert DensePolyMod(p, [int(c) % p for c in taylor_shift_exact(coeffs, g)]).coeffs.tolist() == want
 
 
 # ---------------- tau ----------------
