@@ -48,7 +48,8 @@ class ShiftedLacunary:
     def __post_init__(self):
         object.__setattr__(self, "shift", Fraction(self.shift))
         object.__setattr__(self, "constant", Fraction(self.constant))
-        terms = tuple(sorted(((Fraction(c), int(e)) for c, e in self.terms), key=lambda t: t[1]))
+        terms = tuple(sorted(((Fraction(c), _parse_exp(e)) for c, e in self.terms),
+                             key=lambda t: t[1]))
         for c, e in terms:
             if c == 0:
                 raise ValueError("term coefficients must be nonzero")
@@ -85,6 +86,8 @@ class ShiftedLacunary:
     @classmethod
     def from_json(cls, text: str) -> "ShiftedLacunary":
         obj = json.loads(text)
+        if not isinstance(obj, dict):
+            raise ValueError(f"a polynomial is a JSON object, got {type(obj).__name__}")
         try:
             terms = tuple((_parse_rat(t["coeff"]), _parse_exp(t["exp"]))
                           for t in obj.get("terms", ()))
@@ -102,10 +105,14 @@ def _fmt_rat(q: Fraction) -> str:
 
 
 def _parse_exp(e) -> int:
-    """A JSON integer; ValueError for a bool, TypeError for a float."""
-    if isinstance(e, bool):
-        raise ValueError(f"exponents must be integers, got {e!r}")
-    return operator.index(e)
+    """An integer exponent; ValueError for a bool, a float, a string or any
+    other non-integer."""
+    if not isinstance(e, bool):
+        try:
+            return operator.index(e)
+        except TypeError:
+            pass
+    raise ValueError(f"exponents must be integers, got {e!r}")
 
 
 def _parse_rat(s) -> Fraction:
@@ -224,10 +231,9 @@ class ProgramBox(ModularBlackBox):
     ValueError at construction.
 
     One interpreter runs the program over a single point as a Python int
-    (``eval``, at any modulus, such as the 100-190-bit Proth primes of the
-    dense regime) or over the int64 array of all of Z_p at once
-    (``eval_range``: p < 2^31 keeps every product of two residues below
-    2^62).
+    (``eval``, exact at any modulus) or over the int64 array of all of
+    Z_p at once (``eval_range``: p < 2^31 keeps every product of two
+    residues below 2^62).
     """
 
     _ARITY = {"input": 0, "const": 1, "add": 2, "sub": 2, "mul": 2}

@@ -20,25 +20,24 @@ the terms off f(0) and f(g^i) for i < 2s (Berlekamp-Massey, a root search
 over the powers of g, a transposed Vandermonde solve), and a check of the
 recurrence along every grid value makes the answer exact, or None when the
 interpolant has more than s terms.  Small list-based helpers at the bottom
-work over any modulus.  They hold the library's one Horner evaluator,
-``_horner``, for a single int or Fraction point as well as a whole int64
-grid, its one polynomial division, ``poly_divmod``, and its one expansion
-of f(x + y) into polynomials in y, ``_taylor_rows``, for both shift
-searches and the exact Taylor shift.  On top of them
-``bounded_rational_roots`` is the one root finder for both the exponent
-polynomial and the dense-regime shift search.
+hold the library's one Horner evaluator, ``_horner``, for a single int or
+Fraction point as well as a whole int64 grid, and its one expansion of
+f(x + y) into polynomials in y, ``_taylor_rows``, for both shift searches
+and the exact Taylor shift.  On top of them ``bounded_rational_roots`` is
+the one root finder for both the exponent polynomial and the dense-regime
+shift search: a ``_horner`` scan of the grid of a small prime, then
+Newton lifting, so it too only ever works modulo primes below 2^31.
 """
 
 import math
-import random
 from collections import Counter
 from functools import lru_cache
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import NoReconstruction, NotSplitting
-from .modular_core import Residue, _factorize, is_prime, proth_primes, rational_reconstruct
+from .errors import NoReconstruction
+from .modular_core import Residue, _factorize, is_prime, next_prime_above, rational_reconstruct
 
 # Grid operations need residue products below 2^62, so p < 2^31.
 _GRID_LIMIT = 1 << 31
@@ -385,7 +384,7 @@ def min_shift(f: DensePolyMod, grid: Sequence[int], *, tau_cap: int) -> Optional
     return None
 
 
-# ---------------- small list-based helpers over Z_m ----------------
+# ---------------- small list-based helpers ----------------
 
 def _taylor_rows(coeffs: Sequence, ks) -> list:
     """Rows k in ks of f(x + y), f = sum_j coeffs[j] x^j: row k holds the
@@ -437,86 +436,23 @@ def poly_mul_mod(a: Sequence[int], b: Sequence[int], m: int) -> list:
     return poly_trim(out)
 
 
-def poly_sub_mod(a: Sequence[int], b: Sequence[int], m: int) -> list:
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i in range(n):
-        av = a[i] if i < len(a) else 0
-        bv = b[i] if i < len(b) else 0
-        out[i] = (av - bv) % m
-    return poly_trim(out)
-
-
-def poly_divmod(a: Sequence[int], b: Sequence[int], m: int) -> Tuple[list, list]:
-    """(quotient, remainder) of a by b over Z_m: a = q*b + r, deg r < deg b.
-
-    The leading coefficient of b must be invertible modulo m.
-    """
-    r = poly_trim([x % m for x in a])
-    db = len(b) - 1
-    if db < 0:
-        raise ZeroDivisionError("division by zero polynomial")
-    inv_lead = pow(b[-1], -1, m)
-    q = [0] * max(len(r) - db, 0)
-    while len(r) - 1 >= db:
-        k = len(r) - 1 - db
-        factor = r[-1] * inv_lead % m
-        q[k] = factor
-        for i in range(db + 1):
-            r[k + i] = (r[k + i] - factor * b[i]) % m
-        poly_trim(r)
-    return q, r
-
-
-def poly_gcd_mod(a: Sequence[int], b: Sequence[int], m: int) -> list:
-    """Monic gcd over Z_m (m prime)."""
-    a, b = list(a), list(b)
-    poly_trim(a)
-    poly_trim(b)
-    while b:
-        a, b = b, poly_divmod(a, b, m)[1]
-    if a:
-        inv_lead = pow(a[-1], -1, m)
-        a = [x * inv_lead % m for x in a]
-    return a
-
-
-def poly_powmod(base: Sequence[int], e: int, mod_poly: Sequence[int], m: int) -> list:
-    """base**e modulo mod_poly over Z_m."""
-    result = [1]
-    b = poly_divmod(base, mod_poly, m)[1]
-    while e:
-        if e & 1:
-            result = poly_divmod(poly_mul_mod(result, b, m), mod_poly, m)[1]
-        b = poly_divmod(poly_mul_mod(b, b, m), mod_poly, m)[1]
-        e >>= 1
-    return result
-
-
-def poly_roots_mod(a: Sequence[int], r: int) -> list:
-    """Distinct roots in Z_r of a nonzero polynomial over Z_r (r an odd prime).
-
-    gcd(x^r - x, a) keeps one linear factor per root, and equal-degree
-    splitting with a fixed random sequence separates them.
-    """
-    a = poly_trim([c % r for c in a])
-    if len(a) <= 1:
-        return []
-    z = [0, 1]
-    linear_part = poly_gcd_mod(poly_sub_mod(poly_powmod(z, r, a, r), z, r), a, r)
-    return _split_into_roots(linear_part, r, random.Random(0))
-
-
 def bounded_rational_roots(coeffs: Sequence, box: int) -> list:
-    """Rational roots a/b with |a| <= box and 1 <= b <= box of the polynomial
-    whose Fraction or int coefficients ``coeffs`` run from degree 0 up.
+    """The simple rational roots a/b with |a| <= box and 1 <= b <= box of the
+    polynomial whose Fraction or int coefficients ``coeffs`` run from degree
+    0 up, each once; roots of higher multiplicity are left out.
 
-    Scaled to coprime integers, the polynomial stays nonzero modulo a prime
-    r > 2*box^2, and each bounded root a/b maps to the root a * b^-1 there.
-    Each root modulo r comes from at most one bounded rational, which
-    rational reconstruction finds and an exact evaluation confirms.  r is
-    the first of ``proth_primes`` above 2*box^2, so it is proven prime at
-    any size.
+    Scaled to a primitive integer polynomial A of degree m and height H, a
+    simple root a/b in lowest terms has b | lead(A), and b^(m-1) A'(a/b) is
+    a nonzero integer of absolute value at most m^2 H box^(m-1).  So for
+    every prime l that divides neither lead(A) nor that integer, a * b^-1
+    is a simple root of A modulo l.  The primes l above 2^10 that do not divide lead(A) are
+    tried until their product passes that bound, which leaves at least one
+    such l among them.  One ``_horner`` pass over Z_l finds the simple
+    roots modulo l, and Newton's iteration lifts each to a root modulo
+    l^(2^i) > 2*box^2 (Loos, "Computing rational zeros of integral
+    polynomials by p-adic expansion", 1983).  Rational reconstruction
+    then gives the one bounded rational it can come from, and an exact
+    evaluation confirms it.  The search ends early at m confirmed roots.
     """
     coeffs = poly_trim(list(coeffs))
     if len(coeffs) <= 1:
@@ -524,31 +460,29 @@ def bounded_rational_roots(coeffs: Sequence, box: int) -> list:
     den_lcm = math.lcm(*(c.denominator for c in coeffs))
     ints = [int(c * den_lcm) for c in coeffs]
     g = math.gcd(*ints)
-    r = next(proth_primes((2 * box * box).bit_length()))
+    a = [v // g for v in ints]
+    da = [k * c for k, c in enumerate(a)][1:]
+    m = len(a) - 1
+    stop = m * m * max(map(abs, a)) * box ** (m - 1)
     roots = []
-    for u in poly_roots_mod([v // g for v in ints], r):
-        try:
-            cand = rational_reconstruct(Residue(u, r), box)
-        except NoReconstruction:
+    ell, used = 1 << 10, 1
+    while used <= stop and len(roots) < m:
+        ell = next_prime_above(ell)
+        if a[-1] % ell == 0:
             continue
-        if _horner(coeffs, cand) == 0:
-            roots.append(cand)
+        used *= ell
+        xs = np.arange(ell, dtype=np.int64)
+        simple = ((_horner([c % ell for c in a], xs, ell) == 0)
+                  & (_horner([c % ell for c in da], xs, ell) != 0))
+        for u in np.flatnonzero(simple).tolist():
+            mod = ell
+            while mod <= 2 * box * box:
+                mod *= mod
+                u = (u - _horner(a, u, mod) * pow(_horner(da, u, mod), -1, mod)) % mod
+            try:
+                cand = rational_reconstruct(Residue(u, mod), box)
+            except NoReconstruction:
+                continue
+            if cand not in roots and _horner(coeffs, cand) == 0:
+                roots.append(cand)
     return roots
-
-
-def _split_into_roots(h: Sequence[int], r: int, rng: random.Random) -> List[int]:
-    """Roots of a monic product of distinct linear factors over Z_r."""
-    deg = len(h) - 1
-    if deg <= 0:
-        return []
-    if deg == 1:
-        return [(-h[0]) % r]
-    for _ in range(200):
-        a = rng.randrange(r)
-        w = poly_powmod([a, 1], (r - 1) // 2, h, r)
-        w = poly_sub_mod(w, [1], r)
-        d = poly_gcd_mod(w, h, r)
-        if 0 < len(d) - 1 < deg:
-            rest, _ = poly_divmod(h, d, r)
-            return _split_into_roots(d, r, rng) + _split_into_roots(rest, r, rng)
-    raise NotSplitting("equal-degree splitting failed to converge")

@@ -5,15 +5,15 @@ positive denominator), re-exported here as ``Rat``.  Everything in this
 module is pure and safe for concurrent use.
 
 Primality is always proven: ``is_prime`` takes n below about 3.3e24, where
-fixed Miller-Rabin witness sets are proven, and ``proth_primes`` is the one
-source of larger primes, k * 2^m + 1, each proven by Proth's theorem.
+fixed Miller-Rabin witness sets are proven.  The library itself only asks
+for primes below 2^31: grid primes from the oracle, the dense regime's
+moduli and the small primes that root finding lifts from.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
 
 from .errors import DenominatorVanished, InconsistentResidues, NoReconstruction
 
@@ -123,7 +123,7 @@ def is_prime(n: int) -> bool:
 
     Uses the fixed Miller-Rabin witness set proven for the size of n.
     Larger n raise ValueError: proving them in general means factoring
-    n - 1.  ``proth_primes`` supplies large primes with a proof.
+    n - 1, and no part of the library needs a prime that large.
     """
     if n >= _MR_PROVEN_LIMIT:
         raise ValueError(f"{n} is not accepted: primality is proven only below {_MR_PROVEN_LIMIT}")
@@ -136,47 +136,6 @@ def is_prime(n: int) -> bool:
             return False
     bases = next(bases for limit, bases in _MR_TIERS if n < limit)
     return not any(_mr_witness(n, a) for a in bases)
-
-
-def proth_primes(m: int) -> Iterator[int]:
-    """The proven primes k * 2^m + 1 for k = 1, 2, ..., in increasing order.
-
-    Below _MR_PROVEN_LIMIT each candidate goes to ``is_prime``.  Above it,
-    Proth's theorem proves n = k * 2^m + 1 with k < 2^m prime as soon as
-    a^((n-1)/2) = -1 (mod n) for some a: every prime factor of n is then
-    1 (mod 2^m), hence above sqrt(n).  The bases tried are _SMALL_PRIMES;
-    a power other than 1 or -1 proves n composite, and a candidate that no
-    base decides is skipped.  The primes proven for each m are kept for
-    the life of the process, so a later call yields them without testing
-    any candidate again.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    k = 0
-    while True:
-        n = _next_proth_prime(m, k)
-        yield n
-        k = n >> m
-
-
-@lru_cache(maxsize=None)
-def _next_proth_prime(m: int, k: int) -> int:
-    """The least proven prime k' * 2^m + 1 with k' > k."""
-    while True:
-        k += 1
-        n = k << m | 1
-        if n < _MR_PROVEN_LIMIT:
-            if is_prime(n):
-                return n
-            continue
-        if k >= 1 << m:
-            raise RuntimeError(f"no proven prime k * 2^{m} + 1 with k < 2^{m}")
-        for a in _SMALL_PRIMES:
-            x = pow(a, n >> 1, n)
-            if x != 1:
-                if x == n - 1:
-                    return n
-                break
 
 
 def next_prime_above(n: int) -> int:

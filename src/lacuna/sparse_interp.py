@@ -5,8 +5,9 @@ are exactly the exponents: its image modulo p-1 is computable from any
 reduction with the maximal number of terms, because the product over the
 reduced exponents does not depend on their unknown ordering.  Chinese
 remaindering over the moduli p_i - 1 (never coprime: all even) rebuilds it
-over Z, integer root extraction yields the exponents, and per-term residue
-matching plus rational reconstruction yields the coefficients.
+over Z, its roots, lifted from a small prime, are the exponents, and
+per-term residue matching plus rational reconstruction yields the
+coefficients.
 """
 
 import math
@@ -187,10 +188,11 @@ def recover_g(images: Sequence[DensePolyMod]) -> SymPoly:
 def integer_roots(g: SymPoly, bound: int) -> Set[int]:
     """All deg(g) distinct integer roots of g in [1, bound].
 
-    g is monic, so its rational roots are integers: they are the roots of
-    ``bounded_rational_roots`` with box = bound, each verified exactly.
-    Fewer than deg(g) of them in [1, bound] raise NotSplitting, which means
-    g was corrupted upstream.
+    g is monic, so its rational roots are integers: they are the simple
+    roots of ``bounded_rational_roots`` with box = bound, each verified
+    exactly.  Fewer than deg(g) of them in [1, bound], as when g has a
+    repeated or an irreducible factor, raise NotSplitting, which means g
+    was corrupted upstream.
     """
     roots = {int(x) for x in bounded_rational_roots(g.coeffs, bound) if 1 <= x <= bound}
     if len(roots) != g.degree:

@@ -28,12 +28,13 @@ from .densepoly import (
     bounded_rational_roots,
     interpolate_range,
     min_shift,
+    poly_trim,
 )
 from .errors import DenominatorVanished, InconsistentResidues, NoReconstruction
 from .modular_core import (
     Residue,
     crt_list,
-    proth_primes,
+    next_prime_above,
     rational_reconstruct,
     size_of,
 )
@@ -160,24 +161,34 @@ def dense_case_recover(bb: ModularBlackBox, bounds: Bounds) -> List[Fraction]:
     lowest terms every coefficient has numerator at most
     N = (bt + 1) * 2^(bh*(bt+1) + 2*bt*(ba+1)) and denominator at most
     2^(bh*(bt+1) + 2*bt*ba) <= N.  Two such fractions that agree modulo
-    q > 2*N^2 are equal, so rational reconstruction modulo q is exact.
+    Q > 2*N^2 are equal, so rational reconstruction modulo Q is exact.
 
-    q is the first of ``proth_primes`` above 2*N^2 whose reduction keeps
-    every needed denominator, so it is proven prime at any size.
+    The values at 0..2*bt are read modulo successive primes q above 2^30,
+    skipping any q that divides a denominator the box needs.  Every other
+    q reduces the rational coefficients correctly, so each coefficient's
+    images are combined by CRT until their product Q passes 2*N^2.  Every
+    prime the library reduces by is thus below 2^31.
     """
     num_bits = bounds.bh * (bounds.bt + 1) + 2 * bounds.bt * (bounds.ba + 1)
     num = (bounds.bt + 1) << num_bits
     npts = 2 * bounds.bt + 1
-    for q in proth_primes((2 * num * num).bit_length()):
+    images: List[List[Residue]] = [[] for _ in range(npts)]
+    q, prod = 1 << 30, 1
+    while prod <= 2 * num * num:
+        q = next_prime_above(q)
         try:
             vals = [bb.eval(q, i) for i in range(npts)]
         except DenominatorVanished:
             continue  # finitely many primes divide denominators
-        return [rational_reconstruct(Residue(c, q), num) for c in _interpolate_points(vals, q)]
+        for col, c in zip(images, _interpolate_points(vals, q)):
+            col.append(Residue(c, q))
+        prod *= q
+    return poly_trim([rational_reconstruct(crt_list(col), num) for col in images])
 
 
 def _interpolate_points(vals: Sequence[int], m: int) -> List[int]:
-    """Newton interpolation at the nodes 0..len(vals)-1 over Z_m."""
+    """Newton interpolation at the nodes 0..len(vals)-1 over Z_m: all
+    len(vals) coefficients, from degree 0 up, trailing zeros kept."""
     k = len(vals)
     dd = [v % m for v in vals]  # divided-difference table, updated in place
     for level in range(1, k):
@@ -194,8 +205,6 @@ def _interpolate_points(vals: Sequence[int], m: int) -> List[int]:
             nxt[i] = (nxt[i] - j * c) % m
         nxt[0] = (nxt[0] + dd[j]) % m
         coeffs = nxt
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
     return coeffs
 
 
@@ -213,8 +222,12 @@ def dense_sparsest_shift(coeffs: Sequence[Fraction], ba: int) -> Fraction:
     Candidates are 0 and every rational root of a coefficient of f(x + y)
     viewed as a polynomial in y (rows 1..deg f - 1 of ``_taylor_rows``; row
     deg f is the nonzero constant f_d): any shift that removes a term
-    annihilates one of those coefficients.  Ties break toward smaller term
-    count, then smaller bit size, then smaller value.
+    annihilates one of those coefficients.  ``bounded_rational_roots``
+    returns only simple roots, and that loses no candidate: the derivative
+    of row k is (k + 1) times row k + 1, so a root of row k of multiplicity
+    mu is a simple root of row k + mu - 1, which is at most deg f - 1
+    because row deg f has no root.  Ties break toward smaller term count,
+    then smaller bit size, then smaller value.
     """
     f = [Fraction(c) for c in coeffs]
     while f and f[-1] == 0:

@@ -196,6 +196,31 @@ def naive_crt_scan(pairs, limit):
     return None
 
 
+def naive_simple_rational_roots(coeffs, box):
+    """Simple rational roots a/b with |a| <= box and 1 <= b <= box of a
+    polynomial with integer coefficients (degree 0 up), by the rational
+    root theorem: a nonzero root a/b in lowest terms has a dividing the
+    lowest nonzero coefficient and b the leading one."""
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    if len(coeffs) <= 1:
+        return set()
+    low = next(c for c in coeffs if c)
+    candidates = {Fraction(0)} | {
+        Fraction(sign * a, b)
+        for a in range(1, box + 1) if low % a == 0
+        for b in range(1, box + 1) if coeffs[-1] % b == 0
+        for sign in (1, -1)
+    }
+    deriv = [k * c for k, c in enumerate(coeffs)][1:]
+
+    def value(poly, x):
+        return sum(c * x**k for k, c in enumerate(poly))
+
+    return {r for r in candidates if value(coeffs, r) == 0 and value(deriv, r) != 0}
+
+
 FIRST_40_PRIMES = [q for q in range(2, 174) if all(q % d for d in range(2, q))]
 
 

@@ -15,10 +15,9 @@ from lacuna import (
     canonical_json,
     make_blackbox,
     reduce_mod,
+    next_prime_above,
     shifted_blackbox,
 )
-
-from lacuna.modular_core import proth_primes
 
 from conftest import (
     GOLDEN_JSON,
@@ -255,7 +254,7 @@ def test_program_box_grid_is_fresh_and_read_only():
 def test_program_box_scalar_path_exact_past_int64():
     # products of residues near a 70-bit prime wrap in int64: the scalar
     # path must stay on Python ints
-    p = next(proth_primes(70))
+    p = next_prime_above(1 << 70)
     assert p > 1 << 64
     rng = random.Random(607)
     programs = [
@@ -389,6 +388,13 @@ def test_shifted_lacunary_validation():
         ShiftedLacunary(Fraction(0), Fraction(0), ((Fraction(1), 0),))
     with pytest.raises(ValueError):
         ShiftedLacunary(Fraction(0), Fraction(0), ((Fraction(1), 2), (Fraction(2), 2)))
+    # exponents must be integers: no float, bool or string is read as one
+    for e in (2.7, True, "3"):
+        with pytest.raises(ValueError, match="integers"):
+            ShiftedLacunary(Fraction(0), Fraction(0), ((Fraction(1), e),))
+    for text in ("[1]", "3", "null"):
+        with pytest.raises(ValueError, match="JSON object"):
+            ShiftedLacunary.from_json(text)
     # terms are sorted on construction
     f = ShiftedLacunary(Fraction(0), Fraction(0), ((Fraction(1), 9), (Fraction(2), 3)))
     assert [e for _, e in f.terms] == [3, 9]

@@ -15,17 +15,15 @@ from lacuna import (
     next_prime_above,
     tau,
 )
-from lacuna.densepoly import (
-    _horner,
-    poly_divmod,
-    poly_gcd_mod,
-    poly_mul_mod,
-    poly_roots_mod,
-    poly_sub_mod,
-)
+from lacuna.densepoly import _horner, bounded_rational_roots, poly_mul_mod
 from lacuna.sparsest_shift import taylor_shift_exact
 
-from conftest import naive_interpolate, naive_min_shift, naive_taylor_coeffs
+from conftest import (
+    naive_interpolate,
+    naive_min_shift,
+    naive_simple_rational_roots,
+    naive_taylor_coeffs,
+)
 
 PRIMES_BELOW_600 = [p for p in range(600) if is_prime(p)]
 
@@ -470,23 +468,6 @@ def test_poly_helpers():
     b = [4, 5]
     prod = poly_mul_mod(a, b, m)
     assert prod == [4, 6, 1, 1]
-    assert poly_divmod(prod, b, m) == ([1, 2, 3], [])
-    # gcd(a*b, b) is b made monic: inv(5) = 3 mod 7, so 3*(4 + 5x) = 5 + x
-    assert poly_gcd_mod(prod, b, m) == [5, 1]
-
-
-def test_poly_divmod_random():
-    rng = random.Random(41)
-    for m in (2, 7, 101, 2**31 - 1):
-        for _ in range(40):
-            a = [rng.randrange(m) for _ in range(rng.randrange(0, 9))]
-            b = [rng.randrange(m) for _ in range(rng.randrange(0, 5))] + [rng.randrange(1, m)]
-            q, r = poly_divmod(a, b, m)
-            assert len(r) < len(b)  # deg r < deg b
-            assert not q or q[-1] != 0
-            assert poly_sub_mod(a, poly_mul_mod(q, b, m), m) == r  # a = q*b + r
-    with pytest.raises(ZeroDivisionError):
-        poly_divmod([1, 2], [], 7)
 
 
 def test_horner_matches_naive_evaluation():
@@ -516,11 +497,33 @@ def test_horner_matches_naive_evaluation():
     assert _horner([], xs, p).tolist() == [0] * len(xs)
 
 
-def test_poly_roots_mod():
-    r = 101
-    # 3 (x - 4)^2 (x - 17) (x^2 - 2); 2 is a non-residue mod 101
-    poly = [3]
-    for factor in ([-4, 1], [-4, 1], [-17, 1], [-2, 0, 1]):
-        poly = poly_mul_mod(poly, [c % r for c in factor], r)
-    assert sorted(poly_roots_mod(poly, r)) == [4, 17]
-    assert poly_roots_mod([5], r) == [] and poly_roots_mod([], r) == []
+# ---------------- bounded rational roots ----------------
+
+def test_bounded_rational_roots_are_the_simple_bounded_roots():
+    # planted roots a/b of multiplicity 1-3, some outside the box, times
+    # irreducible quadratics and a leading factor that 1031, the first
+    # lifting prime, may divide
+    rng = random.Random(107)
+    box = 8
+    for _ in range(150):
+        poly = [rng.choice([1, -3, 1031, 2 * 1031])]
+        for _ in range(rng.randint(0, 3)):
+            a, b = rng.randint(-12, 12), rng.randint(1, 10)
+            for _ in range(rng.randint(1, 3)):
+                poly = _times(poly, [-a, b])
+        for _ in range(rng.randint(0, 2)):
+            poly = _times(poly, rng.choice([[1, 0, 1], [-2, 0, 1], [5, 3, 2], [-3, 0, 1031]]))
+        den = rng.choice([1, 1, 6, 1031])
+        got = bounded_rational_roots([Fraction(c, den) for c in poly], box)
+        assert len(got) == len(set(got))
+        assert set(got) == naive_simple_rational_roots(poly, box), poly
+    assert bounded_rational_roots([], 4) == bounded_rational_roots([Fraction(5)], 4) == []
+
+
+def _times(a, b):
+    """Product of two integer polynomials, coefficients from degree 0 up."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out

@@ -1,6 +1,5 @@
 """Integer, rational and modular primitive tests."""
 
-import itertools
 import math
 import random
 from fractions import Fraction
@@ -21,7 +20,7 @@ from lacuna import (
     signed_lift,
     size_of,
 )
-from lacuna.modular_core import _MR_PROVEN_LIMIT, _next_proth_prime, frac_mod, proth_primes
+from lacuna.modular_core import _MR_PROVEN_LIMIT, frac_mod
 from lacuna.errors import DenominatorVanished
 
 from conftest import naive_crt_scan, naive_probable_prime
@@ -98,50 +97,6 @@ def test_is_prime_large_certified():
     # just below it, the top witness tier answers
     for n in range(_MR_PROVEN_LIMIT - 200, _MR_PROVEN_LIMIT):
         assert is_prime(n) == naive_probable_prime(n), n
-
-
-# ---------------- proth_primes ----------------
-
-def test_proth_primes_first_is_least_probable_prime():
-    for m in range(1, 65):
-        want = next(k << m | 1 for k in itertools.count(1) if naive_probable_prime(k << m | 1))
-        assert next(proth_primes(m)) == want, m
-
-
-@pytest.mark.parametrize("m", [84, 132, 200, 264])
-def test_proth_primes_past_witness_range(m):
-    gen = proth_primes(m)
-    first, second = next(gen), next(gen)
-    assert _MR_PROVEN_LIMIT < first < second
-    for r in (first, second):
-        k, rest = divmod(r - 1, 1 << m)
-        assert rest == 0 and 1 <= k < 1 << m
-        assert naive_probable_prime(r)
-
-
-def test_proth_primes_skips_composite_fermat_number():
-    # 2^32 + 1 = 641 * 6700417
-    first = next(proth_primes(32))
-    assert first > (1 << 32) + 1 and (first - 1) % (1 << 32) == 0
-
-
-@pytest.mark.parametrize("m", [84, 132, 200])
-def test_proth_primes_second_call_reads_the_cache(m, monkeypatch):
-    _next_proth_prime.cache_clear()
-    gen = proth_primes(m)
-    first = [next(gen), next(gen)]
-
-    # every test of a candidate, Proth's or Miller-Rabin's, takes a modular power
-    def no_power(*args):
-        raise AssertionError(f"candidate tested again: pow{args}")
-
-    monkeypatch.setattr("lacuna.modular_core.pow", no_power, raising=False)
-    again, interleaved = proth_primes(m), proth_primes(m)
-    assert [next(again), next(interleaved), next(again), next(interleaved)] == [
-        first[0], first[0], first[1], first[1]]
-    monkeypatch.delattr("lacuna.modular_core.pow")
-    # past the cache, the search resumes after the last proven prime
-    assert first[1] < next(again) == next(interleaved)
 
 
 def test_next_prime_above():

@@ -31,10 +31,28 @@ def test_no_assert_statements():
     assert not found, f"assert statements or raise AssertionError in src/lacuna: {found}"
 
 
+def test_no_module_imports_random():
+    # the paper's guarantee is deterministic: the library draws no random
+    # numbers, so every run of a solve takes the same steps
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] == "random" for m in modules):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"imports of random in src/lacuna: {found}"
+
+
 # the built-in errors the library raises besides its own LacunaError types:
 # ValueError for bad input, RuntimeError for a broken internal invariant,
-# ZeroDivisionError and NotImplementedError for the helpers' own contracts
-_BUILTIN_ERRORS = {"ValueError", "RuntimeError", "ZeroDivisionError", "NotImplementedError"}
+# NotImplementedError for the box base class's own contract
+_BUILTIN_ERRORS = {"ValueError", "RuntimeError", "NotImplementedError"}
 
 
 def test_every_raise_names_a_typed_error():

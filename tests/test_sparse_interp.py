@@ -246,8 +246,18 @@ def test_integer_roots_deterministic_for_seed():
     assert integer_roots(g, 16) == integer_roots(g, 16) == {5, 15}
 
 
+def test_integer_roots_at_bound_2_300_reject_what_does_not_split():
+    e = (1 << 299) + 12345
+    assert integer_roots(SymPoly((e * (e + 1), -(2 * e + 1), 1)), 1 << 300) == {e, e + 1}
+    with pytest.raises(NotSplitting):
+        integer_roots(SymPoly((e * e, -2 * e, 1)), 1 << 300)  # (z - e)^2
+    with pytest.raises(NotSplitting):
+        integer_roots(SymPoly((-2 * e * e, 0, 1)), 1 << 300)  # z^2 - 2 e^2 is irreducible
+
+
 def test_integer_roots_past_witness_range_never_test_large_primality(monkeypatch):
-    # the auxiliary prime lies near 2^264, far past the proven witness range
+    # roots near 2^131 are lifted from small primes: no prime anywhere near
+    # the proven witness range is asked for
     original = modular_core.is_prime
 
     def small_is_prime(n):

@@ -16,10 +16,12 @@ from lacuna import (
     generate,
     is_prime,
     make_blackbox,
+    next_prime_above,
     reconstruct_shift,
     size_of,
     sparsest_shift,
 )
+from lacuna.densepoly import _taylor_rows, bounded_rational_roots
 from lacuna.sparsest_shift import (
     dense_case_recover,
     dense_sparsest_shift,
@@ -145,9 +147,9 @@ def test_dense_case_recover_example():
     bounds = Bounds(ba=2, bt=1, bh=3, bn=2)
     coeffs = dense_case_recover(bb, bounds)
     assert coeffs == [Fraction(-1, 2), Fraction(1), Fraction(3)]
-    # numerators and denominators up to N = 2 * 2^12: the least prime
-    # k * 2^28 + 1 above 2*N^2 = 2^27 is 3221225473 (k = 12)
-    assert set(bb.primes) == {3221225473}
+    # numerators and denominators up to N = 2 * 2^12: the first prime above
+    # 2^30 already passes 2*N^2 = 2^27, and 2*bt + 1 = 3 points are read
+    assert bb.primes == [next_prime_above(1 << 30)] * 3
 
 
 def test_dense_case_recover_trivial():
@@ -175,11 +177,12 @@ class VanishAt:
 
 def test_dense_case_recover_skips_vanishing_prime():
     inner = RecordingBox(DenseBox([Fraction(-1, 2), Fraction(1), Fraction(3)]))
-    bb = VanishAt(inner, 3221225473)
+    bad = next_prime_above(1 << 30)
+    bb = VanishAt(inner, bad)
     coeffs = dense_case_recover(bb, Bounds(ba=2, bt=1, bh=3, bn=2))
     assert coeffs == [Fraction(-1, 2), Fraction(1), Fraction(3)]
-    # advanced past 3221225473 to the next prime 13 * 2^28 + 1
-    assert inner.primes and set(inner.primes) == {3489660929}
+    # advanced past the vanishing prime to the next one
+    assert inner.primes and set(inner.primes) == {next_prime_above(bad)}
 
 
 # Instances from the benchmark's dense workload whose power-basis
@@ -232,6 +235,15 @@ def test_dense_shift_quartic_is_planted():
     # x^4 + 8x^3 + 24x^2 + 33x + 18 == (x+2)^4 + (x+2) by expansion
     expanded = taylor_shift_exact([0, 1, 0, 0, 1], Fraction(2))
     assert [int(c) for c in expanded] == [18, 33, 24, 8, 1]
+
+
+def test_dense_shift_that_is_a_multiple_root_of_every_row_but_the_last():
+    # f = 7 + (x - 3/2)^5: row k of f(x + y) is C(5, k) (y - 3/2)^(5 - k),
+    # so 3/2 is a simple root of row 4 alone
+    coeffs = taylor_shift_exact([7, 0, 0, 0, 0, 1], Fraction(-3, 2))
+    rows = _taylor_rows(coeffs, range(1, 5))
+    assert [bounded_rational_roots(row, 4) for row in rows] == [[], [], [], [Fraction(3, 2)]]
+    assert dense_sparsest_shift(coeffs, 2) == Fraction(3, 2)
 
 
 def test_dense_shift_respects_box():
