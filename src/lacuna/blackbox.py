@@ -23,6 +23,8 @@ from .densepoly import (
     _check_grid_prime,
     _cyclic_tables,
     _horner,
+    _lazy_terms,
+    _mod,
     _read_only,
     interpolate_range,
 )
@@ -191,12 +193,20 @@ class LacunaryBox(ModularBlackBox):
 
     def _grid(self, p: int) -> np.ndarray:
         c0, shift, coeffs = self._denominators_mod(p)
-        # acc[b] is f where theta - shift = b; b^e = g^(lg[b] * e) for b != 0
+        # acc[b] is f where theta - shift = b; b^e = g^(lg[b] * e) for b != 0.
+        # Each term adds a product of two residues, so the sum is reduced
+        # only every _lazy_terms(p) terms and once at the end.
         pw, lg = _cyclic_tables(p)
         n = p - 1
+        lazy = _lazy_terms(p)
         acc = np.full(p, c0, dtype=np.int64)
-        for cm, (_, e) in zip(coeffs, self.poly.terms):
-            acc = (acc + cm * pw[lg * (e % n) % n]) % p
+        for k, (cm, (_, e)) in enumerate(zip(coeffs, self.poly.terms), 1):
+            term = pw[_mod(lg * (e % n), n)]
+            term *= cm
+            acc += term
+            if k % lazy == 0:
+                _mod(acc, p)
+        _mod(acc, p)
         acc[0] = c0  # every term has e >= 1, so it vanishes at b = 0
         return np.roll(acc, shift)
 
@@ -277,11 +287,11 @@ class ProgramBox(ModularBlackBox):
             else:
                 a, b = regs[args[0]], regs[args[1]]
                 if kind == "add":
-                    regs.append((a + b) % p)
+                    regs.append(_mod(a + b, p))
                 elif kind == "sub":
-                    regs.append((a - b) % p)
+                    regs.append(_mod(a - b, p))
                 else:
-                    regs.append(a * b % p)
+                    regs.append(_mod(a * b, p))
         return regs[-1]
 
     def _grid(self, p: int) -> np.ndarray:

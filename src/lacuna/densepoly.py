@@ -27,6 +27,17 @@ and the exact Taylor shift.  On top of them ``bounded_rational_roots`` is
 the one root finder for both the exponent polynomial and the dense-regime
 shift search: a ``_horner`` scan of the grid of a small prime, then
 Newton lifting, so it too only ever works modulo primes below 2^31.
+
+Grid values are int64 arrays, and every reduction of one, here and in the
+boxes, goes through ``_mod``, which divides by the modulus with numpy's
+floor division (a multiply and a shift) in place of its % (a hardware
+division).  Reductions are also kept rare: with p < 2^31 a product of two
+residues in (-p, p) is at most (p-1)^2 < 2^62, so a value in (-p, p) plus
+k such products stays below p + k(p-1)^2 in absolute value, inside int64
+for every k up to ``_lazy_terms(p)`` (at least 2, and above 2^20 for
+p < 2^21).  Sums of products, such as the sparse kernel's recurrence
+check and the lacunary box's sum of terms, are reduced once per that many
+products instead of once per product.
 """
 
 import math
@@ -66,7 +77,7 @@ class DensePolyMod:
     def __init__(self, modulus: int, coeffs):
         if not 2 <= modulus < _GRID_LIMIT:
             raise ValueError(f"modulus must be in [2, 2^31), got {modulus}")
-        c = np.asarray(coeffs, dtype=np.int64) % modulus
+        c = _mod(np.array(coeffs, dtype=np.int64), modulus)
         nz = np.flatnonzero(c)
         self.modulus = modulus
         self.coeffs = _read_only(c[: nz[-1] + 1 if nz.size else 0])
@@ -95,6 +106,37 @@ class DensePolyMod:
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+def _mod(x, m: int):
+    """x mod m in [0, m): the library's one reduction of int64 arrays.
+
+    A Python int (or numpy scalar) gives x % m.  An int64 array is reduced
+    in place, as x - (x // m) * m, and returned: floor division by a
+    scalar runs as a multiply and a shift where numpy's % divides, and its
+    floor makes the result land in [0, m) for either sign of x.  Exact for
+    every int64 x: where (x // m) * m leaves int64 it wraps, and the
+    subtraction wraps back to the result.  Since it writes to x, callers
+    pass only arrays they own; a read-only array raises ValueError and is
+    left as it was.
+    """
+    if not isinstance(x, np.ndarray):
+        return x % m
+    q = x // m
+    q *= m
+    x -= q
+    return x
+
+
+def _lazy_terms(p: int) -> int:
+    """How many products of two residues in (-p, p) may be added to a value
+    in (-p, p) before it must be reduced modulo p.
+
+    After k such products the sum is below p + k(p-1)^2 in absolute value,
+    which must stay within int64: k = floor((2^63 - 1 - p) / (p-1)^2).
+    That is at least 2 for every p < 2^31 and above 2^20 for p < 2^21.
+    """
+    return ((1 << 63) - 1 - p) // (p - 1) ** 2
 
 
 class MinShift(NamedTuple):
@@ -127,16 +169,15 @@ def _cyclic_tables(p: int):
     g = _primitive_root(p)
     # baby steps g^b and giant steps g^(a*m), combined in one outer product
     m = math.isqrt(n) + 1
-    small = np.empty(m, dtype=np.int64)
-    small[0] = 1
-    for i in range(1, m):
-        small[i] = small[i - 1] * g % p
-    big_step = int(small[m - 1]) * g % p
-    big = np.empty(-(n // -m), dtype=np.int64)
-    big[0] = 1
-    for i in range(1, len(big)):
-        big[i] = big[i - 1] * big_step % p
-    pw = (np.outer(big, small) % p).reshape(-1)[:n]
+    small = [1]
+    for _ in range(1, m):
+        small.append(small[-1] * g % p)
+    big_step = small[-1] * g % p
+    big = [1]
+    for _ in range(1, -(n // -m)):
+        big.append(big[-1] * big_step % p)
+    outer = np.multiply.outer(np.array(big, dtype=np.int64), np.array(small, dtype=np.int64))
+    pw = _mod(outer, p).reshape(-1)[:n]
     lg = np.zeros(p, dtype=np.int64)
     lg[pw] = np.arange(n, dtype=np.int64)
     pw.flags.writeable = False
@@ -198,10 +239,10 @@ def _power_sums_fft(u: np.ndarray, p: int) -> np.ndarray:
     """
     n = p - 1
     pw, _ = _cyclic_tables(p)
-    tri = np.cumsum(np.arange(n, dtype=np.int64)) % n  # T(k) mod n; T(-1-k) = T(k)
+    tri = _mod(np.cumsum(np.arange(n, dtype=np.int64)), n)  # T(k) mod n; T(-1-k) = T(k)
     twiddle = pw[tri]
     chirp = pw[-tri]  # negative indices wrap modulo n
-    a_seq = u * np.concatenate(([1], twiddle[:-1])) % p
+    a_seq = _mod(u * np.concatenate(([1], twiddle[:-1])), p)
     b_seq = np.concatenate((chirp[: n - 1][::-1], chirp))
     size = _smooth_length(2 * n - 1)
     la, wa, lb, wb = _limb_split(p, n, size)
@@ -211,9 +252,12 @@ def _power_sums_fft(u: np.ndarray, p: int) -> np.ndarray:
     conv = np.zeros(n, dtype=np.int64)
     for weight in {w for w, _, _ in pairs}:  # limb products of weight 2^w, summed
         spec = sum(fa[i] * fb[j] for w, i, j in pairs if w == weight)
-        part = np.rint(np.fft.irfft(spec, size)[n - 1 : 2 * n - 1]).astype(np.int64) % p
-        conv = (conv + part * pow(2, weight, p)) % p
-    return conv * twiddle % p
+        part = _mod(np.rint(np.fft.irfft(spec, size)[n - 1 : 2 * n - 1]).astype(np.int64), p)
+        part *= pow(2, weight, p)
+        conv += part
+        _mod(conv, p)
+    conv *= twiddle
+    return _mod(conv, p)
 
 
 def _check_grid_prime(p: int) -> None:
@@ -280,7 +324,7 @@ def interpolate_range(values: Sequence[int], p: int) -> DensePolyMod:
     s = _power_sums_fft(vals[np.roll(pw[::-1], 1)], p)  # u[a] = v[g^-a]
     c = np.empty(p, dtype=np.int64)
     c[0] = vals[0]
-    c[1:n] = (p - s[1:]) % p
+    c[1:n] = _mod(p - s[1:], p)
     c[n] = (2 * p - s[0] - vals[0]) % p
     return DensePolyMod(p, c)
 
@@ -302,8 +346,12 @@ def interpolate_sparse(values: Sequence[int], p: int, s: int) -> Optional[DenseP
     values, so the result matches all p values, and a polynomial of degree
     < p that does is the interpolant: the answer is exact whatever the
     input.  More than s terms show up as a recurrence longer than s, a
-    failed check or too few roots.  Every product stays below p^2 < 2^62.
-    O(s p) numpy work plus O(s^2) Python integer work.
+    failed check or too few roots.  The values a_j are kept unreduced in
+    (-p, p), and the check sums the products conn[m] * a_(j-m) unreduced:
+    a value in (-p, p) plus k products stays below p + k(p-1)^2 < 2^63 for
+    k up to ``_lazy_terms(p)``, so the sum is reduced once per that many
+    products and once before it is tested for zero.  O(s p) numpy work
+    plus O(s^2) Python integer work.
     """
     if s < 0:
         raise ValueError(f"term bound must be >= 0, got {s}")
@@ -312,17 +360,19 @@ def interpolate_sparse(values: Sequence[int], p: int, s: int) -> Optional[DenseP
     s = min(s, n)  # no grid has more than p - 1 non-constant terms
     pw, _ = _cyclic_tables(p)
     c0 = int(vals[0])
-    seq = (vals[pw] - c0) % p  # seq[j] = f(g^j) - c_0
-    head = seq[np.arange(2 * s) % n].tolist()
+    seq = vals[pw] - c0  # seq[j] = f(g^j) - c_0, unreduced in (-p, p)
+    head = [x % p for x in seq[np.arange(2 * s) % n].tolist()]
     conn, length = _berlekamp_massey(head, p)
     if length > s:
         return None
     # the recurrence must hold along the whole grid, not just the 2s values
     rest = seq[length:].copy()
+    lazy = _lazy_terms(p)
     for m in range(1, length + 1):
         rest += conn[m] * seq[length - m : n - m]
-        rest %= p
-    if rest.any():
+        if m % lazy == 0:
+            _mod(rest, p)
+    if _mod(rest, p).any():
         return None
     # roots of z^L C(1/z), whose coefficients from the top are conn, at every g^i
     logs = np.flatnonzero(_horner(conn[::-1], pw, p) == 0).tolist()
@@ -401,11 +451,12 @@ def _horner(coeffs: Sequence, x, m: Optional[int] = None):
     """sum_k coeffs[k] * x^k, coefficients from degree 0 up; with m given,
     the coefficients are residues modulo m and so is the result.
 
-    x is an int, a Fraction, or an int64 array of residues modulo m < 2^31:
-    every partial sum then stays below m^2 + m < 2^63.  The accumulator is
-    a fresh value, so the in-place updates never write to x; starting it at
-    the leading coefficient rather than at zero saves three passes over an
-    array x.
+    x is an int, a Fraction, or an int64 array of residues modulo m < 2^31.
+    Each step multiplies the accumulator by x, so it is reduced by ``_mod``
+    after every step: the partial sum acc * x + c stays below
+    m^2 + m < 2^63.  The accumulator is a fresh value, so the in-place
+    updates and ``_mod`` never write to x; starting it at the leading
+    coefficient rather than at zero saves three passes over an array x.
     """
     acc = x * 0
     if len(coeffs):
@@ -414,7 +465,7 @@ def _horner(coeffs: Sequence, x, m: Optional[int] = None):
         acc *= x
         acc += c
         if m is not None:
-            acc %= m
+            acc = _mod(acc, m)
     return acc
 
 

@@ -10,9 +10,11 @@ import pytest
 from lacuna import (
     DenseBox,
     DenominatorVanished,
+    DensePolyMod,
     ProgramBox,
     ShiftedLacunary,
     canonical_json,
+    interpolate_sparse,
     make_blackbox,
     reduce_mod,
     next_prime_above,
@@ -131,6 +133,20 @@ def test_reduce_equals_termwise_reduction_on_fixtures(golden_poly):
                     reduce_mod(bb, p)
                 continue
             assert list(reduce_mod(bb, p).coeffs) == want, (f, p)
+
+
+def test_forty_term_box_past_2_20_matches_termwise_reduction():
+    # above 2^20 the grid adds all 40 term products before it reduces, and the
+    # sparse kernel sums up to 80 products along its recurrence check
+    p = next_prime_above(1 << 20)
+    rng = random.Random(41)
+    terms = tuple((Fraction(rng.choice((-1, 1)) * rng.randrange(1, 1 << 80), rng.randrange(1, 1 << 20)),
+                   k + rng.randrange(3) * (p - 1))  # exponents offset-reduce to k
+                  for k in rng.sample(range(1, 81), 40))
+    f = ShiftedLacunary(Fraction(-7, 3), Fraction(12345678901234567, 89), terms)
+    want = DensePolyMod(p, naive_termwise_reduction(f, p))
+    assert want.degree > 40
+    assert interpolate_sparse(make_blackbox(f).eval_range(p), p, 80) == want
 
 
 # ---------------- alternative boxes ----------------

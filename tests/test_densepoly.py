@@ -11,11 +11,19 @@ from lacuna import (
     interpolate_range,
     interpolate_sparse,
     is_prime,
+    make_blackbox,
     min_shift,
     next_prime_above,
     tau,
 )
-from lacuna.densepoly import _horner, bounded_rational_roots, poly_mul_mod
+from lacuna.densepoly import (
+    _cyclic_tables,
+    _horner,
+    _lazy_terms,
+    _mod,
+    bounded_rational_roots,
+    poly_mul_mod,
+)
 from lacuna.sparsest_shift import taylor_shift_exact
 
 from conftest import (
@@ -495,6 +503,34 @@ def test_horner_matches_naive_evaluation():
     assert got.tolist() == [sum(c * int(x)**k for k, c in enumerate(coeffs)) % p for x in xs]
     assert xs.tolist() == [p - 1, p - 2, p - 3, 0, 1, 2**30]  # x is not written to
     assert _horner([], xs, p).tolist() == [0] * len(xs)
+
+
+def test_mod_raises_on_read_only_arrays_and_leaves_them_as_they_were(golden_poly):
+    # _mod reduces in place: the library's read-only arrays must refuse it
+    p = 7
+    grid = make_blackbox(golden_poly).eval_range(p)
+    pw, lg = _cyclic_tables(p)
+    coeffs = interpolate_range(grid, p).coeffs
+    for arr in (grid, pw, lg, coeffs):
+        before = arr.tolist()
+        with pytest.raises(ValueError):
+            _mod(arr, 3)
+        assert arr.tolist() == before
+    own = np.array([-8, -1, 0, 6, 7, 15], dtype=np.int64)
+    assert _mod(own, p) is own and own.tolist() == [6, 6, 0, 6, 0, 1]
+    assert _mod(-8, p) == 6 and _mod(2**80 + 3, p) == (2**80 + 3) % p
+
+
+def test_lazy_terms_keep_every_sum_of_products_in_int64():
+    # a value in (-p, p) plus k products of residues in (-p, p) is below
+    # p + k (p-1)^2 in absolute value; k is the most that keeps it in int64
+    for p in (2, 3, 65537, 2**31 - 1):
+        k = _lazy_terms(p)
+        assert k >= 1
+        assert p + k * (p - 1) ** 2 < 2**63
+        assert p + (k + 1) * (p - 1) ** 2 >= 2**63
+    assert _lazy_terms(2**31 - 1) >= 2
+    assert _lazy_terms(next_prime_above(1 << 20)) > 2**20
 
 
 # ---------------- bounded rational roots ----------------

@@ -1,5 +1,6 @@
 """Property tests of the chirp-transform kernel and the sparse kernel at
-every prime below 600.
+every prime below 600, of the int64 reduction helper, and of the schedule
+of reductions in sums of products.
 
 Kept apart from test_densepoly so that the other kernel tests still run
 where hypothesis is not installed.
@@ -7,15 +8,24 @@ where hypothesis is not installed.
 
 import random
 
+import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lacuna import (
+    DenominatorVanished,
     interpolate_range,
     interpolate_sparse,
     is_prime,
+    make_blackbox,
     tau,
 )
+from lacuna import blackbox, densepoly
+from lacuna.densepoly import _mod
+
+from conftest import random_instance
 
 PRIMES_BELOW_600 = [p for p in range(600) if is_prime(p)]
 
@@ -64,3 +74,67 @@ def test_sparse_kernel_property(p, s, extra, seed):
     noise = [rng.randrange(p) for _ in range(p)]  # a random grid is dense but at tiny p
     dense = interpolate_range(noise, p)
     assert interpolate_sparse(noise, p, s) == (dense if tau(dense) <= s else None)
+
+
+# ---------------- the reduction helper ----------------
+
+@settings(max_examples=200, deadline=None)
+@given(a=st.integers(), m=st.integers(1, 2**64))
+def test_mod_of_an_int_is_python_mod(a, m):
+    assert _mod(a, m) == a % m
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=hnp.arrays(np.int64, st.integers(0, 40),
+                    elements=st.integers(-2**63, 2**63 - 1)),
+       m=st.integers(2, 2**31 - 1))
+@example(a=np.array([-2**63, -(2**63 - 2**31), -1, 0, 1, 2**31 - 2, 2**63 - 1],
+                    dtype=np.int64), m=2**31 - 1)
+@example(a=np.array([-3, -2, -1, 0, 1, 2, 3], dtype=np.int64), m=2)
+def test_mod_of_an_int64_array_is_numpy_mod_in_place(a, m):
+    want = a % m
+    got = _mod(a, m)
+    assert got is a and got.dtype == np.int64
+    assert np.array_equal(got, want)
+
+
+# ---------------- the lazy-sum schedule ----------------
+
+def _reduce_after_every_product(mp):
+    """Patch both bindings: one product between reductions, the schedule
+    that only primes near 2^31 get."""
+    mp.setattr(densepoly, "_lazy_terms", lambda p: 1)
+    mp.setattr(blackbox, "_lazy_terms", lambda p: 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from(PRIMES_BELOW_600), s=st.integers(0, 6), t=st.integers(0, 7),
+       seed=st.integers(0, 2**32 - 1))
+def test_sparse_kernel_same_under_every_reduction_schedule(p, s, t, seed):
+    rng = random.Random(seed)
+    coeffs = [0] * p
+    coeffs[0] = rng.randrange(p)
+    for e in rng.sample(range(1, p), min(t, p - 1)):
+        coeffs[e] = rng.randrange(1, p)
+    grid = grid_of(coeffs, p)
+    want = interpolate_sparse(grid, p, s)
+    with pytest.MonkeyPatch.context() as mp:
+        _reduce_after_every_product(mp)
+        assert interpolate_sparse(grid, p, s) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.sampled_from(PRIMES_BELOW_600), seed=st.integers(0, 2**32 - 1))
+def test_lacunary_grid_same_under_every_reduction_schedule(p, seed):
+    f, _ = random_instance(random.Random(seed), max_t=6, max_exp=1 << 14)
+
+    def grid_or_none():
+        try:
+            return make_blackbox(f).eval_range(p).tolist()
+        except DenominatorVanished:
+            return None
+
+    want = grid_or_none()
+    with pytest.MonkeyPatch.context() as mp:
+        _reduce_after_every_product(mp)
+        assert grid_or_none() == want
