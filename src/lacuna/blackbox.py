@@ -26,6 +26,7 @@ from .densepoly import (
     _lazy_terms,
     _mod,
     _read_only,
+    _rotate,
     interpolate_range,
 )
 from .errors import DenominatorVanished
@@ -208,7 +209,7 @@ class LacunaryBox(ModularBlackBox):
                 _mod(acc, p)
         _mod(acc, p)
         acc[0] = c0  # every term has e >= 1, so it vanishes at b = 0
-        return np.roll(acc, shift)
+        return _rotate(acc, -shift)
 
 
 class DenseBox(ModularBlackBox):
@@ -314,7 +315,7 @@ class ShiftedBox(ModularBlackBox):
 
     def _grid(self, p: int) -> np.ndarray:
         a = frac_mod(self.alpha, p)
-        return np.roll(self.inner.eval_range(p), -a)
+        return _rotate(self.inner.eval_range(p), a)
 
 
 # ---------------- spec operations ----------------

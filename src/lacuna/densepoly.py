@@ -19,7 +19,12 @@ kernel, ``interpolate_sparse``, instead: Ben-Or and Tiwari's method reads
 the terms off f(0) and f(g^i) for i < 2s (Berlekamp-Massey, a root search
 over the powers of g, a transposed Vandermonde solve), and a check of the
 recurrence along every grid value makes the answer exact, or None when the
-interpolant has more than s terms.  Small list-based helpers at the bottom
+interpolant has more than s terms.  The per-prime shift search,
+``grid_shift``, rests on the same recurrence: for at most two terms the
+shifts whose rotated grid can be sparse are the common zeros of two Hankel
+determinants over the grid, each then checked by the sparse kernel, and
+only larger term bounds, or grids where many shifts pass, take the dense
+transform and ``min_shift``.  Small list-based helpers at the bottom
 hold the library's one Horner evaluator, ``_horner``, for a single int or
 Fraction point as well as a whole int64 grid, and its one expansion of
 f(x + y) into polynomials in y, ``_taylor_rows``, for both shift searches
@@ -43,7 +48,7 @@ products instead of once per product.
 import math
 from collections import Counter
 from functools import lru_cache
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -61,6 +66,20 @@ _GRID_LIMIT = 1 << 31
 # radix-3 and radix-5 butterflies too, whose constant is assumed to be of the
 # same size: the margin from 0.1 to 0.5 covers one up to 5 times larger.
 _EXACT_FFT_BITS = 46
+
+# grid_shift's Hankel filter writes its determinants out as cofactor
+# expansions of (t+1) x (t+1) matrices, 2 x 2 and 3 x 3, so it serves term
+# bounds t <= 2; larger t would need a general determinant modulo p over
+# whole grids, so they keep the Taylor-row search of min_shift.
+_HANKEL_MAX_TERMS = 2
+# Past this many candidates a grid is one of the low-degree ones on which
+# many shifts look sparse (at deg f <= t, every shift), and checking each
+# candidate with interpolate_sparse would cost more than one transform plus
+# min_shift, so that complete search runs instead.  At p = 1187, about the
+# smallest prime a solve reaches, one check took 60-90 us and the complete
+# search 400-560 us; the ratio grows with p.  On the benchmark's workloads
+# every bt <= 2 grid had one candidate, its true shift.
+_HANKEL_MAX_CANDIDATES = 8
 
 
 class DensePolyMod:
@@ -137,6 +156,14 @@ def _lazy_terms(p: int) -> int:
     That is at least 2 for every p < 2^31 and above 2^20 for p < 2^21.
     """
     return ((1 << 63) - 1 - p) // (p - 1) ** 2
+
+
+def _rotate(a: np.ndarray, k: int) -> np.ndarray:
+    """A new array holding a[(i + k) mod n] for i < n, n = len(a): the grid
+    of f(x + k) from the grid of f.  Two slices and one concatenation: the
+    same array as numpy's roll by -k, at less overhead per call."""
+    k %= len(a)
+    return np.concatenate((a[k:], a[:k]))
 
 
 class MinShift(NamedTuple):
@@ -321,7 +348,7 @@ def interpolate_range(values: Sequence[int], p: int) -> DensePolyMod:
     vals = _checked_grid(np.asarray(values, dtype=np.int64), p)
     n = p - 1
     pw, _ = _cyclic_tables(p)
-    s = _power_sums_fft(vals[np.roll(pw[::-1], 1)], p)  # u[a] = v[g^-a]
+    s = _power_sums_fft(vals[_rotate(pw[::-1], -1)], p)  # u[a] = v[g^-a]
     c = np.empty(p, dtype=np.int64)
     c[0] = vals[0]
     c[1:n] = _mod(p - s[1:], p)
@@ -411,7 +438,11 @@ def min_shift(f: DensePolyMod, grid: Sequence[int], *, tau_cap: int) -> Optional
     deg f - 2*tau_cap .. deg f - 1 of ``_taylor_rows``, reduced modulo p;
     with deg f < p no binomial in them vanishes, so row k keeps degree
     deg f - k.  Each candidate, most votes first, is checked exactly by
-    ``interpolate_sparse`` on the grid rotated by it.
+    ``interpolate_sparse`` on the grid rotated by it.  The library's shift
+    phase reaches it through ``grid_shift``, and only for tau_cap >= 3 or
+    when ``grid_shift``'s Hankel filter leaves more than
+    ``_HANKEL_MAX_CANDIDATES`` candidates; otherwise that filter finds the
+    shift without f's coefficients.
     """
     p, d = f.modulus, f.degree
     grid = _checked_grid(np.asarray(grid, dtype=np.int64), p)
@@ -428,10 +459,97 @@ def min_shift(f: DensePolyMod, grid: Sequence[int], *, tau_cap: int) -> Optional
         for g in np.flatnonzero(_horner([c % p for c in row], xs, p) == 0).tolist():
             votes[g] += 1
     for g in sorted((g for g, v in votes.items() if v > tau_cap), key=lambda g: (-votes[g], g)):
-        hit = interpolate_sparse(np.roll(grid, -g), p, tau_cap)
+        hit = interpolate_sparse(_rotate(grid, g), p, tau_cap)
         if hit is not None:
             return MinShift(g, tau(hit), False)
     return None
+
+
+def grid_shift(grid: Sequence[int], p: int, *, tau_cap: int) -> Tuple[bool, Optional[int]]:
+    """(passes, gamma) for the polynomial f of degree < p whose values at
+    0..p-1, reduced modulo p, are ``grid``: passes says deg f >= 2*tau_cap + 1,
+    and gamma is then the shift with tau(f(x + gamma)) <= tau_cap, or None
+    when there is none.  gamma is None whenever passes is False.
+
+    For tau_cap = t <= ``_HANKEL_MAX_TERMS`` a Hankel filter on the grid
+    finds the candidates without a transform.  Let g be the generator of
+    ``_cyclic_tables`` and s_gamma(j) = grid[gamma + g^j] - grid[gamma].
+    - Completeness.  If f(x + gamma) = c_0 + sum_k c_k x^e_k has at most t
+      non-constant terms, the grid rotated by gamma is its grid, so
+      s_gamma(j) = sum_k c_k (g^e_k)^j: at most t geometric sequences
+      (Ben-Or and Tiwari), which obey a linear recurrence of order <= t.
+      Its coefficients are a kernel vector of every (t+1) x (t+1) Hankel
+      matrix of s_gamma, so the two over j = 0..2t and j = 1..2t+1 are both
+      singular.  j is read modulo p - 1, the period of g^j, so small primes
+      lose nothing.  Every such gamma is thus a candidate.
+    - Exactness.  Each candidate, in increasing order, is checked by
+      ``interpolate_sparse`` on the grid rotated by it, which returns
+      f(x + gamma) exactly when it has at most t non-constant terms.
+    - Uniqueness.  With deg f >= 2t + 1 the t-sparse shift is unique
+      (Lakshman and Saunders, "Sparse shifts for univariate polynomials",
+      1996; ``min_shift`` rests on the same fact), so the first hit is it.
+    - Degree.  deg f < p, so f(x + gamma) has the degree of f: the first
+      hit gives deg f too, and a hit of degree <= 2t does not pass.  When
+      no candidate hits, no t-sparse shift exists, and one
+      ``interpolate_range`` is still needed for the degree alone.
+    The determinants are cofactor expansions on int64 arrays: each s_j is
+    reduced into [0, p) and each 2 x 2 minor is reduced before it is
+    multiplied again, so every product stays below (p-1)^2 < 2^62 and the
+    3 x 3 sum of three of them within (-2^62, 2^63).
+
+    Larger tau_cap, and grids with more than ``_HANKEL_MAX_CANDIDATES``
+    candidates, take the complete search instead: ``interpolate_range``
+    for the degree, then ``min_shift`` when it passes.  Either way the
+    answer is the same.  ValueError for tau_cap < 1, and for a grid of the
+    wrong length or unreduced.
+    """
+    vals = _checked_grid(np.asarray(grid, dtype=np.int64), p)
+    if tau_cap < 1:
+        raise ValueError(f"tau_cap must be >= 1, got {tau_cap}")
+    need = 2 * tau_cap + 1
+    if tau_cap <= _HANKEL_MAX_TERMS:
+        cands = _hankel_candidates(vals, p, tau_cap)
+        if len(cands) <= _HANKEL_MAX_CANDIDATES:
+            for gamma in cands:
+                hit = interpolate_sparse(_rotate(vals, gamma), p, tau_cap)
+                if hit is not None:
+                    return (True, gamma) if hit.degree >= need else (False, None)
+            return interpolate_range(vals, p).degree >= need, None
+    f = interpolate_range(vals, p)
+    if f.degree < need:
+        return False, None
+    hit = min_shift(f, vals, tau_cap=tau_cap)
+    return True, None if hit is None else hit.gamma
+
+
+def _hankel_candidates(vals: np.ndarray, p: int, t: int) -> list:
+    """The shifts gamma, in increasing order, at which both (t+1) x (t+1)
+    Hankel matrices of s_gamma (``grid_shift``) are singular modulo p;
+    t is 1 or 2.  The first matrix is tested at every gamma, the second only
+    where the first is singular, which on most grids leaves a handful."""
+    pw, _ = _cyclic_tables(p)
+    n = p - 1
+    seq = []
+    for j in range(2 * t + 1):
+        s = _rotate(vals, int(pw[j % n]))
+        s -= vals
+        seq.append(_mod(s, p))
+    cands = np.flatnonzero(_hankel_det(seq, p) == 0)
+    top = vals[_mod(cands + int(pw[(2 * t + 1) % n]), p)]
+    top -= vals[cands]
+    shifted = [s[cands] for s in seq[1:]] + [_mod(top, p)]
+    return cands[_hankel_det(shifted, p) == 0].tolist()
+
+
+def _hankel_det(s: Sequence[np.ndarray], p: int) -> np.ndarray:
+    """det [s[a + b]] for a, b <= t, modulo p, with len(s) = 2t + 1 for t = 1
+    or 2, elementwise over arrays of residues in [0, p)."""
+    if len(s) == 3:
+        return _mod(s[0] * s[2] - s[1] * s[1], p)
+    m0 = _mod(s[2] * s[4] - s[3] * s[3], p)
+    m1 = _mod(s[1] * s[4] - s[2] * s[3], p)
+    m2 = _mod(s[1] * s[3] - s[2] * s[2], p)
+    return _mod(s[0] * m0 - s[1] * m1 + s[2] * m2, p)
 
 
 # ---------------- small list-based helpers ----------------

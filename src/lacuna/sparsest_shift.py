@@ -9,11 +9,17 @@ beta1 + beta2 + k delivered primes.  Polynomials of degree <= 2*B_T never
 pass the degree test and fall through to exact dense recovery plus a direct
 candidate search.
 
-Both searches read the shift off the coefficients of f(x + y) as
-polynomials in y, ``densepoly._taylor_rows``: ``min_shift`` reduces a band
-of them modulo each good prime and tests their common roots on the box's
-grid for that prime, and the dense search takes their rational roots, as in
-Lakshman and Saunders; at y = alpha they give ``taylor_shift_exact``.
+Each prime's degree test and shift come from one ``densepoly.grid_shift``
+on the box's grid for that prime.  For bt <= 2 it filters the shifts by two
+Hankel determinants of the grid's values along the powers of a generator
+(Ben-Or and Tiwari's recurrence) and needs no dense transform.  For bt >= 3,
+and on the low-degree grids where that filter leaves many candidates, it
+interpolates the grid densely for the degree and runs ``min_shift``, which
+reads the shift off the coefficients of f(x + y) as polynomials in y,
+``densepoly._taylor_rows``: it reduces a band of them modulo the prime and
+tests their common roots on the grid.  The dense search takes the rational
+roots of the same rows, as in Lakshman and Saunders; at y = alpha they give
+``taylor_shift_exact``.
 """
 
 import enum
@@ -26,8 +32,7 @@ from .densepoly import (
     _horner,
     _taylor_rows,
     bounded_rational_roots,
-    interpolate_range,
-    min_shift,
+    grid_shift,
     poly_trim,
 )
 from .errors import DenominatorVanished, InconsistentResidues, NoReconstruction
@@ -103,12 +108,11 @@ def sparsest_shift(
     recorded: List[Tuple[int, int]] = []
     passed = False  # some reduction passed the degree test, so deg f > 2*bt
     for p, values in _reductions(bb, stream):
-        fp = interpolate_range(values, p)
-        if fp.degree >= 2 * bounds.bt + 1:
+        passes, gamma = grid_shift(values, p, tau_cap=bounds.bt)
+        if passes:
             passed = True
-            hit = min_shift(fp, values, tau_cap=bounds.bt)
-            if hit is not None:
-                recorded.append((hit.gamma, p))
+            if gamma is not None:
+                recorded.append((gamma, p))
                 prod *= p
                 if prod >= ptarget:
                     break

@@ -81,3 +81,12 @@ def test_tracer_solves_golden_with_the_pinned_counts(bench):
     assert gold.box.grid_evals == sum(run.GOLDEN_GRID_EVALS)
     spans = {trace.names[i] for i in trace.span_name}
     assert {*run.PHASES, "sparse_interp.PrimeImage.from_poly"} <= spans
+
+
+def test_dense_workload_solves_every_instance(bench):
+    # deg <= 2t: every prime fails the degree test, and grid_shift's Hankel
+    # filter answers each one at bt <= 2; no benchmarked workload covers it
+    _, _, workloads = bench
+    for inst in workloads.build(lacuna, "dense", 1):
+        answer = lacuna.full_interpolate(inst.box, inst.bounds)
+        assert workloads.is_correct(inst, answer), inst.name

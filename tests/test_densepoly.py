@@ -16,12 +16,17 @@ from lacuna import (
     next_prime_above,
     tau,
 )
+from lacuna import densepoly
 from lacuna.densepoly import (
+    _HANKEL_MAX_CANDIDATES,
     _cyclic_tables,
+    _hankel_det,
     _horner,
     _lazy_terms,
     _mod,
+    _rotate,
     bounded_rational_roots,
+    grid_shift,
     poly_mul_mod,
 )
 from lacuna.sparsest_shift import taylor_shift_exact
@@ -466,6 +471,122 @@ def test_min_shift_rejects_a_grid_of_wrong_length_or_unreduced():
         min_shift(f, [v + 11 for v in grid], tau_cap=1)  # unreduced
     with pytest.raises(ValueError, match="reduced"):
         min_shift(f, [-1] + grid[1:], tau_cap=1)
+
+
+# ---------------- grid_shift ----------------
+
+def shifted_grid(p, g0, c0, terms):
+    """Values at 0..p-1 of c0 + sum c (x - g0)^e over Z_p, for (c, e) in terms."""
+    return [(c0 + sum(c * pow(x - g0, e, p) for c, e in terms)) % p for x in range(p)]
+
+
+def test_grid_shift_equals_exhaustive_search(monkeypatch):
+    # exactly (deg f >= 2t + 1, the naive shift when it has at most t terms,
+    # else None) on three kinds of grid, at primes from p <= 2t + 3, where
+    # g^j wraps inside the Hankel filter, to past its candidate cap
+    transforms = []
+    dense_kernel = densepoly.interpolate_range
+
+    def counted(values, p):
+        transforms.append(p)
+        return dense_kernel(values, p)
+
+    monkeypatch.setattr(densepoly, "interpolate_range", counted)
+    rng = random.Random(67)
+    for t in (1, 2):
+        for p in (2, 3, 5, 7, 11, 13, 31, 37):
+            planted_grids = []
+            for _ in range(3 if p - 1 >= 2 * t + 1 else 0):
+                top = rng.randrange(2 * t + 1, p)
+                exps = rng.sample(range(1, top), t - 1) + [top]
+                terms = [(rng.randrange(1, p), e) for e in exps]
+                planted_grids.append(shifted_grid(p, rng.randrange(p), rng.randrange(p), terms))
+            low = [[rng.randrange(p) for _ in range(rng.randint(1, 2 * t + 1))] for _ in range(4)]
+            low_grids = [grid_of(coeffs, p) for coeffs in low]
+            flat = [grid_of([rng.randrange(p), rng.randrange(1, p)], p)]  # deg 1 <= t
+            dense_grids = [[rng.randrange(p) for _ in range(p)] for _ in range(3)]
+            for kind, grids in (("planted", planted_grids), ("low", low_grids + flat),
+                                ("dense", dense_grids)):
+                for grid in grids:
+                    coeffs = naive_interpolate(grid, p)
+                    gamma, tau_min, tie = naive_min_shift(coeffs, p)
+                    passes = len(coeffs) - 1 >= 2 * t + 1
+                    want = (passes, gamma if passes and tau_min <= t else None)
+                    transforms.clear()
+                    assert grid_shift(grid, p, tau_cap=t) == want, (kind, t, p, grid)
+                    assert grid_shift(np.array(grid), p, tau_cap=t) == want
+                    if want[1] is not None:
+                        assert not tie
+                    if kind == "planted":
+                        assert want[1] is not None and not transforms  # the hit needs no transform
+            # a linear grid makes every shift a candidate: past the cap, the
+            # complete search runs, and its one transform gives the degree
+            if p > _HANKEL_MAX_CANDIDATES:
+                transforms.clear()
+                assert grid_shift(flat[0], p, tau_cap=t) == (False, None)
+                assert transforms == [p]
+
+
+def test_grid_shift_above_two_terms_takes_the_taylor_row_search():
+    rng = random.Random(71)
+    p, t = 103, 3
+    g0 = rng.randrange(p)
+    grid = shifted_grid(p, g0, 5, [(1, 2), (7, 9), (3, 40)])
+    f = interpolate_range(grid, p)
+    assert grid_shift(grid, p, tau_cap=t) == (True, min_shift(f, grid, tau_cap=t).gamma) == (True, g0)
+    assert grid_shift(grid, p, tau_cap=2) == (True, None)  # three terms, cap two
+    assert grid_shift(grid_of([1, 2, 3, 4, 5, 6], p), p, tau_cap=3) == (False, None)
+
+
+def test_grid_shift_rejects_bad_input():
+    grid = grid_of([0, 0, 0, 1], 11)
+    for cap in (0, -1):
+        with pytest.raises(ValueError, match="tau_cap must be >= 1"):
+            grid_shift(grid, 11, tau_cap=cap)
+    with pytest.raises(ValueError, match="exactly 11 values"):
+        grid_shift(grid[:-1], 11, tau_cap=1)
+    with pytest.raises(ValueError, match="reduced"):
+        grid_shift([v + 11 for v in grid], 11, tau_cap=1)
+    with pytest.raises(ValueError, match="not prime"):
+        grid_shift(grid_of([0, 0, 0, 1], 12), 12, tau_cap=1)
+    with pytest.raises(TypeError):
+        grid_shift(grid, 11, 1)  # the cap is keyword-only
+
+
+def test_hankel_det_stays_exact_near_2_31():
+    # residues up to p - 1 < 2^31: every product is below 2^62, and the
+    # 3 x 3 expansion's sum stays inside int64
+    p = 2**31 - 1
+    rng = random.Random(73)
+    for size in (3, 5):
+        rows = [[p - 1] * size, [0] * size, [1, p - 1, 1, p - 1, 1][:size]]
+        rows += [[rng.randrange(p) for _ in range(size)] for _ in range(200)]
+        cols = [np.array(c, dtype=np.int64) for c in zip(*rows)]
+        t = size // 2
+        want = [exact_det([[r[a + b] for b in range(t + 1)] for a in range(t + 1)]) % p
+                for r in rows]
+        assert _hankel_det(cols, p).tolist() == want
+
+
+def exact_det(m):
+    """Determinant of a square matrix of Python ints by cofactor expansion."""
+    if len(m) == 1:
+        return m[0][0]
+    return sum((-1) ** j * m[0][j] * exact_det([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)))
+
+
+def test_rotate_equals_numpy_roll_on_read_only_input():
+    rng = random.Random(79)
+    for p in (2, 3, 7, 347):
+        a = np.array([rng.randrange(p) for _ in range(p)], dtype=np.int64)
+        a.flags.writeable = False
+        before = a.tolist()
+        for k in range(-2 * p, 2 * p + 1):
+            out = _rotate(a, k)
+            assert np.array_equal(out, np.roll(a, -k)), (p, k)
+            assert out.flags.writeable and not np.shares_memory(out, a)
+        assert a.tolist() == before
 
 
 # ---------------- small helpers over Z_m ----------------

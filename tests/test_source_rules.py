@@ -49,6 +49,25 @@ def test_no_module_imports_random():
     assert not found, f"imports of random in src/lacuna: {found}"
 
 
+
+def test_no_numpy_roll():
+    # grids rotate through densepoly._rotate, two slices and a concatenation:
+    # numpy's roll gives the same array at about 11 us a call against 2-5 us
+    # at p = 347-11,503, and the shift filter rotates 2t + 2 times a prime
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if "roll" in names:
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"uses of numpy's roll in src/lacuna: {found}"
+
 # the built-in errors the library raises besides its own LacunaError types:
 # ValueError for bad input, RuntimeError for a broken internal invariant,
 # NotImplementedError for the box base class's own contract
