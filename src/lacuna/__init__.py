@@ -37,14 +37,12 @@ from .errors import (
     NotSplitting,
 )
 from .modular_core import (
-    Rat,
     Residue,
     crt_list,
     crt_pair,
     is_prime,
     next_prime_above,
     rational_reconstruct,
-    rem,
     remo,
     signed_lift,
     size_of,
@@ -55,8 +53,6 @@ from .prime_oracle import (
     PrimeStream,
     choose_n,
     generate,
-    guarantee_reached,
-    next_prime,
     s_of_q,
     upsilon,
 )

@@ -28,6 +28,7 @@ from .densepoly import (
     _read_only,
     _rotate,
     interpolate_range,
+    poly_trim,
 )
 from .errors import DenominatorVanished
 from .modular_core import frac_mod
@@ -217,10 +218,7 @@ class DenseBox(ModularBlackBox):
 
     def __init__(self, coeffs: Sequence):
         super().__init__()
-        c = [Fraction(x) for x in coeffs]
-        while c and c[-1] == 0:
-            c.pop()
-        self.coeffs = tuple(c)
+        self.coeffs = tuple(poly_trim([Fraction(x) for x in coeffs]))
 
     def _eval(self, p: int, x):
         """f(x) mod p: a reduced Python int, or an int64 array of reduced

@@ -10,6 +10,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 
 from . import prime_oracle
 from .blackbox import (
@@ -163,7 +164,7 @@ def _cmd_interpolate(args) -> int:
     if args.assume_shift is not None:
         alpha = _parse_rat(args.assume_shift)
         flat = sparse_interpolate(shifted_blackbox(bb, alpha), bounds)
-        result = ShiftedLacunary(shift=alpha, constant=flat.constant, terms=flat.terms)
+        result = replace(flat, shift=alpha)
     else:
         result = full_interpolate(bb, bounds)
     _emit(args, json.loads(result.to_json()), _pretty_poly(result))

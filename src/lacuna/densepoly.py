@@ -593,16 +593,9 @@ def poly_trim(a: list) -> list:
     return a
 
 
-def poly_mul_mod(a: Sequence[int], b: Sequence[int], m: int) -> list:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] = (out[i + j] + ai * bj) % m
-    return poly_trim(out)
+def _times_linear(c: Sequence[int], r: int, m: int) -> list:
+    """Coefficients of c(x) * (x - r) mod m, from degree 0 up."""
+    return [(a - r * b) % m for a, b in zip([0, *c], [*c, 0])]
 
 
 def bounded_rational_roots(coeffs: Sequence, box: int) -> list:

@@ -1,8 +1,8 @@
 """Exact integer/rational/modular primitives shared by the whole library.
 
 Rationals are plain ``fractions.Fraction`` values (always in lowest terms,
-positive denominator), re-exported here as ``Rat``.  Everything in this
-module is pure and safe for concurrent use.
+positive denominator).  Everything in this module is pure and safe for
+concurrent use.
 
 Primality is always proven: ``is_prime`` takes n below about 3.3e24, where
 fixed Miller-Rabin witness sets are proven.  The library itself only asks
@@ -17,8 +17,6 @@ from functools import lru_cache
 
 from .errors import DenominatorVanished, InconsistentResidues, NoReconstruction
 
-Rat = Fraction
-
 
 # ---------------- bit sizes and remainders ----------------
 
@@ -29,13 +27,6 @@ def size_of(q) -> int:
     """
     q = Fraction(q)
     return abs(q.numerator).bit_length() + q.denominator.bit_length() + 1
-
-
-def rem(a: int, m: int) -> int:
-    """Remainder of a in {0, 1, ..., m-1}."""
-    if m < 1:
-        raise ValueError("modulus must be >= 1")
-    return a % m
 
 
 def remo(a: int, m: int) -> int:

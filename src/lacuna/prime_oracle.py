@@ -240,11 +240,3 @@ class PrimeStream:
 def generate(config: OracleConfig) -> PrimeStream:
     """Reservoir of beta1 + beta2 + ell primes p = S(q), q sieved from [n, 2n)."""
     return PrimeStream(config)
-
-
-def next_prime(stream: PrimeStream) -> int:
-    return stream.next_prime()
-
-
-def guarantee_reached(stream: PrimeStream, k: int) -> bool:
-    return stream.guarantee_reached(k)

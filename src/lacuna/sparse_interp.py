@@ -11,7 +11,7 @@ coefficients.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -20,9 +20,9 @@ import numpy as np
 from .blackbox import ModularBlackBox, ShiftedLacunary, _reductions, shifted_blackbox
 from .densepoly import (
     DensePolyMod,
+    _times_linear,
     bounded_rational_roots,
     interpolate_sparse,
-    poly_mul_mod,
     tau,
 )
 from .errors import (
@@ -159,7 +159,7 @@ def build_g_image(exponents: Sequence[int], m: int) -> DensePolyMod:
     """Monic product of (z - e) over Z_m; independent of exponent order."""
     coeffs = [1]
     for e in exponents:
-        coeffs = poly_mul_mod(coeffs, [(-int(e)) % m, 1], m)
+        coeffs = _times_linear(coeffs, int(e), m)
     return DensePolyMod(m, coeffs)
 
 
@@ -275,4 +275,4 @@ def full_interpolate(bb: ModularBlackBox, bounds: Bounds) -> ShiftedLacunary:
         terms = tuple((c, k) for k, c in enumerate(shifted) if k >= 1 and c != 0)
         return ShiftedLacunary(shift=sr.alpha, constant=constant, terms=terms)
     flat = sparse_interpolate(shifted_blackbox(bb, sr.alpha), bounds)
-    return ShiftedLacunary(shift=sr.alpha, constant=flat.constant, terms=flat.terms)
+    return replace(flat, shift=sr.alpha)

@@ -31,6 +31,7 @@ from .blackbox import ModularBlackBox, _reductions
 from .densepoly import (
     _horner,
     _taylor_rows,
+    _times_linear,
     bounded_rational_roots,
     grid_shift,
     poly_trim,
@@ -200,15 +201,10 @@ def _interpolate_points(vals: Sequence[int], m: int) -> List[int]:
         for i in range(k - 1, level - 1, -1):
             dd[i] = (dd[i] - dd[i - 1]) * inv % m
     # fold the Newton form back into monomials, Horner-style from the top
-    coeffs = [dd[k - 1] % m]
+    coeffs = [dd[k - 1]]
     for j in range(k - 2, -1, -1):
-        # multiply by (x - j) and add dd[j]
-        nxt = [0] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            nxt[i + 1] = (nxt[i + 1] + c) % m
-            nxt[i] = (nxt[i] - j * c) % m
-        nxt[0] = (nxt[0] + dd[j]) % m
-        coeffs = nxt
+        coeffs = _times_linear(coeffs, j, m)
+        coeffs[0] = (coeffs[0] + dd[j]) % m
     return coeffs
 
 
@@ -233,9 +229,7 @@ def dense_sparsest_shift(coeffs: Sequence[Fraction], ba: int) -> Fraction:
     because row deg f has no root.  Ties break toward smaller term count,
     then smaller bit size, then smaller value.
     """
-    f = [Fraction(c) for c in coeffs]
-    while f and f[-1] == 0:
-        f.pop()
+    f = poly_trim([Fraction(c) for c in coeffs])
     d = len(f) - 1
     if d <= 0:
         return Fraction(0)

@@ -151,6 +151,13 @@ def test_forty_term_box_past_2_20_matches_termwise_reduction():
 
 # ---------------- alternative boxes ----------------
 
+def test_dense_box_trims_trailing_zeros():
+    padded, plain = DenseBox([1, 2, 0, 0]), DenseBox([1, 2])
+    assert padded.coeffs == (1, 2)
+    for p in (2, 7, 31):
+        assert padded.eval_range(p).tolist() == plain.eval_range(p).tolist()
+
+
 def test_dense_box_matches_termwise(golden_poly):
     dense = DenseBox(expand_golden_dense())
     sparse = make_blackbox(golden_poly)

@@ -1,10 +1,13 @@
 """Command-line interface tests (run in-process via run())."""
 
 import json
+import os
 import random
+import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -153,6 +156,10 @@ def test_exit_usage_on_bad_args(capsys, tmp_path):
     assert code == 2
     code, _, _ = invoke(capsys, "shift", "--poly", GOLDEN_JSON, "--bounds", "BA=4")
     assert code == 2
+    code, _, err = invoke(capsys, "shift", "--poly", GOLDEN_JSON, "--bounds", "BA=1,BT=1,BH=1,BX=1")
+    assert code == 2 and "bad bounds entry" in err
+    code, _, err = invoke(capsys, "eval", "--poly", GOLDEN_JSON, "--prime", "9", "--point", "2")
+    assert code == 2 and "not prime" in err
     code, _, _ = invoke(capsys, "shift", "--poly", GOLDEN_JSON, "--bounds", "BA=-1,BT=2,BH=4,BN=4")
     assert code == 2
     code, _, _ = invoke(capsys, "eval", "--poly", "not json {", "--prime", "7", "--point", "1")
@@ -271,3 +278,22 @@ def test_output_is_canonical_json(capsys):
     code, out, _ = invoke(capsys, "interpolate", "--poly", GOLDEN_JSON, "--bounds", GOLDEN_BOUNDS)
     assert code == 0
     assert out == json.dumps(json.loads(out), sort_keys=True, separators=(",", ":"))
+
+
+# ---------------- console entry point ----------------
+
+def test_module_entry_point_exits_with_run_code():
+    # the ``lacuna`` console script calls cli.main, which exits with run()'s code
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    poly = '{"terms":[{"coeff":"1","exp":3}]}'
+
+    def lacuna(prime):
+        return subprocess.run(
+            [sys.executable, "-m", "lacuna.cli", "eval", "--poly", poly, "--prime", prime, "--point", "2"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+
+    done = lacuna("7")
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["value"] == "1"  # 2^3 = 8 = 1 mod 7
+    assert lacuna("9").returncode == 2

@@ -25,9 +25,9 @@ from lacuna.densepoly import (
     _lazy_terms,
     _mod,
     _rotate,
+    _times_linear,
     bounded_rational_roots,
     grid_shift,
-    poly_mul_mod,
 )
 from lacuna.sparsest_shift import taylor_shift_exact
 
@@ -320,6 +320,12 @@ def test_tau_examples():
     assert tau(DensePolyMod(7, [])) == 0
 
 
+def test_dense_poly_mod_rejects_moduli_outside_grid_range():
+    for m in (1, 2**31):
+        with pytest.raises(ValueError, match="modulus"):
+            DensePolyMod(m, [1, 2])
+
+
 # ---------------- min_shift ----------------
 
 def assert_capped_search_matches_exhaustive(f):
@@ -592,11 +598,8 @@ def test_rotate_equals_numpy_roll_on_read_only_input():
 # ---------------- small helpers over Z_m ----------------
 
 def test_poly_helpers():
-    m = 7
-    a = [1, 2, 3]
-    b = [4, 5]
-    prod = poly_mul_mod(a, b, m)
-    assert prod == [4, 6, 1, 1]
+    # (1 + 2x + 3x^2)(x - 3) mod 7, with the zero x^2 coefficient kept
+    assert _times_linear([1, 2, 3], 3, 7) == [4, 2, 0, 3]
 
 
 def test_horner_matches_naive_evaluation():

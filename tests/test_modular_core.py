@@ -15,7 +15,6 @@ from lacuna import (
     is_prime,
     next_prime_above,
     rational_reconstruct,
-    rem,
     remo,
     signed_lift,
     size_of,
@@ -42,7 +41,7 @@ def test_size_of_formula_spots():
     assert size_of(Fraction(1)) == 3
 
 
-# ---------------- rem / remo ----------------
+# ---------------- remo ----------------
 
 def test_remo_examples():
     assert remo(6, 6) == 6
@@ -53,8 +52,6 @@ def test_remo_examples():
 def test_remo_rejects_zero_modulus():
     with pytest.raises(ValueError):
         remo(5, 0)
-    with pytest.raises(ValueError):
-        rem(5, 0)
 
 
 def test_remo_vs_rem_property():
@@ -62,7 +59,7 @@ def test_remo_vs_rem_property():
     for _ in range(500):
         a = rng.randint(-10**6, 10**6)
         m = rng.randint(1, 10**4)
-        ro, r = remo(a, m), rem(a, m)
+        ro, r = remo(a, m), a % m
         assert ro - r in (0, m)
         assert (ro - a) % m == 0
         assert 1 <= ro <= m

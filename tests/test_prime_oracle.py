@@ -10,9 +10,7 @@ from lacuna import (
     OracleConfig,
     choose_n,
     generate,
-    guarantee_reached,
     is_prime,
-    next_prime,
     s_of_q,
     upsilon,
 )
@@ -117,6 +115,21 @@ def test_generate_counts_and_structure():
     check_reservoir(st, 25)
 
 
+def test_density_shortfall_doubles_mu_and_rebuilds(monkeypatch):
+    # no q below the first interval's top has an S(q): the first interval
+    # falls short, so mu doubles and the reservoir comes from a later one
+    need = 3 + 3 + 2
+    bound = 2 * choose_n(need, 1.0)
+    real = prime_oracle.s_of_q
+    monkeypatch.setattr(prime_oracle, "s_of_q",
+                        lambda q, cap=None: None if q < bound else real(q, cap))
+    st = generate(OracleConfig(3, 3, 2))
+    assert st.mu > 1
+    check_reservoir(st, need)
+    assert st.records == sorted(st.records)
+    assert all(r.q >= bound for r in st.records)
+
+
 def test_each_reserve_prime_has_one_interval_factor():
     # p - 1 = k*q with k < n, so q is the unique interval-sized factor:
     # the map q -> p is injective by construction
@@ -131,7 +144,7 @@ def test_delivery_ascending_and_counted():
     st = generate(OracleConfig(2, 2, 2))
     seen = []
     for i in range(1, 5):
-        p = next_prime(st)
+        p = st.next_prime()
         seen.append(p)
         assert st.delivered == i
     assert seen == sorted(seen)
@@ -153,10 +166,10 @@ def test_guarantee_threshold():
     assert not st.guarantee_reached(1)
     for _ in range(3 + 4):
         st.next_prime()
-    assert not guarantee_reached(st, 1)
+    assert not st.guarantee_reached(1)
     st.next_prime()
-    assert guarantee_reached(st, 1)
-    assert not guarantee_reached(st, 2)
+    assert st.guarantee_reached(1)
+    assert not st.guarantee_reached(2)
 
 
 def test_exhaustion_regenerates_with_fresh_primes():

@@ -336,6 +336,14 @@ def test_match_reports_missing_slot():
         match_and_recover([5, 14], imgs, bh=4)  # 14 remo 6 = 2, not present
 
 
+def test_match_reports_term_count_mismatch():
+    from lacuna import NoMatch
+
+    imgs = images_for(unshifted_two_term(), [7])
+    with pytest.raises(NoMatch, match="has 2 terms, expected 1"):
+        match_and_recover([5], imgs, bh=4)
+
+
 def test_match_reports_ambiguity():
     from lacuna import AmbiguousMatch
 

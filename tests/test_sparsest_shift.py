@@ -231,6 +231,11 @@ def test_dense_shift_examples():
     assert dense_sparsest_shift([0, 0, 0, 1], 3) == 0
 
 
+def test_dense_shift_ignores_trailing_zeros():
+    for coeffs, ba in (([1, 2, 1], 3), ([18, 33, 24, 8, 1], 4), ([Fraction(-1, 2), 1, 3], 3)):
+        assert dense_sparsest_shift(coeffs + [0, 0], ba) == dense_sparsest_shift(coeffs, ba)
+
+
 def test_dense_shift_quartic_is_planted():
     # x^4 + 8x^3 + 24x^2 + 33x + 18 == (x+2)^4 + (x+2) by expansion
     expanded = taylor_shift_exact([0, 1, 0, 0, 1], Fraction(2))
@@ -293,6 +298,11 @@ def test_reconstruct_shift_inconsistent():
 
     with pytest.raises(NoReconstruction):
         reconstruct_shift([(1, 7), (2, 11), (3, 13)], 1)
+
+
+def test_reconstruct_shift_rejects_no_residues():
+    with pytest.raises(NoReconstruction):
+        reconstruct_shift([], 4)
 
 
 def test_reconstruct_shift_rejects_duplicate_moduli():
