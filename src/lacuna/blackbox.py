@@ -21,7 +21,7 @@ import numpy as np
 from .densepoly import (
     DensePolyMod,
     _check_grid_prime,
-    _cyclic_tables,
+    _generator_powers,
     _horner,
     _lazy_terms,
     _mod,
@@ -176,7 +176,9 @@ class LacunaryBox(ModularBlackBox):
         super().__init__()
         self.poly = poly
 
-    def _denominators_mod(self, p: int):
+    def _residues(self, p: int):
+        """(c0, shift, coeffs) reduced mod p; DenominatorVanished when p
+        divides a denominator."""
         f = self.poly
         c0 = frac_mod(f.constant, p)
         if not f.terms:
@@ -186,7 +188,7 @@ class LacunaryBox(ModularBlackBox):
         return c0, shift, coeffs
 
     def _eval(self, p: int, theta: int) -> int:
-        c0, shift, coeffs = self._denominators_mod(p)
+        c0, shift, coeffs = self._residues(p)
         base = (theta - shift) % p
         acc = c0
         for cm, (_, e) in zip(coeffs, self.poly.terms):
@@ -194,23 +196,25 @@ class LacunaryBox(ModularBlackBox):
         return acc
 
     def _grid(self, p: int) -> np.ndarray:
-        c0, shift, coeffs = self._denominators_mod(p)
-        # acc[b] is f where theta - shift = b; b^e = g^(lg[b] * e) for b != 0.
-        # Each term adds a product of two residues, so the sum is reduced
-        # only every _lazy_terms(p) terms and once at the end.
-        pw, lg = _cyclic_tables(p)
+        c0, shift, coeffs = self._residues(p)
+        # acc[a] = f(shift + g^a) sums the terms c g^(a*e), each a product of
+        # two residues, reduced every _lazy_terms(p) terms and once at the
+        # end; at theta = shift every term vanishes (e >= 1), leaving c0.
+        pw = _generator_powers(p)
         n = p - 1
         lazy = _lazy_terms(p)
-        acc = np.full(p, c0, dtype=np.int64)
+        logs = np.arange(n, dtype=np.int64)
+        acc = np.full(n, c0, dtype=np.int64)
         for k, (cm, (_, e)) in enumerate(zip(coeffs, self.poly.terms), 1):
-            term = pw[_mod(lg * (e % n), n)]
+            term = pw[_mod(logs * (e % n), n)]
             term *= cm
             acc += term
             if k % lazy == 0:
                 _mod(acc, p)
-        _mod(acc, p)
-        acc[0] = c0  # every term has e >= 1, so it vanishes at b = 0
-        return _rotate(acc, -shift)
+        grid = np.empty(p, dtype=np.int64)
+        grid[shift] = c0
+        grid[_mod(pw + shift, p)] = _mod(acc, p)
+        return grid
 
 
 class DenseBox(ModularBlackBox):

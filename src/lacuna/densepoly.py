@@ -3,16 +3,17 @@
 A solve only ever turns grid values into coefficients: each prime's image
 f^(p) is read off the box's values on the full grid {0, ..., p-1}, and the
 grid operations (interpolation, shift search) require a prime modulus
-p < 2^31 and degree < p.  Dense interpolation goes through one kernel,
-``_power_sums_fft``: with a generator g of Z_p^*, the Lagrange coefficients
-are sums s_j = sum_a u_a g^(a*j) over a = 0..p-2, an order-(p-1) transform
-that Bluestein's chirp identity turns into one cyclic convolution of
-5-smooth length >= 2(p-1) - 1.  The convolution runs in float64 FFTs over
-limbs of the residues; the limb width is picked from the bit length of p
-and the FFT length so that Percival's error bound for FFT products, with a
-5-fold margin for mixed-radix transforms, stays below 1/2
-(``_limb_split``), which keeps the transform exact and O(p log p) for every
-such prime.
+p < 2^31 and degree < p.  Every nonzero grid point is a power g^a of one
+generator g of Z_p^*, and one table per prime, ``_generator_powers``, holds
+them: the lacunary box and every grid kernel walk the grid along it.
+Dense interpolation goes through one kernel, ``_power_sums_fft``: the
+Lagrange coefficients are sums s_j = sum_a u_a g^(a*j) over a = 0..p-2, an
+order-(p-1) transform that Bluestein's chirp identity turns into one cyclic
+convolution of 5-smooth length >= 2(p-1) - 1, run in float64 FFTs over
+limbs of the residues.  The limbs are narrow enough (``_limb_split``) that
+Percival's error bound for FFT products, with a 5-fold margin for
+mixed-radix transforms, stays below 1/2, so the transform is exact and
+O(p log p) for every such prime.
 
 A grid whose interpolant has at most s non-constant terms takes the sparse
 kernel, ``interpolate_sparse``, instead: Ben-Or and Tiwari's method reads
@@ -72,13 +73,14 @@ _EXACT_FFT_BITS = 46
 # bounds t <= 2; larger t would need a general determinant modulo p over
 # whole grids, so they keep the Taylor-row search of min_shift.
 _HANKEL_MAX_TERMS = 2
-# Past this many candidates a grid is one of the low-degree ones on which
-# many shifts look sparse (at deg f <= t, every shift), and checking each
-# candidate with interpolate_sparse would cost more than one transform plus
-# min_shift, so that complete search runs instead.  At p = 1187, about the
-# smallest prime a solve reaches, one check took 60-90 us and the complete
-# search 400-560 us; the ratio grows with p.  On the benchmark's workloads
-# every bt <= 2 grid had one candidate, its true shift.
+# Past this many candidates, checking each with interpolate_sparse would
+# cost more than one transform plus min_shift, so that complete search runs
+# instead.  Many shifts pass the filter on low-degree grids (at deg f <= t,
+# every shift) and on powers of degree (p-1)/2, whose values are 0 and +-1
+# times a constant: x^5003 at p = 10007 leaves 3,141 for t = 1.  At
+# p = 1187, about the smallest prime a solve reaches, one check took
+# 60-90 us and the complete search 400-560 us; the ratio grows with p.  On
+# the benchmark's workloads every bt <= 2 grid had one candidate, its shift.
 _HANKEL_MAX_CANDIDATES = 8
 
 
@@ -185,12 +187,10 @@ def _primitive_root(p: int) -> int:
 
 
 @lru_cache(maxsize=2)
-def _cyclic_tables(p: int):
-    """(pw, lg) with pw[a] = g^a for a < p-1 and lg[g^a] = a, g a generator.
-
-    Read-only int64 arrays; lg[0] is 0 and stands for no logarithm.  Two
-    primes are cached because reducing a box evaluates it and then
-    interpolates at the same prime.
+def _generator_powers(p: int) -> np.ndarray:
+    """pw[a] = g^a mod p for a < p-1, g = ``_primitive_root(p)``: a read-only
+    int64 array, the one table per prime.  Two primes are cached because
+    reducing a box evaluates it and then interpolates at the same prime.
     """
     n = p - 1
     g = _primitive_root(p)
@@ -204,12 +204,7 @@ def _cyclic_tables(p: int):
     for _ in range(1, -(n // -m)):
         big.append(big[-1] * big_step % p)
     outer = np.multiply.outer(np.array(big, dtype=np.int64), np.array(small, dtype=np.int64))
-    pw = _mod(outer, p).reshape(-1)[:n]
-    lg = np.zeros(p, dtype=np.int64)
-    lg[pw] = np.arange(n, dtype=np.int64)
-    pw.flags.writeable = False
-    lg.flags.writeable = False
-    return pw, lg
+    return _read_only(_mod(outer, p).reshape(-1)[:n])
 
 
 def _smooth_length(m: int) -> int:
@@ -257,7 +252,7 @@ def _limb_split(p: int, n: int, size: int):
 def _power_sums_fft(u: np.ndarray, p: int) -> np.ndarray:
     """s[j] = sum_a u[a] * g^(a*j) mod p for j = 0..p-2, exact, O(p log p).
 
-    g is the generator of ``_cyclic_tables`` and u holds p-1 residues.
+    g is the generator of ``_generator_powers`` and u holds p-1 residues.
     Bluestein's identity a*j = T(a-1) + T(j) - T(j-a), with T(k) = k(k+1)/2,
     makes s[j] = g^T(j) * sum_a (u[a] g^T(a-1)) * g^-T(j-a): one convolution
     against the chirp g^-T(k) for k = -(p-2)..p-2.  Only its outputs
@@ -265,7 +260,7 @@ def _power_sums_fft(u: np.ndarray, p: int) -> np.ndarray:
     >= 2(p-1) - 1 gives them without wrap-around.
     """
     n = p - 1
-    pw, _ = _cyclic_tables(p)
+    pw = _generator_powers(p)
     tri = _mod(np.cumsum(np.arange(n, dtype=np.int64)), n)  # T(k) mod n; T(-1-k) = T(k)
     twiddle = pw[tri]
     chirp = pw[-tri]  # negative indices wrap modulo n
@@ -347,7 +342,7 @@ def interpolate_range(values: Sequence[int], p: int) -> DensePolyMod:
     """
     vals = _checked_grid(np.asarray(values, dtype=np.int64), p)
     n = p - 1
-    pw, _ = _cyclic_tables(p)
+    pw = _generator_powers(p)
     s = _power_sums_fft(vals[_rotate(pw[::-1], -1)], p)  # u[a] = v[g^-a]
     c = np.empty(p, dtype=np.int64)
     c[0] = vals[0]
@@ -366,8 +361,8 @@ def interpolate_sparse(values: Sequence[int], p: int, s: int) -> Optional[DenseP
     one per term, a slot e_k in 1..p-1 (x^(p-1) is 1 at every nonzero
     point, so slot p-1 has root 1 = g^0).  Berlekamp-Massey finds the
     recurrence from a_0..a_(2s-1).  It is then checked along all of
-    a_0..a_(p-2); one Horner pass over the powers of g (the tables of
-    ``_cyclic_tables``) finds its roots and their slots, and a transposed
+    a_0..a_(p-2); one Horner pass over the powers of g (the table of
+    ``_generator_powers``) finds its roots and their slots, and a transposed
     Vandermonde solve fits the coefficients to a_0..a_(L-1).  A sequence
     that obeys a recurrence with L distinct roots is fixed by its first L
     values, so the result matches all p values, and a polynomial of degree
@@ -385,7 +380,7 @@ def interpolate_sparse(values: Sequence[int], p: int, s: int) -> Optional[DenseP
     vals = _checked_grid(np.asarray(values, dtype=np.int64), p)
     n = p - 1
     s = min(s, n)  # no grid has more than p - 1 non-constant terms
-    pw, _ = _cyclic_tables(p)
+    pw = _generator_powers(p)
     c0 = int(vals[0])
     seq = vals[pw] - c0  # seq[j] = f(g^j) - c_0, unreduced in (-p, p)
     head = [x % p for x in seq[np.arange(2 * s) % n].tolist()]
@@ -473,7 +468,7 @@ def grid_shift(grid: Sequence[int], p: int, *, tau_cap: int) -> Tuple[bool, Opti
 
     For tau_cap = t <= ``_HANKEL_MAX_TERMS`` a Hankel filter on the grid
     finds the candidates without a transform.  Let g be the generator of
-    ``_cyclic_tables`` and s_gamma(j) = grid[gamma + g^j] - grid[gamma].
+    ``_generator_powers`` and s_gamma(j) = grid[gamma + g^j] - grid[gamma].
     - Completeness.  If f(x + gamma) = c_0 + sum_k c_k x^e_k has at most t
       non-constant terms, the grid rotated by gamma is its grid, so
       s_gamma(j) = sum_k c_k (g^e_k)^j: at most t geometric sequences
@@ -527,7 +522,7 @@ def _hankel_candidates(vals: np.ndarray, p: int, t: int) -> list:
     Hankel matrices of s_gamma (``grid_shift``) are singular modulo p;
     t is 1 or 2.  The first matrix is tested at every gamma, the second only
     where the first is singular, which on most grids leaves a handful."""
-    pw, _ = _cyclic_tables(p)
+    pw = _generator_powers(p)
     n = p - 1
     seq = []
     for j in range(2 * t + 1):

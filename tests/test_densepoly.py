@@ -19,7 +19,8 @@ from lacuna import (
 from lacuna import densepoly
 from lacuna.densepoly import (
     _HANKEL_MAX_CANDIDATES,
-    _cyclic_tables,
+    _generator_powers,
+    _hankel_candidates,
     _hankel_det,
     _horner,
     _lazy_terms,
@@ -533,6 +534,29 @@ def test_grid_shift_equals_exhaustive_search(monkeypatch):
                 assert transforms == [p]
 
 
+def test_grid_shift_past_the_candidate_cap_on_a_half_degree_grid(monkeypatch):
+    # (x - g0)^((p-1)/2) takes only the values 0 and +-1, so many shifts
+    # pass the Hankel filter although the grid passes the degree test: the
+    # complete search runs, with its one transform, and finds g0
+    transforms = []
+    dense_kernel = densepoly.interpolate_range
+
+    def counted(values, p):
+        transforms.append(p)
+        return dense_kernel(values, p)
+
+    monkeypatch.setattr(densepoly, "interpolate_range", counted)
+    for p, g0 in ((101, 7), (103, 40)):
+        coeffs = planted(p, g0, [(1, (p - 1) // 2)])
+        grid = grid_of(coeffs, p)
+        assert naive_min_shift(coeffs, p) == (g0, 1, False)
+        for t in (1, 2):
+            assert len(_hankel_candidates(np.array(grid), p, t)) > _HANKEL_MAX_CANDIDATES
+            transforms.clear()
+            assert grid_shift(grid, p, tau_cap=t) == (True, g0), (p, t)
+            assert transforms == [p]
+
+
 def test_grid_shift_above_two_terms_takes_the_taylor_row_search():
     rng = random.Random(71)
     p, t = 103, 3
@@ -633,9 +657,9 @@ def test_mod_raises_on_read_only_arrays_and_leaves_them_as_they_were(golden_poly
     # _mod reduces in place: the library's read-only arrays must refuse it
     p = 7
     grid = make_blackbox(golden_poly).eval_range(p)
-    pw, lg = _cyclic_tables(p)
+    pw = _generator_powers(p)
     coeffs = interpolate_range(grid, p).coeffs
-    for arr in (grid, pw, lg, coeffs):
+    for arr in (grid, pw, coeffs):
         before = arr.tolist()
         with pytest.raises(ValueError):
             _mod(arr, 3)
@@ -643,6 +667,18 @@ def test_mod_raises_on_read_only_arrays_and_leaves_them_as_they_were(golden_poly
     own = np.array([-8, -1, 0, 6, 7, 15], dtype=np.int64)
     assert _mod(own, p) is own and own.tolist() == [6, 6, 0, 6, 0, 1]
     assert _mod(-8, p) == 6 and _mod(2**80 + 3, p) == (2**80 + 3) % p
+
+
+def test_generator_powers_run_once_through_every_nonzero_residue():
+    # pw[a] = g^a for one generator g: it starts at 1, steps by g, and holds
+    # each of 1..p-1 once; p = 2 is the one-entry table [1]
+    for p in (2, 3, 7, 1187):
+        pw = _generator_powers(p)
+        assert pw.dtype == np.int64 and pw[0] == 1
+        assert sorted(pw.tolist()) == list(range(1, p))
+        g = int(pw[1 % (p - 1)])
+        assert all(int(pw[a + 1]) == g * int(pw[a]) % p for a in range(p - 2))
+        assert not pw.flags.writeable
 
 
 def test_lazy_terms_keep_every_sum_of_products_in_int64():
