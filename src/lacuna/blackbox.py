@@ -211,10 +211,10 @@ class LacunaryBox(ModularBlackBox):
             acc += term
             if k % lazy == 0:
                 _mod(acc, p)
-        grid = np.empty(p, dtype=np.int64)
-        grid[shift] = c0
-        grid[_mod(pw + shift, p)] = _mod(acc, p)
-        return grid
+        around = np.empty(p, dtype=np.int64)  # around[x] = f(shift + x)
+        around[0] = c0
+        around[pw] = _mod(acc, p)
+        return _rotate(around, -shift)
 
 
 class DenseBox(ModularBlackBox):

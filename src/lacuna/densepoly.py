@@ -21,15 +21,15 @@ the terms off f(0) and f(g^i) for i < 2s (Berlekamp-Massey, a root search
 over the powers of g, a transposed Vandermonde solve), and a check of the
 recurrence along every grid value makes the answer exact, or None when the
 interpolant has more than s terms.  The per-prime shift search,
-``grid_shift``, rests on the same recurrence: for at most two terms the
-shifts whose rotated grid can be sparse are the common zeros of two Hankel
-determinants over the grid, each then checked by the sparse kernel, and
-only larger term bounds, or grids where many shifts pass, take the dense
-transform and ``min_shift``.  Small list-based helpers at the bottom
-hold the library's one Horner evaluator, ``_horner``, for a single int or
-Fraction point as well as a whole int64 grid, and its one expansion of
-f(x + y) into polynomials in y, ``_taylor_rows``, for both shift searches
-and the exact Taylor shift.  On top of them ``bounded_rational_roots`` is
+``grid_shift``, rests on the same recurrence: at any term bound t, the
+shifts whose rotated grid can be sparse make two (t+1) x (t+1) Hankel
+matrices over the grid singular, which ``_hankel_singular`` tests at every
+shift at once; the sparse kernel checks the first few, and only when they
+miss do the dense transform and ``min_shift`` run.  Small list-based
+helpers at the bottom hold the library's one Horner evaluator, ``_horner``,
+for a single int or Fraction point as well as a whole int64 grid, and its
+one expansion of f(x + y) into polynomials in y, ``_taylor_rows``, for both
+shift searches and the exact Taylor shift.  On top of them ``bounded_rational_roots`` is
 the one root finder for both the exponent polynomial and the dense-regime
 shift search: a ``_horner`` scan of the grid of a small prime, then
 Newton lifting, so it too only ever works modulo primes below 2^31.
@@ -68,19 +68,16 @@ _GRID_LIMIT = 1 << 31
 # same size: the margin from 0.1 to 0.5 covers one up to 5 times larger.
 _EXACT_FFT_BITS = 46
 
-# grid_shift's Hankel filter writes its determinants out as cofactor
-# expansions of (t+1) x (t+1) matrices, 2 x 2 and 3 x 3, so it serves term
-# bounds t <= 2; larger t would need a general determinant modulo p over
-# whole grids, so they keep the Taylor-row search of min_shift.
-_HANKEL_MAX_TERMS = 2
-# Past this many candidates, checking each with interpolate_sparse would
-# cost more than one transform plus min_shift, so that complete search runs
-# instead.  Many shifts pass the filter on low-degree grids (at deg f <= t,
-# every shift) and on powers of degree (p-1)/2, whose values are 0 and +-1
-# times a constant: x^5003 at p = 10007 leaves 3,141 for t = 1.  At
-# p = 1187, about the smallest prime a solve reaches, one check took
-# 60-90 us and the complete search 400-560 us; the ratio grows with p.  On
-# the benchmark's workloads every bt <= 2 grid had one candidate, its shift.
+# grid_shift checks this many Hankel candidates, in increasing order, before
+# it gives up on them: past that, one transform plus min_shift costs less
+# than further checks.  Many shifts pass the filter on powers of degree
+# (p-1)/2, whose values are 0 and +-1 times a constant: x^5003 at
+# p = 10007 leaves 3,141 for t = 1.  Grids of degree <= t, where every
+# shift passes, never get that far: their first candidate hits and shows
+# the low degree.  At p = 1187, about the smallest prime a solve
+# reaches, one check took 60-90 us and the complete search 400-560 us;
+# the ratio grows with p.  On the benchmark's workloads every grid had one
+# candidate, its shift.
 _HANKEL_MAX_CANDIDATES = 8
 
 
@@ -434,10 +431,9 @@ def min_shift(f: DensePolyMod, grid: Sequence[int], *, tau_cap: int) -> Optional
     with deg f < p no binomial in them vanishes, so row k keeps degree
     deg f - k.  Each candidate, most votes first, is checked exactly by
     ``interpolate_sparse`` on the grid rotated by it.  The library's shift
-    phase reaches it through ``grid_shift``, and only for tau_cap >= 3 or
-    when ``grid_shift``'s Hankel filter leaves more than
-    ``_HANKEL_MAX_CANDIDATES`` candidates; otherwise that filter finds the
-    shift without f's coefficients.
+    phase reaches it only through ``grid_shift``, when the first
+    ``_HANKEL_MAX_CANDIDATES`` of more Hankel candidates miss; on other
+    grids that filter finds the shift without f's coefficients.
     """
     p, d = f.modulus, f.degree
     grid = _checked_grid(np.asarray(grid, dtype=np.int64), p)
@@ -466,62 +462,54 @@ def grid_shift(grid: Sequence[int], p: int, *, tau_cap: int) -> Tuple[bool, Opti
     and gamma is then the shift with tau(f(x + gamma)) <= tau_cap, or None
     when there is none.  gamma is None whenever passes is False.
 
-    For tau_cap = t <= ``_HANKEL_MAX_TERMS`` a Hankel filter on the grid
-    finds the candidates without a transform.  Let g be the generator of
-    ``_generator_powers`` and s_gamma(j) = grid[gamma + g^j] - grid[gamma].
+    A Hankel filter on the grid finds the candidate shifts without a
+    transform.  Let t = tau_cap, g the generator of ``_generator_powers``
+    and s_gamma(j) = grid[gamma + g^j] - grid[gamma].
     - Completeness.  If f(x + gamma) = c_0 + sum_k c_k x^e_k has at most t
       non-constant terms, the grid rotated by gamma is its grid, so
       s_gamma(j) = sum_k c_k (g^e_k)^j: at most t geometric sequences
       (Ben-Or and Tiwari), which obey a linear recurrence of order <= t.
       Its coefficients are a kernel vector of every (t+1) x (t+1) Hankel
       matrix of s_gamma, so the two over j = 0..2t and j = 1..2t+1 are both
-      singular.  j is read modulo p - 1, the period of g^j, so small primes
-      lose nothing.  Every such gamma is thus a candidate.
+      singular, and ``_hankel_singular`` flags every singular matrix.  j is
+      read modulo p - 1, the period of g^j, so small primes lose nothing.
+      Every such gamma is thus a candidate.
     - Exactness.  Each candidate, in increasing order, is checked by
       ``interpolate_sparse`` on the grid rotated by it, which returns
-      f(x + gamma) exactly when it has at most t non-constant terms.
+      f(x + gamma) exactly when it has at most t non-constant terms, so a
+      spurious candidate costs one check and nothing else.
     - Uniqueness.  With deg f >= 2t + 1 the t-sparse shift is unique
       (Lakshman and Saunders, "Sparse shifts for univariate polynomials",
       1996; ``min_shift`` rests on the same fact), so the first hit is it.
     - Degree.  deg f < p, so f(x + gamma) has the degree of f: the first
-      hit gives deg f too, and a hit of degree <= 2t does not pass.  When
-      no candidate hits, no t-sparse shift exists, and one
-      ``interpolate_range`` is still needed for the degree alone.
-    The determinants are cofactor expansions on int64 arrays: each s_j is
-    reduced into [0, p) and each 2 x 2 minor is reduced before it is
-    multiplied again, so every product stays below (p-1)^2 < 2^62 and the
-    3 x 3 sum of three of them within (-2^62, 2^63).
-
-    Larger tau_cap, and grids with more than ``_HANKEL_MAX_CANDIDATES``
-    candidates, take the complete search instead: ``interpolate_range``
-    for the degree, then ``min_shift`` when it passes.  Either way the
-    answer is the same.  ValueError for tau_cap < 1, and for a grid of the
-    wrong length or unreduced.
+      hit gives deg f too, and a hit of degree <= 2t does not pass.
+    Only the first ``_HANKEL_MAX_CANDIDATES`` candidates are checked.  When
+    none of them hits, one ``interpolate_range`` gives the degree, and if
+    it passes and more candidates remain, ``min_shift`` finds the shift
+    from f's coefficients; otherwise no t-sparse shift exists.  ValueError
+    for tau_cap < 1, and for a grid of the wrong length or unreduced.
     """
     vals = _checked_grid(np.asarray(grid, dtype=np.int64), p)
     if tau_cap < 1:
         raise ValueError(f"tau_cap must be >= 1, got {tau_cap}")
     need = 2 * tau_cap + 1
-    if tau_cap <= _HANKEL_MAX_TERMS:
-        cands = _hankel_candidates(vals, p, tau_cap)
-        if len(cands) <= _HANKEL_MAX_CANDIDATES:
-            for gamma in cands:
-                hit = interpolate_sparse(_rotate(vals, gamma), p, tau_cap)
-                if hit is not None:
-                    return (True, gamma) if hit.degree >= need else (False, None)
-            return interpolate_range(vals, p).degree >= need, None
+    cands = _hankel_candidates(vals, p, tau_cap)
+    for gamma in cands[:_HANKEL_MAX_CANDIDATES]:
+        hit = interpolate_sparse(_rotate(vals, gamma), p, tau_cap)
+        if hit is not None:
+            return (True, gamma) if hit.degree >= need else (False, None)
     f = interpolate_range(vals, p)
-    if f.degree < need:
-        return False, None
+    if f.degree < need or len(cands) <= _HANKEL_MAX_CANDIDATES:
+        return f.degree >= need, None
     hit = min_shift(f, vals, tau_cap=tau_cap)
     return True, None if hit is None else hit.gamma
 
 
 def _hankel_candidates(vals: np.ndarray, p: int, t: int) -> list:
-    """The shifts gamma, in increasing order, at which both (t+1) x (t+1)
-    Hankel matrices of s_gamma (``grid_shift``) are singular modulo p;
-    t is 1 or 2.  The first matrix is tested at every gamma, the second only
-    where the first is singular, which on most grids leaves a handful."""
+    """The shifts gamma, in increasing order, at which ``_hankel_singular``
+    flags both (t+1) x (t+1) Hankel matrices of s_gamma (``grid_shift``).
+    The first matrix is tested at every gamma, the second only where the
+    first is flagged, which on most grids leaves a handful."""
     pw = _generator_powers(p)
     n = p - 1
     seq = []
@@ -529,22 +517,32 @@ def _hankel_candidates(vals: np.ndarray, p: int, t: int) -> list:
         s = _rotate(vals, int(pw[j % n]))
         s -= vals
         seq.append(_mod(s, p))
-    cands = np.flatnonzero(_hankel_det(seq, p) == 0)
+    cands = np.flatnonzero(_hankel_singular(seq, p) == 0)
     top = vals[_mod(cands + int(pw[(2 * t + 1) % n]), p)]
     top -= vals[cands]
     shifted = [s[cands] for s in seq[1:]] + [_mod(top, p)]
-    return cands[_hankel_det(shifted, p) == 0].tolist()
+    return cands[_hankel_singular(shifted, p) == 0].tolist()
 
 
-def _hankel_det(s: Sequence[np.ndarray], p: int) -> np.ndarray:
-    """det [s[a + b]] for a, b <= t, modulo p, with len(s) = 2t + 1 for t = 1
-    or 2, elementwise over arrays of residues in [0, p)."""
-    if len(s) == 3:
-        return _mod(s[0] * s[2] - s[1] * s[1], p)
-    m0 = _mod(s[2] * s[4] - s[3] * s[3], p)
-    m1 = _mod(s[1] * s[4] - s[2] * s[3], p)
-    m2 = _mod(s[1] * s[3] - s[2] * s[2], p)
-    return _mod(s[0] * m0 - s[1] * m1 + s[2] * m2, p)
+def _hankel_singular(s: Sequence[np.ndarray], p: int) -> np.ndarray:
+    """Elementwise over arrays of residues in [0, p), len(s) = 2t + 1: a
+    residue that is 0 wherever the Hankel matrix A = [s[a + b]], a, b <= t,
+    is singular modulo p.
+
+    Division-free symmetric elimination on the upper triangle,
+    m[i][j - i] = A_ij: each step takes A to B_ij = A_00 A_ij - A_0i A_0j,
+    1 <= i <= j, reduced modulo p, so every product stays below
+    (p-1)^2 < 2^62.  As det B = A_00^(k-2) det A for k x k A, the one entry
+    left is det A times positive powers of A's leading principal minors of
+    order <= t - 1 (det A itself for t = 1): zero wherever det A is.
+    """
+    t = len(s) // 2
+    m = [[s[2 * i + k] for k in range(t + 1 - i)] for i in range(t + 1)]
+    while len(m) > 1:
+        top, rest = m[0], m[1:]
+        m = [[_mod(top[0] * row[k] - top[i] * top[i + k], p) for k in range(len(row))]
+             for i, row in enumerate(rest, 1)]
+    return m[0][0]
 
 
 # ---------------- small list-based helpers ----------------

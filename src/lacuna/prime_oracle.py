@@ -183,15 +183,12 @@ class PrimeStream:
         self.config = config
         self.mu = config.mu
         self._ell = config.ell
-        self.records, self.mu, self.n = _build_reservoir(
-            config.beta1, config.beta2, self._ell, self.mu
-        )
-        self._cursor = 0
         self._handed = set()
         self._dead = set()
+        self._by_p = {}
         self.delivered = 0
         self.regenerations = 0
-        self._by_p = {r.p: r for r in self.records}
+        self._fill()
 
     @property
     def reservoir(self) -> tuple:
@@ -228,6 +225,10 @@ class PrimeStream:
     def _regenerate(self) -> None:
         self.regenerations += 1
         self._ell *= 2
+        self._fill()
+
+    def _fill(self) -> None:
+        """Build the reservoir for the current ell and mu, cursor at its start."""
         self.records, self.mu, self.n = _build_reservoir(
             self.config.beta1, self.config.beta2, self._ell, self.mu
         )

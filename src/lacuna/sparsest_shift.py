@@ -10,16 +10,15 @@ pass the degree test and fall through to exact dense recovery plus a direct
 candidate search.
 
 Each prime's degree test and shift come from one ``densepoly.grid_shift``
-on the box's grid for that prime.  For bt <= 2 it filters the shifts by two
-Hankel determinants of the grid's values along the powers of a generator
-(Ben-Or and Tiwari's recurrence) and needs no dense transform.  For bt >= 3,
-and on grids where that filter leaves many candidates (low degrees, or
-powers of degree (p-1)/2), it interpolates the grid densely for the degree
-and runs ``min_shift``, which reads the shift off the coefficients of
-f(x + y) as polynomials in y, ``densepoly._taylor_rows``: it reduces a band
-of them modulo the prime and tests their common roots on the grid.  The
-dense search takes the rational roots of the same rows, as in Lakshman and
-Saunders; at y = alpha they give ``taylor_shift_exact``.
+on the box's grid for that prime.  It filters the shifts by two Hankel
+matrices of the grid's values along the powers of a generator (Ben-Or and
+Tiwari's recurrence) and checks the first few candidates with the sparse
+kernel, with no dense transform.  When they all miss, it interpolates
+the grid densely for the degree, and where more candidates remain (powers
+of degree (p-1)/2) runs ``min_shift``, which reads the shift off the
+coefficients of f(x + y) as polynomials in y, ``densepoly._taylor_rows``.
+The dense search takes the rational roots of the same rows, as in
+Lakshman and Saunders; at y = alpha they give ``taylor_shift_exact``.
 """
 
 import enum

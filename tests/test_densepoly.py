@@ -21,7 +21,7 @@ from lacuna.densepoly import (
     _HANKEL_MAX_CANDIDATES,
     _generator_powers,
     _hankel_candidates,
-    _hankel_det,
+    _hankel_singular,
     _horner,
     _lazy_terms,
     _mod,
@@ -487,20 +487,27 @@ def shifted_grid(p, g0, c0, terms):
     return [(c0 + sum(c * pow(x - g0, e, p) for c, e in terms)) % p for x in range(p)]
 
 
-def test_grid_shift_equals_exhaustive_search(monkeypatch):
-    # exactly (deg f >= 2t + 1, the naive shift when it has at most t terms,
-    # else None) on three kinds of grid, at primes from p <= 2t + 3, where
-    # g^j wraps inside the Hankel filter, to past its candidate cap
-    transforms = []
+@pytest.fixture
+def transforms(monkeypatch):
+    """The primes of the dense transforms that densepoly runs, in order;
+    the test module's own ``interpolate_range`` is not counted."""
+    calls = []
     dense_kernel = densepoly.interpolate_range
 
     def counted(values, p):
-        transforms.append(p)
+        calls.append(p)
         return dense_kernel(values, p)
 
     monkeypatch.setattr(densepoly, "interpolate_range", counted)
+    return calls
+
+
+def test_grid_shift_equals_exhaustive_search(transforms):
+    # exactly (deg f >= 2t + 1, the naive shift when it has at most t terms,
+    # else None) on three kinds of grid, at primes from p <= 2t + 3, where
+    # g^j wraps inside the Hankel filter, to past its candidate cap
     rng = random.Random(67)
-    for t in (1, 2):
+    for t in (1, 2, 3):
         for p in (2, 3, 5, 7, 11, 13, 31, 37):
             planted_grids = []
             for _ in range(3 if p - 1 >= 2 * t + 1 else 0):
@@ -526,46 +533,61 @@ def test_grid_shift_equals_exhaustive_search(monkeypatch):
                         assert not tie
                     if kind == "planted":
                         assert want[1] is not None and not transforms  # the hit needs no transform
-            # a linear grid makes every shift a candidate: past the cap, the
-            # complete search runs, and its one transform gives the degree
+            # a linear grid makes every shift a candidate, and the first one
+            # hits with degree 1: no transform runs
             if p > _HANKEL_MAX_CANDIDATES:
+                assert len(_hankel_candidates(np.array(flat[0]), p, t)) == p
                 transforms.clear()
                 assert grid_shift(flat[0], p, tau_cap=t) == (False, None)
-                assert transforms == [p]
+                assert transforms == []
 
 
-def test_grid_shift_past_the_candidate_cap_on_a_half_degree_grid(monkeypatch):
+def test_grid_shift_past_the_candidate_cap_on_a_half_degree_grid(transforms):
     # (x - g0)^((p-1)/2) takes only the values 0 and +-1, so many shifts
-    # pass the Hankel filter although the grid passes the degree test: the
-    # complete search runs, with its one transform, and finds g0
-    transforms = []
-    dense_kernel = densepoly.interpolate_range
-
-    def counted(values, p):
-        transforms.append(p)
-        return dense_kernel(values, p)
-
-    monkeypatch.setattr(densepoly, "interpolate_range", counted)
+    # pass the Hankel filter although the grid passes the degree test: when
+    # g0 is among the first candidates its check finds it with no
+    # transform, and otherwise the complete search runs, with its one
+    # transform, and finds g0
+    early = set()
     for p, g0 in ((101, 7), (103, 40)):
         coeffs = planted(p, g0, [(1, (p - 1) // 2)])
         grid = grid_of(coeffs, p)
         assert naive_min_shift(coeffs, p) == (g0, 1, False)
         for t in (1, 2):
-            assert len(_hankel_candidates(np.array(grid), p, t)) > _HANKEL_MAX_CANDIDATES
+            cands = _hankel_candidates(np.array(grid), p, t)
+            assert len(cands) > _HANKEL_MAX_CANDIDATES and g0 in cands
             transforms.clear()
             assert grid_shift(grid, p, tau_cap=t) == (True, g0), (p, t)
-            assert transforms == [p]
+            early.add(cands.index(g0) < _HANKEL_MAX_CANDIDATES)
+            assert transforms == ([] if cands.index(g0) < _HANKEL_MAX_CANDIDATES else [p])
+    assert early == {True, False}  # both branches ran
 
 
-def test_grid_shift_above_two_terms_takes_the_taylor_row_search():
+def test_grid_shift_finds_a_three_term_shift_without_a_transform(transforms):
     rng = random.Random(71)
     p, t = 103, 3
     g0 = rng.randrange(p)
     grid = shifted_grid(p, g0, 5, [(1, 2), (7, 9), (3, 40)])
     f = interpolate_range(grid, p)
-    assert grid_shift(grid, p, tau_cap=t) == (True, min_shift(f, grid, tau_cap=t).gamma) == (True, g0)
+    want = (True, min_shift(f, grid, tau_cap=t).gamma)
+    assert grid_shift(grid, p, tau_cap=t) == want == (True, g0)
+    assert transforms == []
     assert grid_shift(grid, p, tau_cap=2) == (True, None)  # three terms, cap two
     assert grid_shift(grid_of([1, 2, 3, 4, 5, 6], p), p, tau_cap=3) == (False, None)
+
+
+def test_grid_shift_finds_planted_shifts_up_to_six_terms_without_a_transform(transforms):
+    # t = 3..6 at primes a solve reaches: the answer is min_shift's on the
+    # interpolant, and grid_shift needs no transform for it
+    rng = random.Random(83)
+    for p in (307, 701, 1511):
+        for t in (3, 4, 5, 6):
+            g0 = rng.randrange(p)
+            exps = rng.sample(range(1, p - 1), t)
+            grid = shifted_grid(p, g0, rng.randrange(p), [(rng.randrange(1, p), e) for e in exps])
+            assert min_shift(interpolate_range(grid, p), grid, tau_cap=t).gamma == g0
+            assert grid_shift(grid, p, tau_cap=t) == (True, g0), (p, t)
+    assert transforms == []
 
 
 def test_grid_shift_rejects_bad_input():
@@ -583,19 +605,34 @@ def test_grid_shift_rejects_bad_input():
         grid_shift(grid, 11, 1)  # the cap is keyword-only
 
 
-def test_hankel_det_stays_exact_near_2_31():
-    # residues up to p - 1 < 2^31: every product is below 2^62, and the
-    # 3 x 3 expansion's sum stays inside int64
+def test_hankel_singular_stays_exact_near_2_31():
+    # residues up to p - 1 < 2^31: the last entry of the elimination is 0
+    # exactly where det A or a leading principal minor of order <= t - 1
+    # is 0 modulo p, on extreme rows, random ones, and rows that obey an
+    # order-t recurrence, whose Hankel matrix is singular
     p = 2**31 - 1
     rng = random.Random(73)
-    for size in (3, 5):
-        rows = [[p - 1] * size, [0] * size, [1, p - 1, 1, p - 1, 1][:size]]
-        rows += [[rng.randrange(p) for _ in range(size)] for _ in range(200)]
+    for t in (1, 2, 3, 4):
+        size = 2 * t + 1
+        rows = [[p - 1] * size, [0] * size, [(1, p - 1)[j % 2] for j in range(size)],
+                [0] + [rng.randrange(p) for _ in range(size - 1)]]
+        rows += [[rng.randrange(p) for _ in range(size)] for _ in range(100)]
+        for _ in range(30):
+            roots = [rng.randrange(1, p) for _ in range(t)]
+            coeffs = [rng.randrange(p) for _ in range(t)]
+            rows.append([sum(c * pow(r, j, p) for c, r in zip(coeffs, roots)) % p
+                         for j in range(size)])
         cols = [np.array(c, dtype=np.int64) for c in zip(*rows)]
-        t = size // 2
-        want = [exact_det([[r[a + b] for b in range(t + 1)] for a in range(t + 1)]) % p
+        got = _hankel_singular(cols, p).tolist()
+
+        def minor(r, k):
+            return exact_det([[r[a + b] for b in range(k)] for a in range(k)]) % p
+
+        want = [minor(r, t + 1) == 0 or any(minor(r, k) == 0 for k in range(1, t))
                 for r in rows]
-        assert _hankel_det(cols, p).tolist() == want
+        assert [g == 0 for g in got] == want
+        assert all(0 <= g < p for g in got)
+        assert sum(want) >= 30  # the recurrence rows are singular
 
 
 def exact_det(m):

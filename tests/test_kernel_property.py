@@ -1,6 +1,6 @@
 """Property tests of the chirp-transform kernel and the sparse kernel at
-every prime below 600, of the int64 reduction helper, and of the schedule
-of reductions in sums of products.
+every prime below 600, of the Hankel singularity test, of the int64
+reduction helper, and of the schedule of reductions in sums of products.
 
 Kept apart from test_densepoly so that the other kernel tests still run
 where hypothesis is not installed.
@@ -23,7 +23,7 @@ from lacuna import (
     tau,
 )
 from lacuna import blackbox, densepoly
-from lacuna.densepoly import _mod
+from lacuna.densepoly import _hankel_singular, _mod
 
 from conftest import random_instance
 
@@ -74,6 +74,53 @@ def test_sparse_kernel_property(p, s, extra, seed):
     noise = [rng.randrange(p) for _ in range(p)]  # a random grid is dense but at tiny p
     dense = interpolate_range(noise, p)
     assert interpolate_sparse(noise, p, s) == (dense if tau(dense) <= s else None)
+
+
+# ---------------- the Hankel singularity test ----------------
+
+def det_mod(m, p):
+    """Determinant of a square matrix of ints modulo a prime p, by Gaussian
+    elimination with Python ints."""
+    m = [[x % p for x in row] for row in m]
+    det = 1
+    for i in range(len(m)):
+        piv = next((r for r in range(i, len(m)) if m[r][i]), None)
+        if piv is None:
+            return 0
+        if piv != i:
+            m[i], m[piv] = m[piv], m[i]
+            det = -det
+        det = det * m[i][i] % p
+        inv = pow(m[i][i], -1, p)
+        for r in range(i + 1, len(m)):
+            f = m[r][i] * inv % p
+            m[r] = [(a - f * b) % p for a, b in zip(m[r], m[i])]
+    return det % p
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=st.sampled_from(PRIMES_BELOW_600 + [65537, 2**31 - 1]), t=st.integers(1, 5),
+       order=st.integers(0, 5), seed=st.integers(0, 2**32 - 1))
+@example(p=2, t=3, order=1, seed=0)
+@example(p=2**31 - 1, t=5, order=5, seed=1)
+def test_hankel_singular_flags_every_singular_matrix(p, t, order, seed):
+    # rows obeying a recurrence of order < t + 1 give singular matrices,
+    # random rows mostly regular ones: wherever det A = 0 modulo p the
+    # test's residue is 0
+    rng = random.Random(seed)
+    rows = []
+    for _ in range(20):
+        roots = [rng.randrange(p) for _ in range(min(order, t))]
+        coeffs = [rng.randrange(p) for _ in roots]
+        rows.append([sum(c * pow(r, j, p) for c, r in zip(coeffs, roots)) % p
+                     for j in range(2 * t + 1)])
+        rows.append([rng.randrange(p) for _ in range(2 * t + 1)])
+    cols = [np.array(c, dtype=np.int64) for c in zip(*rows)]
+    got = _hankel_singular(cols, p).tolist()
+    for row, g in zip(rows, got):
+        assert 0 <= g < p
+        if det_mod([row[a : a + t + 1] for a in range(t + 1)], p) == 0:
+            assert g == 0, row
 
 
 # ---------------- the reduction helper ----------------
