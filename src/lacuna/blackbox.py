@@ -345,11 +345,12 @@ def reduce_mod(bb: ModularBlackBox, p: int) -> DensePolyMod:
 def _reductions(bb: ModularBlackBox, stream) -> Iterator[Tuple[int, np.ndarray]]:
     """(p, f on all of Z_p) for each next prime p of the stream, endlessly.
 
-    Each grid costs p queries; the caller interpolates it (densely in the
-    shift phase, sparsely in the interpolation phase).  A prime where a
-    denominator vanishes is discarded from the stream, so it never counts
-    toward the guarantee.  The stream raises BlackBoxFailure once it has
-    regenerated its reservoir past its limit.
+    Each grid costs p queries; the callers read it with the sparse kernel,
+    the shift phase through ``grid_shift``, which interpolates a grid
+    densely only when more Hankel candidates remain than it checks.  A
+    prime where a denominator vanishes is discarded from the stream, so it
+    never counts toward the guarantee.  The stream raises BlackBoxFailure
+    once it has regenerated its reservoir past its limit.
     """
     while True:
         p = stream.next_prime()

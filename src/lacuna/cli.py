@@ -47,7 +47,7 @@ def _load_poly_spec(text: str):
         if not isinstance(obj["dense"], list):
             raise ValueError('"dense" must be a list of rationals')
         return DenseBox([_parse_rat(s) for s in obj["dense"]])
-    return make_blackbox(ShiftedLacunary.from_json(json.dumps(obj)))
+    return make_blackbox(ShiftedLacunary.from_json(raw))
 
 
 def _parse_bounds(text: str) -> Bounds:

@@ -24,8 +24,10 @@ interpolant has more than s terms.  The per-prime shift search,
 ``grid_shift``, rests on the same recurrence: at any term bound t, the
 shifts whose rotated grid can be sparse make two (t+1) x (t+1) Hankel
 matrices over the grid singular, which ``_hankel_singular`` tests at every
-shift at once; the sparse kernel checks the first few, and only when they
-miss do the dense transform and ``min_shift`` run.  Small list-based
+shift at once; the sparse kernel checks the first few.  When they miss
+and none remain, a finite difference of the grid gives the degree test;
+only when more remain, as on the spike grids of some bad primes, do the
+dense transform and ``min_shift`` run.  Small list-based
 helpers at the bottom hold the library's one Horner evaluator, ``_horner``,
 for a single int or Fraction point as well as a whole int64 grid, and its
 one expansion of f(x + y) into polynomials in y, ``_taylor_rows``, for both
@@ -71,13 +73,16 @@ _EXACT_FFT_BITS = 46
 # grid_shift checks this many Hankel candidates, in increasing order, before
 # it gives up on them: past that, one transform plus min_shift costs less
 # than further checks.  Many shifts pass the filter on powers of degree
-# (p-1)/2, whose values are 0 and +-1 times a constant: x^5003 at
-# p = 10007 leaves 3,141 for t = 1.  Grids of degree <= t, where every
-# shift passes, never get that far: their first candidate hits and shows
-# the low degree.  At p = 1187, about the smallest prime a solve
-# reaches, one check took 60-90 us and the complete search 400-560 us;
-# the ratio grows with p.  On the benchmark's workloads every grid had one
-# candidate, its shift.
+# (p-1)/2, whose values are 0 and +-1 times a constant (x^5003 at
+# p = 10007 leaves 3,141 for t = 1), and nearly all on the spike grid of a
+# bad prime with (p - 1) | e, c (x - a)^e reading c at every x != a: there,
+# checking until a hit, with a Hankel window slid once per check, took 18 s
+# at p = 38,603 and t = 1, the transform and min_shift 28 ms.  Grids of
+# degree <= t, where every shift passes, never get that far: their first
+# candidate hits and shows the low degree.  At p = 1187, about the smallest
+# prime a solve reaches, one check took 60-90 us and the complete search
+# 400-560 us; the ratio grows with p.  On the benchmark's workloads every
+# grid had one candidate, its shift.
 _HANKEL_MAX_CANDIDATES = 8
 
 
@@ -484,10 +489,16 @@ def grid_shift(grid: Sequence[int], p: int, *, tau_cap: int) -> Tuple[bool, Opti
     - Degree.  deg f < p, so f(x + gamma) has the degree of f: the first
       hit gives deg f too, and a hit of degree <= 2t does not pass.
     Only the first ``_HANKEL_MAX_CANDIDATES`` candidates are checked.  When
-    none of them hits, one ``interpolate_range`` gives the degree, and if
-    it passes and more candidates remain, ``min_shift`` finds the shift
-    from f's coefficients; otherwise no t-sparse shift exists.  ValueError
-    for tau_cap < 1, and for a grid of the wrong length or unreduced.
+    they all miss and none remain, no t-sparse shift exists, and the
+    (2t+1)-th finite difference of the grid, ``_difference``, gives the
+    degree: for d = deg f < p it is zero when d <= 2t, and else a
+    polynomial of degree d - 2t - 1 whose leading coefficient, f's times
+    d!/(d-2t-1)!, is nonzero modulo p, so it is nonzero at one of the
+    p - 2t - 1 > d - 2t - 1 points where it is read (there are none when
+    p <= 2t + 1, and then d <= 2t).  When more candidates remain, one
+    ``interpolate_range`` gives the degree, and if it passes, ``min_shift``
+    finds the shift from f's coefficients.  ValueError for tau_cap < 1, and
+    for a grid of the wrong length or unreduced.
     """
     vals = _checked_grid(np.asarray(grid, dtype=np.int64), p)
     if tau_cap < 1:
@@ -498,11 +509,21 @@ def grid_shift(grid: Sequence[int], p: int, *, tau_cap: int) -> Tuple[bool, Opti
         hit = interpolate_sparse(_rotate(vals, gamma), p, tau_cap)
         if hit is not None:
             return (True, gamma) if hit.degree >= need else (False, None)
+    if len(cands) <= _HANKEL_MAX_CANDIDATES:
+        return bool(_difference(vals, p, need).any()), None
     f = interpolate_range(vals, p)
-    if f.degree < need or len(cands) <= _HANKEL_MAX_CANDIDATES:
-        return f.degree >= need, None
+    if f.degree < need:
+        return False, None
     hit = min_shift(f, vals, tau_cap=tau_cap)
     return True, None if hit is None else hit.gamma
+
+
+def _difference(vals: np.ndarray, p: int, k: int) -> np.ndarray:
+    """The k-th forward difference of vals modulo p: len(vals) - k
+    residues, none when k >= len(vals)."""
+    for _ in range(k):
+        vals = _mod(np.diff(vals), p)
+    return vals
 
 
 def _hankel_candidates(vals: np.ndarray, p: int, t: int) -> list:

@@ -13,12 +13,14 @@ Each prime's degree test and shift come from one ``densepoly.grid_shift``
 on the box's grid for that prime.  It filters the shifts by two Hankel
 matrices of the grid's values along the powers of a generator (Ben-Or and
 Tiwari's recurrence) and checks the first few candidates with the sparse
-kernel, with no dense transform.  When they all miss, it interpolates
-the grid densely for the degree, and where more candidates remain (powers
-of degree (p-1)/2) runs ``min_shift``, which reads the shift off the
-coefficients of f(x + y) as polynomials in y, ``densepoly._taylor_rows``.
-The dense search takes the rational roots of the same rows, as in
-Lakshman and Saunders; at y = alpha they give ``taylor_shift_exact``.
+kernel, with no dense transform.  When they all miss and none remain, a
+finite difference of the grid gives the degree.  Where more remain
+(powers of degree (p-1)/2, and the spike grids of bad primes with
+(p - 1) | e), it interpolates the grid densely and runs ``min_shift``,
+which reads the shift off the coefficients of f(x + y) as polynomials in
+y, ``densepoly._taylor_rows``.  The dense search takes the rational roots
+of the same rows, as in Lakshman and Saunders; at y = alpha they give
+``taylor_shift_exact``.
 """
 
 import enum

@@ -590,6 +590,79 @@ def test_grid_shift_finds_planted_shifts_up_to_six_terms_without_a_transform(tra
     assert transforms == []
 
 
+def test_grid_shift_finds_subgroup_power_shifts_as_min_shift_does(transforms):
+    # (x - g0)^((p-1)/d) + c0 takes d + 1 values, so many shifts pass the
+    # Hankel filter: the checks find g0, or past the cap one transform and
+    # min_shift do; 10007 - 1 = 2 * 5003 admits only d = 2, and 10009 - 1
+    # every d
+    rng = random.Random(89)
+    for p in (1009, 10007, 10009):
+        for d in (2, 3, 4, 6):
+            if (p - 1) % d:
+                continue
+            g0 = rng.randrange(p)
+            grid = shifted_grid(p, g0, rng.randrange(p), [(1, (p - 1) // d)])
+            for t in (1, 2, 3):
+                want = min_shift(interpolate_range(grid, p), grid, tau_cap=t)
+                transforms.clear()
+                assert grid_shift(grid, p, tau_cap=t) == (True, want.gamma) == (True, g0), (p, d, t)
+                assert transforms in ([], [p])
+
+
+def test_grid_shift_bounds_its_checks_on_a_spike_grid(transforms, monkeypatch):
+    # a bad prime with (p - 1) | e turns 5 (x - g0)^e into 5 at every
+    # x != g0, so s_gamma is zero at every j but one for gamma != g0 and
+    # each Hankel matrix drops about one shift: the search stops after
+    # _HANKEL_MAX_CANDIDATES checks, and one transform and min_shift find g0
+    checks = []
+    kernel = densepoly.interpolate_sparse
+
+    def counted(values, p, t):
+        checks.append(p)
+        return kernel(values, p, t)
+
+    monkeypatch.setattr(densepoly, "interpolate_sparse", counted)
+    p, g0 = 10007, 6131
+    grid = shifted_grid(p, g0, 3, [(5, p - 1)])
+    for t in (1, 2, 4):
+        assert len(_hankel_candidates(np.array(grid), p, t)) > p - 4 * t
+        transforms.clear()
+        checks.clear()
+        assert grid_shift(grid, p, tau_cap=t) == (True, g0), t
+        assert transforms == [p] and len(checks) == _HANKEL_MAX_CANDIDATES + 1
+    # a second term makes s_gamma no spike: the filter leaves g0 first
+    grid = shifted_grid(p, g0, 3, [(5, p - 1), (2, 7)])
+    transforms.clear()
+    checks.clear()
+    assert grid_shift(grid, p, tau_cap=2) == (True, g0)
+    assert grid_shift(grid, p, tau_cap=1) == (True, None)
+    assert transforms == [] and checks == [p]
+
+
+def test_grid_shift_takes_the_degree_of_shiftless_grids_from_a_difference(transforms):
+    # grids with no t-sparse shift and few Hankel candidates take the
+    # degree from the finite difference: random grids, which mostly pass,
+    # degree t+2..2t grids, which never do, and primes p <= 2t + 1, where
+    # the difference is empty
+    rng = random.Random(97)
+    seen = set()
+    for t in (1, 2, 3):
+        for p in (2, 3, 5, 7, 11, 13, 53, 101):
+            grids = [[rng.randrange(p) for _ in range(p)] for _ in range(4)]
+            for _ in range(4):
+                deg = rng.randint(t + 2, 2 * t) if t >= 2 and p > 2 * t else p - 1
+                grids.append(grid_of([rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)], p))
+            for grid in grids:
+                coeffs = naive_interpolate(grid, p)
+                if naive_min_shift(coeffs, p)[1] <= t:
+                    continue
+                passes = len(coeffs) - 1 >= 2 * t + 1
+                assert grid_shift(grid, p, tau_cap=t) == (passes, None), (t, p, grid)
+                seen.add((passes, p <= 2 * t + 1))
+    assert seen == {(True, False), (False, False), (False, True)}
+    assert transforms == []
+
+
 def test_grid_shift_rejects_bad_input():
     grid = grid_of([0, 0, 0, 1], 11)
     for cap in (0, -1):

@@ -1,6 +1,7 @@
 """Property tests of the chirp-transform kernel and the sparse kernel at
-every prime below 600, of the Hankel singularity test, of the int64
-reduction helper, and of the schedule of reductions in sums of products.
+every prime below 600, of the Hankel singularity test and the shift
+search's degree test, of the int64 reduction helper, and of the schedule
+of reductions in sums of products.
 
 Kept apart from test_densepoly so that the other kernel tests still run
 where hypothesis is not installed.
@@ -23,7 +24,7 @@ from lacuna import (
     tau,
 )
 from lacuna import blackbox, densepoly
-from lacuna.densepoly import _hankel_singular, _mod
+from lacuna.densepoly import _difference, _hankel_singular, _mod
 
 from conftest import random_instance
 
@@ -121,6 +122,23 @@ def test_hankel_singular_flags_every_singular_matrix(p, t, order, seed):
         assert 0 <= g < p
         if det_mod([row[a : a + t + 1] for a in range(t + 1)], p) == 0:
             assert g == 0, row
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=st.sampled_from(PRIMES_BELOW_600), t=st.integers(1, 5), deg=st.integers(0, 12),
+       seed=st.integers(0, 2**32 - 1))
+@example(p=2, t=1, deg=1, seed=0)
+@example(p=5, t=2, deg=4, seed=0)
+@example(p=11, t=2, deg=5, seed=0)
+def test_difference_is_the_degree_test(p, t, deg, seed):
+    # the (2t+1)-th finite difference of a grid is nonzero exactly when its
+    # interpolant has degree >= 2t + 1; degrees near 2t + 1 hit both sides
+    rng = random.Random(seed)
+    deg = min(deg, p - 1)
+    grid = grid_of([rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)], p)
+    diff = _difference(np.array(grid, dtype=np.int64), p, 2 * t + 1)
+    assert len(diff) == max(0, p - 2 * t - 1) and all(0 <= v < p for v in diff.tolist())
+    assert bool(diff.any()) == (interpolate_range(grid, p).degree >= 2 * t + 1)
 
 
 # ---------------- the reduction helper ----------------

@@ -140,21 +140,37 @@ def test_golden_runs_no_chirp_transform_at_two_or_three_terms(
         golden_poly, golden_bounds, monkeypatch):
     # at bt = 2 and at bt = 3 the Hankel filter finds every prime's shift
     # and the interpolation phase takes the sparse kernel, so no transform
-    # runs in either phase
-    from lacuna import densepoly
+    # runs in either phase; nor does one, or min_shift, where the shift
+    # phase fails (golden at bt = 1) or falls to the dense regime (a
+    # DenseBox and the benchmark's dense workload, deg <= 2t)
+    import lacuna
+    from lacuna import DenseBox, densepoly
+    from test_bench_contract import load
 
     calls = []
-    kernel = densepoly._power_sums_fft
 
-    def counted(u, p):
-        calls.append(p)
-        return kernel(u, p)
+    def counted(name):
+        kernel = getattr(densepoly, name)
 
-    monkeypatch.setattr(densepoly, "_power_sums_fft", counted)
+        def run(*args, **kwargs):
+            calls.append(name)
+            return kernel(*args, **kwargs)
+        return run
+
+    for name in ("_power_sums_fft", "min_shift"):
+        monkeypatch.setattr(densepoly, name, counted(name))
     assert full_interpolate(make_blackbox(golden_poly), golden_bounds) == golden_poly
     bt3 = Bounds(ba=golden_bounds.ba, bt=3, bh=golden_bounds.bh, bn=golden_bounds.bn)
     assert sparsest_shift(make_blackbox(golden_poly), bt3).alpha == golden_poly.shift
     assert full_interpolate(make_blackbox(golden_poly), bt3) == golden_poly
+    bt1 = Bounds(ba=golden_bounds.ba, bt=1, bh=golden_bounds.bh, bn=golden_bounds.bn)
+    with pytest.raises(NoReconstruction):
+        full_interpolate(make_blackbox(golden_poly), bt1)
+    got = full_interpolate(DenseBox([1, 2, 1]), Bounds(ba=2, bt=1, bh=3, bn=1))
+    assert got.shift == -1 and got.terms == ((Fraction(1), 2),)
+    workloads = load("workloads")
+    for inst in workloads.build(lacuna, "dense", 1):
+        assert workloads.is_correct(inst, full_interpolate(inst.box, inst.bounds)), inst.name
     assert calls == []
 
 
