@@ -22,8 +22,8 @@ from .densepoly import (
     DensePolyMod,
     _check_grid_prime,
     _generator_powers,
+    _geometric_sums,
     _horner,
-    _lazy_terms,
     _mod,
     _read_only,
     _rotate,
@@ -197,23 +197,13 @@ class LacunaryBox(ModularBlackBox):
 
     def _grid(self, p: int) -> np.ndarray:
         c0, shift, coeffs = self._residues(p)
-        # acc[a] = f(shift + g^a) sums the terms c g^(a*e), each a product of
-        # two residues, reduced every _lazy_terms(p) terms and once at the
-        # end; at theta = shift every term vanishes (e >= 1), leaving c0.
-        pw = _generator_powers(p)
-        n = p - 1
-        lazy = _lazy_terms(p)
-        logs = np.arange(n, dtype=np.int64)
-        acc = np.full(n, c0, dtype=np.int64)
-        for k, (cm, (_, e)) in enumerate(zip(coeffs, self.poly.terms), 1):
-            term = pw[_mod(logs * (e % n), n)]
-            term *= cm
-            acc += term
-            if k % lazy == 0:
-                _mod(acc, p)
+        # f(shift + g^a) = c0 + sum_k c_k g^(a*e_k): c0 is the term of exponent
+        # 0, and _geometric_sums adds all of them for every a in one exact
+        # product; at theta = shift every other term vanishes (e >= 1).
+        exps = (0, *(e for _, e in self.poly.terms))
         around = np.empty(p, dtype=np.int64)  # around[x] = f(shift + x)
         around[0] = c0
-        around[pw] = _mod(acc, p)
+        around[_generator_powers(p)] = _geometric_sums((c0, *coeffs), exps, p)
         return _rotate(around, -shift)
 
 

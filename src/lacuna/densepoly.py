@@ -39,13 +39,19 @@ Newton lifting, so it too only ever works modulo primes below 2^31.
 Grid values are int64 arrays, and every reduction of one, here and in the
 boxes, goes through ``_mod``, which divides by the modulus with numpy's
 floor division (a multiply and a shift) in place of its % (a hardware
-division).  Reductions are also kept rare: with p < 2^31 a product of two
-residues in (-p, p) is at most (p-1)^2 < 2^62, so a value in (-p, p) plus
-k such products stays below p + k(p-1)^2 in absolute value, inside int64
-for every k up to ``_lazy_terms(p)`` (at least 2, and above 2^20 for
-p < 2^21).  Sums of products, such as the sparse kernel's recurrence
-check and the lacunary box's sum of terms, are reduced once per that many
-products instead of once per product.
+division).  Reductions are also kept rare, in three ways that each keep
+every sum exact:
+- Lazy int64 sums.  With p < 2^31 a product of two residues in (-p, p) is
+  at most (p-1)^2 < 2^62, so a value in (-p, p) plus k such products stays
+  below p + k(p-1)^2 in absolute value, inside int64 for every k up to
+  ``_lazy_terms(p)`` (at least 2, and above 2^20 for p < 2^21).  The
+  sparse kernel's recurrence check reduces once per that many products.
+- Lazy Horner steps.  ``_horner`` tracks a bound on its accumulator and
+  reduces it only when the next step could leave int64.
+- Float64 products below 2^53.  ``_geometric_sums``, the lacunary box's
+  sum of terms, is one BLAS matrix product over residues, split into
+  limbs and chunks so that no sum in it passes 2^53, where float64 holds
+  every integer exactly.
 """
 
 import math
@@ -61,6 +67,8 @@ from .modular_core import Residue, _factorize, is_prime, next_prime_above, ratio
 # Grid operations need residue products below 2^62, so p < 2^31.
 _GRID_LIMIT = 1 << 31
 
+_INT64_MAX = (1 << 63) - 1
+
 # A float64 FFT convolution of length L of inputs whose 2-norms multiply to M
 # has every output within about 12 * 2^-53 * log2(L) * M of the exact sum
 # (Percival's bound for FFT products); log2(L) * M <= 2^46 keeps that below
@@ -69,6 +77,10 @@ _GRID_LIMIT = 1 << 31
 # radix-3 and radix-5 butterflies too, whose constant is assumed to be of the
 # same size: the margin from 0.1 to 0.5 covers one up to 5 times larger.
 _EXACT_FFT_BITS = 46
+
+# Every integer of absolute value at most 2^53 is a float64, so a float64
+# matrix product of integer factors is exact when no sum in it passes that.
+_EXACT_FLOAT = 1 << 53
 
 # grid_shift checks this many Hankel candidates, in increasing order, before
 # it gives up on them: past that, one transform plus min_shift costs less
@@ -159,7 +171,7 @@ def _lazy_terms(p: int) -> int:
     which must stay within int64: k = floor((2^63 - 1 - p) / (p-1)^2).
     That is at least 2 for every p < 2^31 and above 2^20 for p < 2^21.
     """
-    return ((1 << 63) - 1 - p) // (p - 1) ** 2
+    return (_INT64_MAX - p) // (p - 1) ** 2
 
 
 def _rotate(a: np.ndarray, k: int) -> np.ndarray:
@@ -284,6 +296,61 @@ def _power_sums_fft(u: np.ndarray, p: int) -> np.ndarray:
     return _mod(conv, p)
 
 
+def _geometric_sums(coeffs: Sequence[int], exps: Sequence[int], p: int) -> np.ndarray:
+    """s[a] = sum_k coeffs[k] * g^(a * exps[k]) mod p for a = 0..p-2, exact.
+
+    g is the generator of ``_generator_powers``, coeffs are K residues in
+    [0, p) and exps K integers >= 0, read modulo p - 1, the order of g.
+    With a = i*m + b and m = isqrt(p - 1) + 1, s is one matrix product:
+    entry (i, b) of (coeffs[k] g^(i*m*e_k))_(i,k) times (g^(b*e_k))_(k,b).
+    Both factors are gathered from the power table, about sqrt(p) entries a
+    term, and multiplied in float64 by BLAS, which is exact when every sum
+    of products is an integer of at most 2^53 (``_EXACT_FLOAT``): then
+    every partial sum is exact too, in whatever order it is taken.
+    A left entry is below p, and a right one is split into `limbs` limbs of
+    `width` bits, each folded into the left factor as a term of its own,
+    with coefficient coeffs[k] 2^(width*j) mod p; so a chunk of terms sums
+    to at most chunk (p-1) min(p-1, 2^width - 1).  The split is the one
+    with the fewest chunks, each one BLAS call: a single one whenever
+    K (p-1)^2 <= 2^53.
+    """
+    n = p - 1
+    pw = _generator_powers(p)
+    m = math.isqrt(n) + 1
+    rows = -(-n // m)
+    k = len(coeffs)
+    bits = n.bit_length()
+    best = None
+    for limbs in range(1, bits + 1):
+        width = -(-bits // limbs)
+        chunk = _EXACT_FLOAT // (n * min(n, (1 << width) - 1))
+        if chunk:
+            products = -(-k * limbs // chunk)
+            if best is None or products < best[0]:
+                best = (products, limbs, width, chunk)
+            if products <= 1:
+                break  # more limbs only make more terms
+    _, limbs, width, chunk = best
+    e = [x % n for x in exps for _ in range(limbs)]
+    c = np.array([x * pow(2, width * j, p) % p for x in coeffs for j in range(limbs)],
+                 dtype=np.int64)
+    # row k of pows is g^(b*e_k) for b < m, row len(e) + k is g^(i*m*e_k)
+    # for i < m (rows <= m, as m^2 > p - 1)
+    steps = np.array(e + [m * x % n for x in e], dtype=np.int64)
+    pows = pw[_mod(steps[:, None] * np.arange(m), n)]
+    left = _mod(pows[len(e) :, :rows] * c[:, None], p).astype(np.float64)
+    right = pows[: len(e)]
+    if limbs > 1:
+        right >>= np.array([width * j for _ in coeffs for j in range(limbs)])[:, None]
+        right &= (1 << width) - 1
+    right = right.astype(np.float64)
+    s = np.dot(left[:chunk].T, right[:chunk]).astype(np.int64)
+    for lo in range(chunk, len(e), chunk):
+        _mod(s, p)
+        s += np.dot(left[lo : lo + chunk].T, right[lo : lo + chunk]).astype(np.int64)
+    return _mod(s, p).reshape(-1)[:n]
+
+
 def _check_grid_prime(p: int) -> None:
     if p >= _GRID_LIMIT:
         raise ValueError(f"grid operations need a prime below 2^31, got {p}")
@@ -364,7 +431,8 @@ def interpolate_sparse(values: Sequence[int], p: int, s: int) -> Optional[DenseP
     point, so slot p-1 has root 1 = g^0).  Berlekamp-Massey finds the
     recurrence from a_0..a_(2s-1).  It is then checked along all of
     a_0..a_(p-2); one Horner pass over the powers of g (the table of
-    ``_generator_powers``) finds its roots and their slots, and a transposed
+    ``_generator_powers``), reduced only where a step could leave int64,
+    finds its roots and their slots, and a transposed
     Vandermonde solve fits the coefficients to a_0..a_(L-1).  A sequence
     that obeys a recurrence with L distinct roots is fixed by its first L
     values, so the result matches all p values, and a polynomial of degree
@@ -584,21 +652,29 @@ def _horner(coeffs: Sequence, x, m: Optional[int] = None):
     the coefficients are residues modulo m and so is the result.
 
     x is an int, a Fraction, or an int64 array of residues modulo m < 2^31.
-    Each step multiplies the accumulator by x, so it is reduced by ``_mod``
-    after every step: the partial sum acc * x + c stays below
-    m^2 + m < 2^63.  The accumulator is a fresh value, so the in-place
-    updates and ``_mod`` never write to x; starting it at the leading
-    coefficient rather than at zero saves three passes over an array x.
+    With m given, the accumulator is reduced by ``_mod`` only when the next
+    step could leave int64: with residues in [0, m), one step takes an
+    accumulator of at most B to at most B (m-1) + (m-1), so it is reduced
+    before a step once that would pass 2^63 - 1, and once at the end: at
+    most every other step for m < 2^21, every step near 2^31.  Python ints never
+    overflow, so for them the schedule only matters for speed.  The
+    accumulator starts as x times the leading coefficient, a fresh value,
+    so the in-place updates and ``_mod`` never write to x.
     """
-    acc = x * 0
-    if len(coeffs):
-        acc += coeffs[-1]
-    for c in reversed(coeffs[:-1]):
+    if len(coeffs) < 2:
+        return x * 0 + (coeffs[0] if len(coeffs) else 0)
+    acc = x * coeffs[-1]
+    acc += coeffs[-2]
+    if m is not None:
+        bound = m * (m - 1)  # acc is at most bound
+    for c in reversed(coeffs[:-2]):
+        if m is not None:
+            if bound * (m - 1) + m - 1 > _INT64_MAX:
+                acc, bound = _mod(acc, m), m - 1
+            bound = bound * (m - 1) + m - 1
         acc *= x
         acc += c
-        if m is not None:
-            acc = _mod(acc, m)
-    return acc
+    return acc if m is None else _mod(acc, m)
 
 
 def poly_trim(a: list) -> list:

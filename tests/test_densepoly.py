@@ -20,6 +20,7 @@ from lacuna import densepoly
 from lacuna.densepoly import (
     _HANKEL_MAX_CANDIDATES,
     _generator_powers,
+    _geometric_sums,
     _hankel_candidates,
     _hankel_singular,
     _horner,
@@ -789,6 +790,32 @@ def test_generator_powers_run_once_through_every_nonzero_residue():
         g = int(pw[1 % (p - 1)])
         assert all(int(pw[a + 1]) == g * int(pw[a]) % p for a in range(p - 2))
         assert not pw.flags.writeable
+
+
+def naive_geometric_sums(coeffs, exps, p, points):
+    g = int(_generator_powers(p)[1 % (p - 1)])
+    return [sum(c * pow(g, a * e, p) for c, e in zip(coeffs, exps)) % p for a in points]
+
+
+def test_geometric_sums_match_a_naive_sum():
+    # s[a] = sum_k c_k g^(a e_k) mod p at every a (a sample past p = 100),
+    # with exponent 0, exponents at and past p - 1, repeated exponents and
+    # zero coefficients among K = 0..70 terms
+    rng = random.Random(53)
+    small = [p for p in range(100) if is_prime(p)]
+    cases = [(p, k) for k in range(71) for p in (small[k % len(small)], small[-1 - k % len(small)])]
+    cases += [(p, k) for p in (65537, next_prime_above(1 << 20)) for k in (0, 1, 2, 7, 40, 70)]
+    for p, k in cases:
+        n = p - 1
+        exps = []
+        for _ in range(k):
+            exps.append(rng.choice((0, n, 2 * n + rng.randrange(n), rng.randrange(n),
+                                    rng.choice(exps or [1]))))
+        coeffs = [rng.choice((0, p - 1, rng.randrange(p))) for _ in range(k)]
+        got = _geometric_sums(coeffs, exps, p)
+        assert got.dtype == np.int64 and len(got) == n
+        points = range(n) if p < 100 else [0, 1, n - 1, *rng.sample(range(n), 40)]
+        assert [int(got[a]) for a in points] == naive_geometric_sums(coeffs, exps, p, points)
 
 
 def test_lazy_terms_keep_every_sum_of_products_in_int64():

@@ -1,7 +1,8 @@
 """Property tests of the chirp-transform kernel and the sparse kernel at
 every prime below 600, of the Hankel singularity test and the shift
-search's degree test, of the int64 reduction helper, and of the schedule
-of reductions in sums of products.
+search's degree test, of the int64 reduction helper, of the schedule of
+reductions in sums of products and Horner steps, and of the lacunary box's
+float64 sums split into limbs and chunks.
 
 Kept apart from test_densepoly so that the other kernel tests still run
 where hypothesis is not installed.
@@ -17,16 +18,17 @@ from hypothesis.extra import numpy as hnp
 
 from lacuna import (
     DenominatorVanished,
+    DensePolyMod,
     interpolate_range,
     interpolate_sparse,
     is_prime,
     make_blackbox,
     tau,
 )
-from lacuna import blackbox, densepoly
-from lacuna.densepoly import _difference, _hankel_singular, _mod
+from lacuna import densepoly
+from lacuna.densepoly import _difference, _hankel_singular, _horner, _mod
 
-from conftest import random_instance
+from conftest import naive_termwise_reduction, random_instance
 
 PRIMES_BELOW_600 = [p for p in range(600) if is_prime(p)]
 
@@ -166,10 +168,9 @@ def test_mod_of_an_int64_array_is_numpy_mod_in_place(a, m):
 # ---------------- the lazy-sum schedule ----------------
 
 def _reduce_after_every_product(mp):
-    """Patch both bindings: one product between reductions, the schedule
-    that only primes near 2^31 get."""
+    """One product between reductions, the schedule that only primes near
+    2^31 get."""
     mp.setattr(densepoly, "_lazy_terms", lambda p: 1)
-    mp.setattr(blackbox, "_lazy_terms", lambda p: 1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -189,17 +190,52 @@ def test_sparse_kernel_same_under_every_reduction_schedule(p, s, t, seed):
 
 
 @settings(max_examples=40, deadline=None)
-@given(p=st.sampled_from(PRIMES_BELOW_600), seed=st.integers(0, 2**32 - 1))
-def test_lacunary_grid_same_under_every_reduction_schedule(p, seed):
+@given(p=st.sampled_from(PRIMES_BELOW_600), seed=st.integers(0, 2**32 - 1),
+       exact_bits=st.integers(10, 20))
+@example(p=599, seed=0, exact_bits=10)
+def test_lacunary_grid_same_under_every_reduction_schedule(p, seed, exact_bits):
+    # with float64 sums limited to 2^10..2^20 instead of 2^53, most of these
+    # primes split the power table into limbs and the terms into chunks
     f, _ = random_instance(random.Random(seed), max_t=6, max_exp=1 << 14)
-
-    def grid_or_none():
-        try:
-            return make_blackbox(f).eval_range(p).tolist()
-        except DenominatorVanished:
-            return None
-
-    want = grid_or_none()
+    want = naive_termwise_reduction(f, p)
     with pytest.MonkeyPatch.context() as mp:
-        _reduce_after_every_product(mp)
-        assert grid_or_none() == want
+        mp.setattr(densepoly, "_EXACT_FLOAT", 1 << exact_bits)
+        try:
+            grid = make_blackbox(f).eval_range(p)
+        except DenominatorVanished:
+            grid = None
+    if want is None:
+        assert grid is None
+    else:
+        assert interpolate_range(grid, p) == DensePolyMod(p, want)
+
+
+# ---------------- lazy Horner steps ----------------
+
+def horner_reducing_every_step(coeffs, x, m):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % m
+    return acc
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=st.integers(2, 2**31 - 1), data=st.data())
+@example(m=2**31 - 1, data=None)
+@example(m=(1 << 21) - 1, data=None)
+@example(m=1 << 21, data=None)
+@example(m=2, data=None)
+def test_lazy_horner_equals_reducing_every_step(m, data):
+    # residues at the top of [0, m) make every partial sum as large as it
+    # can be: an accumulator left to pass 2^63 would wrap and show here
+    if data is None:
+        coeffs, xs = [m - 1] * 13, np.full(3, m - 1, dtype=np.int64)
+    else:
+        coeffs = data.draw(st.lists(st.integers(0, m - 1), max_size=13))
+        xs = data.draw(hnp.arrays(np.int64, st.integers(1, 6), elements=st.integers(0, m - 1)))
+    want = [horner_reducing_every_step(coeffs, int(x), m) for x in xs]
+    before = xs.tolist()
+    got = _horner(coeffs, xs, m)
+    assert got.dtype == np.int64 and got.tolist() == want
+    assert xs.tolist() == before
+    assert [_horner(coeffs, int(x), m) for x in xs] == want

@@ -68,6 +68,38 @@ def test_no_numpy_roll():
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"uses of numpy's roll in src/lacuna: {found}"
 
+
+def test_no_float_matrix_product_outside_the_exact_helper():
+    # a float64 matrix product is exact only while its sums stay below 2^53;
+    # densepoly._geometric_sums sizes its limbs and chunks to that, so every
+    # product of grid residues goes through it
+    products = {"@", "dot", "vdot", "tensordot", "matmul", "einsum"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        exempt = set()
+        if path.name == "densepoly.py":
+            helper = next(node for node in tree.body
+                          if isinstance(node, ast.FunctionDef) and node.name == "_geometric_sums")
+            exempt = {id(node) for node in ast.walk(helper)}
+        for node in ast.walk(tree):
+            if id(node) in exempt:
+                continue
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                names = ["@"]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if products & set(names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"matrix products outside densepoly._geometric_sums: {found}"
+
+
 # the built-in errors the library raises besides its own LacunaError types:
 # ValueError for bad input, RuntimeError for a broken internal invariant,
 # NotImplementedError for the box base class's own contract
