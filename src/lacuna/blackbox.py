@@ -340,7 +340,8 @@ def _reductions(bb: ModularBlackBox, stream) -> Iterator[Tuple[int, np.ndarray]]
     densely only when more Hankel candidates remain than it checks.  A
     prime where a denominator vanishes is discarded from the stream, so it
     never counts toward the guarantee.  The stream raises BlackBoxFailure
-    once it has regenerated its reservoir past its limit.
+    once it has extended its reservoir past its limit, or has no primes
+    left below 2^31.
     """
     while True:
         p = stream.next_prime()

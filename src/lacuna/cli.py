@@ -1,9 +1,9 @@
 """Command-line front end exposing every pipeline stage.
 
 Exit codes: 0 success, 2 invalid arguments or bounds (each checked once,
-by the library type or method that takes it), 3 reconstruction failure
-(bounds too small for the data) or any other library error, 4 black-box
-failure.
+by the library type or method that takes it) or a problem too large for
+memory, 3 reconstruction failure (bounds too small for the data) or any
+other library error, 4 black-box failure.
 """
 
 import argparse
@@ -178,10 +178,10 @@ def _cmd_oracle(args) -> int:
     stream = prime_oracle.generate(config)
     payload = {
         "n": stream.n,
-        "mu": stream.mu,
+        "mu": config.mu,
         "primes": [{"p": r.p, "q": r.q, "k": r.k} for r in stream.records],
     }
-    pretty = f"n = {stream.n}, mu = {stream.mu}, {len(stream.records)} primes"
+    pretty = f"n = {stream.n}, mu = {config.mu}, {len(stream.records)} primes"
     _emit(args, payload, pretty)
     return EXIT_OK
 
@@ -245,6 +245,9 @@ def run(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}".rstrip(": "), file=sys.stderr)
         return EXIT_USAGE
     except (DenominatorVanished, BlackBoxFailure) as exc:
         print(f"black-box failure: {exc}", file=sys.stderr)

@@ -41,5 +41,6 @@ class AmbiguousMatch(LacunaError):
 
 
 class BlackBoxFailure(LacunaError):
-    """The black box kept failing until the prime stream passed its
-    regeneration limit (raised by ``PrimeStream.next_prime``)."""
+    """The prime stream ran out before the black box stopped failing: it
+    passed its limit of reservoir extensions, or its walk passed the last q
+    with an S(q) below 2^31 (raised by ``PrimeStream.next_prime``)."""

@@ -1,22 +1,24 @@
 """Deterministic prime generation with a useful-prime guarantee.
 
-The reservoir is built from an interval [n, 2n), n the least integer at
-which the density function Upsilon certifies enough primes q whose least
-prime p = k*q + 1 stays below q^1.89.  ``choose_n`` finds n by a search on
-``upsilon`` itself, the one place its formula is written, and refuses
-n >= 2^30: every reservoir prime exceeds 2n and must stay below 2^31.
+One walk yields the records S(q) = k*q + 1, the least such prime below
+min(q^1.89, 2^31), for the primes q = n, n+1, ... in increasing q.  n is
+the least integer at which the density function Upsilon certifies enough
+usable q in [n, 2n); ``choose_n`` finds it by a search on ``upsilon``
+itself, the one place its formula is written.
 
-Among any beta1 + beta2 + k delivered reservoir primes, at least k satisfy
-p not dividing C1 and (p-1) not dividing C2 for every pair (C1, C2) with
-log2 C1 <= beta1 and log2 C2 <= beta2, because each failing prime consumes
-a distinct prime divisor of C1 or C2.
+Among any beta1 + beta2 + k delivered primes, at least k satisfy p not
+dividing C1 and (p-1) not dividing C2 for every pair (C1, C2) with
+log2 C1 <= beta1 and log2 C2 <= beta2: a failing prime consumes its own
+prime divisor of C1 (p) or of C2 (q), as the walk's records have distinct
+q >= n and distinct p (S(q) = S(q') would need q*q' < q^1.89).
 
 All logarithms here are natural.
 """
 
 import math
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional
+from itertools import islice
+from typing import Iterator, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -28,7 +30,8 @@ from .modular_core import is_prime
 @dataclass(frozen=True)
 class OracleConfig:
     """Bounds feeding the reservoir: log2 C1 <= beta1, log2 C2 <= beta2,
-    ell useful primes wanted, and the current density-constant estimate mu."""
+    ell useful primes wanted, and the density-constant estimate mu that
+    places the walk's start."""
 
     beta1: int
     beta2: int
@@ -64,8 +67,9 @@ def upsilon(x: float, mu: float) -> float:
     return xf * coef
 
 
-# Every reservoir prime is p = k*q + 1 with q >= n odd and k >= 2, so
-# p > 2n; grid primes stay below _GRID_LIMIT = 2^31, so n stays below 2^30.
+# The walk caps every record at the grid limit _GRID_LIMIT = 2^31.  A record
+# is p = k*q + 1 with q >= n > 21 odd, so k >= 2 and p > 2q: no q >= 2^30
+# has one, and the walk (and with it n) stays below 2^30.
 _N_LIMIT = _GRID_LIMIT // 2
 
 
@@ -133,28 +137,17 @@ def s_of_q(q: int, cap: Optional[float] = None) -> Optional[int]:
     return None
 
 
-def _build_reservoir(beta1: int, beta2: int, ell: int, mu: float):
-    """Collect beta1+beta2+ell records, doubling mu on shortfall.
-
-    Primality results are cached process-wide, so restarts with a larger mu
-    re-test nothing.
-    """
-    need = beta1 + beta2 + ell
-    while True:
-        n = choose_n(need, mu)
-        records = []
-        for q in sieve_interval(n, 2 * n):
-            p = s_of_q(q)
+def _walk(n: int) -> Iterator[PrimeRecord]:
+    """Records S(q) < min(q^1.89, 2^31) for the primes q = n, n+1, ... below
+    2^30, in increasing q, sieved in segments [lo, lo + min(lo, 2^20))."""
+    lo = n
+    while lo < _N_LIMIT:
+        hi = min(lo + min(lo, 1 << 20), _N_LIMIT)
+        for q in sieve_interval(lo, hi):
+            p = s_of_q(q, cap=min(float(q) ** 1.89, _GRID_LIMIT))
             if p is not None:
-                records.append(PrimeRecord(p, q, (p - 1) // q))
-                if len(records) == need:
-                    break
-        if len(records) == need:
-            if len({r.p for r in records}) != need:
-                raise RuntimeError(f"S(q) is not injective on [{n}, {2 * n})")
-            records.sort()
-            return records, mu, n
-        mu *= 2
+                yield PrimeRecord(p, q, (p - 1) // q)
+        lo = hi
 
 
 # Reservoir regenerations a stream allows before it gives up.
@@ -162,13 +155,14 @@ _MAX_REGENERATIONS = 10
 
 
 class PrimeStream:
-    """Stateful producer over the reservoir with guarantee accounting.
+    """Stateful producer over the walk with guarantee accounting.
 
-    Primes are handed out in ascending order.  ``delivered`` counts handed
-    minus discarded primes; discarded primes (black-box failures) never
-    count toward the guarantee.  An exhausted reservoir regenerates itself
-    with ell doubled, never re-delivering a prime; a request made after
-    more than _MAX_REGENERATIONS regenerations raises BlackBoxFailure.
+    The reservoir is the walk's first beta1 + beta2 + ell records, handed
+    out in ascending p.  Once it is used up, each regeneration appends the
+    walk's next as many, again in ascending p, so no prime comes twice.
+    ``delivered`` counts handed minus discarded primes (black-box
+    failures).  A request made after more than _MAX_REGENERATIONS
+    regenerations, or past the walk's end at 2^30, raises BlackBoxFailure.
 
     Regeneration cannot be sized away.  The reservoir covers beta1 + beta2
     bad primes plus ell good ones, but the bounds (beta1, beta2, ell) say
@@ -181,14 +175,16 @@ class PrimeStream:
 
     def __init__(self, config: OracleConfig):
         self.config = config
-        self.mu = config.mu
-        self._ell = config.ell
-        self._handed = set()
-        self._dead = set()
+        self._batch = config.beta1 + config.beta2 + config.ell
+        self.n = choose_n(self._batch, config.mu)
+        self._walk = _walk(self.n)
+        self.records: List[PrimeRecord] = []
         self._by_p = {}
+        self._handed = set()  # records[:len(_handed)] are handed out
+        self._dead = set()
         self.delivered = 0
         self.regenerations = 0
-        self._fill()
+        self._extend()
 
     @property
     def reservoir(self) -> tuple:
@@ -199,17 +195,15 @@ class PrimeStream:
             raise BlackBoxFailure(
                 f"no usable primes after {self.regenerations} reservoir regenerations"
             )
-        while True:
-            if self._cursor >= len(self.records):
-                self._regenerate()
-                continue
-            rec = self.records[self._cursor]
-            self._cursor += 1
-            if rec.p in self._handed:
-                continue
-            self._handed.add(rec.p)
-            self.delivered += 1
-            return rec.p
+        if len(self._handed) == len(self.records):
+            self.regenerations += 1
+            self._extend()
+            if len(self._handed) == len(self.records):
+                raise BlackBoxFailure("no usable primes left below 2^31")
+        p = self.records[len(self._handed)].p
+        self._handed.add(p)
+        self.delivered += 1
+        return p
 
     def discard(self, p: int) -> None:
         if p in self._handed and p not in self._dead:
@@ -222,22 +216,17 @@ class PrimeStream:
     def record_for(self, p: int) -> Optional[PrimeRecord]:
         return self._by_p.get(p)
 
-    def _regenerate(self) -> None:
-        self.regenerations += 1
-        self._ell *= 2
-        self._fill()
-
-    def _fill(self) -> None:
-        """Build the reservoir for the current ell and mu, cursor at its start."""
-        self.records, self.mu, self.n = _build_reservoir(
-            self.config.beta1, self.config.beta2, self._ell, self.mu
-        )
-        self._cursor = 0
-        self._by_p.update({r.p: r for r in self.records})
+    def _extend(self) -> None:
+        """Append the walk's next batch of records, in ascending p."""
+        batch = sorted(islice(self._walk, self._batch))
+        self._by_p.update((r.p, r) for r in batch)
+        self.records += batch
+        if len(self._by_p) != len(self.records):
+            raise RuntimeError(f"S(q) is not injective on q >= {self.n}")
 
 
 # ---------------- spec operations ----------------
 
 def generate(config: OracleConfig) -> PrimeStream:
-    """Reservoir of beta1 + beta2 + ell primes p = S(q), q sieved from [n, 2n)."""
+    """Reservoir of beta1 + beta2 + ell primes p = S(q), walked from q = n."""
     return PrimeStream(config)

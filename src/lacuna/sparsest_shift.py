@@ -101,7 +101,7 @@ def sparsest_shift(
     Unique whenever deg f >= 2*bounds.bt + 1.  Raises InconsistentResidues
     when reconstruction fails and NoReconstruction when a good prime gave no
     unique sparse shift (both: the true polynomial violated the bounds), and
-    BlackBoxFailure when evaluation failures outlast the regeneration limit.
+    BlackBoxFailure when evaluation failures outlast the prime stream.
     """
     if stream is None:
         stream = generate(shift_oracle_config(bounds))

@@ -137,7 +137,12 @@ def test_oracle_mu_option(capsys, monkeypatch):
     code, out, _ = invoke(capsys, *oracle, "--mu", "2.0")
     assert code == 0
     assert json.loads(out)["mu"] == 2.0
-    # 13 and up need a reservoir interval past 2^30; inf and nan are not finite
+    # 12 starts the walk over q near 4.9e8, and its primes still fit a grid
+    start = time.perf_counter()
+    code, out, _ = invoke(capsys, *oracle, "--mu", "12")
+    assert code == 0 and time.perf_counter() - start < 5
+    assert all(rec["p"] < 1 << 31 for rec in json.loads(out)["primes"])
+    # 13 and up need a walk starting past 2^30; inf and nan are not finite
     for bad in ("bogus", "0.5", "13", "16", "1e308", "inf", "nan"):
         start = time.perf_counter()
         code, _, err = invoke(capsys, *oracle, "--mu", bad)
@@ -150,6 +155,20 @@ def test_oracle_mu_option(capsys, monkeypatch):
 
 
 # ---------------- exit codes ----------------
+
+@pytest.mark.parametrize("exc, err", [
+    (MemoryError("Unable to allocate 16.0 GiB"), "error: out of memory: Unable to allocate 16.0 GiB"),
+    (MemoryError(), "error: out of memory"),
+])
+def test_out_of_memory_is_a_usage_error(capsys, monkeypatch, exc, err):
+    # a grid too large for memory ends in one line, not a traceback
+    def too_large(bb, p):
+        raise exc
+
+    monkeypatch.setattr("lacuna.cli.reduce_mod", too_large)
+    code, out, got = invoke(capsys, "reduce", "--poly", GOLDEN_JSON, "--prime", "2147483647")
+    assert (code, out, got) == (2, "", err)
+
 
 def test_exit_usage_on_bad_args(capsys, tmp_path):
     code, _, _ = invoke(capsys, "reduce", "--poly", GOLDEN_JSON, "--prime", "6")

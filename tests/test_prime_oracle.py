@@ -16,6 +16,8 @@ from lacuna import (
 )
 from lacuna import prime_oracle
 from lacuna.prime_oracle import PrimeStream, sieve_interval
+from lacuna.sparse_interp import interp_oracle_config
+from lacuna.sparsest_shift import shift_oracle_config
 
 
 # ---------------- upsilon ----------------
@@ -115,19 +117,68 @@ def test_generate_counts_and_structure():
     check_reservoir(st, 25)
 
 
-def test_density_shortfall_doubles_mu_and_rebuilds(monkeypatch):
-    # no q below the first interval's top has an S(q): the first interval
-    # falls short, so mu doubles and the reservoir comes from a later one
+def test_first_reservoirs_are_pinned(golden_bounds):
+    # the golden example's two phases and a mid-sized config: the walk's
+    # first batch is what [n, 2n) gave before there was a walk
+    assert generate(shift_oracle_config(golden_bounds)).reservoir == (
+        1187, 1283, 1307, 1319, 1367, 1439, 1487, 1523, 2309, 2477, 2693, 2837, 2909,
+        2957, 3343, 3607, 3643, 3967, 4507, 4793, 4937, 5417, 5471, 5711, 6131, 6311,
+        6829, 6911, 7331, 7691, 7717, 7883, 8219, 9059, 9739, 12113, 12619)
+    assert generate(interp_oracle_config(golden_bounds)).reservoir == (
+        839, 863, 887, 983, 1019, 1187, 1637, 1733, 1949, 1997, 2309, 2767, 2803, 3019,
+        3343, 3593, 3833, 4211, 4391, 5231, 5471, 5557, 5711, 6829, 7883, 8219, 9739,
+        13711, 16673)
+    assert generate(OracleConfig(10, 10, 5)).reservoir == (
+        719, 839, 863, 887, 1493, 1637, 1733, 1949, 2083, 2203, 2383, 2767, 2803, 3209,
+        3491, 3593, 3833, 4211, 4391, 4549, 4597, 4943, 5557, 9337, 13711)
+
+
+def test_density_shortfall_walks_on_past_2n(monkeypatch):
+    # no q below the first interval's top has an S(q): the walk runs on
+    # past 2n from the same n, and mu stays as configured
     need = 3 + 3 + 2
     bound = 2 * choose_n(need, 1.0)
     real = prime_oracle.s_of_q
     monkeypatch.setattr(prime_oracle, "s_of_q",
                         lambda q, cap=None: None if q < bound else real(q, cap))
     st = generate(OracleConfig(3, 3, 2))
-    assert st.mu > 1
-    check_reservoir(st, need)
+    assert st.n == bound // 2 and st.config.mu == 1
+    assert len(st.records) == need
     assert st.records == sorted(st.records)
-    assert all(r.q >= bound for r in st.records)
+    assert all(r.q >= bound and r.p == r.k * r.q + 1 and is_prime(r.p) for r in st.records)
+
+
+def test_walk_sieves_segments_at_most_2_20_wide(monkeypatch):
+    # mu = 12 starts the walk near 4.9e8, where [n, 2n) is far wider than
+    # a segment; the first segment already holds the one record needed
+    segments = []
+    real = prime_oracle.sieve_interval
+
+    def recording(lo, hi):
+        segments.append((lo, hi))
+        return real(lo, hi)
+
+    monkeypatch.setattr(prime_oracle, "sieve_interval", recording)
+    st = generate(OracleConfig(0, 0, 1, mu=12))
+    assert segments == [(st.n, st.n + (1 << 20))]
+    assert st.records[0].p < 1 << 31
+
+
+def test_walk_near_the_grid_limit_stays_below_2_31(monkeypatch):
+    # a walk from just below 2^30 finds only S(q) = 2q + 1, and ends at
+    # 2^30: the stream hands out what it found, then fails as a black box
+    n = prime_oracle._N_LIMIT - 20_000
+    monkeypatch.setattr(prime_oracle, "choose_n", lambda target, mu: n)
+    st = generate(OracleConfig(0, 0, 100))
+    assert 0 < len(st.records) < 100
+    for r in st.records:
+        assert is_prime(r.p) and is_prime(r.q) and n <= r.q
+        assert r.p == r.k * r.q + 1 < 1 << 31
+    handed = [st.next_prime() for _ in st.records]
+    assert handed == sorted(r.p for r in st.records)
+    with pytest.raises(BlackBoxFailure):
+        st.next_prime()
+    assert st.delivered == len(handed)
 
 
 def test_each_reserve_prime_has_one_interval_factor():
@@ -138,6 +189,16 @@ def test_each_reserve_prime_has_one_interval_factor():
     assert len(set(qs)) == len(qs)
     for r in st.records:
         assert (r.p - 1) % r.q == 0
+
+
+def test_a_prime_repeated_across_batches_is_refused(monkeypatch):
+    # the cap makes S injective; a walk that broke that would hand out a
+    # prime twice, and the stream refuses the batch instead
+    monkeypatch.setattr(prime_oracle, "s_of_q", lambda q, cap=None: 1_000_003)
+    st = generate(OracleConfig(0, 0, 1))
+    assert st.next_prime() == 1_000_003
+    with pytest.raises(RuntimeError, match="not injective"):
+        st.next_prime()
 
 
 def test_delivery_ascending_and_counted():
@@ -195,7 +256,8 @@ def test_regeneration_limit_raises_black_box_failure(monkeypatch):
 
 
 def test_regeneration_reuses_primality_work():
-    # same config twice: the second build hits the is_prime cache
+    # same config twice, as in repeated solves: the second walk hits the
+    # is_prime cache
     import time
 
     generate(OracleConfig(10, 10, 5))
