@@ -94,18 +94,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_int.add_argument("--bounds", required=True, help="BA=..,BT=..,BH=..,BN=..")
     p_int.add_argument("--assume-shift", default=None, help="skip shift recovery, use this shift")
 
-    p_or = sub.add_parser("oracle", parents=[common], help="dump a prime reservoir")
+    p_or = sub.add_parser(
+        "oracle", parents=[common],
+        help="dump a prime reservoir, walked from the least n past 21 where Upsilon (mu = 1)"
+        " exceeds beta1 + beta2 + ell",
+    )
     p_or.add_argument("--beta1", type=int, required=True)
     p_or.add_argument("--beta2", type=int, required=True)
     p_or.add_argument("--ell", type=int, required=True)
-    p_or.add_argument("--mu", type=float, default=1.0, help="density constant estimate (>= 1)")
 
     p_sq = sub.add_parser("sq", parents=[common], help="least prime congruent to 1 modulo q")
-    p_sq.add_argument("--q", type=int)
-    p_sq.add_argument("--cap-exp", type=float, default=1.89)
-    p_sq.add_argument(
-        "--scan-to", type=int, default=None, help="check every prime q up to this limit"
-    )
+    which = p_sq.add_mutually_exclusive_group(required=True)
+    which.add_argument("--q", type=int)
+    which.add_argument("--scan-to", type=int, help="check every prime q up to this limit")
 
     return ap
 
@@ -172,23 +173,20 @@ def _cmd_interpolate(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    config = prime_oracle.OracleConfig(
-        beta1=args.beta1, beta2=args.beta2, ell=args.ell, mu=args.mu
-    )
+    config = prime_oracle.OracleConfig(beta1=args.beta1, beta2=args.beta2, ell=args.ell)
     stream = prime_oracle.generate(config)
     payload = {
         "n": stream.n,
-        "mu": config.mu,
         "primes": [{"p": r.p, "q": r.q, "k": r.k} for r in stream.records],
     }
-    pretty = f"n = {stream.n}, mu = {config.mu}, {len(stream.records)} primes"
+    pretty = f"n = {stream.n}, {len(stream.records)} primes"
     _emit(args, payload, pretty)
     return EXIT_OK
 
 
-def _sq_one(q: int, cap_exp: float):
+def _sq_one(q: int):
     conj_cap = 2 * q * math.log(q) ** 2
-    cap = max(float(q) ** cap_exp, conj_cap + 1)
+    cap = max(float(q) ** 1.89, conj_cap + 1)
     s = prime_oracle.s_of_q(q, cap=cap)
     holds = s is not None and s < conj_cap
     return s, holds
@@ -201,7 +199,7 @@ def _cmd_sq(args) -> int:
         for q in prime_oracle.sieve_interval(2, args.scan_to + 1):
             if q == 2:
                 continue  # conjectured bound uses ln q; q = 2 is its own case
-            s, holds = _sq_one(q, args.cap_exp)
+            s, holds = _sq_one(q)
             checked += 1
             if not holds:
                 _emit(args, {"all_hold": False, "checked": checked, "q": q})
@@ -216,10 +214,10 @@ def _cmd_sq(args) -> int:
         }
         _emit(args, payload, f"checked {checked} primes, all hold")
         return EXIT_OK
-    if args.q is None or not is_prime(args.q):
+    if not is_prime(args.q):
         print("error: --q must be prime (or use --scan-to)", file=sys.stderr)
         return EXIT_USAGE
-    s, holds = _sq_one(args.q, args.cap_exp)
+    s, holds = _sq_one(args.q)
     payload = {"q": args.q, "S": s, "conjecture_holds": holds}
     _emit(args, payload, f"S({args.q}) = {s}")
     return EXIT_OK

@@ -2,9 +2,12 @@
 
 One walk yields the records S(q) = k*q + 1, the least such prime below
 min(q^1.89, 2^31), for the primes q = n, n+1, ... in increasing q.  n is
-the least integer at which the density function Upsilon certifies enough
-usable q in [n, 2n); ``choose_n`` finds it by a search on ``upsilon``
-itself, the one place its formula is written.
+the least integer past 21 at which Upsilon, the paper's estimate of the
+usable q in [n, 2n) with its unknown constant mu taken as 1, exceeds the
+records wanted; ``choose_n`` finds it by bisecting on ``upsilon``, the one
+place the formula is written.  Upsilon only places n: when [n, 2n) is
+short, the walk runs on past 2n, and the guarantee below rests on the
+records' distinct p and distinct q, not on Upsilon.
 
 Among any beta1 + beta2 + k delivered primes, at least k satisfy p not
 dividing C1 and (p-1) not dividing C2 for every pair (C1, C2) with
@@ -29,22 +32,18 @@ from .modular_core import is_prime
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Bounds feeding the reservoir: log2 C1 <= beta1, log2 C2 <= beta2,
-    ell useful primes wanted, and the density-constant estimate mu that
-    places the walk's start."""
+    """Bounds feeding the reservoir: log2 C1 <= beta1, log2 C2 <= beta2 and
+    ell useful primes wanted.  They alone place the walk's start n."""
 
     beta1: int
     beta2: int
     ell: int
-    mu: float = 1.0
 
     def __post_init__(self):
         if self.beta1 < 0 or self.beta2 < 0:
             raise ValueError("beta bounds must be >= 0")
         if self.ell < 1:
             raise ValueError("ell must be >= 1")
-        if not 1 <= self.mu < math.inf:
-            raise ValueError("mu must be finite and >= 1")
 
 
 class PrimeRecord(NamedTuple):
@@ -53,18 +52,19 @@ class PrimeRecord(NamedTuple):
     k: int
 
 
-def upsilon(x: float, mu: float) -> float:
-    """3x / (5 ln x) - mu x / ln^2 x, the certified count of usable q's below x."""
+def upsilon(x: float) -> float:
+    """3x / (5 ln x) - x / ln^2 x, the paper's estimate of the usable q in
+    [x, 2x), with its density constant mu taken as 1: the paper does not
+    give mu, and Upsilon only places n, so the walk does not need it to be
+    a lower bound."""
     if x <= 1:
         raise ValueError("upsilon needs x > 1")
     lg = math.log(x)
-    coef = 3 / (5 * lg) - mu / (lg * lg)
+    coef = 3 / (5 * lg) - 1 / (lg * lg)
     try:
-        xf = float(x)
+        return float(x) * coef
     except OverflowError:
-        # sign is decided by the density coefficient once x is this large
-        return math.copysign(math.inf, coef) if coef else 0.0
-    return xf * coef
+        return math.inf  # coef > 0 once x is past float range
 
 
 # The walk caps every record at the grid limit _GRID_LIMIT = 2^31.  A record
@@ -73,28 +73,23 @@ def upsilon(x: float, mu: float) -> float:
 _N_LIMIT = _GRID_LIMIT // 2
 
 
-def choose_n(target: int, mu: float) -> int:
-    """Smallest integer n with n > 21, n > mu and upsilon(n) > target.
+def choose_n(target: int) -> int:
+    """Smallest integer n > 21 with upsilon(n) > target, where the walk
+    over q starts.
 
-    Upsilon is increasing wherever it is positive (its derivative there is
-    (u (ln x - 1) + mu) / ln^3 x with u = 3 ln x / 5 - mu > 0), so
-    upsilon(n) > target >= 1 holds for every n past the least one.  The
-    search doubles n until the test holds and bisects the last step, with
-    no formula of its own.  ValueError when the least n is >= 2^30.
+    Upsilon is increasing on x > 1 (its derivative is
+    (3 ln^2 x - 8 ln x + 10) / (5 ln^3 x) > 0), so one bisection over
+    [22, 2^30 - 1] finds n.  ValueError when n would be >= 2^30.
     """
     if target < 1:
         raise ValueError("target must be >= 1")
-    lo = max(22, math.floor(mu) + 1)
-    hi = lo
-    while hi >= _N_LIMIT or upsilon(hi, mu) <= target:
-        if hi >= _N_LIMIT - 1:
-            raise ValueError(f"mu = {mu} and target = {target} need n >= 2^30; "
-                             "reservoir primes must stay below 2^31")
-        lo, hi = hi + 1, min(2 * hi, _N_LIMIT - 1)
-    # upsilon(hi) > target, and the least such n is in [lo, hi]
+    lo, hi = 22, _N_LIMIT - 1
+    if upsilon(hi) <= target:
+        raise ValueError(f"target = {target} needs n >= 2^30; "
+                         "reservoir primes must stay below 2^31")
     while lo < hi:
         mid = (lo + hi) // 2
-        if upsilon(mid, mu) > target:
+        if upsilon(mid) > target:
             hi = mid
         else:
             lo = mid + 1
@@ -176,7 +171,7 @@ class PrimeStream:
     def __init__(self, config: OracleConfig):
         self.config = config
         self._batch = config.beta1 + config.beta2 + config.ell
-        self.n = choose_n(self._batch, config.mu)
+        self.n = choose_n(self._batch)
         self._walk = _walk(self.n)
         self.records: List[PrimeRecord] = []
         self._by_p = {}

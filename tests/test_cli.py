@@ -1,5 +1,6 @@
 """Command-line interface tests (run in-process via run())."""
 
+import argparse
 import json
 import os
 import random
@@ -12,7 +13,8 @@ from pathlib import Path
 import pytest
 
 from lacuna import NotSplitting, ShiftedLacunary, make_blackbox
-from lacuna.cli import run
+from lacuna import cli
+from lacuna.cli import build_parser, run
 
 from conftest import GOLDEN_JSON
 
@@ -113,8 +115,8 @@ def test_oracle_dump(capsys):
     code, out, _ = invoke(capsys, "oracle", "--beta1", "0", "--beta2", "0", "--ell", "1")
     assert code == 0
     obj = json.loads(out)
+    assert set(obj) == {"n", "primes"}
     assert obj["n"] == 22
-    assert obj["mu"] == 1.0
     assert obj["primes"] == [{"p": 47, "q": 23, "k": 2}]
 
 
@@ -133,25 +135,44 @@ def test_sq_scan(capsys):
 
 
 def test_oracle_mu_option(capsys, monkeypatch):
+    # the bounds alone place n: --mu is gone, and the environment sets nothing
     oracle = ("oracle", "--beta1", "0", "--beta2", "0", "--ell", "1")
-    code, out, _ = invoke(capsys, *oracle, "--mu", "2.0")
-    assert code == 0
-    assert json.loads(out)["mu"] == 2.0
-    # 12 starts the walk over q near 4.9e8, and its primes still fit a grid
-    start = time.perf_counter()
-    code, out, _ = invoke(capsys, *oracle, "--mu", "12")
-    assert code == 0 and time.perf_counter() - start < 5
-    assert all(rec["p"] < 1 << 31 for rec in json.loads(out)["primes"])
-    # 13 and up need a walk starting past 2^30; inf and nan are not finite
-    for bad in ("bogus", "0.5", "13", "16", "1e308", "inf", "nan"):
-        start = time.perf_counter()
-        code, _, err = invoke(capsys, *oracle, "--mu", bad)
-        assert code == 2, (bad, err)
-        assert time.perf_counter() - start < 5, bad
-    # the environment no longer sets it
+    for value in ("1", "2.0", "12"):
+        code, _, _ = invoke(capsys, *oracle, "--mu", value)
+        assert code == 2
     monkeypatch.setenv("LACUNA_MU", "bogus")
     code, out, _ = invoke(capsys, *oracle)
-    assert code == 0 and json.loads(out)["mu"] == 1.0
+    assert code == 0 and json.loads(out)["n"] == 22
+    # a need whose n would pass 2^30 is refused at once
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "oracle", "--beta1", "28498471", "--beta2", "0", "--ell", "1")
+    assert (code, out) == (2, "") and "2^30" in err
+    assert time.perf_counter() - start < 5
+
+
+def test_sq_takes_exactly_one_of_q_and_scan_to(capsys):
+    # a bare ``sq`` is refused in test_exit_usage_on_bad_args
+    for argv in (("sq", "--scan-to", "20", "--q", "3"), ("sq", "--q", "3", "--scan-to", "20")):
+        code, out, _ = invoke(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+    # the search cap is the walk's own q^1.89, not an option
+    for value in ("1.89", "nan", "1e6"):
+        code, out, _ = invoke(capsys, "sq", "--q", "3", "--cap-exp", value)
+        assert (code, out) == (2, ""), value
+
+
+def test_every_cli_flag_is_read():
+    # a flag whose dest the command code never reads would do nothing
+    source = Path(cli.__file__).read_text()
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    unread = []
+    for name, sub in subparsers.choices.items():
+        for action in sub._actions:
+            if action.dest != "help" and f"args.{action.dest}" not in source:
+                unread.append((name, action.option_strings))
+    assert subparsers.choices
+    assert unread == []
 
 
 # ---------------- exit codes ----------------

@@ -1,5 +1,6 @@
 """Prime reservoir generation and guarantee accounting tests."""
 
+import dataclasses
 import math
 import random
 
@@ -23,46 +24,45 @@ from lacuna.sparsest_shift import shift_oracle_config
 # ---------------- upsilon ----------------
 
 def test_upsilon_zero_point():
-    assert upsilon(math.e ** (5 / 3), 1.0) == pytest.approx(0.0, abs=1e-9)
+    assert upsilon(math.e ** (5 / 3)) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_upsilon_direct_values():
     # 60/ln(100) - 100/ln(100)^2 and the same shape at 1000
-    assert upsilon(100, 1.0) == pytest.approx(8.313542, abs=1e-5)
-    assert upsilon(1000, 1.0) == pytest.approx(65.90198, abs=1e-4)
+    assert upsilon(100) == pytest.approx(8.313542, abs=1e-5)
+    assert upsilon(1000) == pytest.approx(65.90198, abs=1e-4)
 
 
 def test_upsilon_rejects_domain():
     with pytest.raises(ValueError):
-        upsilon(1.0, 1.0)
+        upsilon(1.0)
 
 
 # ---------------- choose_n ----------------
 
 def test_choose_n_lower_cutoff():
-    # upsilon(22, 1) ~ 1.97 > 1, so the n > 21 cutoff binds
-    assert choose_n(1, 1.0) == 22
+    # upsilon(22) ~ 1.97 > 1, so the n > 21 cutoff binds
+    assert choose_n(1) == 22
 
 
 def test_choose_n_minimality():
-    assert choose_n(25, 1.0) == 341
-    targets = list(range(1, 400)) + list(range(400, 200001, 997))
-    for mu in (1.0, 2.0, 4.0, 8.0):
-        for target in targets:
-            n = choose_n(target, mu)
-            assert n > 21 and n > mu
-            assert upsilon(n, mu) > target
-            if n > 22:
-                assert upsilon(n - 1, mu) <= target, (mu, target, n)
+    assert choose_n(25) == 341
+    targets = (list(range(1, 400)) + list(range(400, 200001, 997))
+               + list(range(200001, 28_498_471, 99_991)) + [28_498_469, 28_498_470])
+    for target in targets:
+        n = choose_n(target)
+        assert 21 < n < 1 << 30
+        assert upsilon(n) > target
+        if n > 22:
+            assert upsilon(n - 1) <= target, (target, n)
 
 
-def test_choose_n_respects_mu_cutoff():
-    # mu = 12 puts the least n just past e^20 ~ 4.9e8, below 2^30;
-    # mu = 13 needs ln n > 5 * 13 / 3, past 2^30, and so does mu = 10^6
-    assert choose_n(1, 12) < 1 << 30
-    for mu in (13, 10**6):
+def test_choose_n_refuses_n_past_2_30():
+    # the last target whose n stays below 2^30, and the first past it
+    assert choose_n(28_498_470) == 1_073_741_818
+    for target in (28_498_471, 10**9, 0):
         with pytest.raises(ValueError):
-            choose_n(1, mu)
+            choose_n(target)
 
 
 # ---------------- s_of_q ----------------
@@ -135,22 +135,24 @@ def test_first_reservoirs_are_pinned(golden_bounds):
 
 def test_density_shortfall_walks_on_past_2n(monkeypatch):
     # no q below the first interval's top has an S(q): the walk runs on
-    # past 2n from the same n, and mu stays as configured
+    # past 2n from the same n
     need = 3 + 3 + 2
-    bound = 2 * choose_n(need, 1.0)
+    bound = 2 * choose_n(need)
     real = prime_oracle.s_of_q
     monkeypatch.setattr(prime_oracle, "s_of_q",
                         lambda q, cap=None: None if q < bound else real(q, cap))
     st = generate(OracleConfig(3, 3, 2))
-    assert st.n == bound // 2 and st.config.mu == 1
+    assert st.n == bound // 2
     assert len(st.records) == need
     assert st.records == sorted(st.records)
     assert all(r.q >= bound and r.p == r.k * r.q + 1 and is_prime(r.p) for r in st.records)
 
 
 def test_walk_sieves_segments_at_most_2_20_wide(monkeypatch):
-    # mu = 12 starts the walk near 4.9e8, where [n, 2n) is far wider than
-    # a segment; the first segment already holds the one record needed
+    # a walk from near 4.9e8, where [n, 2n) is far wider than a segment:
+    # the first segment already holds the one record needed
+    n = 485_165_863
+    monkeypatch.setattr(prime_oracle, "choose_n", lambda target: n)
     segments = []
     real = prime_oracle.sieve_interval
 
@@ -159,8 +161,8 @@ def test_walk_sieves_segments_at_most_2_20_wide(monkeypatch):
         return real(lo, hi)
 
     monkeypatch.setattr(prime_oracle, "sieve_interval", recording)
-    st = generate(OracleConfig(0, 0, 1, mu=12))
-    assert segments == [(st.n, st.n + (1 << 20))]
+    st = generate(OracleConfig(0, 0, 1))
+    assert segments == [(n, n + (1 << 20))]
     assert st.records[0].p < 1 << 31
 
 
@@ -168,7 +170,7 @@ def test_walk_near_the_grid_limit_stays_below_2_31(monkeypatch):
     # a walk from just below 2^30 finds only S(q) = 2q + 1, and ends at
     # 2^30: the stream hands out what it found, then fails as a black box
     n = prime_oracle._N_LIMIT - 20_000
-    monkeypatch.setattr(prime_oracle, "choose_n", lambda target, mu: n)
+    monkeypatch.setattr(prime_oracle, "choose_n", lambda target: n)
     st = generate(OracleConfig(0, 0, 100))
     assert 0 < len(st.records) < 100
     for r in st.records:
@@ -288,6 +290,7 @@ def test_config_validation():
         OracleConfig(-1, 0, 1)
     with pytest.raises(ValueError):
         OracleConfig(0, 0, 0)
-    for mu in (0.5, math.inf, math.nan):
-        with pytest.raises(ValueError):
-            OracleConfig(0, 0, 1, mu=mu)
+    # the bounds alone configure the oracle
+    assert [f.name for f in dataclasses.fields(OracleConfig)] == ["beta1", "beta2", "ell"]
+    with pytest.raises(TypeError):
+        OracleConfig(0, 0, 1, mu=2.0)
