@@ -196,9 +196,8 @@ def _cmd_sq(args) -> int:
     if args.scan_to is not None:
         worst_ratio, worst = 0.0, None
         checked = 0
-        for q in prime_oracle.sieve_interval(2, args.scan_to + 1):
-            if q == 2:
-                continue  # conjectured bound uses ln q; q = 2 is its own case
+        # the conjectured bound uses ln q; q = 2 is its own case
+        for q in prime_oracle._primes_from(3, args.scan_to + 1):
             s, holds = _sq_one(q)
             checked += 1
             if not holds:

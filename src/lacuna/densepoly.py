@@ -203,8 +203,10 @@ def _primitive_root(p: int) -> int:
 @lru_cache(maxsize=2)
 def _generator_powers(p: int) -> np.ndarray:
     """pw[a] = g^a mod p for a < p-1, g = ``_primitive_root(p)``: a read-only
-    int64 array, the one table per prime.  Two primes are cached because
-    reducing a box evaluates it and then interpolates at the same prime.
+    int64 array, the one table per prime.  Two primes are cached: a
+    prime's uses come one after another, so the cache builds each table
+    once for the box's grid, the candidate's grid that confirms it
+    (``sparse_interp``) and the kernel or interpolation that reads it.
     """
     n = p - 1
     g = _primitive_root(p)

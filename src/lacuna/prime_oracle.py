@@ -132,17 +132,23 @@ def s_of_q(q: int, cap: Optional[float] = None) -> Optional[int]:
     return None
 
 
+def _primes_from(lo: int, hi: int) -> Iterator[int]:
+    """Primes in [lo, hi), ascending, sieved in segments [a, a + min(a, 2^20)):
+    one segment's flags and primes are held at a time, whatever hi is."""
+    lo = max(lo, 2)
+    while lo < hi:
+        top = min(lo + min(lo, 1 << 20), hi)
+        yield from sieve_interval(lo, top)
+        lo = top
+
+
 def _walk(n: int) -> Iterator[PrimeRecord]:
     """Records S(q) < min(q^1.89, 2^31) for the primes q = n, n+1, ... below
-    2^30, in increasing q, sieved in segments [lo, lo + min(lo, 2^20))."""
-    lo = n
-    while lo < _N_LIMIT:
-        hi = min(lo + min(lo, 1 << 20), _N_LIMIT)
-        for q in sieve_interval(lo, hi):
-            p = s_of_q(q, cap=min(float(q) ** 1.89, _GRID_LIMIT))
-            if p is not None:
-                yield PrimeRecord(p, q, (p - 1) // q)
-        lo = hi
+    2^30, in increasing q."""
+    for q in _primes_from(n, _N_LIMIT):
+        p = s_of_q(q, cap=min(float(q) ** 1.89, _GRID_LIMIT))
+        if p is not None:
+            yield PrimeRecord(p, q, (p - 1) // q)
 
 
 # Reservoir regenerations a stream allows before it gives up.

@@ -8,6 +8,16 @@ remaindering over the moduli p_i - 1 (never coprime: all even) rebuilds it
 over Z, its roots, lifted from a small prime, are the exponents, and
 per-term residue matching plus rational reconstruction yields the
 coefficients.
+
+The deterministic guarantee asks for beta1 + beta2 + 1 delivered primes,
+but a few images already meet the CRT targets.  From those a candidate f
+is rebuilt, and every later prime is confirmed, not interpolated: a grid
+equal to the candidate's (one ``LacunaryBox`` evaluation and one array
+comparison) has the candidate's reduction as its image, and only a grid
+that differs runs the sparse kernel.  When every later image confirmed
+it, the candidate is the answer: the CRT over all images would lift the
+same exponent polynomial and the same bounded rationals (see
+``sparse_interpolate``).  Every prime of the guarantee is still reduced.
 """
 
 import math
@@ -17,7 +27,13 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .blackbox import ModularBlackBox, ShiftedLacunary, _reductions, shifted_blackbox
+from .blackbox import (
+    LacunaryBox,
+    ModularBlackBox,
+    ShiftedLacunary,
+    _reductions,
+    shifted_blackbox,
+)
 from .densepoly import (
     DensePolyMod,
     _times_linear,
@@ -27,6 +43,7 @@ from .densepoly import (
 )
 from .errors import (
     AmbiguousMatch,
+    DenominatorVanished,
     InconsistentResidues,
     NoMatch,
     NoReconstruction,
@@ -125,6 +142,31 @@ def collect_images(
     true t and every kept image is good.  Images kept before a higher count
     appears came from bad primes and are flushed.  Returns once the primes
     multiply past 2^(2*bh + 1) and lcm(p - 1) reaches 2^q_target_bits.
+
+    Once the kept images meet both targets, the primes still needed for the
+    guarantee are checked against the candidate those images determine,
+    not interpolated: a grid equal to the candidate's grid gives the
+    candidate's reduction as its image (see ``_collect``), the same image
+    the sparse kernel would read off it.
+    """
+    return _collect(bb, bounds, stream)[0]
+
+
+def _collect(
+    bb: ModularBlackBox,
+    bounds: Bounds,
+    stream: Optional[PrimeStream],
+) -> Tuple[List[PrimeImage], Optional[ShiftedLacunary]]:
+    """``collect_images``'s images, and the candidate every later kept image
+    confirmed, or None.
+
+    When the kept images first meet both CRT targets before the guarantee
+    is reached, ``_candidate`` rebuilds f from them.  Each later grid is
+    compared with the candidate's (``_confirmed_image``); only a grid that
+    differs, or a prime dividing a candidate denominator, runs the sparse
+    kernel.  A flush drops the candidate, as does a kept image the kernel
+    read, which disagrees with it; a candidate is built at most once
+    between flushes.
     """
     if stream is None:
         stream = generate(interp_oracle_config(bounds))
@@ -132,25 +174,65 @@ def collect_images(
     q_target = 1 << q_target_bits(bounds)
     images: List[PrimeImage] = []
     t, prod, q_lcm = -1, 1, 1
+    box: Optional[LacunaryBox] = None  # the candidate's box
+    tried = False
     for p, values in _reductions(bb, stream):
-        fp = interpolate_sparse(values, p, bounds.bt)
-        if fp is None:
-            raise NoReconstruction(f"the reduction at p={p} has more than bt={bounds.bt} terms")
-        t_p = tau(fp)
+        image = _confirmed_image(box, values, p) if box is not None else None
+        if image is not None:
+            t_p = len(image.exponents)
+        else:
+            fp = interpolate_sparse(values, p, bounds.bt)
+            if fp is None:
+                raise NoReconstruction(f"the reduction at p={p} has more than bt={bounds.bt} terms")
+            t_p = tau(fp)
         if t_p > t:
             # every image kept so far came from a bad prime: flush
             images, t, prod, q_lcm = [], t_p, 1, 1
+            box, tried = None, False
         if t_p == t:
             new_lcm = math.lcm(q_lcm, p - 1)
             # progress check: a fresh certified q >= n multiplies the lcm
             rec = stream.record_for(p)
             if rec is not None and q_lcm % rec.q != 0 and new_lcm < q_lcm * rec.q:
                 raise RuntimeError(f"lcm did not gain the certified factor {rec.q} of {p} - 1")
-            images.append(PrimeImage.from_poly(fp))
+            if image is None:
+                box = None  # a kept image the candidate did not predict
+                image = PrimeImage.from_poly(fp)
+            images.append(image)
             prod *= p
             q_lcm = new_lcm
-        if prod >= p_target and q_lcm >= q_target and stream.guarantee_reached(1):
-            return images
+        if prod >= p_target and q_lcm >= q_target:
+            if stream.guarantee_reached(1):
+                return images, box.poly if box is not None else None
+            if not tried:
+                tried = True
+                candidate = _candidate(images, bounds)
+                box = LacunaryBox(candidate) if candidate is not None else None
+
+
+def _confirmed_image(box: LacunaryBox, values: np.ndarray, p: int) -> Optional[PrimeImage]:
+    """The image at p of the candidate behind ``box`` when the grid
+    ``values`` is the candidate's grid, else None.
+
+    The grid's interpolant of degree < p is unique, so equal grids make the
+    box's reduction the candidate's: c0 mod p plus c_i x^remo(e_i, p - 1)
+    over the terms, where x^e and x^remo(e, p - 1) agree on all of Z_p.
+    Terms reduced to one slot are summed, and slots summing to 0 dropped,
+    which is ``PrimeImage.from_poly(interpolate_sparse(values, p, bt))`` bit
+    for bit.  None also when p divides a denominator of the candidate.
+    """
+    try:
+        c0, _, coeffs = box._residues(p)
+    except DenominatorVanished:
+        return None
+    if not np.array_equal(box._grid(p), values):
+        return None
+    slots: Dict[int, int] = {}
+    for c, (_, e) in zip(coeffs, box.poly.terms):
+        slot = remo(e, p - 1)
+        slots[slot] = (slots.get(slot, 0) + c) % p
+    exponents = tuple(sorted(slot for slot, c in slots.items() if c))
+    return PrimeImage(p, exponents, tuple((slot, slots[slot]) for slot in exponents), c0)
 
 
 # ---------------- exponent polynomial ----------------
@@ -252,18 +334,44 @@ def sparse_interpolate(
     there), so one pass suffices: a reduction with more than bt terms, or
     any failure to rebuild the exponent polynomial, split it or match its
     roots, means the data violate the bounds, and raises NoReconstruction.
+
+    When every image kept after the candidate confirmed it, the candidate
+    is the answer, with no second reconstruction over all images: that one
+    would give the same.  The candidate's exponent polynomial G has signed
+    coefficients modulo M = lcm(p - 1) over its images, and every later
+    image is G modulo its p - 1, so the larger modulus lifts G again (M is
+    even, and a larger lcm is at least 2M).  Its coefficients a/b, with
+    |a|, b <= 2^bh, agree with every later residue, and a product of odd
+    primes past 2^(2*bh + 1) is at least 2 (2^bh)^2 + 1, where such a
+    rational is the only one its residue has.
     """
-    images = collect_images(bb, bounds, stream=stream)
-    sym_bound = (1 + (1 << bounds.bn)) ** bounds.bt
+    images, candidate = _collect(bb, bounds, stream)
+    if candidate is not None:
+        return candidate
     try:
-        g = recover_g([build_g_image(im.exponents, im.p - 1) for im in images])
-        if any(abs(a) > sym_bound for a in g.coeffs):
-            # symmetric functions of roots <= 2^bn cannot be this big
-            raise NotSplitting("exponent polynomial exceeds its size bound")
-        roots = integer_roots(g, 1 << bounds.bn)
-        return match_and_recover(sorted(roots), images, bounds.bh)
+        return _reconstruct(images, bounds)
     except (InconsistentResidues, NotSplitting, NoMatch, AmbiguousMatch) as exc:
         raise NoReconstruction(f"images do not fit the bounds: {exc}") from exc
+
+
+def _reconstruct(images: Sequence[PrimeImage], bounds: Bounds) -> ShiftedLacunary:
+    """f from good images: exponent polynomial, its roots, then matching."""
+    sym_bound = (1 + (1 << bounds.bn)) ** bounds.bt
+    g = recover_g([build_g_image(im.exponents, im.p - 1) for im in images])
+    if any(abs(a) > sym_bound for a in g.coeffs):
+        # symmetric functions of roots <= 2^bn cannot be this big
+        raise NotSplitting("exponent polynomial exceeds its size bound")
+    roots = integer_roots(g, 1 << bounds.bn)
+    return match_and_recover(sorted(roots), images, bounds.bh)
+
+
+def _candidate(images: Sequence[PrimeImage], bounds: Bounds) -> Optional[ShiftedLacunary]:
+    """``_reconstruct(images, bounds)``, or None where the images do not fit
+    the bounds: the kept images may still come from bad primes."""
+    try:
+        return _reconstruct(images, bounds)
+    except (InconsistentResidues, NotSplitting, NoMatch, AmbiguousMatch, NoReconstruction):
+        return None
 
 
 def full_interpolate(bb: ModularBlackBox, bounds: Bounds) -> ShiftedLacunary:

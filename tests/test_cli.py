@@ -134,6 +134,14 @@ def test_sq_scan(capsys):
     assert obj["checked"] == 94  # odd primes up to 500
 
 
+def test_sq_scan_across_sieve_segments(capsys):
+    # [3, 5001) is sieved in segments [3, 6), [6, 12), ..., [3072, 5001)
+    code, out, _ = invoke(capsys, "sq", "--scan-to", "5000")
+    assert code == 0
+    assert json.loads(out) == {"all_hold": True, "checked": 668,
+                               "worst": {"S": 7, "q": 3, "ratio": 0.966625}}
+
+
 def test_oracle_mu_option(capsys, monkeypatch):
     # the bounds alone place n: --mu is gone, and the environment sets nothing
     oracle = ("oracle", "--beta1", "0", "--beta2", "0", "--ell", "1")

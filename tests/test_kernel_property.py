@@ -1,5 +1,6 @@
 """Property tests of the chirp-transform kernel and the sparse kernel at
-every prime below 600, of the Hankel singularity test and the shift
+every prime below 600, of the image a candidate's confirmation reads in
+the sparse kernel's place, of the Hankel singularity test and the shift
 search's degree test, of the int64 reduction helper, of the schedule of
 reductions in sums of products and Horner steps, and of the lacunary box's
 float64 sums split into limbs and chunks.
@@ -16,16 +17,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from fractions import Fraction
+
 from lacuna import (
     DenominatorVanished,
     DensePolyMod,
+    LacunaryBox,
+    ShiftedLacunary,
     interpolate_range,
     interpolate_sparse,
     is_prime,
     make_blackbox,
     tau,
 )
-from lacuna import densepoly
+from lacuna import densepoly, sparse_interp
 from lacuna.densepoly import _difference, _hankel_singular, _horner, _mod
 
 from conftest import naive_termwise_reduction, random_instance
@@ -77,6 +82,43 @@ def test_sparse_kernel_property(p, s, extra, seed):
     noise = [rng.randrange(p) for _ in range(p)]  # a random grid is dense but at tiny p
     dense = interpolate_range(noise, p)
     assert interpolate_sparse(noise, p, s) == (dense if tau(dense) <= s else None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=st.sampled_from(PRIMES_BELOW_600[2:]), t=st.integers(1, 5),
+       seed=st.integers(0, 2**32 - 1))
+@example(p=5, t=5, seed=0)
+@example(p=7, t=3, seed=1)
+def test_confirmed_image_is_the_sparse_kernel_image(p, t, seed):
+    # exponents from a pool of fewer slots than terms collide modulo p - 1,
+    # where coefficients are summed and may cancel; a numerator is a
+    # multiple of p one time in five, a denominator one time in ten
+    rng = random.Random(seed)
+    pool = rng.sample(range(1, p), min(p - 1, max(1, t - 1)))
+    exps = set()
+    while len(exps) < t:
+        exps.add(rng.choice(pool) + (p - 1) * rng.randrange(4))
+
+    def rat():
+        num = (p if rng.randrange(5) == 0 else 1) * rng.choice((-1, 1)) * rng.randint(1, 12)
+        return Fraction(num, (p if rng.randrange(10) == 0 else 1) * rng.randint(1, 12))
+
+    poly = ShiftedLacunary(Fraction(0), rng.choice((Fraction(0), rat())),
+                           tuple((rat(), e) for e in sorted(exps)))
+    box = LacunaryBox(poly)
+    try:
+        values = box.eval_range(p)
+    except DenominatorVanished:
+        # the candidate has no image at p: the grid goes to the kernel
+        noise = np.array([rng.randrange(p) for _ in range(p)], dtype=np.int64)
+        assert sparse_interp._confirmed_image(box, noise, p) is None
+        return
+    want = sparse_interp.PrimeImage.from_poly(interpolate_sparse(values, p, t))
+    assert sparse_interp._confirmed_image(box, values, p) == want
+    changed = values.copy()
+    changed[rng.randrange(p)] += rng.randrange(1, p)
+    changed %= p
+    assert sparse_interp._confirmed_image(box, changed, p) is None
 
 
 # ---------------- the Hankel singularity test ----------------

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -91,6 +92,25 @@ def test_sieve_interval():
     assert sieve_interval(10, 10) == []
     want = [p for p in range(1000, 1100) if is_prime(p)]
     assert sieve_interval(1000, 1100) == want
+
+
+def test_primes_from_is_the_sieve_in_segments():
+    # segments [a, a + min(a, 2^20)): doubling from 2, then 2^20 wide
+    for lo, hi in ((0, 50), (1, 2), (2, 3), (3, 3), (7, 5), (22, 4097), (900_000, 3_200_001)):
+        assert list(prime_oracle._primes_from(lo, hi)) == sieve_interval(lo, hi), (lo, hi)
+
+
+def test_primes_from_holds_one_segment_at_a_time():
+    # ``lacuna sq --scan-to`` walks these: one sieve over all of [2, 10^7]
+    # peaked at 42.5 MB, which grows with the scan
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in prime_oracle._primes_from(3, 10**7 + 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 664_578  # the odd primes below 10^7
+    assert peak < 8 << 20
 
 
 # ---------------- generate ----------------

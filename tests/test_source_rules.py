@@ -100,6 +100,23 @@ def test_no_float_matrix_product_outside_the_exact_helper():
     assert not found, f"matrix products outside densepoly._geometric_sums: {found}"
 
 
+def test_no_catch_all_except():
+    # every handler names the errors it expects, so a broken invariant or a
+    # typo surfaces instead of being read as a failed reconstruction
+    broad = {"Exception", "BaseException"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ExceptHandler):
+                continue
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if node.type is None or any(isinstance(c, ast.Name) and c.id in broad
+                                        for c in caught):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"bare except or except Exception in src/lacuna: {found}"
+
+
 # the built-in errors the library raises besides its own LacunaError types:
 # ValueError for bad input, RuntimeError for a broken internal invariant,
 # NotImplementedError for the box base class's own contract

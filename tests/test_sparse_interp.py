@@ -32,7 +32,8 @@ from lacuna import (
     sparse_interpolate,
     sparsest_shift,
 )
-from lacuna import modular_core, prime_oracle
+from lacuna import LacunaError, LacunaryBox, interpolate_sparse, modular_core, prime_oracle
+from lacuna import sparse_interp as si
 from lacuna.sparse_interp import PrimeImage, interp_oracle_config, q_target_bits
 from lacuna.sparsest_shift import shift_oracle_config
 
@@ -172,6 +173,153 @@ def test_golden_runs_no_chirp_transform_at_two_or_three_terms(
     for inst in workloads.build(lacuna, "dense", 1):
         assert workloads.is_correct(inst, full_interpolate(inst.box, inst.bounds)), inst.name
     assert calls == []
+
+
+# ---------------- the candidate and its confirmation ----------------
+
+def kernel_image(values, p, bt):
+    return PrimeImage.from_poly(interpolate_sparse(values, p, bt))
+
+
+def test_confirmed_image_sums_colliding_slots_and_drops_zeros():
+    # at p = 7: 2 and 8 share slot 2 and their coefficients cancel, 14 is
+    # slot 2 too, 3 keeps slot 3 but its coefficient 7 vanishes, and 13
+    # keeps slot 1 with coefficient 3
+    poly = ShiftedLacunary(Fraction(0), Fraction(5, 2), (
+        (Fraction(1), 2), (Fraction(-1), 8), (Fraction(7), 3), (Fraction(3), 13),
+        (Fraction(1, 3), 14)))
+    box = LacunaryBox(poly)
+    values = box.eval_range(7)
+    got = si._confirmed_image(box, values, 7)
+    assert got == kernel_image(values, 7, 5)
+    assert got == PrimeImage(7, (1, 2), ((1, 3), (2, 5)), 6)  # 1/3 = 5, 5/2 = 6 mod 7
+
+
+def test_confirmed_image_leaves_a_vanishing_denominator_or_another_grid_to_the_kernel():
+    poly = ShiftedLacunary(Fraction(0), Fraction(1), ((Fraction(2, 7), 3), (Fraction(1), 5)))
+    box = LacunaryBox(poly)
+    other = make_blackbox(unshifted_two_term()).eval_range(7)
+    assert si._confirmed_image(box, other, 7) is None  # 7 divides the denominator 7
+    values = box.eval_range(11)
+    assert si._confirmed_image(box, values, 11) == kernel_image(values, 11, 2)
+    for i in (0, 5, 10):
+        changed = values.copy()
+        changed[i] = (changed[i] + 1) % 11
+        assert si._confirmed_image(box, changed, 11) is None
+
+
+class _SwitchingBox(ModularBlackBox):
+    """A test double that is one polynomial's box at the primes in ``early``
+    and another's at every other prime."""
+
+    def __init__(self, early, first, then):
+        super().__init__()
+        self.early = set(early)
+        self.boxes = LacunaryBox(first), LacunaryBox(then)
+
+    def _grid(self, p):
+        return self.boxes[p not in self.early]._grid(p)
+
+
+SWITCH_PRIMES = [7, 13, 23, 29, 37, 41, 43, 47, 53, 59, 61]  # the guarantee at the last
+SWITCH_BOUNDS = Bounds(ba=1, bt=2, bh=2, bn=3)
+
+
+def collect_both_ways(box_args, monkeypatch):
+    """_collect's images and candidate, the candidates it built, and the
+    images and answer (or error type) of the same run without candidates."""
+    built = []
+    real = si._candidate
+
+    def recording(images, bounds):
+        built.append(real(images, bounds))
+        return built[-1]
+
+    def stream():
+        return FakeStream(SWITCH_PRIMES, guarantee_after=len(SWITCH_PRIMES))
+
+    monkeypatch.setattr(si, "_candidate", recording)
+    images, candidate = si._collect(_SwitchingBox(*box_args), SWITCH_BOUNDS, stream())
+    monkeypatch.setattr(si, "_candidate", lambda images, bounds: None)
+    plain = collect_images(_SwitchingBox(*box_args), SWITCH_BOUNDS, stream=stream())
+    try:
+        answer = sparse_interpolate(_SwitchingBox(*box_args), SWITCH_BOUNDS, stream=stream())
+    except LacunaError as exc:
+        answer = type(exc)
+    return images, candidate, built, plain, answer
+
+
+def test_a_kept_image_that_disagrees_drops_the_candidate(monkeypatch):
+    # 3x^5 up to p = 37, then 2x^5: the targets are met at p = 29, the
+    # candidate 3x^5 is confirmed at 37 and contradicted at 41
+    first = ShiftedLacunary(Fraction(0), Fraction(0), ((Fraction(3), 5),))
+    then = ShiftedLacunary(Fraction(0), Fraction(0), ((Fraction(2), 5),))
+    images, candidate, built, plain, answer = collect_both_ways(
+        (SWITCH_PRIMES[:5], first, then), monkeypatch)
+    assert built == [first] and candidate is None
+    assert images == plain and len(images) == 11
+    assert answer is NoReconstruction  # 3 and 2 modulo different primes fit no small a/b
+
+
+def test_a_flush_drops_the_candidate_and_it_is_rebuilt(monkeypatch):
+    # 3x^5 up to p = 37, then 3x^5 + x^7: the second term flushes the images
+    # and the first candidate; the second one is confirmed to the end
+    first = ShiftedLacunary(Fraction(0), Fraction(0), ((Fraction(3), 5),))
+    then = ShiftedLacunary(Fraction(0), Fraction(0), ((Fraction(3), 5), (Fraction(1), 7)))
+    images, candidate, built, plain, answer = collect_both_ways(
+        (SWITCH_PRIMES[:5], first, then), monkeypatch)
+    assert built == [first, then] and candidate == then
+    assert images == plain and [im.p for im in images] == SWITCH_PRIMES[5:]
+    assert answer == then
+
+
+def sweep_instance(rng):
+    """t = 1-3, bn = 5-10, bh = 4-6, ba = 4-8, and one or two bounds
+    lowered by 1-3 each, which the instance may then violate."""
+    t, bn, bh, ba = rng.randint(1, 3), rng.randint(5, 10), rng.randint(4, 6), rng.randint(4, 8)
+
+    def rat(b):
+        while True:
+            a = rng.randint(-(1 << b), 1 << b)
+            if a:
+                return Fraction(a, rng.randint(1, 1 << b))
+
+    top = rng.randint((1 << (bn - 1)) + 1, 1 << bn)
+    exps = sorted(rng.sample(range(1, top), t - 1)) + [top]
+    poly = ShiftedLacunary(shift=rat(ba), constant=rng.choice((Fraction(0), rat(bh))),
+                           terms=tuple((rat(bh), e) for e in exps))
+    bounds = {"ba": ba, "bt": t, "bh": bh, "bn": bn}
+    for k in rng.sample(sorted(bounds), rng.randint(1, 2)):
+        bounds[k] = max(1, bounds[k] - rng.randint(1, 3))
+    return poly, Bounds(**bounds)
+
+
+def outcome(poly, bounds):
+    try:
+        return full_interpolate(make_blackbox(poly), bounds)
+    except LacunaError as exc:
+        return type(exc)
+
+
+def test_violated_bounds_give_the_same_outcome_without_candidates(monkeypatch):
+    rng = random.Random(2003)
+    cases = [sweep_instance(rng) for _ in range(60)]
+    returned = []
+    real = si._collect
+
+    def recording(*args):
+        images, candidate = real(*args)
+        returned.append(candidate is not None)
+        return images, candidate
+
+    monkeypatch.setattr(si, "_collect", recording)
+    with_candidates = [outcome(*case) for case in cases]
+    monkeypatch.setattr(si, "_candidate", lambda images, bounds: None)
+    assert [outcome(*case) for case in cases] == with_candidates
+    exact = sum(got == poly for got, (poly, _) in zip(with_candidates, cases))
+    typed = sum(isinstance(got, type) for got in with_candidates)
+    assert exact + typed == len(cases)  # no wrong answer
+    assert returned.count(True) == exact > 0
 
 
 # ---------------- build_g_image ----------------
