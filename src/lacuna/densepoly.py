@@ -21,20 +21,21 @@ the terms off f(0) and f(g^i) for i < 2s (Berlekamp-Massey, a root search
 over the powers of g, a transposed Vandermonde solve), and a check of the
 recurrence along every grid value makes the answer exact, or None when the
 interpolant has more than s terms.  The per-prime shift search,
-``grid_shift``, rests on the same recurrence: at any term bound t, the
-shifts whose rotated grid can be sparse make two (t+1) x (t+1) Hankel
-matrices over the grid singular, which ``_hankel_singular`` tests at every
-shift at once; the sparse kernel checks the first few.  When they miss
-and none remain, a finite difference of the grid gives the degree test;
-only when more remain, as on the spike grids of some bad primes, do the
-dense transform and ``min_shift`` run.  Small list-based
-helpers at the bottom hold the library's one Horner evaluator, ``_horner``,
-for a single int or Fraction point as well as a whole int64 grid, and its
-one expansion of f(x + y) into polynomials in y, ``_taylor_rows``, for both
-shift searches and the exact Taylor shift.  On top of them ``bounded_rational_roots`` is
-the one root finder for both the exponent polynomial and the dense-regime
-shift search: a ``_horner`` scan of the grid of a small prime, then
-Newton lifting, so it too only ever works modulo primes below 2^31.
+``grid_shift``, first decides the degree test by one finite difference of
+the grid, and searches only a grid that passes.  The search rests on the
+same recurrence: at any term bound t, the shifts whose rotated grid can be
+sparse make two (t+1) x (t+1) Hankel matrices over the grid singular,
+which ``_hankel_singular`` tests at every shift at once; the sparse kernel
+checks the first few.  Only when they miss and more remain, as on the
+spike grids of some bad primes, do the dense transform and ``min_shift``
+run.  Small list-based helpers at the bottom hold the library's one
+Horner evaluator, ``_horner``, for a single int or Fraction point as well
+as a whole int64 grid, and its one expansion of f(x + y) into polynomials
+in y, ``_taylor_rows``, for both shift searches and the exact Taylor
+shift.  On top of them ``bounded_rational_roots`` is the one root finder
+for both the exponent polynomial and the dense-regime shift search: a
+``_horner`` scan of the grid of a small prime, then Newton lifting, so it
+too only ever works modulo primes below 2^31.
 
 Grid values are int64 arrays, and every reduction of one, here and in the
 boxes, goes through ``_mod``, which divides by the modulus with numpy's
@@ -90,11 +91,11 @@ _EXACT_FLOAT = 1 << 53
 # bad prime with (p - 1) | e, c (x - a)^e reading c at every x != a: there,
 # checking until a hit, with a Hankel window slid once per check, took 18 s
 # at p = 38,603 and t = 1, the transform and min_shift 28 ms.  Grids of
-# degree <= t, where every shift passes, never get that far: their first
-# candidate hits and shows the low degree.  At p = 1187, about the smallest
-# prime a solve reaches, one check took 60-90 us and the complete search
-# 400-560 us; the ratio grows with p.  On the benchmark's workloads every
-# grid had one candidate, its shift.
+# degree <= 2t, where many shifts may pass, never reach the filter: the
+# degree test comes first.  At p = 1187, about the smallest prime a solve
+# reaches, one check took 60-90 us and the complete search 400-560 us; the
+# ratio grows with p.  On the benchmark's workloads every grid that passed
+# the degree test had one candidate, its shift.
 _HANKEL_MAX_CANDIDATES = 8
 
 
@@ -537,11 +538,19 @@ def grid_shift(grid: Sequence[int], p: int, *, tau_cap: int) -> Tuple[bool, Opti
     and gamma is then the shift with tau(f(x + gamma)) <= tau_cap, or None
     when there is none.  gamma is None whenever passes is False.
 
-    A Hankel filter on the grid finds the candidate shifts without a
-    transform.  Let t = tau_cap, g the generator of ``_generator_powers``
-    and s_gamma(j) = grid[gamma + g^j] - grid[gamma].
-    - Completeness.  If f(x + gamma) = c_0 + sum_k c_k x^e_k has at most t
-      non-constant terms, the grid rotated by gamma is its grid, so
+    Let t = tau_cap, g the generator of ``_generator_powers`` and
+    s_gamma(j) = grid[gamma + g^j] - grid[gamma].
+    - Degree, first.  The (2t+1)-th finite difference of the grid,
+      ``_difference``, decides the degree test before any other work: for
+      d = deg f < p it is zero when d <= 2t, and else a polynomial of degree
+      d - 2t - 1 whose leading coefficient, f's times d!/(d-2t-1)!, is
+      nonzero modulo p, so it is nonzero at one of the p - 2t - 1 > d - 2t - 1
+      points where it is read (there are none when p <= 2t + 1, and then
+      d <= 2t).  A grid that fails returns at once; only a passing grid
+      runs the shift search below.
+    - Completeness.  A Hankel filter on the grid finds the candidate shifts
+      without a transform.  If f(x + gamma) = c_0 + sum_k c_k x^e_k has at
+      most t non-constant terms, the grid rotated by gamma is its grid, so
       s_gamma(j) = sum_k c_k (g^e_k)^j: at most t geometric sequences
       (Ben-Or and Tiwari), which obey a linear recurrence of order <= t.
       Its coefficients are a kernel vector of every (t+1) x (t+1) Hankel
@@ -550,49 +559,40 @@ def grid_shift(grid: Sequence[int], p: int, *, tau_cap: int) -> Tuple[bool, Opti
       read modulo p - 1, the period of g^j, so small primes lose nothing.
       Every such gamma is thus a candidate.
     - Exactness.  Each candidate, in increasing order, is checked by
-      ``interpolate_sparse`` on the grid rotated by it, which returns
-      f(x + gamma) exactly when it has at most t non-constant terms, so a
+      ``interpolate_sparse`` on the grid rotated by it, which succeeds
+      exactly when f(x + gamma) has at most t non-constant terms, so a
       spurious candidate costs one check and nothing else.
     - Uniqueness.  With deg f >= 2t + 1 the t-sparse shift is unique
       (Lakshman and Saunders, "Sparse shifts for univariate polynomials",
       1996; ``min_shift`` rests on the same fact), so the first hit is it.
-    - Degree.  deg f < p, so f(x + gamma) has the degree of f: the first
-      hit gives deg f too, and a hit of degree <= 2t does not pass.
     Only the first ``_HANKEL_MAX_CANDIDATES`` candidates are checked.  When
-    they all miss and none remain, no t-sparse shift exists, and the
-    (2t+1)-th finite difference of the grid, ``_difference``, gives the
-    degree: for d = deg f < p it is zero when d <= 2t, and else a
-    polynomial of degree d - 2t - 1 whose leading coefficient, f's times
-    d!/(d-2t-1)!, is nonzero modulo p, so it is nonzero at one of the
-    p - 2t - 1 > d - 2t - 1 points where it is read (there are none when
-    p <= 2t + 1, and then d <= 2t).  When more candidates remain, one
-    ``interpolate_range`` gives the degree, and if it passes, ``min_shift``
-    finds the shift from f's coefficients.  ValueError for tau_cap < 1, and
-    for a grid of the wrong length or unreduced.
+    they all miss and none remain, no t-sparse shift exists.  When more
+    remain, one ``interpolate_range`` and ``min_shift`` find the shift from
+    f's coefficients.  ValueError for tau_cap < 1, and for a grid of the
+    wrong length or unreduced.
     """
     vals = _checked_grid(np.asarray(grid, dtype=np.int64), p)
     if tau_cap < 1:
         raise ValueError(f"tau_cap must be >= 1, got {tau_cap}")
-    need = 2 * tau_cap + 1
+    if not _difference(vals, p, 2 * tau_cap + 1).any():
+        return False, None
     cands = _hankel_candidates(vals, p, tau_cap)
     for gamma in cands[:_HANKEL_MAX_CANDIDATES]:
-        hit = interpolate_sparse(_rotate(vals, gamma), p, tau_cap)
-        if hit is not None:
-            return (True, gamma) if hit.degree >= need else (False, None)
+        if interpolate_sparse(_rotate(vals, gamma), p, tau_cap) is not None:
+            return True, gamma
     if len(cands) <= _HANKEL_MAX_CANDIDATES:
-        return bool(_difference(vals, p, need).any()), None
-    f = interpolate_range(vals, p)
-    if f.degree < need:
-        return False, None
-    hit = min_shift(f, vals, tau_cap=tau_cap)
+        return True, None
+    hit = min_shift(interpolate_range(vals, p), vals, tau_cap=tau_cap)
     return True, None if hit is None else hit.gamma
 
 
 def _difference(vals: np.ndarray, p: int, k: int) -> np.ndarray:
     """The k-th forward difference of vals modulo p: len(vals) - k
-    residues, none when k >= len(vals)."""
-    for _ in range(k):
-        vals = _mod(np.diff(vals), p)
+    residues, none when k >= len(vals).  vals holds residues in [0, p),
+    p < 2^31, and each difference at most doubles the largest absolute
+    value, so up to 31 differences run unreduced, below 2^62."""
+    for done in range(0, k, 31):
+        vals = _mod(np.diff(vals, n=min(31, k - done)), p)
     return vals
 
 

@@ -39,7 +39,6 @@ from .densepoly import (
     _times_linear,
     bounded_rational_roots,
     interpolate_sparse,
-    tau,
 )
 from .errors import (
     AmbiguousMatch,
@@ -164,9 +163,10 @@ def _collect(
     is reached, ``_candidate`` rebuilds f from them.  Each later grid is
     compared with the candidate's (``_confirmed_image``); only a grid that
     differs, or a prime dividing a candidate denominator, runs the sparse
-    kernel.  A flush drops the candidate, as does a kept image the kernel
-    read, which disagrees with it; a candidate is built at most once
-    between flushes.
+    kernel, whose result becomes a ``PrimeImage`` at once.  Either way a
+    prime's term count is the length of its image's exponents.  A flush
+    drops the candidate, as does a kept image the kernel read, which
+    disagrees with it; a candidate is built at most once between flushes.
     """
     if stream is None:
         stream = generate(interp_oracle_config(bounds))
@@ -178,13 +178,13 @@ def _collect(
     tried = False
     for p, values in _reductions(bb, stream):
         image = _confirmed_image(box, values, p) if box is not None else None
-        if image is not None:
-            t_p = len(image.exponents)
-        else:
+        confirmed = image is not None
+        if not confirmed:
             fp = interpolate_sparse(values, p, bounds.bt)
             if fp is None:
                 raise NoReconstruction(f"the reduction at p={p} has more than bt={bounds.bt} terms")
-            t_p = tau(fp)
+            image = PrimeImage.from_poly(fp)
+        t_p = len(image.exponents)
         if t_p > t:
             # every image kept so far came from a bad prime: flush
             images, t, prod, q_lcm = [], t_p, 1, 1
@@ -195,9 +195,8 @@ def _collect(
             rec = stream.record_for(p)
             if rec is not None and q_lcm % rec.q != 0 and new_lcm < q_lcm * rec.q:
                 raise RuntimeError(f"lcm did not gain the certified factor {rec.q} of {p} - 1")
-            if image is None:
+            if not confirmed:
                 box = None  # a kept image the candidate did not predict
-                image = PrimeImage.from_poly(fp)
             images.append(image)
             prod *= p
             q_lcm = new_lcm
@@ -331,9 +330,9 @@ def sparse_interpolate(
     """The sparse polynomial (shift 0) behind the black box, bit-exact.
 
     Every image collect_images keeps is good when the bounds hold (see
-    there), so one pass suffices: a reduction with more than bt terms, or
-    any failure to rebuild the exponent polynomial, split it or match its
-    roots, means the data violate the bounds, and raises NoReconstruction.
+    there), so one pass suffices: a reduction with more than bt terms
+    (``_collect``), or images whose exponent polynomial cannot be rebuilt,
+    split or matched (``_reconstruct``), raise NoReconstruction.
 
     When every image kept after the candidate confirmed it, the candidate
     is the answer, with no second reconstruction over all images: that one
@@ -346,23 +345,23 @@ def sparse_interpolate(
     rational is the only one its residue has.
     """
     images, candidate = _collect(bb, bounds, stream)
-    if candidate is not None:
-        return candidate
-    try:
-        return _reconstruct(images, bounds)
-    except (InconsistentResidues, NotSplitting, NoMatch, AmbiguousMatch) as exc:
-        raise NoReconstruction(f"images do not fit the bounds: {exc}") from exc
+    return candidate if candidate is not None else _reconstruct(images, bounds)
 
 
 def _reconstruct(images: Sequence[PrimeImage], bounds: Bounds) -> ShiftedLacunary:
-    """f from good images: exponent polynomial, its roots, then matching."""
-    sym_bound = (1 + (1 << bounds.bn)) ** bounds.bt
-    g = recover_g([build_g_image(im.exponents, im.p - 1) for im in images])
-    if any(abs(a) > sym_bound for a in g.coeffs):
-        # symmetric functions of roots <= 2^bn cannot be this big
-        raise NotSplitting("exponent polynomial exceeds its size bound")
-    roots = integer_roots(g, 1 << bounds.bn)
-    return match_and_recover(sorted(roots), images, bounds.bh)
+    """f from good images: exponent polynomial, its roots, then matching.
+    Inconsistent residues, a polynomial that does not split or roots that
+    do not match raise NoReconstruction, with that misfit as its cause."""
+    try:
+        sym_bound = (1 + (1 << bounds.bn)) ** bounds.bt
+        g = recover_g([build_g_image(im.exponents, im.p - 1) for im in images])
+        if any(abs(a) > sym_bound for a in g.coeffs):
+            # symmetric functions of roots <= 2^bn cannot be this big
+            raise NotSplitting("exponent polynomial exceeds its size bound")
+        roots = integer_roots(g, 1 << bounds.bn)
+        return match_and_recover(sorted(roots), images, bounds.bh)
+    except (InconsistentResidues, NotSplitting, NoMatch, AmbiguousMatch) as exc:
+        raise NoReconstruction(f"images do not fit the bounds: {exc}") from exc
 
 
 def _candidate(images: Sequence[PrimeImage], bounds: Bounds) -> Optional[ShiftedLacunary]:
@@ -370,7 +369,7 @@ def _candidate(images: Sequence[PrimeImage], bounds: Bounds) -> Optional[Shifted
     the bounds: the kept images may still come from bad primes."""
     try:
         return _reconstruct(images, bounds)
-    except (InconsistentResidues, NotSplitting, NoMatch, AmbiguousMatch, NoReconstruction):
+    except NoReconstruction:
         return None
 
 

@@ -10,11 +10,11 @@ pass the degree test and fall through to exact dense recovery plus a direct
 candidate search.
 
 Each prime's degree test and shift come from one ``densepoly.grid_shift``
-on the box's grid for that prime.  It filters the shifts by two Hankel
-matrices of the grid's values along the powers of a generator (Ben-Or and
-Tiwari's recurrence) and checks the first few candidates with the sparse
-kernel, with no dense transform.  When they all miss and none remain, a
-finite difference of the grid gives the degree.  Where more remain
+on the box's grid for that prime.  A finite difference of the grid decides
+the degree test first.  Only a grid that passes has its shifts filtered by
+two Hankel matrices of its values along the powers of a generator (Ben-Or
+and Tiwari's recurrence) and the first few candidates checked with the
+sparse kernel, with no dense transform.  Where they all miss and more remain
 (powers of degree (p-1)/2, and the spike grids of bad primes with
 (p - 1) | e), it interpolates the grid densely and runs ``min_shift``,
 which reads the shift off the coefficients of f(x + y) as polynomials in

@@ -84,9 +84,9 @@ def test_tracer_solves_golden_with_the_pinned_counts(bench):
 
 
 def test_dense_workload_solves_every_instance(bench):
-    # deg <= 2t: every prime fails the degree test, and grid_shift's Hankel
-    # filter answers each one with no transform; no benchmarked workload
-    # covers it
+    # deg <= 2t: every prime fails the degree test, which grid_shift takes
+    # from one finite difference before any shift search; no benchmarked
+    # workload covers it
     _, _, workloads = bench
     for inst in workloads.build(lacuna, "dense", 1):
         answer = lacuna.full_interpolate(inst.box, inst.bounds)

@@ -534,8 +534,8 @@ def test_grid_shift_equals_exhaustive_search(transforms):
                         assert not tie
                     if kind == "planted":
                         assert want[1] is not None and not transforms  # the hit needs no transform
-            # a linear grid makes every shift a candidate, and the first one
-            # hits with degree 1: no transform runs
+            # a linear grid makes every shift a candidate, but fails the
+            # degree test before the filter runs: no transform runs
             if p > _HANKEL_MAX_CANDIDATES:
                 assert len(_hankel_candidates(np.array(flat[0]), p, t)) == p
                 transforms.clear()
@@ -662,6 +662,31 @@ def test_grid_shift_takes_the_degree_of_shiftless_grids_from_a_difference(transf
                 seen.add((passes, p <= 2 * t + 1))
     assert seen == {(True, False), (False, False), (False, True)}
     assert transforms == []
+
+
+def test_grid_shift_answers_low_degree_grids_before_any_search(monkeypatch):
+    # a grid of degree <= 2t fails the degree test on its finite difference
+    # alone: no Hankel filter, sparse check or transform runs, on the linear
+    # grid, whose filter keeps every shift, and at degrees t+1..2t, where no
+    # shift is t-sparse, as at every lower degree
+    calls = []
+    for name in ("_hankel_candidates", "interpolate_sparse", "interpolate_range"):
+        def counted(*args, _name=name, _real=getattr(densepoly, name)):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(densepoly, name, counted)
+    rng = random.Random(103)
+    for t in (1, 2, 3, 4):
+        for p in (2, 3, 11, 101, 1009):
+            linear = grid_of([rng.randrange(p), rng.randrange(1, p)], p)
+            if p > 2 * t + 1:
+                assert len(_hankel_candidates(np.array(linear), p, t)) == p
+            grids = [linear]
+            for deg in range(min(2 * t, p - 1) + 1):
+                grids.append(grid_of([rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)], p))
+            for grid in grids:
+                assert grid_shift(grid, p, tau_cap=t) == (False, None), (t, p, grid)
+    assert calls == []
 
 
 def test_grid_shift_rejects_bad_input():

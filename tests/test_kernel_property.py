@@ -185,6 +185,22 @@ def test_difference_is_the_degree_test(p, t, deg, seed):
     assert bool(diff.any()) == (interpolate_range(grid, p).degree >= 2 * t + 1)
 
 
+@settings(max_examples=100, deadline=None)
+@given(p=st.sampled_from([2, 3, 4001, 2**31 - 1]), k=st.integers(0, 70),
+       vals=st.lists(st.integers(0, 2**31 - 2), max_size=80) | st.none())
+@example(p=2**31 - 1, k=31, vals=None)
+@example(p=2**31 - 1, k=62, vals=None)
+def test_difference_runs_unreduced_steps_exactly(p, k, vals):
+    # up to 31 differences run before a reduction; a step-by-step reduced
+    # difference gives the same residues, also on the grid of alternating
+    # 0 and p - 1 (vals None), where every step doubles the largest value
+    vals = [(p - 1) * (i % 2) for i in range(80)] if vals is None else [v % p for v in vals]
+    want = np.array(vals, dtype=np.int64)
+    for _ in range(k):
+        want = np.diff(want) % p
+    assert _difference(np.array(vals, dtype=np.int64), p, k).tolist() == want.tolist()
+
+
 # ---------------- the reduction helper ----------------
 
 @settings(max_examples=200, deadline=None)

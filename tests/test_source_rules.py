@@ -117,6 +117,22 @@ def test_no_catch_all_except():
     assert not found, f"bare except or except Exception in src/lacuna: {found}"
 
 
+def test_sparse_interp_names_its_reconstruction_misfits_once():
+    # _reconstruct turns every misfit of the images into NoReconstruction;
+    # a second handler naming them would be a second copy of that list
+    path = SRC / "sparse_interp.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    handlers = {"NotSplitting": [], "NoMatch": [], "AmbiguousMatch": []}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ExceptHandler) or node.type is None:
+            continue
+        caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+        for c in caught:
+            if isinstance(c, ast.Name) and c.id in handlers:
+                handlers[c.id].append(node.lineno)
+    assert all(len(lines) <= 1 for lines in handlers.values()), handlers
+
+
 # the built-in errors the library raises besides its own LacunaError types:
 # ValueError for bad input, RuntimeError for a broken internal invariant,
 # NotImplementedError for the box base class's own contract

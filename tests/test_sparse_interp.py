@@ -8,12 +8,14 @@ from fractions import Fraction
 import pytest
 
 from lacuna import (
+    AmbiguousMatch,
     BlackBoxFailure,
     Bounds,
     DenominatorVanished,
     DensePolyMod,
     InconsistentResidues,
     ModularBlackBox,
+    NoMatch,
     NoReconstruction,
     NotSplitting,
     PrimeRecord,
@@ -487,24 +489,18 @@ def test_match_constant_only():
 
 
 def test_match_reports_missing_slot():
-    from lacuna import NoMatch
-
     imgs = images_for(unshifted_two_term(), [7])
     with pytest.raises(NoMatch):
         match_and_recover([5, 14], imgs, bh=4)  # 14 remo 6 = 2, not present
 
 
 def test_match_reports_term_count_mismatch():
-    from lacuna import NoMatch
-
     imgs = images_for(unshifted_two_term(), [7])
     with pytest.raises(NoMatch, match="has 2 terms, expected 1"):
         match_and_recover([5], imgs, bh=4)
 
 
 def test_match_reports_ambiguity():
-    from lacuna import AmbiguousMatch
-
     imgs = images_for(unshifted_two_term(), [7])
     # 15 and 3 both reduce to slot 3 mod 6
     with pytest.raises(AmbiguousMatch):
@@ -536,6 +532,41 @@ def test_tau_maximal_iff_no_collision_and_no_vanishing():
             )
             if not collide and not vanish:
                 assert t_p == f.t, (f, p)
+
+
+# ---------------- the reconstruction error contract ----------------
+
+def test_reconstruct_turns_every_misfit_into_no_reconstruction(monkeypatch):
+    # _reconstruct alone names the four misfits: each comes out as
+    # NoReconstruction caused by it, while one from rational reconstruction
+    # passes through as it is; _candidate turns all five into None
+    bounds = Bounds(ba=1, bt=2, bh=4, bn=4)
+    images = collect_images(make_blackbox(unshifted_two_term()), bounds)
+    assert si._reconstruct(images, bounds) == unshifted_two_term()
+
+    def raising(exc):
+        def fail(*args):
+            raise exc
+        return fail
+
+    misfits = [("recover_g", InconsistentResidues("residues disagree")),
+               ("integer_roots", NotSplitting("no split")),
+               ("match_and_recover", NoMatch("slot missing")),
+               ("match_and_recover", AmbiguousMatch("slot twice"))]
+    for name, exc in misfits:
+        with monkeypatch.context() as m:
+            m.setattr(si, name, raising(exc))
+            with pytest.raises(NoReconstruction, match="images do not fit the bounds") as info:
+                si._reconstruct(images, bounds)
+            assert info.value.__cause__ is exc
+            assert si._candidate(images, bounds) is None
+    exc = NoReconstruction("no bounded rational")
+    with monkeypatch.context() as m:
+        m.setattr(si, "rational_reconstruct", raising(exc))
+        with pytest.raises(NoReconstruction) as info:
+            si._reconstruct(images, bounds)
+        assert info.value is exc
+        assert si._candidate(images, bounds) is None
 
 
 # ---------------- drivers ----------------
