@@ -40,8 +40,10 @@ too only ever works modulo primes below 2^31.
 Grid values are int64 arrays, and every reduction of one, here and in the
 boxes, goes through ``_mod``, which divides by the modulus with numpy's
 floor division (a multiply and a shift) in place of its % (a hardware
-division).  Reductions are also kept rare, in three ways that each keep
-every sum exact:
+division).  Only ``_geometric_sums`` takes numpy's % on its two arrays of
+about sqrt(p) entries a term, where one call costs less than ``_mod``'s
+three.  Reductions are also kept rare, in three ways that each keep every
+sum exact:
 - Lazy int64 sums.  With p < 2^31 a product of two residues in (-p, p) is
   at most (p-1)^2 < 2^62, so a value in (-p, p) plus k such products stays
   below p + k(p-1)^2 in absolute value, inside int64 for every k up to
@@ -206,8 +208,9 @@ def _generator_powers(p: int) -> np.ndarray:
     """pw[a] = g^a mod p for a < p-1, g = ``_primitive_root(p)``: a read-only
     int64 array, the one table per prime.  Two primes are cached: a
     prime's uses come one after another, so the cache builds each table
-    once for the box's grid, the candidate's grid that confirms it
-    (``sparse_interp``) and the kernel or interpolation that reads it.
+    once for the box's grid, the candidate's sums and the gather that
+    confirm it (``sparse_interp``) and the kernel or interpolation that
+    reads it.
     """
     n = p - 1
     g = _primitive_root(p)
@@ -340,8 +343,8 @@ def _geometric_sums(coeffs: Sequence[int], exps: Sequence[int], p: int) -> np.nd
     # row k of pows is g^(b*e_k) for b < m, row len(e) + k is g^(i*m*e_k)
     # for i < m (rows <= m, as m^2 > p - 1)
     steps = np.array(e + [m * x % n for x in e], dtype=np.int64)
-    pows = pw[_mod(steps[:, None] * np.arange(m), n)]
-    left = _mod(pows[len(e) :, :rows] * c[:, None], p).astype(np.float64)
+    pows = pw[steps[:, None] * np.arange(m) % n]  # indices below n m < 2^47
+    left = (pows[len(e) :, :rows] * c[:, None] % p).astype(np.float64)  # below p^2 < 2^62
     right = pows[: len(e)]
     if limbs > 1:
         right >>= np.array([width * j for _ in coeffs for j in range(limbs)])[:, None]
@@ -603,29 +606,30 @@ def _hankel_candidates(vals: np.ndarray, p: int, t: int) -> list:
     first is flagged, which on most grids leaves a handful."""
     pw = _generator_powers(p)
     n = p - 1
-    seq = []
+    seq = []  # differences of residues, left unreduced in (-p, p)
     for j in range(2 * t + 1):
         s = _rotate(vals, int(pw[j % n]))
         s -= vals
-        seq.append(_mod(s, p))
+        seq.append(s)
     cands = np.flatnonzero(_hankel_singular(seq, p) == 0)
     top = vals[_mod(cands + int(pw[(2 * t + 1) % n]), p)]
     top -= vals[cands]
-    shifted = [s[cands] for s in seq[1:]] + [_mod(top, p)]
+    shifted = [s[cands] for s in seq[1:]] + [top]
     return cands[_hankel_singular(shifted, p) == 0].tolist()
 
 
 def _hankel_singular(s: Sequence[np.ndarray], p: int) -> np.ndarray:
-    """Elementwise over arrays of residues in [0, p), len(s) = 2t + 1: a
-    residue that is 0 wherever the Hankel matrix A = [s[a + b]], a, b <= t,
-    is singular modulo p.
+    """Elementwise over arrays of values in (-p, p), len(s) = 2t + 1 with
+    t >= 1: a residue that is 0 wherever the Hankel matrix A = [s[a + b]],
+    a, b <= t, is singular modulo p.
 
     Division-free symmetric elimination on the upper triangle,
     m[i][j - i] = A_ij: each step takes A to B_ij = A_00 A_ij - A_0i A_0j,
     1 <= i <= j, reduced modulo p, so every product stays below
-    (p-1)^2 < 2^62.  As det B = A_00^(k-2) det A for k x k A, the one entry
-    left is det A times positive powers of A's leading principal minors of
-    order <= t - 1 (det A itself for t = 1): zero wherever det A is.
+    (p-1)^2 < 2^62 and every difference of two below 2(p-1)^2 < 2^63.  As
+    det B = A_00^(k-2) det A for k x k A, the one entry left is det A times
+    positive powers of A's leading principal minors of order <= t - 1
+    (det A itself for t = 1): zero wherever det A is.
     """
     t = len(s) // 2
     m = [[s[2 * i + k] for k in range(t + 1 - i)] for i in range(t + 1)]

@@ -47,7 +47,8 @@ def frac_mod(q, m: int) -> int:
     Modular inverses, here and across the library, are the builtin
     ``pow(a, -1, m)``.
     """
-    q = Fraction(q)
+    if not isinstance(q, Fraction):
+        q = Fraction(q)
     den = q.denominator
     if math.gcd(den, m) != 1:
         raise DenominatorVanished(m, f"denominator {den}")
@@ -94,14 +95,20 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 def _factorize(n: int) -> dict:
     """Prime factorization {prime: multiplicity} by trial division.
 
-    Meant for the group orders p - 1 < 2^31 of grid primes.
+    Meant for the group orders p - 1 < 2^31 of grid primes.  Division stops
+    once the cofactor is prime (``is_prime``, checked after each factor
+    found): an oracle prime has p - 1 = k q with q prime, so the search
+    stops among the factors of k, well before sqrt(q).
     """
     fac = {}
     d = 2
     while d * d <= n:
-        while n % d == 0:
-            fac[d] = fac.get(d, 0) + 1
-            n //= d
+        if n % d == 0:
+            while n % d == 0:
+                fac[d] = fac.get(d, 0) + 1
+                n //= d
+            if is_prime(n):
+                break
         d += 1 if d == 2 else 2
     if n > 1:
         fac[n] = fac.get(n, 0) + 1

@@ -8,9 +8,11 @@ results are always checked against an unrelated code path.
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from lacuna import Bounds, ShiftedLacunary, make_blackbox, size_of
+from lacuna.densepoly import _generator_powers, _mod, _rotate
 
 # ---------------- acceptance reporting ----------------
 
@@ -219,6 +221,47 @@ def naive_simple_rational_roots(coeffs, box):
         return sum(c * x**k for k, c in enumerate(poly))
 
     return {r for r in candidates if value(coeffs, r) == 0 and value(deriv, r) != 0}
+
+
+def naive_factorize(n):
+    """{prime: multiplicity} of n >= 1 by trial division by every d up to
+    sqrt of what is left."""
+    fac, d = {}, 2
+    while d * d <= n:
+        while n % d == 0:
+            fac[d] = fac.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        fac[n] = fac.get(n, 0) + 1
+    return fac
+
+
+def reduced_hankel_candidates(vals, p, t):
+    """``densepoly._hankel_candidates`` as it was when every difference was
+    reduced to [0, p) before the singularity test: the reference that the
+    unreduced differences must give the same candidates as."""
+    def singular(s):
+        t = len(s) // 2
+        m = [[s[2 * i + k] for k in range(t + 1 - i)] for i in range(t + 1)]
+        while len(m) > 1:
+            top, rest = m[0], m[1:]
+            m = [[_mod(top[0] * row[k] - top[i] * top[i + k], p) for k in range(len(row))]
+                 for i, row in enumerate(rest, 1)]
+        return m[0][0]
+
+    pw = _generator_powers(p)
+    n = p - 1
+    seq = []
+    for j in range(2 * t + 1):
+        s = _rotate(vals, int(pw[j % n]))
+        s -= vals
+        seq.append(_mod(s, p))
+    cands = np.flatnonzero(singular(seq) == 0)
+    top = vals[_mod(cands + int(pw[(2 * t + 1) % n]), p)]
+    top -= vals[cands]
+    shifted = [s[cands] for s in seq[1:]] + [_mod(top, p)]
+    return cands[singular(shifted) == 0].tolist()
 
 
 FIRST_40_PRIMES = [q for q in range(2, 174) if all(q % d for d in range(2, q))]

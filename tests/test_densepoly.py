@@ -8,6 +8,7 @@ import pytest
 
 from lacuna import (
     DensePolyMod,
+    ShiftedLacunary,
     interpolate_range,
     interpolate_sparse,
     is_prime,
@@ -38,6 +39,7 @@ from conftest import (
     naive_min_shift,
     naive_simple_rational_roots,
     naive_taylor_coeffs,
+    reduced_hankel_candidates,
 )
 
 PRIMES_BELOW_600 = [p for p in range(600) if is_prime(p)]
@@ -687,6 +689,28 @@ def test_grid_shift_answers_low_degree_grids_before_any_search(monkeypatch):
             for grid in grids:
                 assert grid_shift(grid, p, tau_cap=t) == (False, None), (t, p, grid)
     assert calls == []
+
+
+def test_hankel_candidates_from_unreduced_differences_equal_the_reduced_ones():
+    # the rotated differences enter the singularity test unreduced, in
+    # (-p, p): the candidates must be those of the version that reduced them
+    # first, on planted sparse, spike, half-degree power and random grids
+    rng = random.Random(107)
+    noise = np.random.default_rng(107)
+    for p in (101, 1009, 4001, 10007, 20011, 40009):
+        for t in (1, 2, 3, 4):
+            g0, c0 = Fraction(rng.randrange(p)), Fraction(rng.randrange(p))
+            polys = [
+                ShiftedLacunary(g0, c0, tuple(
+                    (Fraction(rng.randrange(1, p)), e)
+                    for e in sorted(rng.sample(range(2 * t + 1, 4 * p), rng.randint(1, t))))),
+                ShiftedLacunary(g0, c0, ((Fraction(5), p - 1),)),
+                ShiftedLacunary(g0, c0, ((Fraction(1), (p - 1) // 2),)),
+            ]
+            grids = [make_blackbox(poly).eval_range(p) for poly in polys]
+            grids.append(noise.integers(0, p, p))
+            for grid in grids:
+                assert _hankel_candidates(grid, p, t) == reduced_hankel_candidates(grid, p, t), (p, t)
 
 
 def test_grid_shift_rejects_bad_input():

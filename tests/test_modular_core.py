@@ -19,10 +19,10 @@ from lacuna import (
     signed_lift,
     size_of,
 )
-from lacuna.modular_core import _MR_PROVEN_LIMIT, frac_mod
+from lacuna.modular_core import _MR_PROVEN_LIMIT, _factorize, frac_mod
 from lacuna.errors import DenominatorVanished
 
-from conftest import naive_crt_scan, naive_probable_prime
+from conftest import naive_crt_scan, naive_factorize, naive_probable_prime
 
 
 # ---------------- size_of ----------------
@@ -103,12 +103,28 @@ def test_next_prime_above():
     assert next_prime_above(131) == 137
 
 
+def test_factorize_group_orders_agrees_with_trial_division():
+    # the search stops once the cofactor is prime; the factors must not change
+    for p in range(2, 20000):
+        if is_prime(p):
+            assert _factorize(p - 1) == naive_factorize(p - 1), p
+    for n in (1, 2, 4, 12, 2 * 7**2, 3 * 5 * 7 * 11, 2**20, 2 * 3 * 1000003, 1000003**2):
+        assert _factorize(n) == naive_factorize(n), n
+
+
 # ---------------- frac_mod ----------------
 
 def test_frac_mod_vanishes():
     with pytest.raises(DenominatorVanished):
         frac_mod(Fraction(1, 3), 3)
     assert frac_mod(Fraction(1, 2), 5) == 3
+    with pytest.raises(DenominatorVanished, match="denominator 6"):
+        frac_mod(Fraction(-5, 6), 9)
+
+
+def test_frac_mod_takes_fractions_ints_and_strings_alike():
+    for q in (Fraction(-7, 3), 12, -4, "5/6", Fraction(0)):
+        assert frac_mod(q, 11) == Fraction(q).numerator * pow(Fraction(q).denominator, -1, 11) % 11
 
 
 # ---------------- crt_pair ----------------

@@ -133,6 +133,24 @@ def test_sparse_interp_names_its_reconstruction_misfits_once():
     assert all(len(lines) <= 1 for lines in handlers.values()), handlers
 
 
+def test_sparse_interp_confirms_candidates_without_a_box():
+    # a padding prime is confirmed from the candidate's residues and sums in
+    # the generator's order: naming LacunaryBox or reading a box's _grid
+    # would evaluate a whole second grid per prime
+    path = SRC / "sparse_interp.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        names = (
+            [node.id] if isinstance(node, ast.Name)
+            else [node.attr] if isinstance(node, ast.Attribute)
+            else [a.name for a in node.names] if isinstance(node, ast.ImportFrom)
+            else []
+        )
+        found += [f"{n}:{node.lineno}" for n in names if n in ("LacunaryBox", "_grid")]
+    assert not found, f"sparse_interp names a box's grid: {found}"
+
+
 # the built-in errors the library raises besides its own LacunaError types:
 # ValueError for bad input, RuntimeError for a broken internal invariant,
 # NotImplementedError for the box base class's own contract

@@ -36,6 +36,7 @@ from lacuna import (
 )
 from lacuna import LacunaError, LacunaryBox, interpolate_sparse, modular_core, prime_oracle
 from lacuna import sparse_interp as si
+from lacuna.densepoly import _generator_powers
 from lacuna.sparse_interp import PrimeImage, interp_oracle_config, q_target_bits
 from lacuna.sparsest_shift import shift_oracle_config
 
@@ -190,24 +191,38 @@ def test_confirmed_image_sums_colliding_slots_and_drops_zeros():
     poly = ShiftedLacunary(Fraction(0), Fraction(5, 2), (
         (Fraction(1), 2), (Fraction(-1), 8), (Fraction(7), 3), (Fraction(3), 13),
         (Fraction(1, 3), 14)))
-    box = LacunaryBox(poly)
-    values = box.eval_range(7)
-    got = si._confirmed_image(box, values, 7)
+    values = LacunaryBox(poly).eval_range(7)
+    got = si._confirmed_image(poly, values, 7)
     assert got == kernel_image(values, 7, 5)
     assert got == PrimeImage(7, (1, 2), ((1, 3), (2, 5)), 6)  # 1/3 = 5, 5/2 = 6 mod 7
 
 
 def test_confirmed_image_leaves_a_vanishing_denominator_or_another_grid_to_the_kernel():
     poly = ShiftedLacunary(Fraction(0), Fraction(1), ((Fraction(2, 7), 3), (Fraction(1), 5)))
-    box = LacunaryBox(poly)
     other = make_blackbox(unshifted_two_term()).eval_range(7)
-    assert si._confirmed_image(box, other, 7) is None  # 7 divides the denominator 7
-    values = box.eval_range(11)
-    assert si._confirmed_image(box, values, 11) == kernel_image(values, 11, 2)
+    assert si._confirmed_image(poly, other, 7) is None  # 7 divides the denominator 7
+    values = LacunaryBox(poly).eval_range(11)
+    assert si._confirmed_image(poly, values, 11) == kernel_image(values, 11, 2)
     for i in (0, 5, 10):
         changed = values.copy()
         changed[i] = (changed[i] + 1) % 11
-        assert si._confirmed_image(box, changed, 11) is None
+        assert si._confirmed_image(poly, changed, 11) is None
+
+
+@pytest.mark.parametrize("p", [11, 1009, 10007])
+def test_confirmed_image_reads_zero_and_both_ends_of_the_generator_order(p):
+    # the check reads x = 0 apart and every other x as g^a, a < p - 1, in
+    # the generator's order: a grid off the candidate's at x = 0 alone, at
+    # x = 1 = g^0 alone or at x = g^(p-2) alone is not confirmed
+    poly = ShiftedLacunary(Fraction(0), Fraction(3, 5), (
+        (Fraction(-2), 4), (Fraction(7, 3), 31), (Fraction(1), 1000)))
+    values = LacunaryBox(poly).eval_range(p)
+    assert not values.flags.writeable  # eval_range's read-only grid is accepted as it is
+    assert si._confirmed_image(poly, values, p) == kernel_image(values, p, 3)
+    for x in (0, 1, int(_generator_powers(p)[p - 2])):
+        changed = values.copy()
+        changed[x] = (changed[x] + 1) % p
+        assert si._confirmed_image(poly, changed, p) is None, x
 
 
 class _SwitchingBox(ModularBlackBox):
