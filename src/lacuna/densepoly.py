@@ -42,19 +42,17 @@ boxes, goes through ``_mod``, which divides by the modulus with numpy's
 floor division (a multiply and a shift) in place of its % (a hardware
 division).  Only ``_geometric_sums`` takes numpy's % on its two arrays of
 about sqrt(p) entries a term, where one call costs less than ``_mod``'s
-three.  Reductions are also kept rare, in three ways that each keep every
-sum exact:
-- Lazy int64 sums.  With p < 2^31 a product of two residues in (-p, p) is
-  at most (p-1)^2 < 2^62, so a value in (-p, p) plus k such products stays
-  below p + k(p-1)^2 in absolute value, inside int64 for every k up to
-  ``_lazy_terms(p)`` (at least 2, and above 2^20 for p < 2^21).  The
-  sparse kernel's recurrence check reduces once per that many products.
-- Lazy Horner steps.  ``_horner`` tracks a bound on its accumulator and
-  reduces it only when the next step could leave int64.
-- Float64 products below 2^53.  ``_geometric_sums``, the lacunary box's
-  sum of terms, is one BLAS matrix product over residues, split into
-  limbs and chunks so that no sum in it passes 2^53, where float64 holds
-  every integer exactly.
+three.  Every sum stays exact by one of these bounds, each proved in the
+docstring of the function named:
+- ``_mod``: x - (x // m) * m is exact for every int64 x, wrap-around too.
+- ``interpolate_sparse``: the recurrence check reduces after each product,
+  and a value in (-p, p) plus one product stays below p + (p-1)^2 < 2^63.
+- ``_horner``: lazy steps, reduced only when the next could leave int64.
+- ``_difference``: 31 differences of residues run unreduced, below 2^62.
+- ``_hankel_singular``: each step, the first on unreduced entries in
+  (-p, p), keeps every difference of two products below 2(p-1)^2 < 2^63.
+- ``_geometric_sums``: limbs and chunks keep every float64 sum below 2^53.
+- ``_limb_split``: FFT limbs keep Percival's rounding error below 1/2.
 """
 
 import math
@@ -164,17 +162,6 @@ def _mod(x, m: int):
     q *= m
     x -= q
     return x
-
-
-def _lazy_terms(p: int) -> int:
-    """How many products of two residues in (-p, p) may be added to a value
-    in (-p, p) before it must be reduced modulo p.
-
-    After k such products the sum is below p + k(p-1)^2 in absolute value,
-    which must stay within int64: k = floor((2^63 - 1 - p) / (p-1)^2).
-    That is at least 2 for every p < 2^31 and above 2^20 for p < 2^21.
-    """
-    return (_INT64_MAX - p) // (p - 1) ** 2
 
 
 def _rotate(a: np.ndarray, k: int) -> np.ndarray:
@@ -445,11 +432,11 @@ def interpolate_sparse(values: Sequence[int], p: int, s: int) -> Optional[DenseP
     < p that does is the interpolant: the answer is exact whatever the
     input.  More than s terms show up as a recurrence longer than s, a
     failed check or too few roots.  The values a_j are kept unreduced in
-    (-p, p), and the check sums the products conn[m] * a_(j-m) unreduced:
-    a value in (-p, p) plus k products stays below p + k(p-1)^2 < 2^63 for
-    k up to ``_lazy_terms(p)``, so the sum is reduced once per that many
-    products and once before it is tested for zero.  O(s p) numpy work
-    plus O(s^2) Python integer work.
+    (-p, p), and the check reduces its sum after each product
+    conn[m] * a_(j-m): a value in (-p, p) plus one product of a residue and
+    such a value stays below p + (p-1)^2 < 2^63 for every p < 2^31.  With
+    L = 0 the values themselves are tested, and in (-p, p) only 0 is
+    divisible by p.  O(s p) numpy work plus O(s^2) Python integer work.
     """
     if s < 0:
         raise ValueError(f"term bound must be >= 0, got {s}")
@@ -465,12 +452,10 @@ def interpolate_sparse(values: Sequence[int], p: int, s: int) -> Optional[DenseP
         return None
     # the recurrence must hold along the whole grid, not just the 2s values
     rest = seq[length:].copy()
-    lazy = _lazy_terms(p)
     for m in range(1, length + 1):
         rest += conn[m] * seq[length - m : n - m]
-        if m % lazy == 0:
-            _mod(rest, p)
-    if _mod(rest, p).any():
+        _mod(rest, p)
+    if rest.any():
         return None
     # roots of z^L C(1/z), whose coefficients from the top are conn, at every g^i
     logs = np.flatnonzero(_horner(conn[::-1], pw, p) == 0).tolist()

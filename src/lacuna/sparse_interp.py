@@ -11,14 +11,10 @@ coefficients.
 
 The deterministic guarantee asks for beta1 + beta2 + 1 delivered primes,
 but a few images already meet the CRT targets.  From those a candidate f
-is rebuilt, and every later prime is confirmed, not interpolated: a grid
-holding the candidate's values (its constant at 0 and one geometric sum
-over the powers of the generator, compared in the generator's order) has
-the candidate's reduction as its image, and only a grid that differs runs
-the sparse kernel.  When every later image confirmed it, the candidate is
-the answer: the CRT over all images would lift the same exponent
-polynomial and the same bounded rationals (see ``sparse_interpolate``).
-Every prime of the guarantee is still reduced.
+is rebuilt, and every later prime is confirmed against it, not
+interpolated (``_confirmed_image`` shows that the image is the same).
+When every later image confirmed it, the candidate is the answer (see
+``sparse_interpolate``).  Every prime of the guarantee is still reduced.
 """
 
 import math
@@ -67,15 +63,21 @@ class PrimeImage:
     c0: int
 
     @classmethod
+    def _from_terms(cls, p: int, c0: int, terms) -> "PrimeImage":
+        """The image with constant c0 whose residue at each slot is the sum
+        modulo p of the (slot, residue) pairs ``terms`` give it; slots
+        summing to 0 are dropped.  Every image is built here."""
+        sums: Dict[int, int] = {}
+        for slot, c in terms:
+            sums[slot] = (sums.get(slot, 0) + c) % p
+        exponents = tuple(sorted(slot for slot, c in sums.items() if c))
+        return cls(p, exponents, tuple((slot, sums[slot]) for slot in exponents), c0)
+
+    @classmethod
     def from_poly(cls, fp: DensePolyMod) -> "PrimeImage":
         slots = np.flatnonzero(fp.coeffs[1:]) + 1
-        exponents = tuple(slots.tolist())
-        return cls(
-            p=fp.modulus,
-            exponents=exponents,
-            coeff_residues=tuple(zip(exponents, fp.coeffs[slots].tolist())),
-            c0=fp.coeff(0),
-        )
+        return cls._from_terms(fp.modulus, fp.coeff(0),
+                               zip(slots.tolist(), fp.coeffs[slots].tolist()))
 
     @property
     def coeff_map(self) -> Dict[int, int]:
@@ -139,12 +141,8 @@ def collect_images(
     true t and every kept image is good.  Images kept before a higher count
     appears came from bad primes and are flushed.  Returns once the primes
     multiply past 2^(2*bh + 1) and lcm(p - 1) reaches 2^q_target_bits.
-
-    Once the kept images meet both targets, the primes still needed for the
-    guarantee are checked against the candidate those images determine,
-    not interpolated: a grid equal to the candidate's values gives the
-    candidate's reduction as its image (see ``_confirmed_image``), the same
-    image the sparse kernel would read off it.
+    The primes still needed for the guarantee after that are confirmed
+    against a candidate, not interpolated (``_collect``).
     """
     return _collect(bb, bounds, stream)[0]
 
@@ -158,14 +156,12 @@ def _collect(
     confirmed, or None.
 
     When the kept images first meet both CRT targets before the guarantee
-    is reached, ``_candidate`` rebuilds f from them.  Each later grid is
-    checked against the candidate's values (``_confirmed_image``), which
-    builds no grid of its own; only a grid that differs, or a prime
-    dividing a candidate denominator, runs the sparse kernel, whose result
-    becomes a ``PrimeImage`` at once.  Either way a prime's term count is
-    the length of its image's exponents.  A flush drops the candidate, as
-    does a kept image the kernel read, which disagrees with it; a candidate
-    is built at most once between flushes.
+    is reached, ``_candidate`` rebuilds f from them.  Each later grid goes
+    to ``_confirmed_image`` first, which gives the image the sparse kernel
+    would; only a grid it rejects runs the kernel.  Either way a prime's
+    term count is the length of its image's exponents.  A flush drops the
+    candidate, as does a kept image the kernel read, which disagrees with
+    it; a candidate is built at most once between flushes.
     """
     if stream is None:
         stream = generate(interp_oracle_config(bounds))
@@ -219,8 +215,8 @@ def _confirmed_image(
     every x in Z_p.  The grid's interpolant of degree < p is unique, so
     equal values make its reduction the candidate's: c0 mod p plus
     c_i x^remo(e_i, p - 1) over the terms, where x^e and x^remo(e, p - 1)
-    agree on all of Z_p.  Terms reduced to one slot are summed, and slots
-    summing to 0 dropped, which is
+    agree on all of Z_p.  ``PrimeImage._from_terms`` sums the terms reduced
+    to one slot and drops slots summing to 0, which is
     ``PrimeImage.from_poly(interpolate_sparse(values, p, bt))`` bit for bit.
     None also when p divides a denominator of the candidate.
     """
@@ -237,12 +233,8 @@ def _confirmed_image(
     sums = _geometric_sums((c0, *coeffs), (0, *(e for _, e in candidate.terms)), p)
     if not np.array_equal(values[_generator_powers(p)], sums):
         return None
-    slots: Dict[int, int] = {}
-    for c, (_, e) in zip(coeffs, candidate.terms):
-        slot = remo(e, p - 1)
-        slots[slot] = (slots.get(slot, 0) + c) % p
-    exponents = tuple(sorted(slot for slot, c in slots.items() if c))
-    return PrimeImage(p, exponents, tuple((slot, slots[slot]) for slot in exponents), c0)
+    return PrimeImage._from_terms(
+        p, c0, ((remo(e, p - 1), c) for c, (_, e) in zip(coeffs, candidate.terms)))
 
 
 # ---------------- exponent polynomial ----------------

@@ -2,11 +2,14 @@
 
 ``bench/`` is imported as it stands, never edited: every name it traces or
 probes must resolve, and its tracer must solve the golden example with the
-counts that ``bench/run.py`` pins, then put every binding back.  A library
-change that breaks ``bench/run.py --trace 1`` fails here.
+counts that ``bench/run.py`` pins, then put every binding back.  Each
+workload in BENCHMARK.json also runs once, untraced, as the benchmark runs
+it.  A library change that breaks ``bench/run.py`` fails here.
 """
 
 import importlib.util
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -14,7 +17,9 @@ import pytest
 
 import lacuna
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
+WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
 def load(name):
@@ -91,3 +96,18 @@ def test_dense_workload_solves_every_instance(bench):
     for inst in workloads.build(lacuna, "dense", 1):
         answer = lacuna.full_interpolate(inst.box, inst.bounds)
         assert workloads.is_correct(inst, answer), inst.name
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_every_benchmark_workload_solves_its_set_once(workload):
+    # one untraced pass of the set (--seconds 0), run as the benchmark runs it
+    run = subprocess.run(
+        [sys.executable, str(BENCH / "run.py"), "--workload", workload, "--seed", "1",
+         "--seconds", "0", "--trace", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["attempted"] > 0 and result["failed"] == 0
+    assert result["metrics"]["success_rate"]["value"] == 1.0

@@ -137,7 +137,7 @@ def test_reduce_equals_termwise_reduction_on_fixtures(golden_poly):
 
 def test_forty_term_box_past_2_20_matches_termwise_reduction():
     # above 2^20 the grid adds all 40 term products before it reduces, and the
-    # sparse kernel sums up to 80 products along its recurrence check
+    # sparse kernel's recurrence check reduces after each of its 80 products
     p = next_prime_above(1 << 20)
     rng = random.Random(41)
     terms = tuple((Fraction(rng.choice((-1, 1)) * rng.randrange(1, 1 << 80), rng.randrange(1, 1 << 20)),

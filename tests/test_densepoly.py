@@ -25,7 +25,6 @@ from lacuna.densepoly import (
     _hankel_candidates,
     _hankel_singular,
     _horner,
-    _lazy_terms,
     _mod,
     _rotate,
     _times_linear,
@@ -865,18 +864,6 @@ def test_geometric_sums_match_a_naive_sum():
         assert got.dtype == np.int64 and len(got) == n
         points = range(n) if p < 100 else [0, 1, n - 1, *rng.sample(range(n), 40)]
         assert [int(got[a]) for a in points] == naive_geometric_sums(coeffs, exps, p, points)
-
-
-def test_lazy_terms_keep_every_sum_of_products_in_int64():
-    # a value in (-p, p) plus k products of residues in (-p, p) is below
-    # p + k (p-1)^2 in absolute value; k is the most that keeps it in int64
-    for p in (2, 3, 65537, 2**31 - 1):
-        k = _lazy_terms(p)
-        assert k >= 1
-        assert p + k * (p - 1) ** 2 < 2**63
-        assert p + (k + 1) * (p - 1) ** 2 >= 2**63
-    assert _lazy_terms(2**31 - 1) >= 2
-    assert _lazy_terms(next_prime_above(1 << 20)) > 2**20
 
 
 # ---------------- bounded rational roots ----------------

@@ -1,9 +1,8 @@
 """Property tests of the chirp-transform kernel and the sparse kernel at
 every prime below 600, of the image a candidate's confirmation reads in
 the sparse kernel's place, of the Hankel singularity test and the shift
-search's degree test, of the int64 reduction helper, of the schedule of
-reductions in sums of products and Horner steps, and of the lacunary box's
-float64 sums split into limbs and chunks.
+search's degree test, of the int64 reduction helper, of the lazy Horner
+steps, and of the lacunary box's float64 sums split into limbs and chunks.
 
 Kept apart from test_densepoly so that the other kernel tests still run
 where hypothesis is not installed.
@@ -222,29 +221,7 @@ def test_mod_of_an_int64_array_is_numpy_mod_in_place(a, m):
     assert np.array_equal(got, want)
 
 
-# ---------------- the lazy-sum schedule ----------------
-
-def _reduce_after_every_product(mp):
-    """One product between reductions, the schedule that only primes near
-    2^31 get."""
-    mp.setattr(densepoly, "_lazy_terms", lambda p: 1)
-
-
-@settings(max_examples=60, deadline=None)
-@given(p=st.sampled_from(PRIMES_BELOW_600), s=st.integers(0, 6), t=st.integers(0, 7),
-       seed=st.integers(0, 2**32 - 1))
-def test_sparse_kernel_same_under_every_reduction_schedule(p, s, t, seed):
-    rng = random.Random(seed)
-    coeffs = [0] * p
-    coeffs[0] = rng.randrange(p)
-    for e in rng.sample(range(1, p), min(t, p - 1)):
-        coeffs[e] = rng.randrange(1, p)
-    grid = grid_of(coeffs, p)
-    want = interpolate_sparse(grid, p, s)
-    with pytest.MonkeyPatch.context() as mp:
-        _reduce_after_every_product(mp)
-        assert interpolate_sparse(grid, p, s) == want
-
+# ---------------- the lacunary box's float64 sums ----------------
 
 @settings(max_examples=40, deadline=None)
 @given(p=st.sampled_from(PRIMES_BELOW_600), seed=st.integers(0, 2**32 - 1),

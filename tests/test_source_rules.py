@@ -151,6 +151,24 @@ def test_sparse_interp_confirms_candidates_without_a_box():
     assert not found, f"sparse_interp names a box's grid: {found}"
 
 
+def test_every_prime_image_is_built_by_one_constructor():
+    # PrimeImage._from_terms sums the residues per slot, drops zero sums and
+    # sorts the slots; an image built elsewhere could skip one of the three
+    path = SRC / "sparse_interp.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    image = next(node for node in tree.body
+                 if isinstance(node, ast.ClassDef) and node.name == "PrimeImage")
+    ctor = next((node for node in image.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_from_terms"), None)
+    inside = {id(node) for node in ast.walk(ctor)} if ctor is not None else set()
+    calls = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id in ("PrimeImage", "cls")]
+    outside = [f"sparse_interp.py:{node.lineno}" for node in calls if id(node) not in inside]
+    assert not outside, f"PrimeImage built outside PrimeImage._from_terms: {outside}"
+    assert len(calls) == 1, "PrimeImage._from_terms builds no image"
+
+
 # the built-in errors the library raises besides its own LacunaError types:
 # ValueError for bad input, RuntimeError for a broken internal invariant,
 # NotImplementedError for the box base class's own contract
