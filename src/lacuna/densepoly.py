@@ -5,7 +5,12 @@ f^(p) is read off the box's values on the full grid {0, ..., p-1}, and the
 grid operations (interpolation, shift search) require a prime modulus
 p < 2^31 and degree < p.  Every nonzero grid point is a power g^a of one
 generator g of Z_p^*, and one table per prime, ``_generator_powers``, holds
-them: the lacunary box and every grid kernel walk the grid along it.
+them: the lacunary box and every grid kernel walk the grid along it.  Only
+half the table is multiplied out, since g^((p-1)/2) = -1 makes
+pw[a + (p-1)/2] = p - pw[a].  The lacunary box's values along it are one
+``_geometric_sums`` call, whose last result is cached, so confirming a
+padding prime against the box's own polynomial reads the same array: one
+table and one sums evaluation per prime.
 Dense interpolation goes through one kernel, ``_power_sums_fft``: the
 Lagrange coefficients are sums s_j = sum_a u_a g^(a*j) over a = 0..p-2, an
 order-(p-1) transform that Bluestein's chirp identity turns into one cyclic
@@ -197,21 +202,32 @@ def _generator_powers(p: int) -> np.ndarray:
     prime's uses come one after another, so the cache builds each table
     once for the box's grid, the candidate's sums and the gather that
     confirm it (``sparse_interp``) and the kernel or interpolation that
-    reads it.
+    reads it.  The array is shared by every hit, hence read-only.
+
+    Only the first half is multiplied out: for odd p, g^((p-1)/2) = -1, so
+    pw[a + (p-1)/2] = p - pw[a].
     """
     n = p - 1
     g = _primitive_root(p)
+    half = n - n // 2  # (p-1)/2, and the whole one-entry table at p = 2
     # baby steps g^b and giant steps g^(a*m), combined in one outer product
-    m = math.isqrt(n) + 1
+    m = math.isqrt(half) + 1
     small = [1]
     for _ in range(1, m):
         small.append(small[-1] * g % p)
     big_step = small[-1] * g % p
+    rows = -(-half // m)
     big = [1]
-    for _ in range(1, -(n // -m)):
+    for _ in range(1, rows):
         big.append(big[-1] * big_step % p)
-    outer = np.multiply.outer(np.array(big, dtype=np.int64), np.array(small, dtype=np.int64))
-    return _read_only(_mod(outer, p).reshape(-1)[:n])
+    # the product fills the first rows * m >= half entries, and the second
+    # half, from pw[half], is written over whatever it left past half
+    pw = np.empty(max(n, rows * m), dtype=np.int64)
+    block = pw[: rows * m].reshape(rows, m)
+    np.multiply.outer(np.array(big, dtype=np.int64), np.array(small, dtype=np.int64), out=block)
+    _mod(block, p)
+    np.subtract(p, pw[: n - half], out=pw[half:n])
+    return _read_only(pw[:n])
 
 
 def _smooth_length(m: int) -> int:
@@ -289,8 +305,17 @@ def _power_sums_fft(u: np.ndarray, p: int) -> np.ndarray:
     return _mod(conv, p)
 
 
-def _geometric_sums(coeffs: Sequence[int], exps: Sequence[int], p: int) -> np.ndarray:
-    """s[a] = sum_k coeffs[k] * g^(a * exps[k]) mod p for a = 0..p-2, exact.
+@lru_cache(maxsize=1)
+def _geometric_sums(coeffs: Tuple[int, ...], exps: Tuple[int, ...], p: int) -> np.ndarray:
+    """s[a] = sum_k coeffs[k] * g^(a * exps[k]) mod p for a = 0..p-2, exact,
+    as a read-only int64 array.
+
+    The last call is cached, so coeffs and exps are tuples.  A
+    ``LacunaryBox`` grid and the confirmation of a padding prime against
+    a candidate (``sparse_interp._confirmed_image``) ask for the same sums
+    one after the other whenever the candidate is the box's polynomial:
+    the second call returns the first one's array, which every hit shares,
+    hence read-only.
 
     g is the generator of ``_generator_powers``, coeffs are K residues in
     [0, p) and exps K integers >= 0, read modulo p - 1, the order of g.
@@ -341,7 +366,7 @@ def _geometric_sums(coeffs: Sequence[int], exps: Sequence[int], p: int) -> np.nd
     for lo in range(chunk, len(e), chunk):
         _mod(s, p)
         s += np.dot(left[lo : lo + chunk].T, right[lo : lo + chunk]).astype(np.int64)
-    return _mod(s, p).reshape(-1)[:n]
+    return _read_only(_mod(s, p).reshape(-1)[:n])
 
 
 def _check_grid_prime(p: int) -> None:

@@ -15,13 +15,18 @@ log2 C1 <= beta1 and log2 C2 <= beta2: a failing prime consumes its own
 prime divisor of C1 (p) or of C2 (q), as the walk's records have distinct
 q >= n and distinct p (S(q) = S(q') would need q*q' < q^1.89).
 
+A stream hands out each batch of records in ascending p, but walks it only
+as far as the primes handed out need: every record has k >= 2, so one not
+yet walked has p > 2q for a q above every q walked, and a walked p below
+that bound precedes it in the sorted batch (``PrimeStream``).
+
 All logarithms here are natural.
 """
 
+import heapq
 import math
 from dataclasses import dataclass
-from itertools import islice
-from typing import Iterator, List, NamedTuple, Optional
+from typing import Dict, Iterator, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -165,6 +170,14 @@ class PrimeStream:
     failures).  A request made after more than _MAX_REGENERATIONS
     regenerations, or past the walk's end at 2^30, raises BlackBoxFailure.
 
+    A batch is walked lazily, only as far as the primes handed out need.
+    Its walked records wait in a heap, and the least of them is handed out
+    once it is at most 2 last_q + 1, for last_q the largest q walked: every
+    record not yet walked has p >= 2q + 1 with q > last_q, so none can come
+    before it.  The order is therefore that of the sorted batch.
+    ``records`` and ``reservoir`` walk the rest of the current batch first,
+    so they read what an eagerly filled batch would hold.
+
     Regeneration cannot be sized away.  The reservoir covers beta1 + beta2
     bad primes plus ell good ones, but the bounds (beta1, beta2, ell) say
     nothing about the denominators a box meets while it evaluates: a
@@ -179,13 +192,21 @@ class PrimeStream:
         self._batch = config.beta1 + config.beta2 + config.ell
         self.n = choose_n(self._batch)
         self._walk = _walk(self.n)
-        self.records: List[PrimeRecord] = []
+        self._left = self._batch  # records of the current batch not walked yet
+        self._last_q = 0
+        self._pending: List[PrimeRecord] = []  # walked, not handed: a heap on p
+        self._handed: Dict[int, PrimeRecord] = {}  # p -> record, in the order handed
         self._by_p = {}
-        self._handed = set()  # records[:len(_handed)] are handed out
         self._dead = set()
         self.delivered = 0
         self.regenerations = 0
-        self._extend()
+
+    @property
+    def records(self) -> List[PrimeRecord]:
+        """Every record of the batches begun so far: the handed ones in the
+        order handed, then the rest of the current batch in ascending p."""
+        self._step(finish=True)
+        return [*self._handed.values(), *sorted(self._pending)]
 
     @property
     def reservoir(self) -> tuple:
@@ -196,15 +217,16 @@ class PrimeStream:
             raise BlackBoxFailure(
                 f"no usable primes after {self.regenerations} reservoir regenerations"
             )
-        if len(self._handed) == len(self.records):
+        if not self._pending and not self._left:
             self.regenerations += 1
-            self._extend()
-            if len(self._handed) == len(self.records):
-                raise BlackBoxFailure("no usable primes left below 2^31")
-        p = self.records[len(self._handed)].p
-        self._handed.add(p)
+            self._left = self._batch
+        self._step()
+        if not self._pending:
+            raise BlackBoxFailure("no usable primes left below 2^31")
+        r = heapq.heappop(self._pending)
+        self._handed[r.p] = r
         self.delivered += 1
-        return p
+        return r.p
 
     def discard(self, p: int) -> None:
         if p in self._handed and p not in self._dead:
@@ -217,17 +239,26 @@ class PrimeStream:
     def record_for(self, p: int) -> Optional[PrimeRecord]:
         return self._by_p.get(p)
 
-    def _extend(self) -> None:
-        """Append the walk's next batch of records, in ascending p."""
-        batch = sorted(islice(self._walk, self._batch))
-        self._by_p.update((r.p, r) for r in batch)
-        self.records += batch
-        if len(self._by_p) != len(self.records):
-            raise RuntimeError(f"S(q) is not injective on q >= {self.n}")
+    def _step(self, finish: bool = False) -> None:
+        """Walk the current batch on until the least pending record can be
+        handed out (p <= 2 last_q + 1), or to the batch's end if ``finish``."""
+        while self._left and (finish or not self._pending
+                              or self._pending[0].p > 2 * self._last_q + 1):
+            r = next(self._walk, None)
+            if r is None:
+                self._left = 0  # the walk's end closes the batch
+                return
+            if r.p in self._by_p:
+                raise RuntimeError(f"S(q) is not injective on q >= {self.n}")
+            self._by_p[r.p] = r
+            heapq.heappush(self._pending, r)
+            self._left -= 1
+            self._last_q = r.q
 
 
 # ---------------- spec operations ----------------
 
 def generate(config: OracleConfig) -> PrimeStream:
-    """Reservoir of beta1 + beta2 + ell primes p = S(q), walked from q = n."""
+    """Reservoir of beta1 + beta2 + ell primes p = S(q), walked from q = n
+    as the primes are handed out."""
     return PrimeStream(config)

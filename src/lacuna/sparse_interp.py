@@ -219,6 +219,11 @@ def _confirmed_image(
     to one slot and drops slots summing to 0, which is
     ``PrimeImage.from_poly(interpolate_sparse(values, p, bt))`` bit for bit.
     None also when p divides a denominator of the candidate.
+
+    When the box is a ``LacunaryBox`` of the candidate's polynomial, its
+    grid has just asked ``_geometric_sums`` for the same sums, and they
+    come from its cache; from any other box they are computed here.  The
+    check compares every value of ``values`` either way.
     """
     try:
         c0 = frac_mod(candidate.constant, p)
@@ -227,9 +232,9 @@ def _confirmed_image(
         return None
     if values[0] != c0:
         return None
-    # the sums before the gather: the gathered array then reuses memory the
-    # sums' temporaries freed, for about a quarter fewer page faults a solve
-    # at t = 4 and p ~ 20-46k
+    # the sums before the gather: where they are not cached, the gathered
+    # array then reuses memory the sums' temporaries freed, for about a
+    # quarter fewer page faults a solve at t = 4 and p ~ 20-46k
     sums = _geometric_sums((c0, *coeffs), (0, *(e for _, e in candidate.terms)), p)
     if not np.array_equal(values[_generator_powers(p)], sums):
         return None

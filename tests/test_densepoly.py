@@ -840,6 +840,20 @@ def test_generator_powers_run_once_through_every_nonzero_residue():
         assert not pw.flags.writeable
 
 
+def test_generator_powers_are_the_powers_of_the_primitive_root():
+    # the table multiplies out only its first half and takes the second as
+    # p minus the first (g^((p-1)/2) = -1): it must still be g^a at every a
+    primes = [p for p in range(2, 5000) if is_prime(p)] + [15187, 46027, 65537, 1048583]
+    for p in primes:
+        g = densepoly._primitive_root(p)
+        want = np.empty(p - 1, dtype=np.int64)
+        x = 1
+        for a in range(p - 1):
+            want[a] = x
+            x = x * g % p
+        assert np.array_equal(_generator_powers(p), want), p
+
+
 def naive_geometric_sums(coeffs, exps, p, points):
     g = int(_generator_powers(p)[1 % (p - 1)])
     return [sum(c * pow(g, a * e, p) for c, e in zip(coeffs, exps)) % p for a in points]
@@ -860,7 +874,7 @@ def test_geometric_sums_match_a_naive_sum():
             exps.append(rng.choice((0, n, 2 * n + rng.randrange(n), rng.randrange(n),
                                     rng.choice(exps or [1]))))
         coeffs = [rng.choice((0, p - 1, rng.randrange(p))) for _ in range(k)]
-        got = _geometric_sums(coeffs, exps, p)
+        got = _geometric_sums(tuple(coeffs), tuple(exps), p)  # cached: tuples, not lists
         assert got.dtype == np.int64 and len(got) == n
         points = range(n) if p < 100 else [0, 1, n - 1, *rng.sample(range(n), 40)]
         assert [int(got[a]) for a in points] == naive_geometric_sums(coeffs, exps, p, points)

@@ -1,14 +1,21 @@
-"""Property test of the prime stream's walk: requests past the reservoir and
-random discards never hand a prime out twice or break the batch order.
+"""Property tests of the prime stream's walk: requests past the reservoir and
+random discards never hand a prime out twice or break the batch order, and
+the lazy walk hands out each sorted batch while walking no more of it than
+the hand-out needs.
 
 Kept apart from test_prime_oracle so that the oracle tests still run where
 hypothesis is not installed.
 """
 
+from contextlib import contextmanager
+from itertools import islice
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lacuna import OracleConfig, generate, is_prime
+from lacuna import OracleConfig, generate, is_prime, make_blackbox, prime_oracle, sparsest_shift
+from lacuna.sparsest_shift import shift_oracle_config
 
 
 @settings(max_examples=60, deadline=None)
@@ -46,3 +53,66 @@ def test_walk_hands_out_distinct_primes_in_batches(beta1, beta2, ell, discards, 
         assert [r.p for r in b] == sorted(r.p for r in b)
     for before, after in zip(batches, batches[1:]):
         assert max(r.q for r in before) < min(r.q for r in after)
+
+
+@contextmanager
+def counting_walk():
+    """The records every stream made inside the block walks, in walk order."""
+    walked = []
+    real = prime_oracle._walk
+
+    def counting(n):
+        for r in real(n):
+            walked.append(r)
+            yield r
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(prime_oracle, "_walk", counting)
+        yield walked
+
+
+def eager_batches(n, batch, count):
+    """The first ``count`` batches of the walk from n, each sorted by p, as
+    one list: what a stream filling each batch at once hands out."""
+    walk = prime_oracle._walk(n)
+    return [r for _ in range(count) for r in sorted(islice(walk, batch))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    beta1=st.integers(0, 4),
+    beta2=st.integers(0, 4),
+    ell=st.integers(1, 4),
+    data=st.data(),
+)
+def test_lazy_walk_hands_out_each_sorted_batch_and_walks_no_more(beta1, beta2, ell, data):
+    batch = beta1 + beta2 + ell
+    requests = data.draw(st.integers(0, 11 * batch), label="requests")
+    with counting_walk() as walked:
+        stream = generate(OracleConfig(beta1, beta2, ell))
+        handed = []
+        for _ in range(requests):
+            handed.append(stream.next_prime())
+            if data.draw(st.booleans(), label="discard"):
+                stream.discard(data.draw(st.sampled_from(handed), label="which"))
+            # an eager stream has walked every batch it began
+            assert len(walked) <= (stream.regenerations + 1) * batch
+    want = eager_batches(stream.n, batch, stream.regenerations + 1)
+    assert handed == [r.p for r in want[: len(handed)]]
+    assert walked == sorted(walked, key=lambda r: r.q)
+    assert stream.records == want  # the current batch is completed on demand
+
+
+def test_a_shift_phase_walks_fewer_records_than_its_batch(golden_poly, golden_bounds):
+    # golden's shift phase finds its shift at the first prime of a batch of
+    # 37 and walks only the records that can precede it
+    config = shift_oracle_config(golden_bounds)
+    batch = config.beta1 + config.beta2 + config.ell
+    with counting_walk() as walked:
+        stream = generate(config)
+        result = sparsest_shift(make_blackbox(golden_poly), golden_bounds, stream=stream)
+        assert result.alpha == golden_poly.shift
+        lazily_walked = len(walked)
+    assert 0 < stream.delivered <= lazily_walked < batch
+    assert stream.regenerations == 0
+    assert stream.records == eager_batches(stream.n, batch, 1)  # handed first, in batch order

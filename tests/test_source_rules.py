@@ -117,6 +117,47 @@ def test_no_catch_all_except():
     assert not found, f"bare except or except Exception in src/lacuna: {found}"
 
 
+def _cache_decorators(func):
+    """The decorators of ``func`` that are functools caches, by name."""
+    for dec in func.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+        if name in ("lru_cache", "cache"):
+            yield dec
+
+
+def test_every_cache_is_bounded():
+    # a cache holds every result it keeps alive, and a solve asks for one
+    # table and one sums array per prime: an unbounded cache of those would
+    # grow with every prime of every solve.  is_prime keeps only ints.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or node.name == "is_prime":
+                continue
+            for dec in _cache_decorators(node):
+                args = [*dec.args[:1], *(k.value for k in dec.keywords if k.arg == "maxsize")] \
+                    if isinstance(dec, ast.Call) else []
+                bounded = [a for a in args if isinstance(a, ast.Constant)
+                           and isinstance(a.value, int) and not isinstance(a.value, bool)]
+                if not bounded:
+                    found.append(f"{path.name}:{node.lineno} {node.name}")
+    assert not found, f"caches without a finite maxsize in src/lacuna: {found}"
+
+
+def test_cached_arrays_are_read_only():
+    # every hit of a cache returns the same array: a caller writing to it
+    # would change what every later hit reads
+    from lacuna.densepoly import _generator_powers, _geometric_sums
+
+    for p in (2, 3, 1187):
+        pw = _generator_powers(p)
+        sums = _geometric_sums((1, p - 1), (0, 5), p)
+        assert not pw.flags.writeable and not sums.flags.writeable
+        assert _generator_powers(p) is pw and _geometric_sums((1, p - 1), (0, 5), p) is sums
+
+
 def test_sparse_interp_names_its_reconstruction_misfits_once():
     # _reconstruct turns every misfit of the images into NoReconstruction;
     # a second handler naming them would be a second copy of that list

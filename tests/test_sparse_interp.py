@@ -225,6 +225,39 @@ def test_confirmed_image_reads_zero_and_both_ends_of_the_generator_order(p):
         assert si._confirmed_image(poly, changed, p) is None, x
 
 
+class _GridCountingBox(LacunaryBox):
+    grid_evals = 0
+
+    def eval_range(self, p):
+        values = super().eval_range(p)
+        self.grid_evals += 1
+        return values
+
+
+def test_a_confirmed_grid_reuses_the_sums_its_box_computed(golden_poly, golden_bounds,
+                                                           monkeypatch):
+    # a LacunaryBox grid computes the geometric sums once, and confirming it
+    # against a candidate that is the box's polynomial asks for the same
+    # sums: every grid is one miss of the cache, every confirmed grid one hit
+    from lacuna.densepoly import _geometric_sums
+
+    accepted = []
+    real = si._confirmed_image
+
+    def recording(*args):
+        image = real(*args)
+        accepted.append(image is not None)
+        return image
+
+    monkeypatch.setattr(si, "_confirmed_image", recording)
+    box = _GridCountingBox(golden_poly)
+    _geometric_sums.cache_clear()
+    assert full_interpolate(box, golden_bounds) == golden_poly
+    info = _geometric_sums.cache_info()
+    assert info.misses == box.grid_evals
+    assert info.hits == accepted.count(True) > 0
+
+
 class _SwitchingBox(ModularBlackBox):
     """A test double that is one polynomial's box at the primes in ``early``
     and another's at every other prime."""
