@@ -15,10 +15,8 @@ log2 C1 <= beta1 and log2 C2 <= beta2: a failing prime consumes its own
 prime divisor of C1 (p) or of C2 (q), as the walk's records have distinct
 q >= n and distinct p (S(q) = S(q') would need q*q' < q^1.89).
 
-A stream hands out each batch of records in ascending p, but walks it only
-as far as the primes handed out need: every record has k >= 2, so one not
-yet walked has p > 2q for a q above every q walked, and a walked p below
-that bound precedes it in the sorted batch (``PrimeStream``).
+A stream hands out each batch of records in ascending p, walking it only
+as far as the primes handed out need (``_ascending``).
 
 All logarithms here are natural.
 """
@@ -26,7 +24,8 @@ All logarithms here are natural.
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, NamedTuple, Optional
+from itertools import islice
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -156,6 +155,23 @@ def _walk(n: int) -> Iterator[PrimeRecord]:
             yield PrimeRecord(p, q, (p - 1) // q)
 
 
+def _ascending(records: Iterable[PrimeRecord]) -> Iterator[PrimeRecord]:
+    """Records given in increasing q, each with p >= 2q + 1 (k >= 2, as for
+    every walk record), yielded in ascending p and read only as far as each
+    yield needs.
+
+    Read records wait in a heap.  After the record of q is read, the least
+    of them is yielded while its p is at most 2q + 1: a record not read yet
+    has p >= 2q' + 1 with q' > q, so none can come before it.  At the end
+    of the input the heap is drained."""
+    heap: List[PrimeRecord] = []
+    for r in records:
+        heapq.heappush(heap, r)
+        while heap and heap[0].p <= 2 * r.q + 1:
+            yield heapq.heappop(heap)
+    yield from sorted(heap)
+
+
 # Reservoir regenerations a stream allows before it gives up.
 _MAX_REGENERATIONS = 10
 
@@ -170,13 +186,9 @@ class PrimeStream:
     failures).  A request made after more than _MAX_REGENERATIONS
     regenerations, or past the walk's end at 2^30, raises BlackBoxFailure.
 
-    A batch is walked lazily, only as far as the primes handed out need.
-    Its walked records wait in a heap, and the least of them is handed out
-    once it is at most 2 last_q + 1, for last_q the largest q walked: every
-    record not yet walked has p >= 2q + 1 with q > last_q, so none can come
-    before it.  The order is therefore that of the sorted batch.
-    ``records`` and ``reservoir`` walk the rest of the current batch first,
-    so they read what an eagerly filled batch would hold.
+    Each batch is walked lazily by ``_ascending``; ``records`` and
+    ``reservoir`` walk the rest of the current batch first, so they read
+    what an eagerly filled batch would hold.
 
     Regeneration cannot be sized away.  The reservoir covers beta1 + beta2
     bad primes plus ell good ones, but the bounds (beta1, beta2, ell) say
@@ -192,68 +204,53 @@ class PrimeStream:
         self._batch = config.beta1 + config.beta2 + config.ell
         self.n = choose_n(self._batch)
         self._walk = _walk(self.n)
-        self._left = self._batch  # records of the current batch not walked yet
-        self._last_q = 0
-        self._pending: List[PrimeRecord] = []  # walked, not handed: a heap on p
+        self._rest = _ascending(islice(self._walk, self._batch))
         self._handed: Dict[int, PrimeRecord] = {}  # p -> record, in the order handed
-        self._by_p = {}
         self._dead = set()
-        self.delivered = 0
         self.regenerations = 0
 
     @property
     def records(self) -> List[PrimeRecord]:
         """Every record of the batches begun so far: the handed ones in the
         order handed, then the rest of the current batch in ascending p."""
-        self._step(finish=True)
-        return [*self._handed.values(), *sorted(self._pending)]
+        rest = list(self._rest)
+        self._rest = iter(rest)
+        return [*self._handed.values(), *rest]
 
     @property
     def reservoir(self) -> tuple:
         return tuple(r.p for r in self.records)
+
+    @property
+    def delivered(self) -> int:
+        return len(self._handed) - len(self._dead)
 
     def next_prime(self) -> int:
         if self.regenerations > _MAX_REGENERATIONS:
             raise BlackBoxFailure(
                 f"no usable primes after {self.regenerations} reservoir regenerations"
             )
-        if not self._pending and not self._left:
+        r = next(self._rest, None)
+        if r is None:
             self.regenerations += 1
-            self._left = self._batch
-        self._step()
-        if not self._pending:
+            self._rest = _ascending(islice(self._walk, self._batch))
+            r = next(self._rest, None)
+        if r is None:
             raise BlackBoxFailure("no usable primes left below 2^31")
-        r = heapq.heappop(self._pending)
+        if r.p in self._handed:
+            raise RuntimeError(f"S(q) is not injective on q >= {self.n}")
         self._handed[r.p] = r
-        self.delivered += 1
         return r.p
 
     def discard(self, p: int) -> None:
-        if p in self._handed and p not in self._dead:
+        if p in self._handed:
             self._dead.add(p)
-            self.delivered -= 1
 
     def guarantee_reached(self, k: int) -> bool:
         return self.delivered >= self.config.beta1 + self.config.beta2 + k
 
     def record_for(self, p: int) -> Optional[PrimeRecord]:
-        return self._by_p.get(p)
-
-    def _step(self, finish: bool = False) -> None:
-        """Walk the current batch on until the least pending record can be
-        handed out (p <= 2 last_q + 1), or to the batch's end if ``finish``."""
-        while self._left and (finish or not self._pending
-                              or self._pending[0].p > 2 * self._last_q + 1):
-            r = next(self._walk, None)
-            if r is None:
-                self._left = 0  # the walk's end closes the batch
-                return
-            if r.p in self._by_p:
-                raise RuntimeError(f"S(q) is not injective on q >= {self.n}")
-            self._by_p[r.p] = r
-            heapq.heappush(self._pending, r)
-            self._left -= 1
-            self._last_q = r.q
+        return self._handed.get(p)
 
 
 # ---------------- spec operations ----------------

@@ -8,12 +8,13 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 import pytest
 
 from lacuna import NotSplitting, ShiftedLacunary, make_blackbox
-from lacuna import cli
+from lacuna import cli, prime_oracle
 from lacuna.cli import build_parser, run
 
 from conftest import GOLDEN_JSON
@@ -118,6 +119,17 @@ def test_oracle_dump(capsys):
     assert set(obj) == {"n", "primes"}
     assert obj["n"] == 22
     assert obj["primes"] == [{"p": 47, "q": 23, "k": 2}]
+
+
+@pytest.mark.parametrize("beta1, beta2, ell", [(0, 0, 1), (3, 5, 7), (40, 20, 30)])
+def test_oracle_dumps_the_first_batch_sorted_by_p(capsys, beta1, beta2, ell):
+    # the lazy stream dumps what sorting the walk's first batch gives
+    code, out, _ = invoke(capsys, "oracle", "--beta1", str(beta1), "--beta2", str(beta2),
+                          "--ell", str(ell))
+    assert code == 0
+    n = prime_oracle.choose_n(beta1 + beta2 + ell)
+    batch = sorted(islice(prime_oracle._walk(n), beta1 + beta2 + ell))
+    assert json.loads(out) == {"n": n, "primes": [r._asdict() for r in batch]}
 
 
 def test_sq_single(capsys):

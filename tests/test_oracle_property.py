@@ -1,7 +1,8 @@
 """Property tests of the prime stream's walk: requests past the reservoir and
-random discards never hand a prime out twice or break the batch order, and
-the lazy walk hands out each sorted batch while walking no more of it than
-the hand-out needs.
+random discards never hand a prime out twice or break the batch order, the
+lazy merge ``_ascending`` yields drawn records in ascending p while reading
+no more of them than each yield needs, and the lazy walk hands out each
+sorted batch while walking no more of it than the hand-out needs.
 
 Kept apart from test_prime_oracle so that the oracle tests still run where
 hypothesis is not installed.
@@ -53,6 +54,49 @@ def test_walk_hands_out_distinct_primes_in_batches(beta1, beta2, ell, discards, 
         assert [r.p for r in b] == sorted(r.p for r in b)
     for before, after in zip(batches, batches[1:]):
         assert max(r.q for r in before) < min(r.q for r in after)
+
+
+@st.composite
+def increasing_q_records(draw):
+    """Records in increasing q with p >= 2q + 1, not from the walk: random
+    q gaps, random p above 2q + 1, ties in p allowed."""
+    q = draw(st.integers(1, 50))
+    records = []
+    for gap, above in draw(st.lists(st.tuples(st.integers(1, 60), st.integers(0, 300)),
+                                    max_size=30)):
+        q += gap
+        p = 2 * q + 1 + above
+        records.append(prime_oracle.PrimeRecord(p, q, (p - 1) // q))
+    return records
+
+
+def fewest_reads(records, handed, read):
+    """Inputs read, at least ``read``, before the rule yields again: the
+    least pending p is at most 2q + 1 for the last q read, or the input is
+    exhausted."""
+    for m in range(max(read, 1), len(records) + 1):
+        pending = [r.p for r in records[:m] if r not in handed]
+        if pending and min(pending) <= 2 * records[m - 1].q + 1:
+            return m
+    return len(records)
+
+
+@settings(max_examples=200, deadline=None)
+@given(records=increasing_q_records())
+def test_ascending_yields_sorted_by_p_reading_only_what_it_must(records):
+    read = []
+
+    def feed():
+        for r in records:
+            read.append(r)
+            yield r
+
+    out, reads = [], 0
+    for r in prime_oracle._ascending(feed()):
+        reads = fewest_reads(records, out, reads)
+        assert len(read) == reads
+        out.append(r)
+    assert out == sorted(records)
 
 
 @contextmanager

@@ -1,6 +1,7 @@
 """Prime reservoir generation and guarantee accounting tests."""
 
 import dataclasses
+import itertools
 import math
 import random
 import tracemalloc
@@ -201,6 +202,23 @@ def test_walk_near_the_grid_limit_stays_below_2_31(monkeypatch):
     with pytest.raises(BlackBoxFailure):
         st.next_prime()
     assert st.delivered == len(handed)
+
+
+@pytest.mark.parametrize("walked", [0, 3])
+def test_the_walk_ending_fails_as_a_black_box(monkeypatch, walked):
+    # a walk that ends before the first record, or inside a batch of 5: the
+    # records found are handed out in ascending p, and the next request
+    # tries one regeneration, finds nothing and fails
+    n = choose_n(5)
+    records = list(itertools.islice(prime_oracle._walk(n), walked))
+    monkeypatch.setattr(prime_oracle, "_walk", lambda n: iter(records))
+    st = generate(OracleConfig(0, 0, 5))
+    handed = [st.next_prime() for _ in records]
+    assert handed == sorted(r.p for r in records)
+    with pytest.raises(BlackBoxFailure, match="^no usable primes left below 2\\^31$"):
+        st.next_prime()
+    assert st.regenerations == 1
+    assert st.delivered == walked and st.records == sorted(records)
 
 
 def test_each_reserve_prime_has_one_interval_factor():
