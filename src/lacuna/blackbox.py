@@ -5,9 +5,10 @@ of Z_p, or raises DenominatorVanished when p divides a denominator the
 evaluation needs.  Concrete boxes are provided for the shifted-sparse
 representation, a dense rational coefficient list, and straight-line
 programs, so tests can model genuinely opaque functions.  Every one of them
-evaluates the whole grid Z_p in bulk on int64 arrays; the dense box and
-the straight-line program box each run one evaluator over either a Python
-int or that array.
+evaluates the whole grid Z_p in bulk on int64 arrays.  The dense box is
+the lacunary box of its nonzero terms, so both sum terms by one exact
+kernel; the straight-line program box runs one interpreter over either a
+Python int or that array.
 """
 
 import json
@@ -23,7 +24,6 @@ from .densepoly import (
     _check_grid_prime,
     _generator_powers,
     _geometric_sums,
-    _horner,
     _mod,
     _read_only,
     _rotate,
@@ -207,20 +207,21 @@ class LacunaryBox(ModularBlackBox):
         return _rotate(around, -shift)
 
 
-class DenseBox(ModularBlackBox):
-    """Black box over an explicit dense rational coefficient list."""
+class DenseBox(LacunaryBox):
+    """Black box over an explicit dense rational coefficient list.
+
+    It is the lacunary box of its nonzero terms, shift 0: a point costs one
+    ``pow`` a term, and the grid one ``_geometric_sums`` call, which holds
+    about 2K sqrt(p) table entries for K terms.  ``coeffs`` keeps the list,
+    trailing zeros trimmed.
+    """
 
     def __init__(self, coeffs: Sequence):
-        super().__init__()
         self.coeffs = tuple(poly_trim([Fraction(x) for x in coeffs]))
-
-    def _eval(self, p: int, x):
-        """f(x) mod p: a reduced Python int, or an int64 array of reduced
-        points when p < 2^31."""
-        return _horner([frac_mod(c, p) for c in self.coeffs], x, p)
-
-    def _grid(self, p: int) -> np.ndarray:
-        return self._eval(p, np.arange(p, dtype=np.int64))
+        c0 = self.coeffs[0] if self.coeffs else 0
+        super().__init__(ShiftedLacunary(
+            shift=0, constant=c0,
+            terms=tuple((c, j) for j, c in enumerate(self.coeffs) if j and c)))
 
 
 class ProgramBox(ModularBlackBox):

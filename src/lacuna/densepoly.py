@@ -35,12 +35,13 @@ checks the first few.  Only when they miss and more remain, as on the
 spike grids of some bad primes, do the dense transform and ``min_shift``
 run.  Small list-based helpers at the bottom hold the library's one
 Horner evaluator, ``_horner``, for a single int or Fraction point as well
-as a whole int64 grid, and its one expansion of f(x + y) into polynomials
-in y, ``_taylor_rows``, for both shift searches and the exact Taylor
-shift.  On top of them ``bounded_rational_roots`` is the one root finder
-for both the exponent polynomial and the dense-regime shift search: a
-``_horner`` scan of the grid of a small prime, then Newton lifting, so it
-too only ever works modulo primes below 2^31.
+as an int64 array of points, and its one expansion of f(x + y) into
+polynomials in y, ``_taylor_rows``, for both shift searches and the exact
+Taylor shift; only short polynomials reach it on an array.  On top of
+them ``bounded_rational_roots`` is the one root finder for both the
+exponent polynomial and the dense-regime shift search: a ``_horner`` scan
+of the grid of a small prime, then Newton lifting, so it too only ever
+works modulo primes below 2^31.
 
 Grid values are int64 arrays, and every reduction of one, here and in the
 boxes, goes through ``_mod``, which divides by the modulus with numpy's
@@ -52,7 +53,7 @@ docstring of the function named:
 - ``_mod``: x - (x // m) * m is exact for every int64 x, wrap-around too.
 - ``interpolate_sparse``: the recurrence check reduces after each product,
   and a value in (-p, p) plus one product stays below p + (p-1)^2 < 2^63.
-- ``_horner``: lazy steps, reduced only when the next could leave int64.
+- ``_horner``: reduced before every step, below m^2.
 - ``_difference``: 31 differences of residues run unreduced, below 2^62.
 - ``_hankel_singular``: each step, the first on unreduced entries in
   (-p, p), keeps every difference of two products below 2(p-1)^2 < 2^63.
@@ -72,8 +73,6 @@ from .modular_core import Residue, _factorize, is_prime, next_prime_above, ratio
 
 # Grid operations need residue products below 2^62, so p < 2^31.
 _GRID_LIMIT = 1 << 31
-
-_INT64_MAX = (1 << 63) - 1
 
 # A float64 FFT convolution of length L of inputs whose 2-norms multiply to M
 # has every output within about 12 * 2^-53 * log2(L) * M of the exact sum
@@ -668,26 +667,22 @@ def _horner(coeffs: Sequence, x, m: Optional[int] = None):
     the coefficients are residues modulo m and so is the result.
 
     x is an int, a Fraction, or an int64 array of residues modulo m < 2^31.
-    With m given, the accumulator is reduced by ``_mod`` only when the next
-    step could leave int64: with residues in [0, m), one step takes an
-    accumulator of at most B to at most B (m-1) + (m-1), so it is reduced
-    before a step once that would pass 2^63 - 1, and once at the end: at
-    most every other step for m < 2^21, every step near 2^31.  Python ints never
-    overflow, so for them the schedule only matters for speed.  The
-    accumulator starts as x times the leading coefficient, a fresh value,
-    so the in-place updates and ``_mod`` never write to x.
+    With m given, the accumulator is reduced by ``_mod`` before every step
+    and once at the end, so with residues in [0, m) a step takes it to at
+    most (m-1)^2 + (m-1) < m^2 <= 2^62.  The reductions cost little, as
+    every array caller evaluates a short polynomial: the sparse kernel's
+    root scan, the Taylor rows of ``min_shift``, the scan of
+    ``bounded_rational_roots``.  The accumulator starts as x times the
+    leading coefficient, a fresh value, so the in-place updates and
+    ``_mod`` never write to x.
     """
     if len(coeffs) < 2:
         return x * 0 + (coeffs[0] if len(coeffs) else 0)
     acc = x * coeffs[-1]
     acc += coeffs[-2]
-    if m is not None:
-        bound = m * (m - 1)  # acc is at most bound
     for c in reversed(coeffs[:-2]):
         if m is not None:
-            if bound * (m - 1) + m - 1 > _INT64_MAX:
-                acc, bound = _mod(acc, m), m - 1
-            bound = bound * (m - 1) + m - 1
+            acc = _mod(acc, m)
         acc *= x
         acc += c
     return acc if m is None else _mod(acc, m)

@@ -342,18 +342,44 @@ def test_output_is_canonical_json(capsys):
 
 # ---------------- console entry point ----------------
 
+def lacuna(*argv, python_flags=()):
+    """``python -m lacuna.cli`` on this source tree, in a subprocess."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run(
+        [sys.executable, *python_flags, "-m", "lacuna.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+
+
 def test_module_entry_point_exits_with_run_code():
     # the ``lacuna`` console script calls cli.main, which exits with run()'s code
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     poly = '{"terms":[{"coeff":"1","exp":3}]}'
-
-    def lacuna(prime):
-        return subprocess.run(
-            [sys.executable, "-m", "lacuna.cli", "eval", "--poly", poly, "--prime", prime, "--point", "2"],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
-
-    done = lacuna("7")
+    done = lacuna("eval", "--poly", poly, "--prime", "7", "--point", "2")
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["value"] == "1"  # 2^3 = 8 = 1 mod 7
-    assert lacuna("9").returncode == 2
+    assert lacuna("eval", "--poly", poly, "--prime", "9", "--point", "2").returncode == 2
+
+
+def test_sq_refuses_a_composite_q_from_the_console():
+    done = lacuna("sq", "--q", "15")
+    assert done.returncode == 2
+    assert "must be prime" in done.stderr and not done.stdout
+
+
+def test_reduce_reads_a_dense_spec_as_its_lacunary_spec_with_shift_0():
+    # degree 9 > p - 1 = 6 wraps exponents; trailing zeros are trimmed
+    dense = '{"dense":["-1/2","0","3","0","0","5/3","0","0","0","1","0"]}'
+    sparse = ('{"shift":"0","constant":"-1/2","terms":[{"coeff":"3","exp":2},'
+              '{"coeff":"5/3","exp":5},{"coeff":"1","exp":9}]}')
+    got, want = (lacuna("reduce", "--poly", poly, "--prime", "7") for poly in (dense, sparse))
+    assert got.returncode == want.returncode == 0, (got.stderr, want.stderr)
+    assert got.stdout == want.stdout
+
+
+def test_golden_interpolate_is_the_same_under_python_O():
+    # python -O strips assert statements: no check the answer rests on may be one
+    argv = ("interpolate", "--poly", GOLDEN_JSON, "--bounds", GOLDEN_BOUNDS)
+    plain, optimized = lacuna(*argv), lacuna(*argv, python_flags=("-O",))
+    assert plain.returncode == optimized.returncode == 0, (plain.stderr, optimized.stderr)
+    assert optimized.stdout == plain.stdout
+    assert plain.stdout == ShiftedLacunary.from_json(GOLDEN_JSON).to_json() + "\n"

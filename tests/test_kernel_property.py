@@ -1,8 +1,9 @@
 """Property tests of the chirp-transform kernel and the sparse kernel at
 every prime below 600, of the image a candidate's confirmation reads in
 the sparse kernel's place, of the Hankel singularity test and the shift
-search's degree test, of the int64 reduction helper, of the lazy Horner
-steps, and of the lacunary box's float64 sums split into limbs and chunks.
+search's degree test, of the int64 reduction helper, of the Horner
+steps, of the lacunary box's float64 sums split into limbs and chunks, and
+of the dense box, which is the lacunary box of its terms.
 
 Kept apart from test_densepoly so that the other kernel tests still run
 where hypothesis is not installed.
@@ -20,6 +21,7 @@ from fractions import Fraction
 
 from lacuna import (
     DenominatorVanished,
+    DenseBox,
     DensePolyMod,
     LacunaryBox,
     ShiftedLacunary,
@@ -32,7 +34,7 @@ from lacuna import (
 from lacuna import densepoly, sparse_interp
 from lacuna.densepoly import _difference, _hankel_singular, _horner, _mod
 
-from conftest import naive_termwise_reduction, random_instance
+from conftest import naive_frac_mod, naive_termwise_reduction, random_instance
 
 PRIMES_BELOW_600 = [p for p in range(600) if is_prime(p)]
 
@@ -245,7 +247,46 @@ def test_lacunary_grid_same_under_every_reduction_schedule(p, seed, exact_bits):
         assert interpolate_range(grid, p) == DensePolyMod(p, want)
 
 
-# ---------------- lazy Horner steps ----------------
+# ---------------- the dense box ----------------
+
+@st.composite
+def dense_lists(draw, p):
+    """Rationals with denominators up to 9 at up to 20 places, zero at the
+    rest, of degree up to p + 3, so that exponents wrap modulo p - 1."""
+    d = draw(st.integers(0, p + 3))
+    placed = draw(st.dictionaries(st.integers(0, d), st.fractions(max_denominator=9),
+                                  min_size=1, max_size=20))
+    return [placed.get(j, Fraction(0)) for j in range(d + 1)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7, 11, 13, 101, 1009]), data=st.data())
+@example(p=5, data=[Fraction(5, 2), Fraction(2, 3), Fraction(0), Fraction(0), Fraction(0),
+                    Fraction(-1), Fraction(0), Fraction(7), Fraction(0)])
+@example(p=7, data=[Fraction(0), Fraction(0), Fraction(1, 7)])
+@example(p=3, data=[Fraction(1, 3), Fraction(1)])
+@example(p=2, data=[])
+def test_dense_box_is_the_naive_dense_sum(p, data):
+    coeffs = data if isinstance(data, list) else data.draw(dense_lists(p))
+    box = DenseBox(coeffs)
+    trimmed = list(coeffs)
+    while trimmed and trimmed[-1] == 0:
+        trimmed.pop()
+    assert box.coeffs == tuple(trimmed)
+    residues = [naive_frac_mod(c, p) for c in coeffs]
+    if None in residues:  # p divides the denominator of a nonzero coefficient
+        with pytest.raises(DenominatorVanished):
+            box.eval_range(p)
+        with pytest.raises(DenominatorVanished):
+            box.eval(p, 0)
+        return
+    want = [sum(r * pow(x, j, p) for j, r in enumerate(residues)) % p for x in range(p)]
+    assert box.eval_range(p).tolist() == want
+    assert [box.eval(p, x) for x in range(p)] == want
+    assert box.calls == 2 * p
+
+
+# ---------------- Horner steps ----------------
 
 def horner_reducing_every_step(coeffs, x, m):
     acc = 0

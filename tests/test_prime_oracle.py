@@ -307,13 +307,27 @@ def test_regeneration_reuses_primality_work():
 
 
 def test_adversarial_divisibility_guarantee():
-    # Theorem-style check: C1 from reservoir primes, C2 from certified q's
-    st = generate(OracleConfig(4, 4, 3))
-    records = st.records
-    c1 = math.prod(r.p for r in records[:4])
-    c2 = math.prod(r.q for r in records[:4])
-    useful = [r for r in records if c1 % r.p != 0 and c2 % (r.p - 1) != 0]
-    assert len(useful) >= 3
+    # the guarantee's hypothesis: a prime p is bad when p | C1 or
+    # (p - 1) | C2, with log2 C1 <= beta1 and log2 C2 <= beta2; of
+    # beta1 + beta2 + ell handed primes at least ell are then good.  The
+    # adversary packs C1 with the smallest handed primes, then C2 with an
+    # lcm of p - 1 over the rest, smallest first, each within its bound.
+    for beta1, beta2, ell in ((40, 40, 3), (60, 30, 5), (100, 100, 2)):
+        st = generate(OracleConfig(beta1, beta2, ell))
+        handed = sorted(st.next_prime() for _ in range(beta1 + beta2 + ell))
+        c1 = 1
+        for p in handed:
+            if c1 * p > 2**beta1:
+                break
+            c1 *= p
+        c2 = 1
+        for p in handed:
+            if c1 % p and math.lcm(c2, p - 1) <= 2**beta2:
+                c2 = math.lcm(c2, p - 1)
+        bad_c1 = [p for p in handed if c1 % p == 0]
+        bad_c2 = [p for p in handed if c1 % p and c2 % (p - 1) == 0]
+        assert bad_c1 and bad_c2, (beta1, beta2, ell)
+        assert len(handed) - len(bad_c1) - len(bad_c2) >= ell, (beta1, beta2, ell)
 
 
 def test_s_of_q_conjecture_small_scan():
