@@ -22,26 +22,27 @@ O(p log p) for every such prime.
 
 A grid whose interpolant has at most s non-constant terms takes the sparse
 kernel, ``interpolate_sparse``, instead: Ben-Or and Tiwari's method reads
-the terms off f(0) and f(g^i) for i < 2s (Berlekamp-Massey, a root search
-over the powers of g, a transposed Vandermonde solve), and a check of the
-recurrence along every grid value makes the answer exact, or None when the
-interpolant has more than s terms.  The per-prime shift search,
-``grid_shift``, first decides the degree test by one finite difference of
-the grid, and searches only a grid that passes.  The search rests on the
-same recurrence: at any term bound t, the shifts whose rotated grid can be
-sparse make two (t+1) x (t+1) Hankel matrices over the grid singular,
-which ``_hankel_singular`` tests at every shift at once; the sparse kernel
-checks the first few.  Only when they miss and more remain, as on the
-spike grids of some bad primes, do the dense transform and ``min_shift``
-run.  Small list-based helpers at the bottom hold the library's one
-Horner evaluator, ``_horner``, for a single int or Fraction point as well
-as an int64 array of points, and its one expansion of f(x + y) into
-polynomials in y, ``_taylor_rows``, for both shift searches and the exact
-Taylor shift; only short polynomials reach it on an array.  On top of
-them ``bounded_rational_roots`` is the one root finder for both the
-exponent polynomial and the dense-regime shift search: a ``_horner`` scan
-of the grid of a small prime, then Newton lifting, so it too only ever
-works modulo primes below 2^31.
+the terms off f(0) and f(g^i) for i < 2s.  One cyclic recurrence check,
+``_sparse_recurrence``, decides whether there are at most s; only then do
+a root search over the powers of g and a transposed Vandermonde solve run.
+The per-prime shift search, ``grid_shift``, first decides the degree test
+by one finite difference of a short prefix of the grid, then of the whole
+grid only when that prefix reads zero, and searches only a grid that
+passes.  The search rests on the same recurrence: at any term bound t, the
+shifts whose rotated grid can be sparse make two (t+1) x (t+1) Hankel
+matrices over the grid singular, which ``_hankel_singular`` tests at every
+shift at once, and the cyclic check decides the first few, each Hankel
+window and each rotation a view of one doubled grid.  Only when they miss
+and more remain, as on the spike grids of some bad primes, do the dense
+transform and ``min_shift`` run.  Small list-based helpers at the bottom
+hold the library's one Horner evaluator, ``_horner``, for a single int or
+Fraction point as well as an int64 array of points, and its one expansion
+of f(x + y) into polynomials in y, ``_taylor_rows``, for both shift
+searches and the exact Taylor shift; only short polynomials reach it on an
+array.  On top of them ``bounded_rational_roots`` is the one root finder
+for both the exponent polynomial and the dense-regime shift search: a
+``_horner`` scan of the grid of a small prime, then Newton lifting, so it
+too only ever works modulo primes below 2^31.
 
 Grid values are int64 arrays, and every reduction of one, here and in the
 boxes, goes through ``_mod``, which divides by the modulus with numpy's
@@ -51,14 +52,23 @@ about sqrt(p) entries a term, where one call costs less than ``_mod``'s
 three.  Every sum stays exact by one of these bounds, each proved in the
 docstring of the function named:
 - ``_mod``: x - (x // m) * m is exact for every int64 x, wrap-around too.
-- ``interpolate_sparse``: the recurrence check reduces after each product,
+- ``_sparse_recurrence``: the recurrence check reduces after each product,
   and a value in (-p, p) plus one product stays below p + (p-1)^2 < 2^63.
 - ``_horner``: reduced before every step, below m^2.
 - ``_difference``: 31 differences of residues run unreduced, below 2^62.
 - ``_hankel_singular``: each step, the first on unreduced entries in
   (-p, p), keeps every difference of two products below 2(p-1)^2 < 2^63.
-- ``_geometric_sums``: limbs and chunks keep every float64 sum below 2^53.
+- ``_geometric_sums``: limbs and groups keep every float64 sum below 2^53.
 - ``_limb_split``: FFT limbs keep Percival's rounding error below 1/2.
+Beside them, one argument makes the sparse decision exact, proved in
+``_sparse_recurrence``: the values f(g^j) - f(0) are periodic in j, so
+their minimal polynomial divides z^(p-1) - 1, squarefree with one root in
+Z_p^* a term, and by Massey's uniqueness Berlekamp-Massey on 2s values
+returns it whenever its degree is <= s.  A recurrence that holds
+cyclically along all p - 1 values is a multiple of it.  So the check
+alone accepts exactly the grids with at most s non-constant terms, the
+kernel's root search finds as many roots as the recurrence's order, and
+``grid_shift`` and ``min_shift`` accept a shift with no root search.
 """
 
 import math
@@ -87,6 +97,15 @@ _EXACT_FFT_BITS = 46
 # matrix product of integer factors is exact when no sum in it passes that.
 _EXACT_FLOAT = 1 << 53
 
+# _geometric_sums multiplies at most this many terms (each limb of a term
+# counted as one) in one matrix product, and gathers only that product's
+# tables: about 4 * 64 * sqrt(p) entries, fewer than the p of the grid from
+# p ~ 2^16 on, whatever the number of terms.  A box of at most 5 terms,
+# every lacunary box the benchmark builds, stays one product at every
+# p < 2^31.  A DenseBox of degree 2,000 at p = 100,003 peaked at 21.8 MiB
+# under tracemalloc with one product of all its terms, for a 0.76 MiB grid.
+_SUMS_CHUNK = 64
+
 # grid_shift checks this many Hankel candidates, in increasing order, before
 # it gives up on them: past that, one transform plus min_shift costs less
 # than further checks.  Many shifts pass the filter on powers of degree
@@ -96,8 +115,11 @@ _EXACT_FLOAT = 1 << 53
 # checking until a hit, with a Hankel window slid once per check, took 18 s
 # at p = 38,603 and t = 1, the transform and min_shift 28 ms.  Grids of
 # degree <= 2t, where many shifts may pass, never reach the filter: the
-# degree test comes first.  At p = 1187, about the smallest prime a solve
-# reaches, one check took 60-90 us and the complete search 400-560 us; the
+# degree test comes first.  One check, a pass of _sparse_recurrence over a
+# view of the doubled grid, costs about the same whether it accepts or
+# not: at p = 1187, about the smallest prime a solve reaches, 20-50 us for
+# t = 1-4 against 270-440 us for the complete search, and at p = 10,007
+# 50-130 us against 2.6-3.4 ms (one shared 2-CPU machine, numpy 2.4); the
 # ratio grows with p.  On the benchmark's workloads every grid that passed
 # the degree test had one candidate, its shift.
 _HANKEL_MAX_CANDIDATES = 8
@@ -326,10 +348,12 @@ def _geometric_sums(coeffs: Tuple[int, ...], exps: Tuple[int, ...], p: int) -> n
     every partial sum is exact too, in whatever order it is taken.
     A left entry is below p, and a right one is split into `limbs` limbs of
     `width` bits, each folded into the left factor as a term of its own,
-    with coefficient coeffs[k] 2^(width*j) mod p; so a chunk of terms sums
-    to at most chunk (p-1) min(p-1, 2^width - 1).  The split is the one
-    with the fewest chunks, each one BLAS call: a single one whenever
-    K (p-1)^2 <= 2^53.
+    with coefficient coeffs[k] 2^(width*j) mod p; so a group of terms sums
+    to at most group (p-1) min(p-1, 2^width - 1).  The split is the one
+    with the fewest groups, each summed in float64 and reduced once: a
+    single one whenever K (p-1)^2 <= 2^53.  A group is summed as products
+    of at most ``_SUMS_CHUNK`` terms, each over tables gathered for it
+    alone, so the tables stay O(sqrt(p)) entries whatever K.
     """
     n = p - 1
     pw = _generator_powers(p)
@@ -340,31 +364,47 @@ def _geometric_sums(coeffs: Tuple[int, ...], exps: Tuple[int, ...], p: int) -> n
     best = None
     for limbs in range(1, bits + 1):
         width = -(-bits // limbs)
-        chunk = _EXACT_FLOAT // (n * min(n, (1 << width) - 1))
-        if chunk:
-            products = -(-k * limbs // chunk)
-            if best is None or products < best[0]:
-                best = (products, limbs, width, chunk)
-            if products <= 1:
+        group = _EXACT_FLOAT // (n * min(n, (1 << width) - 1))
+        if group:
+            groups = -(-k * limbs // group)
+            if best is None or groups < best[0]:
+                best = (groups, limbs, width, group)
+            if groups <= 1:
                 break  # more limbs only make more terms
-    _, limbs, width, chunk = best
+    _, limbs, width, group = best
+    if not k:  # no terms, no product: every sum is 0
+        return _read_only(np.zeros(n, dtype=np.int64))
     e = [x % n for x in exps for _ in range(limbs)]
-    c = np.array([x * pow(2, width * j, p) % p for x in coeffs for j in range(limbs)],
-                 dtype=np.int64)
-    # row k of pows is g^(b*e_k) for b < m, row len(e) + k is g^(i*m*e_k)
-    # for i < m (rows <= m, as m^2 > p - 1)
-    steps = np.array(e + [m * x % n for x in e], dtype=np.int64)
-    pows = pw[steps[:, None] * np.arange(m) % n]  # indices below n m < 2^47
-    left = (pows[len(e) :, :rows] * c[:, None] % p).astype(np.float64)  # below p^2 < 2^62
-    right = pows[: len(e)]
-    if limbs > 1:
-        right >>= np.array([width * j for _ in coeffs for j in range(limbs)])[:, None]
-        right &= (1 << width) - 1
-    right = right.astype(np.float64)
-    s = np.dot(left[:chunk].T, right[:chunk]).astype(np.int64)
-    for lo in range(chunk, len(e), chunk):
-        _mod(s, p)
-        s += np.dot(left[lo : lo + chunk].T, right[lo : lo + chunk]).astype(np.int64)
+    c = [x * pow(2, width * j, p) % p for x in coeffs for j in range(limbs)]
+    ramp = np.arange(m)
+    s = None
+    for lo in range(0, len(e), group):
+        acc = None
+        for mid in range(lo, min(lo + group, len(e)), _SUMS_CHUNK):
+            part = e[mid : min(mid + _SUMS_CHUNK, lo + group)]
+            # row k of pows is g^(b*e_k) for b < m, row len(part) + k is
+            # g^(i*m*e_k) for i < m (rows <= m, as m^2 > p - 1)
+            steps = np.array(part + [m * x % n for x in part], dtype=np.int64)
+            pows = pw[steps[:, None] * ramp % n]  # indices below n m < 2^47
+            scale = np.array(c[mid : mid + len(part)], dtype=np.int64)[:, None]
+            left = (pows[len(part) :, :rows] * scale % p).astype(np.float64)  # below p^2 < 2^62
+            right = pows[: len(part)]
+            if limbs > 1:
+                right >>= width * (np.arange(mid, mid + len(part)) % limbs)[:, None]
+                right &= (1 << width) - 1
+            right = right.astype(np.float64)
+            if acc is None:
+                acc = np.dot(left.T, right)
+            else:
+                acc += np.dot(left.T, right)
+        # rebinding frees the float sums before _mod allocates, so that the
+        # allocator can hand their pages on rather than fault in fresh ones
+        acc = acc.astype(np.int64)
+        if s is None:
+            s = acc
+        else:
+            _mod(s, p)
+            s += acc
     return _read_only(_mod(s, p).reshape(-1)[:n])
 
 
@@ -393,6 +433,7 @@ def _berlekamp_massey(seq: Sequence[int], p: int):
 
     C = [1, c_1, ..., c_L] (list length L + 1, trailing entries possibly
     zero) with sum_j C[j] * seq[i-j] = 0 mod p for every L <= i < len(seq).
+    ``_sparse_recurrence`` is its one caller.
     """
     c, b = [1], [1]
     length, gap, last = 0, 1, 1
@@ -411,6 +452,64 @@ def _berlekamp_massey(seq: Sequence[int], p: int):
         else:
             gap += 1
     return c + [0] * (length + 1 - len(c)), length
+
+
+def _sparse_recurrence(window: np.ndarray, p: int, s: int) -> Optional[list]:
+    """The connection polynomial C = [1, c_1, ..., c_L] of the values
+    a_j = window[g^j] - window[0], j modulo p - 1, when the interpolant of
+    the p residues ``window`` has at most s non-constant terms, else None.
+    L is then that number of terms.  ``window`` is a grid or a view of one,
+    only read; s >= 0.  The library's one recurrence check: it decides
+    ``interpolate_sparse`` and every shift candidate.
+
+    Write f(x) = c_0 + sum_e c_e x^e for the interpolant.  At x = g^j,
+    a_j = sum_e c_e (g^e)^j with slot p - 1 read as e = 0 (x^(p-1) is 1 at
+    every nonzero point), one character of Z_(p-1) a slot.  So a has period
+    p - 1, and its minimal polynomial M (the monic one of least degree whose
+    recurrence a obeys at every j) is the product of z - g^e over f's
+    non-constant terms: a divisor of z^(p-1) - 1, squarefree, with roots in
+    Z_p^*, of degree the number of terms.  Berlekamp-Massey gives the
+    shortest recurrence C, of length L, of a_0..a_(2s-1) (j read modulo
+    p - 1), and C is accepted when L <= s and it holds cyclically: along
+    a_L..a_(p-2), and in the L equations at j < L, which wrap around to
+    a_(j-m+p-1).
+    - Accepted means at most s terms: the reversed P(z) = z^L C(1/z) then
+      annihilates the periodic sequence, so M divides it and deg M <= L <= s.
+    - At most s terms means accepted.  M generates the 2s values, so
+      L <= deg M <= s.  Were C to fail at a first index N >= 2s, every
+      recurrence generating a_0..a_N would have length >= N + 1 - L
+      (Massey, "Shift-register synthesis and BCH decoding", 1969), M's
+      included: deg M >= 2s + 1 - L >= s + 1, against deg M <= s.  So C
+      holds at every j >= L, P annihilates the periodic sequence, M
+      divides P, deg P = L <= deg M gives P = M, and M's recurrence holds
+      at every j.
+    So the check alone decides, and an accepted C reversed is M: L distinct
+    roots, each a power of g, and no root scan is needed to decide.  The
+    values a_j are kept unreduced in (-p, p), and the check along the grid
+    reduces its sum after each product conn[m] * a_(j-m): a value in (-p, p)
+    plus one product of a residue and such a value stays below
+    p + (p-1)^2 < 2^63 for every p < 2^31.  With L = 0 the values
+    themselves are tested, and in (-p, p) only 0 is divisible by p.  O(s p)
+    numpy work plus O(s^2) Python integer work.
+    """
+    n = p - 1
+    s = min(s, n)  # no grid has more than p - 1 non-constant terms
+    seq = window[_generator_powers(p)] - window[0]  # a_j, unreduced in (-p, p)
+    head = (seq[: 2 * s].tolist() * 2)[: 2 * s]  # j modulo p - 1, as 2s <= 2(p - 1)
+    conn, length = _berlekamp_massey([x % p for x in head], p)
+    if length > s:
+        return None
+    rest = seq[length:].copy()
+    for m in range(1, length + 1):
+        rest += conn[m] * seq[length - m : n - m]
+        _mod(rest, p)
+    if rest.any():
+        return None
+    ends = seq[n - length :].tolist() + seq[:length].tolist()  # a_(-L)..a_(L-1)
+    for j in range(length, 2 * length):
+        if sum(c * ends[j - m] for m, c in enumerate(conn)) % p:
+            return None
+    return conn
 
 
 # ---------------- spec operations ----------------
@@ -442,49 +541,35 @@ def interpolate_sparse(values: Sequence[int], p: int, s: int) -> Optional[DenseP
     terms, else None.
 
     Ben-Or and Tiwari's method on the grid already in hand.  With c_0 the
-    value at 0, the values a_j = f(g^j) - c_0 = sum_k c_k (g^e_k)^j satisfy
-    a linear recurrence whose characteristic polynomial has the roots g^e_k,
-    one per term, a slot e_k in 1..p-1 (x^(p-1) is 1 at every nonzero
-    point, so slot p-1 has root 1 = g^0).  Berlekamp-Massey finds the
-    recurrence from a_0..a_(2s-1).  It is then checked along all of
-    a_0..a_(p-2); one Horner pass over the powers of g (the table of
-    ``_generator_powers``), reduced only where a step could leave int64,
-    finds its roots and their slots, and a transposed
-    Vandermonde solve fits the coefficients to a_0..a_(L-1).  A sequence
-    that obeys a recurrence with L distinct roots is fixed by its first L
-    values, so the result matches all p values, and a polynomial of degree
-    < p that does is the interpolant: the answer is exact whatever the
-    input.  More than s terms show up as a recurrence longer than s, a
-    failed check or too few roots.  The values a_j are kept unreduced in
-    (-p, p), and the check reduces its sum after each product
-    conn[m] * a_(j-m): a value in (-p, p) plus one product of a residue and
-    such a value stays below p + (p-1)^2 < 2^63 for every p < 2^31.  With
-    L = 0 the values themselves are tested, and in (-p, p) only 0 is
-    divisible by p.  O(s p) numpy work plus O(s^2) Python integer work.
+    value at 0, ``_sparse_recurrence`` decides the term bound from the
+    values a_j = f(g^j) - c_0 = sum_k c_k (g^e_k)^j and returns their
+    recurrence, whose characteristic polynomial has exactly the roots
+    g^e_k, one per term, a slot e_k in 1..p-1 (slot p-1 has root
+    1 = g^0).  One Horner pass over the powers of g (the table of
+    ``_generator_powers``) finds those roots and their slots, and a
+    transposed Vandermonde solve fits the coefficients to a_0..a_(L-1).
+    A sequence that obeys a recurrence with L distinct roots is fixed by
+    its first L values, so the result matches all p values, and a
+    polynomial of degree < p that does is the interpolant: the answer is
+    exact whatever the input.  A scan that finds fewer than L roots breaks
+    ``_sparse_recurrence``'s proof and raises RuntimeError.  O(s p) numpy
+    work plus O(s^2) Python integer work.
     """
     if s < 0:
         raise ValueError(f"term bound must be >= 0, got {s}")
     vals = _checked_grid(np.asarray(values, dtype=np.int64), p)
-    n = p - 1
-    s = min(s, n)  # no grid has more than p - 1 non-constant terms
+    conn = _sparse_recurrence(vals, p, s)
+    if conn is None:
+        return None
+    n, length = p - 1, len(conn) - 1
     pw = _generator_powers(p)
     c0 = int(vals[0])
-    seq = vals[pw] - c0  # seq[j] = f(g^j) - c_0, unreduced in (-p, p)
-    head = [x % p for x in seq[np.arange(2 * s) % n].tolist()]
-    conn, length = _berlekamp_massey(head, p)
-    if length > s:
-        return None
-    # the recurrence must hold along the whole grid, not just the 2s values
-    rest = seq[length:].copy()
-    for m in range(1, length + 1):
-        rest += conn[m] * seq[length - m : n - m]
-        _mod(rest, p)
-    if rest.any():
-        return None
+    head = [(x - c0) % p for x in vals[pw[:length]].tolist()]
     # roots of z^L C(1/z), whose coefficients from the top are conn, at every g^i
     logs = np.flatnonzero(_horner(conn[::-1], pw, p) == 0).tolist()
-    if len(logs) < length:  # repeated roots, roots outside Z_p^*, or root 0
-        return None
+    if len(logs) != length:
+        raise RuntimeError(f"a cyclic recurrence of order {length} modulo {p} "
+                           f"has {len(logs)} roots among the powers of g")
     slots = [i or n for i in logs]  # root g^0 = 1 is the slot of x^(p-1)
     out = np.zeros(max(slots, default=0) + 1, dtype=np.int64)
     out[0] = c0
@@ -493,7 +578,7 @@ def interpolate_sparse(values: Sequence[int], p: int, s: int) -> Optional[DenseP
         quot = [1]  # z^L C(1/z) / (z - root), from the top
         for a in conn[1:length]:
             quot.append((a + root * quot[-1]) % p)
-        num = sum(q * x for q, x in zip(quot, reversed(head[:length])))
+        num = sum(q * x for q, x in zip(quot, reversed(head)))
         den = _horner(quot[::-1], root, p)
         out[e] = num * pow(den, -1, p) % p
     return DensePolyMod(p, out)
@@ -518,10 +603,12 @@ def min_shift(f: DensePolyMod, grid: Sequence[int], *, tau_cap: int) -> Optional
     deg f - 2*tau_cap .. deg f - 1 of ``_taylor_rows``, reduced modulo p;
     with deg f < p no binomial in them vanishes, so row k keeps degree
     deg f - k.  Each candidate, most votes first, is checked exactly by
-    ``interpolate_sparse`` on the grid rotated by it.  The library's shift
-    phase reaches it only through ``grid_shift``, when the first
-    ``_HANKEL_MAX_CANDIDATES`` of more Hankel candidates miss; on other
-    grids that filter finds the shift without f's coefficients.
+    ``_sparse_recurrence`` on the grid rotated by it, a view of the doubled
+    grid, and the order of an accepted recurrence is the shift's number of
+    terms.  The library's shift phase reaches it only through
+    ``grid_shift``, when the first ``_HANKEL_MAX_CANDIDATES`` of more
+    Hankel candidates miss; on other grids that filter finds the shift
+    without f's coefficients.
     """
     p, d = f.modulus, f.degree
     grid = _checked_grid(np.asarray(grid, dtype=np.int64), p)
@@ -537,10 +624,11 @@ def min_shift(f: DensePolyMod, grid: Sequence[int], *, tau_cap: int) -> Optional
     for row in _taylor_rows(f.coeffs.tolist(), range(d - 2 * tau_cap, d)):
         for g in np.flatnonzero(_horner([c % p for c in row], xs, p) == 0).tolist():
             votes[g] += 1
+    twice = np.concatenate((grid, grid))  # twice[g : g + p] is the grid of f(x + g)
     for g in sorted((g for g, v in votes.items() if v > tau_cap), key=lambda g: (-votes[g], g)):
-        hit = interpolate_sparse(_rotate(grid, g), p, tau_cap)
-        if hit is not None:
-            return MinShift(g, tau(hit), False)
+        conn = _sparse_recurrence(twice[g : g + p], p, tau_cap)
+        if conn is not None:
+            return MinShift(g, len(conn) - 1, False)
     return None
 
 
@@ -551,15 +639,21 @@ def grid_shift(grid: Sequence[int], p: int, *, tau_cap: int) -> Tuple[bool, Opti
     when there is none.  gamma is None whenever passes is False.
 
     Let t = tau_cap, g the generator of ``_generator_powers`` and
-    s_gamma(j) = grid[gamma + g^j] - grid[gamma].
+    s_gamma(j) = grid[gamma + g^j] - grid[gamma].  The grid is read a
+    constant number of times: every window below is a view of one doubled
+    copy, twice = (grid, grid), in which twice[k : k + p] is the grid of
+    f(x + k).
     - Degree, first.  The (2t+1)-th finite difference of the grid,
       ``_difference``, decides the degree test before any other work: for
       d = deg f < p it is zero when d <= 2t, and else a polynomial of degree
       d - 2t - 1 whose leading coefficient, f's times d!/(d-2t-1)!, is
       nonzero modulo p, so it is nonzero at one of the p - 2t - 1 > d - 2t - 1
       points where it is read (there are none when p <= 2t + 1, and then
-      d <= 2t).  A grid that fails returns at once; only a passing grid
-      runs the shift search below.
+      d <= 2t).  Its first 8(2t+1) values are a difference of the grid's
+      first 9(2t+1) and are nonzero on almost every passing grid, so they
+      decide it; only when they all read zero is the whole difference
+      taken.  A grid that fails returns at once; only a passing grid runs
+      the shift search below.
     - Completeness.  A Hankel filter on the grid finds the candidate shifts
       without a transform.  If f(x + gamma) = c_0 + sum_k c_k x^e_k has at
       most t non-constant terms, the grid rotated by gamma is its grid, so
@@ -569,11 +663,20 @@ def grid_shift(grid: Sequence[int], p: int, *, tau_cap: int) -> Tuple[bool, Opti
       matrix of s_gamma, so the two over j = 0..2t and j = 1..2t+1 are both
       singular, and ``_hankel_singular`` flags every singular matrix.  j is
       read modulo p - 1, the period of g^j, so small primes lose nothing.
-      Every such gamma is thus a candidate.
-    - Exactness.  Each candidate, in increasing order, is checked by
-      ``interpolate_sparse`` on the grid rotated by it, which succeeds
-      exactly when f(x + gamma) has at most t non-constant terms, so a
-      spurious candidate costs one check and nothing else.
+      s_gamma(j) over every gamma at once is twice[g^j : g^j + p] less the
+      grid.  Every such gamma is thus a candidate.
+    - Exactness.  Each candidate, in increasing order, is decided by
+      ``_sparse_recurrence`` on the view twice[gamma : gamma + p]:
+      Berlekamp-Massey on s_gamma(0..2t-1), then the recurrence checked
+      cyclically along all p - 1 values.  s_gamma is periodic in j, so its
+      minimal polynomial divides z^(p-1) - 1 and has one root a term; a
+      cyclic recurrence of order L <= t is a multiple of it, so f(x + gamma)
+      then has at most t terms, and when it has, Massey's uniqueness makes
+      Berlekamp-Massey on 2t >= 2L values return exactly that polynomial,
+      which the check accepts.  So the check accepts exactly when
+      f(x + gamma) has at most t non-constant terms, with no root search,
+      no coefficients and no copy of the grid, and a spurious candidate
+      costs one check and nothing else.
     - Uniqueness.  With deg f >= 2t + 1 the t-sparse shift is unique
       (Lakshman and Saunders, "Sparse shifts for univariate polynomials",
       1996; ``min_shift`` rests on the same fact), so the first hit is it.
@@ -586,11 +689,13 @@ def grid_shift(grid: Sequence[int], p: int, *, tau_cap: int) -> Tuple[bool, Opti
     vals = _checked_grid(np.asarray(grid, dtype=np.int64), p)
     if tau_cap < 1:
         raise ValueError(f"tau_cap must be >= 1, got {tau_cap}")
-    if not _difference(vals, p, 2 * tau_cap + 1).any():
+    k = 2 * tau_cap + 1
+    if not (_difference(vals[: 9 * k], p, k).any() or _difference(vals, p, k).any()):
         return False, None
-    cands = _hankel_candidates(vals, p, tau_cap)
+    twice = np.concatenate((vals, vals))
+    cands = _hankel_candidates(twice, p, tau_cap)
     for gamma in cands[:_HANKEL_MAX_CANDIDATES]:
-        if interpolate_sparse(_rotate(vals, gamma), p, tau_cap) is not None:
+        if _sparse_recurrence(twice[gamma : gamma + p], p, tau_cap) is not None:
             return True, gamma
     if len(cands) <= _HANKEL_MAX_CANDIDATES:
         return True, None
@@ -608,20 +713,20 @@ def _difference(vals: np.ndarray, p: int, k: int) -> np.ndarray:
     return vals
 
 
-def _hankel_candidates(vals: np.ndarray, p: int, t: int) -> list:
+def _hankel_candidates(twice: np.ndarray, p: int, t: int) -> list:
     """The shifts gamma, in increasing order, at which ``_hankel_singular``
-    flags both (t+1) x (t+1) Hankel matrices of s_gamma (``grid_shift``).
-    The first matrix is tested at every gamma, the second only where the
-    first is flagged, which on most grids leaves a handful."""
+    flags both (t+1) x (t+1) Hankel matrices of s_gamma (``grid_shift``),
+    for the grid vals whose doubled copy (vals, vals) is ``twice``.  The
+    first matrix is tested at every gamma, the second only where the first
+    is flagged, which on most grids leaves a handful.  s_gamma(j) over
+    every gamma is one window of the doubled grid less the grid."""
     pw = _generator_powers(p)
     n = p - 1
-    seq = []  # differences of residues, left unreduced in (-p, p)
-    for j in range(2 * t + 1):
-        s = _rotate(vals, int(pw[j % n]))
-        s -= vals
-        seq.append(s)
+    vals = twice[:p]
+    # differences of residues, left unreduced in (-p, p); g^j < p
+    seq = [twice[k : k + p] - vals for k in (int(pw[j % n]) for j in range(2 * t + 1))]
     cands = np.flatnonzero(_hankel_singular(seq, p) == 0)
-    top = vals[_mod(cands + int(pw[(2 * t + 1) % n]), p)]
+    top = twice[cands + int(pw[(2 * t + 1) % n])]
     top -= vals[cands]
     shifted = [s[cands] for s in seq[1:]] + [top]
     return cands[_hankel_singular(shifted, p) == 0].tolist()

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from lacuna import (
+    DenseBox,
     DensePolyMod,
     ShiftedLacunary,
     interpolate_range,
@@ -20,6 +21,7 @@ from lacuna import (
 from lacuna import densepoly
 from lacuna.densepoly import (
     _HANKEL_MAX_CANDIDATES,
+    _berlekamp_massey,
     _generator_powers,
     _geometric_sums,
     _hankel_candidates,
@@ -27,6 +29,7 @@ from lacuna.densepoly import (
     _horner,
     _mod,
     _rotate,
+    _sparse_recurrence,
     _times_linear,
     bounded_rational_roots,
     grid_shift,
@@ -254,6 +257,71 @@ def test_sparse_kernel_rejects_bad_input():
         interpolate_sparse([0, 5, 1], 3, 1)  # unreduced value
     with pytest.raises(ValueError):
         interpolate_sparse([0, 1, 2], 3, -1)  # negative term bound
+
+
+def g_order_grid(p, c0, seq):
+    """The grid with c0 at 0 and c0 + seq[j] at g^j, j < p - 1: the values
+    a_j that the recurrence check reads are seq."""
+    grid = np.full(p, c0 % p, dtype=np.int64)
+    grid[_generator_powers(p)] = [(c0 + a) % p for a in seq]
+    return grid
+
+
+def test_cyclic_check_rejects_recurrences_that_hold_only_within_one_period():
+    # each sequence obeys its Berlekamp-Massey recurrence along a_L..a_(p-2)
+    # but not across the wrap from a_(p-2) back to a_0, and its interpolant
+    # has more terms than any tried bound: a double root (j r^j wraps to
+    # (p-1) r^(p-1) = -1, not a_0 = 0), an irreducible quadratic (a root
+    # alpha outside Z_p has alpha^(p-1) != 1), and a root 0 (a geometric
+    # sequence with a_0 changed, and a lone spike)
+    p, r = 101, 7
+    n = p - 1
+    # z^2 - z - b is irreducible when its discriminant 1 + 4b is a non-residue
+    b = next(b for b in range(1, p) if pow(1 + 4 * b, n // 2, p) == p - 1)
+    quadratic = [1, 5]
+    while len(quadratic) < n:
+        quadratic.append((quadratic[-1] + b * quadratic[-2]) % p)
+    cases = [
+        ([j * pow(r, j, p) % p for j in range(n)], [1, p - 2 * r, r * r % p]),
+        (quadratic, [1, p - 1, p - b]),
+        ([5] + [pow(r, j, p) for j in range(1, n)], [1, p - r, 0]),
+        ([1] + [0] * (n - 1), [1, 0]),
+    ]
+    for seq, conn in cases:
+        length = len(conn) - 1
+        assert _berlekamp_massey(seq[: 2 * length], p) == (conn, length)
+        assert all(sum(c * seq[j - m] for m, c in enumerate(conn)) % p == 0
+                   for j in range(length, n))  # the recurrence holds within the period
+        for c0 in (0, 9):
+            grid = g_order_grid(p, c0, seq)
+            terms = sum(1 for c in naive_interpolate(grid.tolist(), p)[1:] if c)
+            for s in range(length, length + 4):
+                assert terms > s
+                assert _sparse_recurrence(grid, p, s) is None, (conn, s)
+                assert interpolate_sparse(grid, p, s) is None, (conn, s)
+
+
+def test_sparse_recurrence_of_an_accepted_grid_is_its_minimal_polynomial():
+    # an accepted recurrence, reversed, is the product of z - g^e over the
+    # interpolant's terms: its order is their number, on a view as on a grid
+    rng = random.Random(127)
+    for p in (5, 13, 101, 1009):
+        pw = _generator_powers(p)
+        for t in range(min(4, p - 1) + 1):
+            slots = rng.sample(range(1, p), t)
+            grid = sparse_grid(p, rng.randrange(p), [(rng.randrange(1, p), e) for e in slots])
+            twice = np.concatenate((grid, grid))
+            for s in range(t, t + 2):
+                for gamma in (0, rng.randrange(p)):
+                    window = twice[gamma : gamma + p]
+                    want = interpolate_sparse(window, p, s)
+                    conn = _sparse_recurrence(window, p, s)
+                    assert (conn is None) == (want is None)
+                    if conn is not None:
+                        roots = [int(pw[e % (p - 1)]) for e in np.flatnonzero(want.coeffs[1:]) + 1]
+                        assert len(conn) - 1 == tau(want) and all(
+                            _horner(conn[::-1], x, p) == 0 for x in roots)
+            assert _sparse_recurrence(grid, p, t) is not None
 
 
 # ---------------- Taylor shift by grid rotation ----------------
@@ -489,6 +557,11 @@ def shifted_grid(p, g0, c0, terms):
     return [(c0 + sum(c * pow(x - g0, e, p) for c, e in terms)) % p for x in range(p)]
 
 
+def doubled(grid):
+    """The grid twice over, as ``_hankel_candidates`` reads it."""
+    return np.concatenate((grid, grid)).astype(np.int64)
+
+
 @pytest.fixture
 def transforms(monkeypatch):
     """The primes of the dense transforms that densepoly runs, in order;
@@ -538,7 +611,7 @@ def test_grid_shift_equals_exhaustive_search(transforms):
             # a linear grid makes every shift a candidate, but fails the
             # degree test before the filter runs: no transform runs
             if p > _HANKEL_MAX_CANDIDATES:
-                assert len(_hankel_candidates(np.array(flat[0]), p, t)) == p
+                assert len(_hankel_candidates(doubled(flat[0]), p, t)) == p
                 transforms.clear()
                 assert grid_shift(flat[0], p, tau_cap=t) == (False, None)
                 assert transforms == []
@@ -556,7 +629,7 @@ def test_grid_shift_past_the_candidate_cap_on_a_half_degree_grid(transforms):
         grid = grid_of(coeffs, p)
         assert naive_min_shift(coeffs, p) == (g0, 1, False)
         for t in (1, 2):
-            cands = _hankel_candidates(np.array(grid), p, t)
+            cands = _hankel_candidates(doubled(grid), p, t)
             assert len(cands) > _HANKEL_MAX_CANDIDATES and g0 in cands
             transforms.clear()
             assert grid_shift(grid, p, tau_cap=t) == (True, g0), (p, t)
@@ -615,19 +688,20 @@ def test_grid_shift_bounds_its_checks_on_a_spike_grid(transforms, monkeypatch):
     # a bad prime with (p - 1) | e turns 5 (x - g0)^e into 5 at every
     # x != g0, so s_gamma is zero at every j but one for gamma != g0 and
     # each Hankel matrix drops about one shift: the search stops after
-    # _HANKEL_MAX_CANDIDATES checks, and one transform and min_shift find g0
+    # _HANKEL_MAX_CANDIDATES checks, and one transform and min_shift, whose
+    # first candidate check hits, find g0
     checks = []
-    kernel = densepoly.interpolate_sparse
+    kernel = densepoly._sparse_recurrence
 
-    def counted(values, p, t):
+    def counted(window, p, s):
         checks.append(p)
-        return kernel(values, p, t)
+        return kernel(window, p, s)
 
-    monkeypatch.setattr(densepoly, "interpolate_sparse", counted)
+    monkeypatch.setattr(densepoly, "_sparse_recurrence", counted)
     p, g0 = 10007, 6131
     grid = shifted_grid(p, g0, 3, [(5, p - 1)])
     for t in (1, 2, 4):
-        assert len(_hankel_candidates(np.array(grid), p, t)) > p - 4 * t
+        assert len(_hankel_candidates(doubled(grid), p, t)) > p - 4 * t
         transforms.clear()
         checks.clear()
         assert grid_shift(grid, p, tau_cap=t) == (True, g0), t
@@ -644,8 +718,10 @@ def test_grid_shift_bounds_its_checks_on_a_spike_grid(transforms, monkeypatch):
 def test_grid_shift_takes_the_degree_of_shiftless_grids_from_a_difference(transforms):
     # grids with no t-sparse shift and few Hankel candidates take the
     # degree from the finite difference: random grids, which mostly pass,
-    # degree t+2..2t grids, which never do, and primes p <= 2t + 1, where
-    # the difference is empty
+    # degree t+2..2t grids, which never do, primes p <= 2t + 1, where
+    # the difference is empty, and degree <= 2t grids with one value
+    # changed past the first 9(2t+1), whose difference reads zero on the
+    # prefix that decides most grids, yet which pass
     rng = random.Random(97)
     seen = set()
     for t in (1, 2, 3):
@@ -654,6 +730,12 @@ def test_grid_shift_takes_the_degree_of_shiftless_grids_from_a_difference(transf
             for _ in range(4):
                 deg = rng.randint(t + 2, 2 * t) if t >= 2 and p > 2 * t else p - 1
                 grids.append(grid_of([rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)], p))
+            if p > 9 * (2 * t + 1):
+                late = grid_of([rng.randrange(p) for _ in range(2 * t + 1)], p)
+                x = rng.randrange(9 * (2 * t + 1), p)
+                late[x] = (late[x] + 1) % p
+                grids.append(late)
+                seen.add("late")
             for grid in grids:
                 coeffs = naive_interpolate(grid, p)
                 if naive_min_shift(coeffs, p)[1] <= t:
@@ -661,7 +743,7 @@ def test_grid_shift_takes_the_degree_of_shiftless_grids_from_a_difference(transf
                 passes = len(coeffs) - 1 >= 2 * t + 1
                 assert grid_shift(grid, p, tau_cap=t) == (passes, None), (t, p, grid)
                 seen.add((passes, p <= 2 * t + 1))
-    assert seen == {(True, False), (False, False), (False, True)}
+    assert seen == {(True, False), (False, False), (False, True), "late"}
     assert transforms == []
 
 
@@ -671,7 +753,7 @@ def test_grid_shift_answers_low_degree_grids_before_any_search(monkeypatch):
     # grid, whose filter keeps every shift, and at degrees t+1..2t, where no
     # shift is t-sparse, as at every lower degree
     calls = []
-    for name in ("_hankel_candidates", "interpolate_sparse", "interpolate_range"):
+    for name in ("_hankel_candidates", "_sparse_recurrence", "interpolate_range"):
         def counted(*args, _name=name, _real=getattr(densepoly, name)):
             calls.append(_name)
             return _real(*args)
@@ -681,7 +763,7 @@ def test_grid_shift_answers_low_degree_grids_before_any_search(monkeypatch):
         for p in (2, 3, 11, 101, 1009):
             linear = grid_of([rng.randrange(p), rng.randrange(1, p)], p)
             if p > 2 * t + 1:
-                assert len(_hankel_candidates(np.array(linear), p, t)) == p
+                assert len(_hankel_candidates(doubled(linear), p, t)) == p
             grids = [linear]
             for deg in range(min(2 * t, p - 1) + 1):
                 grids.append(grid_of([rng.randrange(p) for _ in range(deg)] + [rng.randrange(1, p)], p))
@@ -709,7 +791,7 @@ def test_hankel_candidates_from_unreduced_differences_equal_the_reduced_ones():
             grids = [make_blackbox(poly).eval_range(p) for poly in polys]
             grids.append(noise.integers(0, p, p))
             for grid in grids:
-                assert _hankel_candidates(grid, p, t) == reduced_hankel_candidates(grid, p, t), (p, t)
+                assert _hankel_candidates(doubled(grid), p, t) == reduced_hankel_candidates(grid, p, t), (p, t)
 
 
 def test_grid_shift_rejects_bad_input():
@@ -878,6 +960,30 @@ def test_geometric_sums_match_a_naive_sum():
         assert got.dtype == np.int64 and len(got) == n
         points = range(n) if p < 100 else [0, 1, n - 1, *rng.sample(range(n), 40)]
         assert [int(got[a]) for a in points] == naive_geometric_sums(coeffs, exps, p, points)
+
+
+def test_dense_box_grid_peaks_at_a_few_grids():
+    # _geometric_sums gathers its tables for at most _SUMS_CHUNK terms at a
+    # time: with one product of all 2,000 terms this grid peaked at 28.6
+    # grids' worth of memory.  The prime's table, itself about a grid, is
+    # built before the trace.
+    import tracemalloc
+
+    rng = random.Random(131)
+    coeffs = [rng.randint(-9, 9) or 1 for _ in range(2001)]
+    box = DenseBox(coeffs)
+    p = 100003
+    _generator_powers(p)
+    _geometric_sums.cache_clear()
+    tracemalloc.start()
+    try:
+        grid = box.eval_range(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * grid.nbytes, peak / grid.nbytes
+    for x in (0, 1, 2, p - 1, *rng.sample(range(p), 5)):
+        assert int(grid[x]) == horner([c % p for c in coeffs], x, p)
 
 
 # ---------------- bounded rational roots ----------------

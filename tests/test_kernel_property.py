@@ -1,5 +1,6 @@
 """Property tests of the chirp-transform kernel and the sparse kernel at
-every prime below 600, of the image a candidate's confirmation reads in
+every prime below 600, of the cyclic recurrence check against a naive term
+count, of the image a candidate's confirmation reads in
 the sparse kernel's place, of the Hankel singularity test and the shift
 search's degree test, of the int64 reduction helper, of the Horner
 steps, of the lacunary box's float64 sums split into limbs and chunks, and
@@ -34,7 +35,7 @@ from lacuna import (
 from lacuna import densepoly, sparse_interp
 from lacuna.densepoly import _difference, _hankel_singular, _horner, _mod
 
-from conftest import naive_frac_mod, naive_termwise_reduction, random_instance
+from conftest import naive_frac_mod, naive_interpolate, naive_termwise_reduction, random_instance
 
 PRIMES_BELOW_600 = [p for p in range(600) if is_prime(p)]
 
@@ -83,6 +84,34 @@ def test_sparse_kernel_property(p, s, extra, seed):
     noise = [rng.randrange(p) for _ in range(p)]  # a random grid is dense but at tiny p
     dense = interpolate_range(noise, p)
     assert interpolate_sparse(noise, p, s) == (dense if tau(dense) <= s else None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.sampled_from([p for p in PRIMES_BELOW_600 if p < 200]), s=st.integers(0, 6),
+       kind=st.sampled_from(("random", "planted", "perturbed")), seed=st.integers(0, 2**32 - 1))
+@example(p=2, s=0, kind="random", seed=0)
+@example(p=7, s=2, kind="perturbed", seed=1)
+def test_cyclic_decision_is_the_naive_term_count(p, s, kind, seed):
+    # _sparse_recurrence accepts exactly the grids whose naive interpolant
+    # has at most s non-constant terms, and then has their number as its
+    # order: random grids, planted grids of s - 1..s + 1 terms, and planted
+    # grids with one value changed, which adds a Lagrange basis polynomial
+    rng = random.Random(seed)
+    if kind == "random":
+        grid = [rng.randrange(p) for _ in range(p)]
+    else:
+        coeffs = [0] * p
+        coeffs[0] = rng.randrange(p)
+        for e in rng.sample(range(1, p), min(p - 1, max(0, s + rng.randint(-1, 1)))):
+            coeffs[e] = rng.randrange(1, p)
+        grid = grid_of(coeffs, p)
+        if kind == "perturbed":
+            x = rng.randrange(p)
+            grid[x] = (grid[x] + rng.randrange(1, p)) % p
+    terms = sum(1 for c in naive_interpolate(grid, p)[1:] if c)
+    conn = densepoly._sparse_recurrence(np.array(grid, dtype=np.int64), p, s)
+    assert (conn is not None) == (terms <= s), (terms, conn)
+    assert conn is None or len(conn) - 1 == terms
 
 
 @settings(max_examples=150, deadline=None)
@@ -227,15 +256,18 @@ def test_mod_of_an_int64_array_is_numpy_mod_in_place(a, m):
 
 @settings(max_examples=40, deadline=None)
 @given(p=st.sampled_from(PRIMES_BELOW_600), seed=st.integers(0, 2**32 - 1),
-       exact_bits=st.integers(10, 20))
-@example(p=599, seed=0, exact_bits=10)
-def test_lacunary_grid_same_under_every_reduction_schedule(p, seed, exact_bits):
+       exact_bits=st.integers(10, 20), chunk=st.integers(1, 64))
+@example(p=599, seed=0, exact_bits=10, chunk=64)
+@example(p=599, seed=1, exact_bits=20, chunk=3)
+def test_lacunary_grid_same_under_every_reduction_schedule(p, seed, exact_bits, chunk):
     # with float64 sums limited to 2^10..2^20 instead of 2^53, most of these
-    # primes split the power table into limbs and the terms into chunks
+    # primes split the power table into limbs and the terms into groups,
+    # and products of 1..64 terms split the groups into chunks
     f, _ = random_instance(random.Random(seed), max_t=6, max_exp=1 << 14)
     want = naive_termwise_reduction(f, p)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(densepoly, "_EXACT_FLOAT", 1 << exact_bits)
+        mp.setattr(densepoly, "_SUMS_CHUNK", chunk)
         densepoly._geometric_sums.cache_clear()  # sums cached under 2^53 would skip the schedule
         try:
             grid = make_blackbox(f).eval_range(p)

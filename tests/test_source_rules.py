@@ -100,6 +100,32 @@ def test_no_float_matrix_product_outside_the_exact_helper():
     assert not found, f"matrix products outside densepoly._geometric_sums: {found}"
 
 
+def test_one_recurrence_check():
+    # "at most s terms" is decided in one place, the cyclic check of
+    # densepoly._sparse_recurrence, for the sparse kernel and every shift
+    # candidate alike: no other code names Berlekamp-Massey
+    found, inside = [], 0
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        core = next((node for node in tree.body if isinstance(node, ast.FunctionDef)
+                     and node.name == "_sparse_recurrence"), None)
+        exempt = {id(node) for node in ast.walk(core)} if core is not None else set()
+        for node in ast.walk(tree):
+            names = (
+                [node.id] if isinstance(node, ast.Name)
+                else [node.attr] if isinstance(node, ast.Attribute)
+                else [a.name for a in node.names] if isinstance(node, ast.ImportFrom)
+                else []
+            )
+            if "_berlekamp_massey" in names:
+                if id(node) in exempt:
+                    inside += 1
+                else:
+                    found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"Berlekamp-Massey named outside densepoly._sparse_recurrence: {found}"
+    assert inside, "densepoly._sparse_recurrence runs no Berlekamp-Massey"
+
+
 def test_no_catch_all_except():
     # every handler names the errors it expects, so a broken invariant or a
     # typo surfaces instead of being read as a failed reconstruction
