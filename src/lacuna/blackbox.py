@@ -8,7 +8,10 @@ programs, so tests can model genuinely opaque functions.  Every one of them
 evaluates the whole grid Z_p in bulk on int64 arrays.  The dense box is
 the lacunary box of its nonzero terms, so both sum terms by one exact
 kernel; the straight-line program box runs one interpreter over either a
-Python int or that array.
+Python int or that array.  The interpreter keeps a bound next to each
+register and reduces a register only when the next operation could leave
+int64, not after every one: at the small primes of a solve four residues
+multiply inside int64, so about half the reductions of a squaring chain go.
 """
 
 import json
@@ -32,6 +35,9 @@ from .densepoly import (
 )
 from .errors import DenominatorVanished
 from .modular_core import frac_mod
+
+# A register whose bound stays at most this fits in int64: |r| < 2^63.
+_INT64 = 1 << 63
 
 
 # ---------------- the output representation ----------------
@@ -236,8 +242,10 @@ class ProgramBox(ModularBlackBox):
 
     One interpreter runs the program over a single point as a Python int
     (``eval``, exact at any modulus) or over the int64 array of all of
-    Z_p at once (``eval_range``: p < 2^31 keeps every product of two
-    residues below 2^62).
+    Z_p at once (``eval_range``).  Both follow one reduction schedule: each
+    register carries a bound on its absolute value, and a register is
+    reduced only before an operation whose bound would pass 2^63, so below
+    p ~ 2^31.5 every array value stays in int64 (``_eval`` proves it).
     """
 
     _ARITY = {"input": 0, "const": 1, "add": 2, "sub": 2, "mul": 2}
@@ -271,21 +279,60 @@ class ProgramBox(ModularBlackBox):
 
     def _eval(self, p: int, x):
         """The program's value modulo p at x: a reduced Python int, or an
-        int64 array of reduced points when p < 2^31."""
-        regs = []
+        int64 array of reduced points when p < 2^31.
+
+        Each register r_i keeps a Python-int bound B_i with |r_i| < B_i: p
+        for the input and a constant, B_i + B_j for a sum or difference,
+        B_i * B_j for a product.  A bound of at most 2^63 keeps a value in
+        int64.  A register is reduced, in place and by ``_mod``, only when
+        the next operation could leave int64: before a product whose bound
+        would pass 2^63, the operand of the larger bound is reduced (its
+        bound drops to p) and the bound checked again, so a squaring, one
+        register, takes one reduction; before a sum or difference whose
+        bound would, both operands are.  The result is reduced once at the
+        end, if its bound passes p.  Every operation gives a bound of at
+        least 2p, so a bound of p marks the input, a constant or a reduced
+        value, each in [0, p): the caller's x and the constants are never
+        written, and every register reduced is a fresh value of this call.
+        Below p ~ 2^31.5 two reduced operands combine inside 2^63, so every
+        operation stays in int64; past it a product is reduced before every
+        use, as on the scalar path at a 70-bit p.  The array path raises
+        RuntimeError for an operation whose bound stays above 2^63 after
+        its reductions, which no p < 2^31 reaches.
+        """
+        on_array = isinstance(x, np.ndarray)
+        regs, bounds = [], []
+
+        def reduce(i):
+            if bounds[i] > p:
+                regs[i] = _mod(regs[i], p)
+                bounds[i] = p
+
         for kind, *args in self.ops:
             if kind == "input":
                 regs.append(x)
+                bounds.append(p)
             elif kind == "const":
                 regs.append(frac_mod(args[0], p))
+                bounds.append(p)
             else:
-                a, b = regs[args[0]], regs[args[1]]
-                if kind == "add":
-                    regs.append(_mod(a + b, p))
-                elif kind == "sub":
-                    regs.append(_mod(a - b, p))
+                i, j = args
+                if kind == "mul":
+                    while bounds[i] * bounds[j] > _INT64 and max(bounds[i], bounds[j]) > p:
+                        reduce(i if bounds[i] >= bounds[j] else j)
+                    bound = bounds[i] * bounds[j]
                 else:
-                    regs.append(_mod(a * b, p))
+                    if bounds[i] + bounds[j] > _INT64:
+                        reduce(i)
+                        reduce(j)
+                    bound = bounds[i] + bounds[j]
+                if on_array and bound > _INT64:
+                    raise RuntimeError(f"{kind} of registers {i} and {j} modulo {p} "
+                                       "could leave int64")
+                a, b = regs[i], regs[j]
+                regs.append(a + b if kind == "add" else a - b if kind == "sub" else a * b)
+                bounds.append(bound)
+        reduce(-1)
         return regs[-1]
 
     def _grid(self, p: int) -> np.ndarray:

@@ -55,6 +55,11 @@ docstring of the function named:
 - ``_sparse_recurrence``: the recurrence check reduces after each product,
   and a value in (-p, p) plus one product stays below p + (p-1)^2 < 2^63.
 - ``_horner``: reduced before every step, below m^2.
+- ``ProgramBox._eval`` (in ``blackbox``): each register carries a bound,
+  and one is reduced only before an operation whose bound would pass 2^63.
+  ``_horner`` keeps no such schedule: its array callers run at most 2t + 1
+  steps, where a program's squaring chain runs about bn products, half of
+  whose reductions the bounds skip at the primes of a solve.
 - ``_difference``: 31 differences of residues run unreduced, below 2^62.
 - ``_hankel_singular``: each step, the first on unreduced entries in
   (-p, p), keeps every difference of two products below 2(p-1)^2 < 2^63.
@@ -777,9 +782,11 @@ def _horner(coeffs: Sequence, x, m: Optional[int] = None):
     most (m-1)^2 + (m-1) < m^2 <= 2^62.  The reductions cost little, as
     every array caller evaluates a short polynomial: the sparse kernel's
     root scan, the Taylor rows of ``min_shift``, the scan of
-    ``bounded_rational_roots``.  The accumulator starts as x times the
-    leading coefficient, a fresh value, so the in-place updates and
-    ``_mod`` never write to x.
+    ``bounded_rational_roots``, each of at most 2t + 1 coefficients.  So
+    it keeps no register bounds to skip reductions by, as
+    ``ProgramBox._eval`` does for squaring chains of about bn products.
+    The accumulator starts as x times the leading coefficient, a fresh
+    value, so the in-place updates and ``_mod`` never write to x.
     """
     if len(coeffs) < 2:
         return x * 0 + (coeffs[0] if len(coeffs) else 0)

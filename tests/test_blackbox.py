@@ -20,6 +20,8 @@ from lacuna import (
     next_prime_above,
     shifted_blackbox,
 )
+from lacuna import blackbox
+from lacuna.densepoly import _mod
 
 from conftest import (
     GOLDEN_JSON,
@@ -306,6 +308,212 @@ def test_program_box_array_path_no_overflow_near_grid_limit():
         want = program_image(ops, p, points)
         got = ProgramBox(ops)._eval(p, np.array(points, dtype=np.int64))
         assert np.broadcast_to(got, (len(points),)).tolist() == want, ops
+
+
+# Registers are reduced only where the next operation could leave int64:
+# these programs run long enough for the bounds to pass 2^63 many times.
+SCHEDULE_GRID_PRIMES = (2, 3, 7, 4093)                    # every point of Z_p
+SCHEDULE_POINT_PRIMES = (65521, 2097143, (1 << 31) - 1)   # a few points near p
+SCALAR_PRIME = next_prime_above(1 << 70)
+
+
+def schedule_points(p):
+    return [p - 1, p - 2, p // 2 + 1, 2, 1, 0]
+
+
+def squaring_chain(k, shift):
+    """(x - shift)^(2^k) by k squarings; the first squares an unreduced difference."""
+    return [("input",), ("const", shift), ("sub", 0, 1),
+            *(("mul", r, r) for r in range(2, k + 2))]
+
+
+def fan_in(rng, n):
+    """A sum of n products of x and constants of both signs, added or
+    subtracted in turn; every term is a fresh product, bound p^2 or p^3."""
+    ops = [("input",), ("const", rng.randint(-9, 9))]
+    acc = 1
+    for _ in range(n):
+        ops.append(("const", Fraction(rng.randint(-10**6, 10**6), rng.choice((1, 1, 2, 5)))))
+        ops.append(("mul", 0, len(ops) - 1))
+        if rng.random() < 0.5:
+            ops.append(("mul", len(ops) - 1, 0))
+        ops.append((rng.choice(("add", "sub")), acc, len(ops) - 1))
+        acc = len(ops) - 1
+    return ops
+
+
+def deep_program(rng, length, max_degree=256):
+    """A random program whose operands are mostly recent registers, so its
+    products nest; no register passes degree max_degree in x, which keeps
+    the exact reference cheap."""
+    ops, degree = [("input",)], [1]
+    while len(ops) < length:
+        r = rng.random()
+        if r < 0.1:
+            ops.append(("const", Fraction(rng.randint(-10**9, 10**9), rng.choice((1, 1, 1, 3)))))
+            degree.append(0)
+            continue
+        if r < 0.15:
+            ops.append(("input",))
+            degree.append(1)
+            continue
+        i = rng.randrange(max(0, len(ops) - 4), len(ops))
+        j = rng.choice((i, rng.randrange(len(ops))))
+        kind = rng.choice(("add", "sub", "mul", "mul"))
+        if kind == "mul" and degree[i] + degree[j] > max_degree:
+            kind = rng.choice(("add", "sub"))
+        ops.append((kind, i, j))
+        degree.append(degree[i] + degree[j] if kind == "mul" else max(degree[i], degree[j]))
+    return ops
+
+
+def assert_schedule_exact(ops, want=None):
+    """The program's values against the exact reference: the whole grid at
+    the small primes, a few points near p at the others (both on the array
+    path), and the scalar path at a 70-bit prime.  want(p, points) replaces
+    program_image when given; either gives None where a denominator
+    vanishes mod p."""
+    want = want or (lambda p, points: program_image(ops, p, points))
+
+    def grid(p, points):
+        return ProgramBox(ops).eval_range(p).tolist()
+
+    def array(p, points):
+        got = ProgramBox(ops)._eval(p, np.array(points, dtype=np.int64))
+        return np.broadcast_to(got, (len(points),)).tolist()
+
+    def scalar(p, points):
+        bb = ProgramBox(ops)
+        return [bb.eval(p, x) for x in points]
+
+    cases = [*((grid, p, range(p)) for p in SCHEDULE_GRID_PRIMES),
+             *((array, p, schedule_points(p)) for p in SCHEDULE_POINT_PRIMES),
+             (scalar, SCALAR_PRIME, schedule_points(SCALAR_PRIME))]
+    for run, p, points in cases:
+        expected = want(p, points)
+        if expected is None:
+            with pytest.raises(DenominatorVanished):
+                run(p, points)
+        else:
+            assert run(p, points) == expected, (ops, p)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 7, 8, 15, 16, 17, 31, 40])
+def test_program_box_squaring_chains_exact(k):
+    # (x - s)^(2^40) has too many digits for exact rationals: the reference
+    # is Python's exact modular pow
+    shift = Fraction(-5, 2)
+
+    def want(p, points):
+        s = naive_frac_mod(shift, p)
+        return None if s is None else [pow(x - s, 1 << k, p) for x in points]
+
+    ops = squaring_chain(k, shift)
+    if k <= 8:
+        points = schedule_points(SCALAR_PRIME)
+        assert want(SCALAR_PRIME, points) == program_image(ops, SCALAR_PRIME, points)
+    assert_schedule_exact(ops, want)
+
+
+def test_program_box_fan_ins_exact():
+    # a fan-in is a quadratic over Q: its exact value at 0, 1 and -1 gives
+    # the reference on a whole grid at the cost of three program runs
+    def quadratic_image(ops):
+        f0, f1, fm = (naive_program_value(ops, x) for x in (0, 1, -1))
+        b, c = (f1 - fm) / 2, (f1 + fm) / 2 - f0
+        return lambda p, points: (
+            None if any(op[0] == "const" and Fraction(op[1]).denominator % p == 0 for op in ops)
+            else [naive_frac_mod(f0 + b * x + c * x * x, p) for x in points])
+
+    rng = random.Random(609)
+    for n in (1, 2, 3, 50, 200):
+        ops = fan_in(rng, n)
+        # the result an unreduced difference of the sum and 10^6 x
+        with_tail = ops + [("const", 10**6), ("mul", 0, len(ops)), ("sub", len(ops) - 1, len(ops) + 1)]
+        for prog in (ops, with_tail):
+            assert_schedule_exact(prog, quadratic_image(prog))
+            points = schedule_points(4093)
+            assert quadratic_image(prog)(4093, points) == program_image(prog, 4093, points)
+
+
+def test_program_box_deep_random_programs_exact():
+    rng = random.Random(610)
+    for length in (20, 40, 60, 80):
+        assert_schedule_exact(deep_program(rng, length))
+
+
+@pytest.mark.parametrize("tail", [
+    [("input",)],                     # the result is the caller's input
+    [("const", Fraction(-7, 11))],    # the result is a constant
+    [("const", 3), ("sub", 10, 9)],   # 3 - x^512, an unreduced negative difference
+])
+def test_program_box_schedule_result_kinds(tail):
+    assert_schedule_exact([("input",), *(("mul", r, r) for r in range(9)), *tail])
+
+
+def test_program_box_never_writes_the_callers_array():
+    rng = random.Random(611)
+    programs = [
+        [("input",)],
+        [("input",), ("input",), ("sub", 0, 1)],
+        squaring_chain(12, 3),
+        deep_program(rng, 40),
+        fan_in(rng, 20),
+    ]
+    for p in (7, 4093, (1 << 31) - 1):
+        points = schedule_points(p)
+        for ops in programs:
+            x = np.array(points, dtype=np.int64)
+            x.flags.writeable = False
+            want = program_image(ops, p, points)
+            if want is None:
+                continue
+            got = ProgramBox(ops)._eval(p, x)
+            assert np.broadcast_to(got, (len(points),)).tolist() == want, (ops, p)
+            assert x.tolist() == points
+    bb = ProgramBox([("input",)])
+    values = bb.eval_range(13)
+    assert values.tolist() == list(range(13)) and not values.flags.writeable
+    again = bb.eval_range(13)
+    assert again is not values and not again.flags.writeable
+
+
+def count_reductions(monkeypatch):
+    calls = []
+
+    def counted(x, m):
+        calls.append(m)
+        return _mod(x, m)
+
+    monkeypatch.setattr(blackbox, "_mod", counted)
+    return calls
+
+
+def test_program_box_reduces_only_near_int64(monkeypatch):
+    # x^(2^16) by 16 squarings: at p = 4093 < 2^12 four residues multiply
+    # below 2^48, so every other square is left unreduced; at 2^31 - 1 two
+    # residues fill 2^62, so every product needs one reduction
+    calls = count_reductions(monkeypatch)
+    ops = [("input",), *(("mul", r, r) for r in range(16))]
+    p = 4093
+    assert ProgramBox(ops).eval_range(p).tolist() == [pow(x, 1 << 16, p) for x in range(p)]
+    assert 0 < len(calls) <= 16 // 2
+    calls.clear()
+    p = (1 << 31) - 1
+    points = schedule_points(p)
+    got = ProgramBox(ops)._eval(p, np.array(points, dtype=np.int64))
+    assert got.tolist() == [pow(x, 1 << 16, p) for x in points]
+    assert len(calls) == 16
+
+
+def test_program_box_array_path_refuses_a_product_past_int64():
+    # past p ~ 2^31.5 two residues can multiply past 2^63: the array path
+    # raises instead of wrapping, while the scalar path stays exact
+    p = next_prime_above(1 << 32)
+    bb = ProgramBox([("input",), ("mul", 0, 0)])
+    with pytest.raises(RuntimeError):
+        bb._eval(p, np.array([p - 1], dtype=np.int64))
+    assert bb.eval(p, p - 1) == 1
 
 
 # ---------------- shifted_blackbox ----------------
