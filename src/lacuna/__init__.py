@@ -24,7 +24,6 @@ from .densepoly import (
     interpolate_range,
     interpolate_sparse,
     min_shift,
-    tau,
 )
 from .errors import (
     AmbiguousMatch,

@@ -385,7 +385,7 @@ def _reductions(bb: ModularBlackBox, stream) -> Iterator[Tuple[int, np.ndarray]]
 
     Each grid costs p queries; the callers read it with the sparse kernel,
     the shift phase through ``grid_shift``, which interpolates a grid
-    densely only when more Hankel candidates remain than it checks.  A
+    densely only when more Hankel candidates pass than it would check.  A
     prime where a denominator vanishes is discarded from the stream, so it
     never counts toward the guarantee.  The stream raises BlackBoxFailure
     once it has extended its reservoir past its limit, or has no primes

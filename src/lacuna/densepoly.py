@@ -31,10 +31,11 @@ grid only when that prefix reads zero, and searches only a grid that
 passes.  The search rests on the same recurrence: at any term bound t, the
 shifts whose rotated grid can be sparse make two (t+1) x (t+1) Hankel
 matrices over the grid singular, which ``_hankel_singular`` tests at every
-shift at once, and the cyclic check decides the first few, each Hankel
-window and each rotation a view of one doubled grid.  Only when they miss
-and more remain, as on the spike grids of some bad primes, do the dense
-transform and ``min_shift`` run.  Small list-based helpers at the bottom
+shift at once.  At most ``_HANKEL_MAX_CANDIDATES`` candidates are each
+decided by the cyclic check, each window and rotation a view of one doubled
+grid; more, as on spike and half-degree grids, go straight to one dense
+transform and ``min_shift``, which checks the roots of f's top t Taylor
+rows, at most t(t+1)/2 of them.  Small list-based helpers at the bottom
 hold the library's one Horner evaluator, ``_horner``, for a single int or
 Fraction point as well as an int64 array of points, and its one expansion
 of f(x + y) into polynomials in y, ``_taylor_rows``, for both shift
@@ -77,7 +78,6 @@ kernel's root search finds as many roots as the recurrence's order, and
 """
 
 import math
-from collections import Counter
 from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence, Tuple
 
@@ -111,22 +111,22 @@ _EXACT_FLOAT = 1 << 53
 # under tracemalloc with one product of all its terms, for a 0.76 MiB grid.
 _SUMS_CHUNK = 64
 
-# grid_shift checks this many Hankel candidates, in increasing order, before
-# it gives up on them: past that, one transform plus min_shift costs less
-# than further checks.  Many shifts pass the filter on powers of degree
-# (p-1)/2, whose values are 0 and +-1 times a constant (x^5003 at
-# p = 10007 leaves 3,141 for t = 1), and nearly all on the spike grid of a
-# bad prime with (p - 1) | e, c (x - a)^e reading c at every x != a: there,
-# checking until a hit, with a Hankel window slid once per check, took 18 s
-# at p = 38,603 and t = 1, the transform and min_shift 28 ms.  Grids of
-# degree <= 2t, where many shifts may pass, never reach the filter: the
-# degree test comes first.  One check, a pass of _sparse_recurrence over a
-# view of the doubled grid, costs about the same whether it accepts or
-# not: at p = 1187, about the smallest prime a solve reaches, 20-50 us for
-# t = 1-4 against 270-440 us for the complete search, and at p = 10,007
-# 50-130 us against 2.6-3.4 ms (one shared 2-CPU machine, numpy 2.4); the
-# ratio grows with p.  On the benchmark's workloads every grid that passed
-# the degree test had one candidate, its shift.
+# The number of Hankel candidates picks grid_shift's path: at most this many
+# are each checked, more go straight to one transform plus min_shift.  Many
+# shifts pass the filter on powers of degree (p-1)/2, valued 0 and +-1 times
+# a constant (x^5003 at p = 10007 leaves 3,141 for t = 1), nearly all on the
+# spike grid of a bad prime with (p - 1) | e, c (x - a)^e reading c at every
+# x != a: there, checking until a hit took 18 s at p = 38,603 and t = 1,
+# the transform and min_shift 28 ms, and eight checks before the transform
+# seldom hit: without them grid_shift took 2.6 ms, not 2.8 (t = 1),
+# and 4.4, not 5.1 (t = 4), on a spike grid at p = 10,007, and 17.2, not
+# 21.3, on a half-degree grid at p = 40,009, t = 4 (best of 31, one shared
+# 2-CPU machine, numpy 2.4).  Below the cap one check, a pass of
+# _sparse_recurrence over a view of the doubled grid, costs far less than
+# the complete search: 20-50 us against 270-440 us for t = 1-4 at
+# p = 1187, about the smallest prime a solve reaches.  Grids of degree
+# <= 2t never reach the filter, and on the benchmark's workloads every grid
+# that did had one candidate, its shift.
 _HANKEL_MAX_CANDIDATES = 8
 
 
@@ -475,9 +475,8 @@ def _sparse_recurrence(window: np.ndarray, p: int, s: int) -> Optional[list]:
     non-constant terms: a divisor of z^(p-1) - 1, squarefree, with roots in
     Z_p^*, of degree the number of terms.  Berlekamp-Massey gives the
     shortest recurrence C, of length L, of a_0..a_(2s-1) (j read modulo
-    p - 1), and C is accepted when L <= s and it holds cyclically: along
-    a_L..a_(p-2), and in the L equations at j < L, which wrap around to
-    a_(j-m+p-1).
+    p - 1), and C is accepted when L <= s and it holds cyclically, at
+    every j modulo p - 1.
     - Accepted means at most s terms: the reversed P(z) = z^L C(1/z) then
       annihilates the periodic sequence, so M divides it and deg M <= L <= s.
     - At most s terms means accepted.  M generates the 2s values, so
@@ -490,9 +489,10 @@ def _sparse_recurrence(window: np.ndarray, p: int, s: int) -> Optional[list]:
       at every j.
     So the check alone decides, and an accepted C reversed is M: L distinct
     roots, each a power of g, and no root scan is needed to decide.  The
-    values a_j are kept unreduced in (-p, p), and the check along the grid
-    reduces its sum after each product conn[m] * a_(j-m): a value in (-p, p)
-    plus one product of a residue and such a value stays below
+    values a_j are kept unreduced in (-p, p), with a_(-L)..a_(-1) prepended
+    so that each m reads a_(j-m) at every j as one slice, and the check
+    reduces its sum after each product conn[m] * a_(j-m): a value in
+    (-p, p) plus one product of a residue and such a value stays below
     p + (p-1)^2 < 2^63 for every p < 2^31.  With L = 0 the values
     themselves are tested, and in (-p, p) only 0 is divisible by p.  O(s p)
     numpy work plus O(s^2) Python integer work.
@@ -504,17 +504,12 @@ def _sparse_recurrence(window: np.ndarray, p: int, s: int) -> Optional[list]:
     conn, length = _berlekamp_massey([x % p for x in head], p)
     if length > s:
         return None
-    rest = seq[length:].copy()
+    wrapped = np.concatenate((seq[n - length :], seq))  # wrapped[L + j] = a_j for j >= -L
+    rest = seq.copy()
     for m in range(1, length + 1):
-        rest += conn[m] * seq[length - m : n - m]
+        rest += conn[m] * wrapped[length - m : length - m + n]
         _mod(rest, p)
-    if rest.any():
-        return None
-    ends = seq[n - length :].tolist() + seq[:length].tolist()  # a_(-L)..a_(L-1)
-    for j in range(length, 2 * length):
-        if sum(c * ends[j - m] for m, c in enumerate(conn)) % p:
-            return None
-    return conn
+    return None if rest.any() else conn
 
 
 # ---------------- spec operations ----------------
@@ -589,31 +584,25 @@ def interpolate_sparse(values: Sequence[int], p: int, s: int) -> Optional[DenseP
     return DensePolyMod(p, out)
 
 
-def tau(f: DensePolyMod) -> int:
-    """Number of nonzero, non-constant terms of f."""
-    return int(np.count_nonzero(f.coeffs[1:]))
-
-
 def min_shift(f: DensePolyMod, grid: Sequence[int], *, tau_cap: int) -> Optional[MinShift]:
-    """The shift gamma in Z_p with tau(f(x + gamma)) <= tau_cap, or None.
+    """The shift gamma in Z_p with at most tau_cap non-constant terms in
+    f(x + gamma), or None.
 
     ``grid`` must hold f's p values at 0..p-1, reduced modulo p: the box's
     grid that f was read off.  Needs tau_cap >= 1 and deg f >= 2*tau_cap + 1,
     which make such a shift unique (tie is always False); ValueError
-    otherwise, and for a grid of the wrong length or unreduced.  Any such
-    shift zeroes at least tau_cap + 1 of the 2*tau_cap coefficient
-    polynomials of f(x + y) directly below the leading one (the leading term
-    is itself one of the at most tau_cap terms), so the common roots of
-    their grid values are a complete candidate filter.  Those are rows
-    deg f - 2*tau_cap .. deg f - 1 of ``_taylor_rows``, reduced modulo p;
-    with deg f < p no binomial in them vanishes, so row k keeps degree
-    deg f - k.  Each candidate, most votes first, is checked exactly by
-    ``_sparse_recurrence`` on the grid rotated by it, a view of the doubled
-    grid, and the order of an accepted recurrence is the shift's number of
-    terms.  The library's shift phase reaches it only through
-    ``grid_shift``, when the first ``_HANKEL_MAX_CANDIDATES`` of more
-    Hankel candidates miss; on other grids that filter finds the shift
-    without f's coefficients.
+    otherwise, and for a grid of the wrong length or unreduced.  With
+    t = tau_cap and d = deg f, x^d is one of the shift's at most t terms,
+    so one of the t coefficients of x^(d-t)..x^(d-1) of f(x + y) vanishes at
+    y = gamma.  These are rows d - t .. d - 1 of ``_taylor_rows``, reduced
+    modulo p; row d - k has degree k and leading coefficient C(d, k) f_d,
+    nonzero modulo p as d < p, so their roots, one ``_horner`` scan of Z_p
+    a row, are at most t(t+1)/2 candidates.  Each, in increasing order, is
+    checked exactly by ``_sparse_recurrence`` on the grid rotated by it, a
+    view of the doubled grid; an accepted recurrence's order is the shift's
+    number of terms.  The shift phase reaches it only through
+    ``grid_shift``, on grids with more than ``_HANKEL_MAX_CANDIDATES``
+    Hankel candidates.
     """
     p, d = f.modulus, f.degree
     grid = _checked_grid(np.asarray(grid, dtype=np.int64), p)
@@ -624,13 +613,12 @@ def min_shift(f: DensePolyMod, grid: Sequence[int], *, tau_cap: int) -> Optional
     if d < 2 * tau_cap + 1:
         raise ValueError(f"the shift search needs deg f >= 2*tau_cap + 1 = {2 * tau_cap + 1}, "
                          f"got {d}")
-    votes = Counter()
     xs = np.arange(p, dtype=np.int64)
-    for row in _taylor_rows(f.coeffs.tolist(), range(d - 2 * tau_cap, d)):
-        for g in np.flatnonzero(_horner([c % p for c in row], xs, p) == 0).tolist():
-            votes[g] += 1
+    cands = set()
+    for row in _taylor_rows(f.coeffs.tolist(), range(d - tau_cap, d)):
+        cands.update(np.flatnonzero(_horner([c % p for c in row], xs, p) == 0).tolist())
     twice = np.concatenate((grid, grid))  # twice[g : g + p] is the grid of f(x + g)
-    for g in sorted((g for g, v in votes.items() if v > tau_cap), key=lambda g: (-votes[g], g)):
+    for g in sorted(cands):
         conn = _sparse_recurrence(twice[g : g + p], p, tau_cap)
         if conn is not None:
             return MinShift(g, len(conn) - 1, False)
@@ -640,8 +628,9 @@ def min_shift(f: DensePolyMod, grid: Sequence[int], *, tau_cap: int) -> Optional
 def grid_shift(grid: Sequence[int], p: int, *, tau_cap: int) -> Tuple[bool, Optional[int]]:
     """(passes, gamma) for the polynomial f of degree < p whose values at
     0..p-1, reduced modulo p, are ``grid``: passes says deg f >= 2*tau_cap + 1,
-    and gamma is then the shift with tau(f(x + gamma)) <= tau_cap, or None
-    when there is none.  gamma is None whenever passes is False.
+    and gamma is then the shift at which f(x + gamma) has at most tau_cap
+    non-constant terms, or None when there is none, as whenever passes is
+    False.
 
     Let t = tau_cap, g the generator of ``_generator_powers`` and
     s_gamma(j) = grid[gamma + g^j] - grid[gamma].  The grid is read a
@@ -673,7 +662,7 @@ def grid_shift(grid: Sequence[int], p: int, *, tau_cap: int) -> Tuple[bool, Opti
     - Exactness.  Each candidate, in increasing order, is decided by
       ``_sparse_recurrence`` on the view twice[gamma : gamma + p]:
       Berlekamp-Massey on s_gamma(0..2t-1), then the recurrence checked
-      cyclically along all p - 1 values.  s_gamma is periodic in j, so its
+      cyclically at every j modulo p - 1.  s_gamma is periodic in j, so its
       minimal polynomial divides z^(p-1) - 1 and has one root a term; a
       cyclic recurrence of order L <= t is a multiple of it, so f(x + gamma)
       then has at most t terms, and when it has, Massey's uniqueness makes
@@ -685,11 +674,11 @@ def grid_shift(grid: Sequence[int], p: int, *, tau_cap: int) -> Tuple[bool, Opti
     - Uniqueness.  With deg f >= 2t + 1 the t-sparse shift is unique
       (Lakshman and Saunders, "Sparse shifts for univariate polynomials",
       1996; ``min_shift`` rests on the same fact), so the first hit is it.
-    Only the first ``_HANKEL_MAX_CANDIDATES`` candidates are checked.  When
-    they all miss and none remain, no t-sparse shift exists.  When more
-    remain, one ``interpolate_range`` and ``min_shift`` find the shift from
-    f's coefficients.  ValueError for tau_cap < 1, and for a grid of the
-    wrong length or unreduced.
+    The number of candidates picks the path.  At most
+    ``_HANKEL_MAX_CANDIDATES`` are each checked, and when all miss no
+    t-sparse shift exists; more go unchecked to one ``interpolate_range``
+    and ``min_shift``, with at most t(t+1)/2 checks.  ValueError for
+    tau_cap < 1, and for a grid of the wrong length or unreduced.
     """
     vals = _checked_grid(np.asarray(grid, dtype=np.int64), p)
     if tau_cap < 1:
@@ -699,13 +688,13 @@ def grid_shift(grid: Sequence[int], p: int, *, tau_cap: int) -> Tuple[bool, Opti
         return False, None
     twice = np.concatenate((vals, vals))
     cands = _hankel_candidates(twice, p, tau_cap)
-    for gamma in cands[:_HANKEL_MAX_CANDIDATES]:
+    if len(cands) > _HANKEL_MAX_CANDIDATES:
+        hit = min_shift(interpolate_range(vals, p), vals, tau_cap=tau_cap)
+        return True, None if hit is None else hit.gamma
+    for gamma in cands:
         if _sparse_recurrence(twice[gamma : gamma + p], p, tau_cap) is not None:
             return True, gamma
-    if len(cands) <= _HANKEL_MAX_CANDIDATES:
-        return True, None
-    hit = min_shift(interpolate_range(vals, p), vals, tau_cap=tau_cap)
-    return True, None if hit is None else hit.gamma
+    return True, None
 
 
 def _difference(vals: np.ndarray, p: int, k: int) -> np.ndarray:

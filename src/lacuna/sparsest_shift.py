@@ -14,15 +14,16 @@ on the box's grid for that prime.  A finite difference of a short prefix
 of the grid decides the degree test first, and the whole grid's only when
 that prefix reads zero.  Only a grid that passes has its shifts filtered by
 two Hankel matrices of its values along the powers of a generator (Ben-Or
-and Tiwari's recurrence), and the first few candidates decided by one
-cyclic check of that recurrence on a view of the doubled grid, with no
-root search, no coefficients and no dense transform.  Where they all miss
-and more remain (powers of degree (p-1)/2, and the spike grids of bad
-primes with (p - 1) | e), it interpolates the grid densely and runs
-``min_shift``, which reads the shift off the coefficients of f(x + y) as
-polynomials in y, ``densepoly._taylor_rows``.  The dense search takes the
-rational roots of the same rows, as in Lakshman and Saunders; at
-y = alpha they give ``taylor_shift_exact``.
+and Tiwari's recurrence).  When at most a few candidates pass, each is
+decided by one cyclic check of that recurrence on a view of the doubled
+grid, with no root search, no coefficients and no dense transform.  When
+more pass (powers of degree (p-1)/2, and the spike grids of bad primes
+with (p - 1) | e), it interpolates the grid densely and runs
+``min_shift``, which checks the roots of the B_T coefficients of f(x + y)
+just below the leading one, as polynomials in y,
+``densepoly._taylor_rows``.  The dense search takes the rational roots of
+all the non-constant rows of that expansion, as in Lakshman and Saunders;
+at y = alpha they give ``taylor_shift_exact``.
 """
 
 import enum

@@ -16,7 +16,6 @@ from lacuna import (
     make_blackbox,
     min_shift,
     next_prime_above,
-    tau,
 )
 from lacuna import densepoly
 from lacuna.densepoly import (
@@ -182,7 +181,7 @@ def sparse_or_none(vals, p, s):
     """What interpolate_sparse must return: the dense interpolant if it has
     at most s non-constant terms, else None."""
     f = interpolate_range(vals, p)
-    return f if tau(f) <= s else None
+    return f if np.count_nonzero(f.coeffs[1:]) <= s else None
 
 
 def test_sparse_kernel_every_grid_at_tiny_primes():
@@ -214,7 +213,7 @@ def test_sparse_kernel_equals_dense_on_sparse_grids():
             vals = sparse_grid(p, c0, [(rng.randrange(1, p), e) for e in slots])
             got = interpolate_sparse(vals, p, s)
             assert got is not None and got == interpolate_range(vals, p), (p, s, slots)
-            assert tau(got) == t and got.coeff(0) == c0
+            assert np.count_nonzero(got.coeffs[1:]) == t and got.coeff(0) == c0
 
 
 def test_sparse_kernel_rejects_one_term_too_many_and_dense_grids():
@@ -319,14 +318,14 @@ def test_sparse_recurrence_of_an_accepted_grid_is_its_minimal_polynomial():
                     assert (conn is None) == (want is None)
                     if conn is not None:
                         roots = [int(pw[e % (p - 1)]) for e in np.flatnonzero(want.coeffs[1:]) + 1]
-                        assert len(conn) - 1 == tau(want) and all(
+                        assert len(conn) - 1 == np.count_nonzero(want.coeffs[1:]) and all(
                             _horner(conn[::-1], x, p) == 0 for x in roots)
             assert _sparse_recurrence(grid, p, t) is not None
 
 
 # ---------------- Taylor shift by grid rotation ----------------
 # f(x + g) over Z_p has the grid of f rotated by g; min_shift's candidate
-# test interpolates exactly that rotation.
+# check reads exactly that rotation.
 
 def shifted_image(grid, g, p):
     return interpolate_range(np.roll(grid, -g), p)
@@ -380,15 +379,6 @@ def test_taylor_shift_matches_synthetic_division():
         assert shifted_image(horner_grid(coeffs, p), g, p).coeffs.tolist() == want
         # and the exact expansion over the rationals, reduced mod p
         assert DensePolyMod(p, [int(c) % p for c in taylor_shift_exact(coeffs, g)]).coeffs.tolist() == want
-
-
-# ---------------- tau ----------------
-
-def test_tau_examples():
-    assert tau(DensePolyMod(7, [0, 0, 0, 1, 0, 5])) == 2
-    assert tau(DensePolyMod(7, [4])) == 0
-    assert tau(DensePolyMod(7, [1, 3])) == 1
-    assert tau(DensePolyMod(7, [])) == 0
 
 
 def test_dense_poly_mod_rejects_moduli_outside_grid_range():
@@ -503,6 +493,23 @@ def test_min_shift_candidate_path_agrees_with_exhaustive():
             got = min_shift(f, horner_grid(f.coeffs.tolist(), p), tau_cap=t)
             if f.degree >= 2 * t + 1 and len(set(exps)) == t:
                 assert got is not None and got.gamma == g0
+    # spikes c (x - g0)^(p-1) and subgroup powers c (x - g0)^((p-1)/d), the
+    # grids whose many Hankel candidates send grid_shift to min_shift, plus
+    # a constant and up to three more terms: caps 1-4
+    for p in (13, 37, 61):
+        tops = sorted({(p - 1) // d for d in (1, 2, 3, 4, 6) if (p - 1) % d == 0})
+        for top, extra in ((top, extra) for top in tops for extra in range(4)):
+            exps = [top] + rng.sample(range(1, top), min(extra, top - 1))
+            terms = [(rng.randrange(p), 0)] + [(rng.randrange(1, p), e) for e in exps]
+            f = DensePolyMod(p, planted(p, rng.randrange(p), terms))
+            gamma, tau_min, tie = naive_min_shift(f.coeffs.tolist(), p)
+            grid = horner_grid(f.coeffs.tolist(), p)
+            for cap in range(1, min(4, (f.degree - 1) // 2) + 1):
+                got = min_shift(f, grid, tau_cap=cap)
+                if tau_min <= cap:
+                    assert not tie and tuple(got) == (gamma, tau_min, False), (p, top, cap)
+                else:
+                    assert got is None, (p, top, cap)
 
 
 def test_min_shift_dense_random_caps_agree_with_exhaustive():
@@ -577,6 +584,20 @@ def transforms(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def checks(monkeypatch):
+    """The primes of the recurrence checks that densepoly runs, in order."""
+    calls = []
+    kernel = densepoly._sparse_recurrence
+
+    def counted(window, p, s):
+        calls.append(p)
+        return kernel(window, p, s)
+
+    monkeypatch.setattr(densepoly, "_sparse_recurrence", counted)
+    return calls
+
+
 def test_grid_shift_equals_exhaustive_search(transforms):
     # exactly (deg f >= 2t + 1, the naive shift when it has at most t terms,
     # else None) on three kinds of grid, at primes from p <= 2t + 3, where
@@ -617,12 +638,12 @@ def test_grid_shift_equals_exhaustive_search(transforms):
                 assert transforms == []
 
 
-def test_grid_shift_past_the_candidate_cap_on_a_half_degree_grid(transforms):
+def test_grid_shift_past_the_candidate_cap_on_a_half_degree_grid(transforms, checks):
     # (x - g0)^((p-1)/2) takes only the values 0 and +-1, so many shifts
-    # pass the Hankel filter although the grid passes the degree test: when
-    # g0 is among the first candidates its check finds it with no
-    # transform, and otherwise the complete search runs, with its one
-    # transform, and finds g0
+    # pass the Hankel filter although the grid passes the degree test: past
+    # the cap no candidate is checked, and the complete search runs one
+    # transform and at most t(t+1)/2 checks to find g0, whether g0 is
+    # among the first candidates or not
     early = set()
     for p, g0 in ((101, 7), (103, 40)):
         coeffs = planted(p, g0, [(1, (p - 1) // 2)])
@@ -632,10 +653,11 @@ def test_grid_shift_past_the_candidate_cap_on_a_half_degree_grid(transforms):
             cands = _hankel_candidates(doubled(grid), p, t)
             assert len(cands) > _HANKEL_MAX_CANDIDATES and g0 in cands
             transforms.clear()
+            checks.clear()
             assert grid_shift(grid, p, tau_cap=t) == (True, g0), (p, t)
+            assert transforms == [p] and 1 <= len(checks) <= t * (t + 1) // 2, (p, t)
             early.add(cands.index(g0) < _HANKEL_MAX_CANDIDATES)
-            assert transforms == ([] if cands.index(g0) < _HANKEL_MAX_CANDIDATES else [p])
-    assert early == {True, False}  # both branches ran
+    assert early == {True, False}  # g0 inside and past the first eight
 
 
 def test_grid_shift_finds_a_three_term_shift_without_a_transform(transforms):
@@ -684,20 +706,12 @@ def test_grid_shift_finds_subgroup_power_shifts_as_min_shift_does(transforms):
                 assert transforms in ([], [p])
 
 
-def test_grid_shift_bounds_its_checks_on_a_spike_grid(transforms, monkeypatch):
+def test_grid_shift_bounds_its_checks_on_a_spike_grid(transforms, checks):
     # a bad prime with (p - 1) | e turns 5 (x - g0)^e into 5 at every
     # x != g0, so s_gamma is zero at every j but one for gamma != g0 and
-    # each Hankel matrix drops about one shift: the search stops after
-    # _HANKEL_MAX_CANDIDATES checks, and one transform and min_shift, whose
-    # first candidate check hits, find g0
-    checks = []
-    kernel = densepoly._sparse_recurrence
-
-    def counted(window, p, s):
-        checks.append(p)
-        return kernel(window, p, s)
-
-    monkeypatch.setattr(densepoly, "_sparse_recurrence", counted)
+    # each Hankel matrix drops about one shift: no candidate is checked,
+    # and one transform and min_shift, with at most t(t+1)/2 checks of the
+    # roots of its Taylor rows, find g0
     p, g0 = 10007, 6131
     grid = shifted_grid(p, g0, 3, [(5, p - 1)])
     for t in (1, 2, 4):
@@ -705,7 +719,7 @@ def test_grid_shift_bounds_its_checks_on_a_spike_grid(transforms, monkeypatch):
         transforms.clear()
         checks.clear()
         assert grid_shift(grid, p, tau_cap=t) == (True, g0), t
-        assert transforms == [p] and len(checks) == _HANKEL_MAX_CANDIDATES + 1
+        assert transforms == [p] and 1 <= len(checks) <= t * (t + 1) // 2, t
     # a second term makes s_gamma no spike: the filter leaves g0 first
     grid = shifted_grid(p, g0, 3, [(5, p - 1), (2, 7)])
     transforms.clear()

@@ -5,6 +5,7 @@ import random
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from lacuna import (
@@ -35,6 +36,7 @@ from lacuna import (
     sparsest_shift,
 )
 from lacuna import LacunaError, LacunaryBox, interpolate_sparse, modular_core, prime_oracle
+from lacuna import densepoly
 from lacuna import sparse_interp as si
 from lacuna.densepoly import _generator_powers
 from lacuna.sparse_interp import PrimeImage, interp_oracle_config, q_target_bits
@@ -558,7 +560,7 @@ def test_match_reports_ambiguity():
 # ---------------- tau-monotonicity (good prime characterization) ----------------
 
 def test_tau_maximal_iff_no_collision_and_no_vanishing():
-    from lacuna import reduce_mod, tau
+    from lacuna import reduce_mod
 
     rng = random.Random(97)
     primes = [p for p in range(3, 102) if all(p % d for d in range(2, p))]
@@ -569,7 +571,7 @@ def test_tau_maximal_iff_no_collision_and_no_vanishing():
         bb = make_blackbox(f)
         for p in primes:
             try:
-                t_p = tau(reduce_mod(bb, p))
+                t_p = np.count_nonzero(reduce_mod(bb, p).coeffs[1:])
             except Exception:
                 continue
             assert t_p <= f.t
@@ -665,6 +667,33 @@ def test_full_interpolate_dense_fallback_converts_exactly():
     assert got.shift == -1
     assert got.terms == ((Fraction(1), 2),)
     assert got.constant == 0
+
+
+def test_full_interpolate_exact_through_the_complete_shift_search(monkeypatch):
+    # an exponent e = (p-1)/2 or 0 modulo p - 1, at the first prime p the
+    # shift phase reads, makes p's grid a half-degree power or a spike,
+    # whose Hankel filter keeps more shifts than grid_shift checks: the
+    # shift phase then runs the dense transform and min_shift, and the solve
+    # stays exact.  densepoly's interpolate_range is called only there.
+    transforms = []
+    dense_kernel = densepoly.interpolate_range
+
+    def counted(values, p):
+        transforms.append(p)
+        return dense_kernel(values, p)
+
+    monkeypatch.setattr(densepoly, "interpolate_range", counted)
+    seen = set()
+    for bt in (1, 2):
+        bounds = Bounds(ba=4, bt=bt, bh=4, bn=12)
+        p = generate(shift_oracle_config(bounds)).next_prime()
+        for e in range((p - 1) // 2, (1 << bounds.bn) + 1, (p - 1) // 2):
+            f = ShiftedLacunary(Fraction(-7, 3), Fraction(5, 2), ((Fraction(-9, 4), e),))
+            transforms.clear()
+            assert full_interpolate(make_blackbox(f), bounds) == f, (bt, p, e)
+            assert p in transforms, (bt, p, e)
+            seen.add((bt, e % (p - 1) == 0))
+    assert seen == {(1, False), (1, True), (2, False), (2, True)}
 
 
 def test_regeneration_outlasts_a_box_that_divides_by_every_reservoir_prime(golden_poly,
