@@ -10,7 +10,11 @@ half the table is multiplied out, since g^((p-1)/2) = -1 makes
 pw[a + (p-1)/2] = p - pw[a].  The lacunary box's values along it are one
 ``_geometric_sums`` call, whose last result is cached, so confirming a
 padding prime against the box's own polynomial reads the same array: one
-table and one sums evaluation per prime.
+table and one sums evaluation per prime.  Whole tables are not kept
+across solves, but the baby and giant steps they are built from
+(``_generator_steps``), a pure function of p, are kept for the last 1024
+primes the process met: about 16 sqrt(p/2) bytes a prime, at most 3.4 MB
+below p = 2^16.
 Dense interpolation goes through one kernel, ``_power_sums_fft``: the
 Lagrange coefficients are sums s_j = sum_a u_a g^(a*j) over a = 0..p-2, an
 order-(p-1) transform that Bluestein's chirp identity turns into one cyclic
@@ -221,6 +225,33 @@ def _primitive_root(p: int) -> int:
     raise RuntimeError(f"no primitive root found modulo {p}")
 
 
+@lru_cache(maxsize=1024)
+def _generator_steps(p: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(small, big): the read-only int64 baby steps small[b] = g^b mod p for
+    b < m and giant steps big[i] = g^(i*m) mod p for i < rows, where
+    g = ``_primitive_root(p)`` (small[1] = g), half = ceil((p-1)/2),
+    m = isqrt(half) + 1 and rows = ceil(half / m).
+
+    A pure function of p, built in two Python loops of about sqrt(p/2)
+    products each, so it is kept across solves: a process meets the same
+    primes in every solve whose bounds overlap.  Each of the 1024 entries
+    holds about 16 sqrt(p/2) bytes of steps plus 400 of objects: at most
+    3.4 MB for primes below 2^16 and 12.3 MB below 2^20 (tracemalloc).
+    """
+    n = p - 1
+    g = _primitive_root(p)
+    half = n - n // 2  # (p-1)/2, and the whole one-entry table at p = 2
+    m = math.isqrt(half) + 1
+    small = [1]
+    for _ in range(1, m):
+        small.append(small[-1] * g % p)
+    big_step = small[-1] * g % p
+    big = [1]
+    for _ in range(1, -(-half // m)):
+        big.append(big[-1] * big_step % p)
+    return _read_only(np.array(small, dtype=np.int64)), _read_only(np.array(big, dtype=np.int64))
+
+
 @lru_cache(maxsize=2)
 def _generator_powers(p: int) -> np.ndarray:
     """pw[a] = g^a mod p for a < p-1, g = ``_primitive_root(p)``: a read-only
@@ -228,29 +259,25 @@ def _generator_powers(p: int) -> np.ndarray:
     prime's uses come one after another, so the cache builds each table
     once for the box's grid, the candidate's sums and the gather that
     confirm it (``sparse_interp``) and the kernel or interpolation that
-    reads it.  The array is shared by every hit, hence read-only.
+    reads it.  The array is shared by every hit, hence read-only.  Whole
+    tables are not kept across solves, as a pass of the benchmark's
+    lacunary set reads 242 distinct primes: only their steps are, in the
+    1024 entries of ``_generator_steps`` (about 16 sqrt(p/2) bytes each,
+    3.4 MB at most below p = 2^16), and a table is one product of them.
 
     Only the first half is multiplied out: for odd p, g^((p-1)/2) = -1, so
     pw[a + (p-1)/2] = p - pw[a].
     """
     n = p - 1
-    g = _primitive_root(p)
-    half = n - n // 2  # (p-1)/2, and the whole one-entry table at p = 2
-    # baby steps g^b and giant steps g^(a*m), combined in one outer product
-    m = math.isqrt(half) + 1
-    small = [1]
-    for _ in range(1, m):
-        small.append(small[-1] * g % p)
-    big_step = small[-1] * g % p
-    rows = -(-half // m)
-    big = [1]
-    for _ in range(1, rows):
-        big.append(big[-1] * big_step % p)
-    # the product fills the first rows * m >= half entries, and the second
-    # half, from pw[half], is written over whatever it left past half
+    half = n - n // 2
+    small, big = _generator_steps(p)
+    rows, m = big.size, small.size
+    # entry (i, b) of the product is g^(i*m + b): it fills the first
+    # rows * m >= half entries, and the second half, from pw[half], is
+    # written over whatever it left past half
     pw = np.empty(max(n, rows * m), dtype=np.int64)
     block = pw[: rows * m].reshape(rows, m)
-    np.multiply.outer(np.array(big, dtype=np.int64), np.array(small, dtype=np.int64), out=block)
+    np.multiply(big[:, None], small, out=block)
     _mod(block, p)
     np.subtract(p, pw[: n - half], out=pw[half:n])
     return _read_only(pw[:n])

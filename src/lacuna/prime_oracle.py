@@ -16,15 +16,27 @@ prime divisor of C1 (p) or of C2 (q), as the walk's records have distinct
 q >= n and distinct p (S(q) = S(q') would need q*q' < q^1.89).
 
 A stream hands out each batch of records in ascending p, walking it only
-as far as the primes handed out need (``_ascending``).
+as far as the primes handed out need (``_ascending``).  The walk from n is
+a pure function of n, so every stream reads it through one memo per n
+(``_walk_memo``): the records some stream already walked, replayed, and
+the walk that extends them when a stream reads past them.  The memo holds
+only records already walked, as far as the furthest stream read, and
+keeps the last 32 walks started in the process.  Each holds the records
+of at most _MAX_REGENERATIONS + 2 = 12 batches, as many as one stream
+reads, about 150 bytes a record, plus the primes of the sieve segment its
+walk is in, a segment at most min(n, 2^20) wide: 3 MB at most, near
+n = 2^20 (tracemalloc).  The library starts no threads; the memo's
+extension holds a lock, so streams in a caller's threads share one walk.
 
 All logarithms here are natural.
 """
 
 import heapq
 import math
+import threading
 from dataclasses import dataclass
-from itertools import islice
+from functools import lru_cache
+from itertools import count, islice
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional
 
 import numpy as np
@@ -77,6 +89,7 @@ def upsilon(x: float) -> float:
 _N_LIMIT = _GRID_LIMIT // 2
 
 
+@lru_cache(maxsize=64)
 def choose_n(target: int) -> int:
     """Smallest integer n > 21 with upsilon(n) > target, where the walk
     over q starts.
@@ -155,6 +168,52 @@ def _walk(n: int) -> Iterator[PrimeRecord]:
             yield PrimeRecord(p, q, (p - 1) // q)
 
 
+class _Walked:
+    """The records ``_walk(n)`` has yielded so far, and the walk that
+    yields the next ones (None while a read is under way, and after one
+    that raised)."""
+
+    __slots__ = ("records", "rest")
+
+    def __init__(self, n: int):
+        self.records: List[PrimeRecord] = []
+        self.rest: Optional[Iterator[PrimeRecord]] = _walk(n)
+
+
+@lru_cache(maxsize=32)
+def _walk_memo(n: int) -> _Walked:
+    """The walk from n as read so far in this process, by every stream."""
+    return _Walked(n)
+
+
+# Guards the extension of every walk memo: a record is walked, and appended,
+# by one reader at a time, in whatever threads the streams run.
+_WALK_LOCK = threading.Lock()
+
+
+def _walked(n: int) -> Iterator[PrimeRecord]:
+    """The records of ``_walk(n)``, read through ``_walk_memo(n)``: records
+    an earlier reader walked are replayed, and the walk is extended only
+    when a reader gets past them, one record at a time.
+
+    A read that raises (an interrupt inside ``s_of_q``, say) closes the
+    memo's walk; the next read starts a new one just past the last record
+    kept, which yields the same records from there on."""
+    memo = _walk_memo(n)
+    for i in count():
+        with _WALK_LOCK:
+            if i == len(memo.records):
+                walk, memo.rest = memo.rest, None
+                if walk is None:
+                    walk = _walk(memo.records[-1].q + 1 if memo.records else n)
+                r = next(walk, None)
+                memo.rest = walk
+                if r is None:
+                    return
+                memo.records.append(r)
+        yield memo.records[i]
+
+
 def _ascending(records: Iterable[PrimeRecord]) -> Iterator[PrimeRecord]:
     """Records given in increasing q, each with p >= 2q + 1 (k >= 2, as for
     every walk record), yielded in ascending p and read only as far as each
@@ -188,7 +247,10 @@ class PrimeStream:
 
     Each batch is walked lazily by ``_ascending``; ``records`` and
     ``reservoir`` walk the rest of the current batch first, so they read
-    what an eagerly filled batch would hold.
+    what an eagerly filled batch would hold.  The walk is read through the
+    process's memo of it (``_walked``): streams of one config hand out the
+    same primes in the same order, and only the first to reach a record
+    walks it.
 
     Regeneration cannot be sized away.  The reservoir covers beta1 + beta2
     bad primes plus ell good ones, but the bounds (beta1, beta2, ell) say
@@ -203,7 +265,7 @@ class PrimeStream:
         self.config = config
         self._batch = config.beta1 + config.beta2 + config.ell
         self.n = choose_n(self._batch)
-        self._walk = _walk(self.n)
+        self._walk = _walked(self.n)
         self._rest = _ascending(islice(self._walk, self._batch))
         self._handed: Dict[int, PrimeRecord] = {}  # p -> record, in the order handed
         self._dead = set()

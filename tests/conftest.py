@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lacuna import Bounds, ShiftedLacunary, make_blackbox, size_of
+from lacuna import Bounds, ShiftedLacunary, make_blackbox, prime_oracle, size_of
 from lacuna.densepoly import _generator_powers, _mod, _rotate
 
 # ---------------- acceptance reporting ----------------
@@ -36,6 +36,16 @@ def pytest_terminal_summary(terminalreporter):
 
 
 # ---------------- fixtures ----------------
+
+@pytest.fixture(autouse=True)
+def fresh_walks():
+    """Every test starts and ends with an empty walk memo: the records a
+    stream replays are those of the ``_walk`` and ``s_of_q`` the test sees,
+    not of an earlier test's stand-ins, and none of its own outlive it."""
+    prime_oracle._walk_memo.cache_clear()
+    yield
+    prime_oracle._walk_memo.cache_clear()
+
 
 GOLDEN_JSON = '{"shift":"3","constant":"0","terms":[{"coeff":"1","exp":15},{"coeff":"-2","exp":5}]}'
 

@@ -950,6 +950,24 @@ def test_generator_powers_are_the_powers_of_the_primitive_root():
         assert np.array_equal(_generator_powers(p), want), p
 
 
+def test_generator_steps_memo_stays_bounded_and_tables_stay_right():
+    # the steps are kept across solves for at most maxsize primes: after
+    # more distinct primes than that, the memo holds no more, and a table
+    # rebuilt from fresh or kept steps is still g^a at every a
+    info = densepoly._generator_steps.cache_info()
+    primes = [p for p in range(2, 20 * info.maxsize) if is_prime(p)][: info.maxsize + 50]
+    assert len(primes) == info.maxsize + 50
+    for p in primes:
+        small, big = densepoly._generator_steps(p)
+        assert int(small[1]) == densepoly._primitive_root(p)
+    assert densepoly._generator_steps.cache_info().currsize <= info.maxsize
+    for p in (primes[0], primes[1], primes[2], primes[60], primes[-1]):  # evicted, then kept
+        _generator_powers.cache_clear()
+        g = densepoly._primitive_root(p)
+        assert _generator_powers(p).tolist() == [pow(g, a, p) for a in range(p - 1)], p
+    assert densepoly._generator_steps.cache_info().currsize <= info.maxsize
+
+
 def naive_geometric_sums(coeffs, exps, p, points):
     g = int(_generator_powers(p)[1 % (p - 1)])
     return [sum(c * pow(g, a * e, p) for c, e in zip(coeffs, exps)) % p for a in points]

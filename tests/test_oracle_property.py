@@ -101,7 +101,9 @@ def test_ascending_yields_sorted_by_p_reading_only_what_it_must(records):
 
 @contextmanager
 def counting_walk():
-    """The records every stream made inside the block walks, in walk order."""
+    """The records every stream made inside the block walks, in walk order.
+    The walk memo is emptied on entry and exit, so that each hypothesis
+    example counts its own walks, and none outlives the block."""
     walked = []
     real = prime_oracle._walk
 
@@ -110,9 +112,13 @@ def counting_walk():
             walked.append(r)
             yield r
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(prime_oracle, "_walk", counting)
-        yield walked
+    prime_oracle._walk_memo.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(prime_oracle, "_walk", counting)
+            yield walked
+    finally:
+        prime_oracle._walk_memo.cache_clear()
 
 
 def eager_batches(n, batch, count):
@@ -145,6 +151,31 @@ def test_lazy_walk_hands_out_each_sorted_batch_and_walks_no_more(beta1, beta2, e
     assert handed == [r.p for r in want[: len(handed)]]
     assert walked == sorted(walked, key=lambda r: r.q)
     assert stream.records == want  # the current batch is completed on demand
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    beta1=st.integers(0, 4),
+    beta2=st.integers(0, 4),
+    ell=st.integers(1, 4),
+    data=st.data(),
+)
+def test_a_stream_on_a_partly_walked_memo_hands_out_the_eager_batches(beta1, beta2, ell, data):
+    # an earlier reader left the memo at any point of the walk, inside a
+    # batch or past it: a new stream hands out what an eager one would, and
+    # between them the two walk each record once
+    batch = beta1 + beta2 + ell
+    n = prime_oracle.choose_n(batch)
+    ahead = data.draw(st.integers(0, 4 * batch), label="ahead")
+    requests = data.draw(st.integers(0, 5 * batch), label="requests")
+    with counting_walk() as walked:
+        assert len(list(islice(prime_oracle._walked(n), ahead))) == ahead
+        stream = generate(OracleConfig(beta1, beta2, ell))
+        handed = [stream.next_prime() for _ in range(requests)]
+        records = stream.records
+    want = eager_batches(n, batch, stream.regenerations + 1)
+    assert handed == [r.p for r in want[:requests]] and records == want
+    assert walked == list(islice(prime_oracle._walk(n), max(ahead, len(want))))
 
 
 def test_a_shift_phase_walks_fewer_records_than_its_batch(golden_poly, golden_bounds):

@@ -4,6 +4,8 @@ import dataclasses
 import itertools
 import math
 import random
+import sys
+import threading
 import tracemalloc
 
 import pytest
@@ -304,6 +306,100 @@ def test_regeneration_reuses_primality_work():
     t0 = time.monotonic()
     generate(OracleConfig(10, 10, 5))
     assert time.monotonic() - t0 < 2.0
+
+
+# ---------------- the walk memo ----------------
+
+def eager_walk(n, batch, count):
+    """The primes of the walk's first ``count`` batches from n, each batch
+    sorted: what a stream of that batch hands out."""
+    walk = prime_oracle._walk(n)
+    return [r.p for _ in range(count) for r in sorted(itertools.islice(walk, batch))]
+
+
+def test_streams_of_one_config_hand_out_the_same_primes():
+    # the second stream replays what the first walked, then reads on past
+    # it; the first then reads on past the second: one walk, one order
+    config = OracleConfig(2, 1, 1)
+    a, b = generate(config), generate(config)
+    first = [a.next_prime() for _ in range(6)]
+    second = [b.next_prime() for _ in range(13)]
+    first += [a.next_prime() for _ in range(11)]
+    assert first[:13] == second
+    assert b.records == a.records[: len(b.records)]
+    assert prime_oracle._walk_memo.cache_info().currsize == 1
+
+
+class Interrupted(Exception):
+    pass
+
+
+def test_an_interrupted_walk_leaves_the_memo_whole(monkeypatch):
+    # a walk that raises inside s_of_q leaves the records walked so far,
+    # and the next stream walks on from them to the same primes as a walk
+    # that was never interrupted
+    config, n = OracleConfig(3, 3, 2), choose_n(8)
+    real = prime_oracle.s_of_q
+    walked = []
+
+    def interrupting(q, cap=None):
+        if len(walked) == 5:
+            raise Interrupted
+        p = real(q, cap)
+        if p is not None:
+            walked.append(q)
+        return p
+
+    monkeypatch.setattr(prime_oracle, "s_of_q", interrupting)
+    with pytest.raises(Interrupted):
+        generate(config).records
+    monkeypatch.setattr(prime_oracle, "s_of_q", real)
+    assert prime_oracle._walk_memo(n).records == list(itertools.islice(prime_oracle._walk(n), 5))
+    st = generate(config)
+    assert [st.next_prime() for _ in range(24)] == eager_walk(n, 8, 3)
+
+
+def test_streams_in_threads_share_one_walk():
+    # four threads, more than the cores, start together and each read ten
+    # batches of one config while the interpreter switches threads as often
+    # as it can: a record walked twice would reach a stream twice, and one
+    # skipped would reach none.  Five configs, each a walk not read before.
+    def read(config, start, handed, k):
+        st = generate(config)
+        start.wait(timeout=60)
+        handed[k] = [st.next_prime() for _ in range(10 * (4 + config.ell))]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for ell in range(20, 25):
+            config, start, handed = OracleConfig(2, 2, ell), threading.Barrier(4), {}
+            threads = [threading.Thread(target=read, args=(config, start, handed, k))
+                       for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            want = eager_walk(choose_n(4 + ell), 4 + ell, 10)
+            assert handed == {k: want for k in range(4)}, ell
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_walk_memos_stay_bounded():
+    # more walk starts than the memo keeps: each still reads its own walk
+    maxsize = prime_oracle._walk_memo.cache_info().maxsize
+    starts = range(22, 22 + 2 * maxsize)
+    for n in starts:
+        assert next(prime_oracle._walked(n)) == next(prime_oracle._walk(n))
+    assert prime_oracle._walk_memo.cache_info().currsize <= maxsize
+    for target in range(1, 2 * choose_n.cache_info().maxsize):
+        choose_n(target)
+    assert choose_n.cache_info().currsize <= choose_n.cache_info().maxsize
+    for n in (starts[0], starts[-1]):
+        assert list(itertools.islice(prime_oracle._walked(n), 12)) == \
+            list(itertools.islice(prime_oracle._walk(n), 12))
 
 
 def test_adversarial_divisibility_guarantee():

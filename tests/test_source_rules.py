@@ -175,13 +175,16 @@ def test_every_cache_is_bounded():
 def test_cached_arrays_are_read_only():
     # every hit of a cache returns the same array: a caller writing to it
     # would change what every later hit reads
-    from lacuna.densepoly import _generator_powers, _geometric_sums
+    from lacuna.densepoly import _generator_powers, _generator_steps, _geometric_sums
 
     for p in (2, 3, 1187):
         pw = _generator_powers(p)
         sums = _geometric_sums((1, p - 1), (0, 5), p)
         assert not pw.flags.writeable and not sums.flags.writeable
         assert _generator_powers(p) is pw and _geometric_sums((1, p - 1), (0, 5), p) is sums
+        steps = _generator_steps(p)
+        assert not any(a.flags.writeable for a in steps)
+        assert all(a is b for a, b in zip(_generator_steps(p), steps))
 
 
 def test_sparse_interp_names_its_reconstruction_misfits_once():
