@@ -7,11 +7,12 @@ representation, a dense rational coefficient list, and straight-line
 programs, so tests can model genuinely opaque functions.  Every one of them
 evaluates the whole grid Z_p in bulk on int64 arrays.  The dense box is
 the lacunary box of its nonzero terms, so both sum terms by one exact
-kernel; the straight-line program box runs one interpreter over either a
-Python int or that array.  The interpreter keeps a bound next to each
-register and reduces a register only when the next operation could leave
-int64, not after every one: at the small primes of a solve four residues
-multiply inside int64, so about half the reductions of a squaring chain go.
+kernel; the straight-line program box replays one plan over either a
+Python int or that array.  The plan, compiled once per bit length of the
+modulus, reduces a register only when the next operation could leave
+int64, not after every one (at the small primes of a solve four residues
+multiply inside int64, so about half the reductions of a squaring chain
+go), and writes each result over an operand read for the last time.
 """
 
 import json
@@ -34,10 +35,13 @@ from .densepoly import (
     poly_trim,
 )
 from .errors import DenominatorVanished
-from .modular_core import frac_mod
+from .modular_core import _ratio_mod, frac_mod
 
 # A register whose bound stays at most this fits in int64: |r| < 2^63.
 _INT64 = 1 << 63
+# A program operation over Python ints, or into a given array (out=)
+_OPERATORS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
+_UFUNCS = {"add": np.add, "sub": np.subtract, "mul": np.multiply}
 
 
 # ---------------- the output representation ----------------
@@ -240,12 +244,28 @@ class ProgramBox(ModularBlackBox):
     The last register is the result.  A malformed instruction raises
     ValueError at construction.
 
-    One interpreter runs the program over a single point as a Python int
-    (``eval``, exact at any modulus) or over the int64 array of all of
-    Z_p at once (``eval_range``).  Both follow one reduction schedule: each
-    register carries a bound on its absolute value, and a register is
-    reduced only before an operation whose bound would pass 2^63, so below
-    p ~ 2^31.5 every array value stays in int64 (``_eval`` proves it).
+    The program runs over a single point as a Python int (``eval``, exact
+    at any modulus) or over the int64 array of all of Z_p at once
+    (``eval_range``).  Both replay one plan, compiled on first use for each
+    bit length b of the modulus and kept on the box, one per b.  The plan
+    fixes where registers are reduced: each register carries a bound on its
+    absolute value, and a register is reduced only before an operation
+    whose bound would pass 2^63.  The bounds are computed once, with
+    P = 2^b - 1 in place of p, and a plan built for P holds for every p of
+    b bits: p <= P, so every bound computed from P still bounds the value
+    computed modulo p, and a reduction modulo p is exact whenever it runs.
+    So every array value stays in int64, and every p of one length gets the
+    same residues as from a schedule of its own (``_compile`` gives the
+    rule).  The array path raises RuntimeError for a plan with an operation
+    that could leave int64 even after its reductions.  No plan of b <= 31
+    bits has one, so the array path runs for every p < 2^31,
+    ``eval_range``'s limit; from p >= 2^31 on, a product of two inputs is
+    refused.
+
+    On the array path an operation writes its result into a dead register
+    instead of a fresh array: one of its operands that is the result of an
+    earlier operation, holds an array, and is read for the last time here.
+    The caller's x and the constants are never written.
     """
 
     _ARITY = {"input": 0, "const": 1, "add": 2, "sub": 2, "mul": 2}
@@ -276,64 +296,96 @@ class ProgramBox(ModularBlackBox):
                                  "or earlier registers") from None
             program.append((kind, *args))
         self.ops = tuple(program)
+        self._plans = {}  # bit length of the modulus -> its plan
 
-    def _eval(self, p: int, x):
-        """The program's value modulo p at x: a reduced Python int, or an
-        int64 array of reduced points when p < 2^31.
+    def _compile(self, bits: int) -> tuple:
+        """The plan of every modulus p of ``bits`` bits: (consts,
+        array_steps, scalar_steps, reduce_result, unsafe).
 
-        Each register r_i keeps a Python-int bound B_i with |r_i| < B_i: p
+        ``consts`` holds (register, numerator, denominator) for each
+        constant.  Each step (k, fn, i, j, reduced, dead) first reduces the
+        registers ``reduced`` and then writes fn(r_i, r_j) into register k,
+        into the array of register ``dead`` when it is not None (array
+        steps only).  ``reduce_result`` says whether the result needs a
+        last reduction, and ``unsafe`` names the first operation whose bound
+        stays above 2^63, or is None.
+
+        Each register r_i keeps a bound B_i with |r_i| < B_i: P = 2^bits - 1
         for the input and a constant, B_i + B_j for a sum or difference,
         B_i * B_j for a product.  A bound of at most 2^63 keeps a value in
-        int64.  A register is reduced, in place and by ``_mod``, only when
-        the next operation could leave int64: before a product whose bound
-        would pass 2^63, the operand of the larger bound is reduced (its
-        bound drops to p) and the bound checked again, so a squaring, one
-        register, takes one reduction; before a sum or difference whose
-        bound would, both operands are.  The result is reduced once at the
-        end, if its bound passes p.  Every operation gives a bound of at
-        least 2p, so a bound of p marks the input, a constant or a reduced
-        value, each in [0, p): the caller's x and the constants are never
-        written, and every register reduced is a fresh value of this call.
-        Below p ~ 2^31.5 two reduced operands combine inside 2^63, so every
-        operation stays in int64; past it a product is reduced before every
-        use, as on the scalar path at a 70-bit p.  The array path raises
-        RuntimeError for an operation whose bound stays above 2^63 after
-        its reductions, which no p < 2^31 reaches.
+        int64.  Before a product whose bound would pass 2^63, the operand
+        of the larger bound is reduced (its bound drops to P) and the bound
+        checked again, so a squaring, one register, takes one reduction;
+        before a sum or difference whose bound would, both operands are.
+        The result is reduced once at the end if its bound passes P.  Every
+        operation gives a bound of at least 2P, so a bound of P marks the
+        input, a constant or a reduced value, each in [0, p): every
+        register reduced is an operation's result.  For bits <= 31 two
+        reduced operands combine inside 2^63, so no operation is unsafe;
+        past that a product is reduced before every use, as on the scalar
+        path at a 70-bit p.
         """
-        on_array = isinstance(x, np.ndarray)
-        regs, bounds = [], []
-
-        def reduce(i):
-            if bounds[i] > p:
-                regs[i] = _mod(regs[i], p)
-                bounds[i] = p
-
-        for kind, *args in self.ops:
-            if kind == "input":
-                regs.append(x)
-                bounds.append(p)
-            elif kind == "const":
-                regs.append(frac_mod(args[0], p))
-                bounds.append(p)
+        bound_p = (1 << bits) - 1
+        last_read = {r: k for k, (kind, *args) in enumerate(self.ops) if kind in _UFUNCS
+                     for r in args}
+        consts, array_steps, scalar_steps = [], [], []
+        bounds, on_input = [], []  # on_input[k]: register k is an array on the array path
+        unsafe = None
+        for k, (kind, *args) in enumerate(self.ops):
+            if kind not in _UFUNCS:  # the input or a constant
+                if kind == "const":
+                    consts.append((k, args[0].numerator, args[0].denominator))
+                bounds.append(bound_p)
+                on_input.append(kind == "input")
+                continue
+            i, j = args
+            reduced = []
+            if kind == "mul":
+                while bounds[i] * bounds[j] > _INT64 and max(bounds[i], bounds[j]) > bound_p:
+                    r = i if bounds[i] >= bounds[j] else j
+                    reduced.append(r)
+                    bounds[r] = bound_p
+                bound = bounds[i] * bounds[j]
             else:
-                i, j = args
-                if kind == "mul":
-                    while bounds[i] * bounds[j] > _INT64 and max(bounds[i], bounds[j]) > p:
-                        reduce(i if bounds[i] >= bounds[j] else j)
-                    bound = bounds[i] * bounds[j]
-                else:
-                    if bounds[i] + bounds[j] > _INT64:
-                        reduce(i)
-                        reduce(j)
-                    bound = bounds[i] + bounds[j]
-                if on_array and bound > _INT64:
-                    raise RuntimeError(f"{kind} of registers {i} and {j} modulo {p} "
-                                       "could leave int64")
-                a, b = regs[i], regs[j]
-                regs.append(a + b if kind == "add" else a - b if kind == "sub" else a * b)
-                bounds.append(bound)
-        reduce(-1)
-        return regs[-1]
+                if bounds[i] + bounds[j] > _INT64:
+                    reduced = [r for r in dict.fromkeys((i, j)) if bounds[r] > bound_p]
+                    for r in reduced:
+                        bounds[r] = bound_p
+                bound = bounds[i] + bounds[j]
+            if bound > _INT64 and unsafe is None:
+                unsafe = f"{kind} of registers {i} and {j}"
+            bounds.append(bound)
+            on_input.append(on_input[i] or on_input[j])
+            dead = next((r for r in (i, j) if last_read[r] == k
+                         and self.ops[r][0] in _UFUNCS and on_input[r]), None)
+            scalar_steps.append((k, _OPERATORS[kind], i, j, tuple(reduced), None))
+            array_steps.append((k, _OPERATORS[kind] if dead is None else _UFUNCS[kind],
+                                i, j, tuple(reduced), dead))
+        return (tuple(consts), tuple(array_steps), tuple(scalar_steps),
+                bounds[-1] > bound_p, unsafe)
+
+    def _eval(self, p: int, x):
+        """The program's value modulo p at x: a reduced Python int for an
+        int x, or for an int64 array x of at least one dimension and
+        p < 2^31 an array of reduced points.  Replays the plan of p's bit
+        length; the array path raises RuntimeError where that plan has an
+        operation that could leave int64."""
+        bits = p.bit_length()
+        plan = self._plans.get(bits)
+        if plan is None:
+            plan = self._plans[bits] = self._compile(bits)
+        consts, array_steps, scalar_steps, reduce_result, unsafe = plan
+        on_array = isinstance(x, np.ndarray)
+        if on_array and unsafe:
+            raise RuntimeError(f"{unsafe} modulo {p} could leave int64")
+        regs = [x] * len(self.ops)
+        for k, num, den in consts:
+            regs[k] = _ratio_mod(num, den, p)
+        for k, fn, i, j, reduced, dead in array_steps if on_array else scalar_steps:
+            for r in reduced:
+                regs[r] = _mod(regs[r], p)
+            regs[k] = fn(regs[i], regs[j]) if dead is None else fn(regs[i], regs[j], out=regs[dead])
+        return _mod(regs[-1], p) if reduce_result else regs[-1]
 
     def _grid(self, p: int) -> np.ndarray:
         values = self._eval(p, np.arange(p, dtype=np.int64))

@@ -49,10 +49,20 @@ def frac_mod(q, m: int) -> int:
     """
     if not isinstance(q, Fraction):
         q = Fraction(q)
-    den = q.denominator
-    if math.gcd(den, m) != 1:
-        raise DenominatorVanished(m, f"denominator {den}")
-    return q.numerator * pow(den, -1, m) % m
+    return _ratio_mod(q.numerator, q.denominator, m)
+
+
+def _ratio_mod(num: int, den: int, m: int) -> int:
+    """num/den in Z_m for den > 0; DenominatorVanished if gcd(den, m) > 1.
+
+    The inverse is taken once: ``pow`` raises ValueError exactly when den
+    has no inverse modulo m.
+    """
+    try:
+        inv = pow(den, -1, m)
+    except ValueError:
+        raise DenominatorVanished(m, f"denominator {den}") from None
+    return num * inv % m
 
 
 # ---------------- primality ----------------
@@ -115,13 +125,15 @@ def _factorize(n: int) -> dict:
     return fac
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def is_prime(n: int) -> bool:
     """Deterministic primality test for n below _MR_PROVEN_LIMIT (about 3.3e24).
 
     Uses the fixed Miller-Rabin witness set proven for the size of n.
     Larger n raise ValueError: proving them in general means factoring
-    n - 1, and no part of the library needs a prime that large.
+    n - 1, and no part of the library needs a prime that large.  The last
+    4,096 answers are cached: more than the walks of a few solves test, and
+    bounded for a long walk.
     """
     if n >= _MR_PROVEN_LIMIT:
         raise ValueError(f"{n} is not accepted: primality is proven only below {_MR_PROVEN_LIMIT}")

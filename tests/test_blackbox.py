@@ -507,13 +507,14 @@ def test_program_box_reduces_only_near_int64(monkeypatch):
 
 
 def test_program_box_array_path_refuses_a_product_past_int64():
-    # past p ~ 2^31.5 two residues can multiply past 2^63: the array path
-    # raises instead of wrapping, while the scalar path stays exact
-    p = next_prime_above(1 << 32)
+    # from p >= 2^31 on, the plan's bound 2^b - 1 lets two residues multiply
+    # past 2^63: the array path raises instead of wrapping, while the
+    # scalar path stays exact
     bb = ProgramBox([("input",), ("mul", 0, 0)])
-    with pytest.raises(RuntimeError):
-        bb._eval(p, np.array([p - 1], dtype=np.int64))
-    assert bb.eval(p, p - 1) == 1
+    for p in (next_prime_above(1 << 31), next_prime_above(1 << 32)):
+        with pytest.raises(RuntimeError):
+            bb._eval(p, np.array([p - 1], dtype=np.int64))
+        assert bb.eval(p, p - 1) == 1
 
 
 # ---------------- shifted_blackbox ----------------

@@ -3,8 +3,9 @@ every prime below 600, of the cyclic recurrence check against a naive term
 count, of the image a candidate's confirmation reads in
 the sparse kernel's place, of the Hankel singularity test and the shift
 search's degree test, of the int64 reduction helper, of the Horner
-steps, of the lacunary box's float64 sums split into limbs and chunks, and
-of the dense box, which is the lacunary box of its terms.
+steps, of the lacunary box's float64 sums split into limbs and chunks, of
+the dense box, which is the lacunary box of its terms, and of the
+straight-line program box's plan, kept per bit length of the modulus.
 
 Kept apart from test_densepoly so that the other kernel tests still run
 where hypothesis is not installed.
@@ -25,16 +26,24 @@ from lacuna import (
     DenseBox,
     DensePolyMod,
     LacunaryBox,
+    ProgramBox,
     ShiftedLacunary,
     interpolate_range,
     interpolate_sparse,
     is_prime,
     make_blackbox,
+    next_prime_above,
 )
 from lacuna import densepoly, sparse_interp
 from lacuna.densepoly import _difference, _hankel_singular, _horner, _mod
 
-from conftest import naive_frac_mod, naive_interpolate, naive_termwise_reduction, random_instance
+from conftest import (
+    naive_frac_mod,
+    naive_interpolate,
+    naive_program_value,
+    naive_termwise_reduction,
+    random_instance,
+)
 
 PRIMES_BELOW_600 = [p for p in range(600) if is_prime(p)]
 
@@ -348,3 +357,117 @@ def test_lazy_horner_equals_reducing_every_step(m, data):
     assert got.dtype == np.int64 and got.tolist() == want
     assert xs.tolist() == before
     assert [_horner(coeffs, int(x), m) for x in xs] == want
+
+
+# ---------------- the straight-line program box's plan ----------------
+
+# a few primes of each bit length from 8 to 31: the least ones and the
+# largest ones, where residues come nearest to 2^b - 1
+PRIMES_BY_BITS = {
+    b: [p for p in (*range(1 << (b - 1), (1 << (b - 1)) + 64), *range((1 << b) - 64, 1 << b))
+        if is_prime(p)]
+    for b in range(8, 32)
+}
+PROGRAM_SCALAR_PRIME = next_prime_above(1 << 70)
+# 257 and 65,537 are grid primes: a constant over them vanishes there
+PROGRAM_DENOMINATORS = (1, 1, 2, 3, 35, 257, 65537)
+PROGRAM_MAX_WEIGHT = 96  # a bound on the x-degree and on the powers of a constant
+
+
+@st.composite
+def plan_programs(draw):
+    """A ProgramBox instruction list: squarings, results read long after
+    they are made, constants combined with constants only, and an optional
+    last instruction that returns the input or a constant.  No register's
+    weight (1 for the input or a constant, w_i + w_j for a product, the
+    larger for a sum) passes PROGRAM_MAX_WEIGHT, which keeps the exact
+    reference cheap."""
+    def const():
+        num = draw(st.integers(-10**6, 10**6))
+        return ("const", Fraction(num, draw(st.sampled_from(PROGRAM_DENOMINATORS))))
+
+    ops, weight = [], []
+    ops.append(("input",) if draw(st.booleans()) else const())
+    weight.append(1)
+    for _ in range(draw(st.integers(0, 18))):
+        shape = draw(st.sampled_from(("input", "const", "any", "square", "early", "constants")))
+        if shape in ("input", "const"):
+            ops.append(("input",) if shape == "input" else const())
+            weight.append(1)
+            continue
+        last = len(ops) - 1
+        kind = draw(st.sampled_from(("add", "sub", "mul")))
+        constants = [r for r, op in enumerate(ops) if op[0] == "const"]
+        if shape == "square":
+            kind, i, j = "mul", last, last
+        elif shape == "early":  # reads one of the first registers again
+            i, j = draw(st.integers(0, min(2, last))), last
+        elif shape == "constants" and constants:
+            i, j = draw(st.sampled_from(constants)), draw(st.sampled_from(constants))
+        else:
+            i, j = draw(st.integers(0, last)), draw(st.integers(0, last))
+        if kind == "mul" and weight[i] + weight[j] > PROGRAM_MAX_WEIGHT:
+            kind = "add"
+        ops.append((kind, i, j))
+        weight.append(weight[i] + weight[j] if kind == "mul" else max(weight[i], weight[j]))
+    tail = draw(st.sampled_from((None, "input", "const")))
+    if tail:
+        ops.append(("input",) if tail == "input" else const())
+    return ops
+
+
+def plan_reference(ops, p, values):
+    """The program's values mod p from its exact values, or None where a
+    constant's denominator vanishes mod p."""
+    if any(op[0] == "const" and op[1].denominator % p == 0 for op in ops):
+        return None
+    return [naive_frac_mod(v, p) for v in values]
+
+
+@settings(max_examples=80, deadline=None)
+@given(ops=plan_programs(), grid_bits=st.sampled_from((8, 9)), data=st.data())
+@example(ops=[("input",), *(("mul", r, r) for r in range(6)), ("const", Fraction(-1, 3)),
+              ("mul", 1, 5), ("sub", 8, 7)], grid_bits=8, data=None)
+@example(ops=[("const", Fraction(5, 2)), ("const", -7), ("mul", 0, 1), ("mul", 2, 2),
+              ("sub", 3, 0)], grid_bits=9, data=None)
+@example(ops=[("input",), ("mul", 0, 0), ("mul", 1, 1), ("input",)], grid_bits=8, data=None)
+@example(ops=[("input",), ("mul", 0, 0), ("const", Fraction(3, 257))], grid_bits=9, data=None)
+def test_program_plan_is_exact_at_every_prime_of_every_length(ops, grid_bits, data):
+    # one box, several primes of one bit length, then other lengths: every
+    # plan holds for every prime of its length, and one is kept per length
+    bb = ProgramBox(ops)
+    if data is None:
+        grid_primes = PRIMES_BY_BITS[grid_bits][:2] + PRIMES_BY_BITS[grid_bits][-1:]
+        lengths = [10, 16, 31]
+    else:
+        grid_primes = data.draw(st.lists(st.sampled_from(PRIMES_BY_BITS[grid_bits]),
+                                         min_size=2, max_size=3, unique=True))
+        lengths = data.draw(st.lists(st.integers(10, 31), min_size=1, max_size=4, unique=True))
+    exact = [naive_program_value(ops, x) for x in range(1 << grid_bits)]
+    for p in grid_primes:
+        want = plan_reference(ops, p, exact[:p])
+        if want is None:
+            with pytest.raises(DenominatorVanished):
+                bb.eval_range(p)
+            continue
+        grid = bb.eval_range(p)
+        assert grid.tolist() == want, (ops, p)
+        assert [bb.eval(p, x) for x in range(p)] == want, (ops, p)
+    for b in lengths:
+        p = PRIMES_BY_BITS[b][-1] if data is None else data.draw(st.sampled_from(PRIMES_BY_BITS[b]))
+        points = [p - 1, p - 2, p // 2 + 1, 2, 1, 0]
+        want = plan_reference(ops, p, [naive_program_value(ops, x) for x in points])
+        x = np.array(points, dtype=np.int64)
+        if want is None:
+            with pytest.raises(DenominatorVanished):
+                bb._eval(p, x)
+            continue
+        got = bb._eval(p, x)
+        assert np.broadcast_to(got, x.shape).tolist() == want, (ops, p)
+        assert x.tolist() == points  # the caller's array is never written
+        assert [bb.eval(p, v) for v in points] == want, (ops, p)
+    p = PROGRAM_SCALAR_PRIME
+    points = [p - 1, p // 2 + 1, 1]
+    want = plan_reference(ops, p, [naive_program_value(ops, x) for x in points])
+    assert [bb.eval(p, x) for x in points] == want, ops
+    assert sorted(bb._plans) == sorted({grid_bits, *lengths, p.bit_length()})

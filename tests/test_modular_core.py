@@ -122,6 +122,23 @@ def test_frac_mod_vanishes():
         frac_mod(Fraction(-5, 6), 9)
 
 
+@pytest.mark.parametrize("q, m", [
+    (Fraction(1, 6), 9),     # a composite modulus sharing the factor 3
+    (Fraction(1, 6), 3),     # a prime dividing the denominator
+    (Fraction(-5, 14), 7),
+    (Fraction(7, 4), 2),
+])
+def test_frac_mod_raises_denominator_vanished_never_value_error(q, m):
+    # pow(den, -1, m) raises ValueError exactly when gcd(den, m) > 1, and
+    # frac_mod turns it into DenominatorVanished with the same message
+    with pytest.raises(DenominatorVanished) as info:
+        frac_mod(q, m)
+    err = info.value
+    assert type(err) is DenominatorVanished and not isinstance(err, ValueError)
+    assert err.p == m and str(err) == f"denominator vanished modulo {m}: denominator {q.denominator}"
+    assert err.__cause__ is None and err.__suppress_context__
+
+
 def test_frac_mod_takes_fractions_ints_and_strings_alike():
     for q in (Fraction(-7, 3), 12, -4, "5/6", Fraction(0)):
         assert frac_mod(q, 11) == Fraction(q).numerator * pow(Fraction(q).denominator, -1, 11) % 11

@@ -126,6 +126,52 @@ def test_one_recurrence_check():
     assert inside, "densepoly._sparse_recurrence runs no Berlekamp-Massey"
 
 
+def _is_mod_of_rest(stmt):
+    """``_mod(rest, ...)`` as a statement, or ``rest = _mod(rest, ...)``."""
+    call = stmt.value if isinstance(stmt, (ast.Expr, ast.Assign)) else None
+    if isinstance(stmt, ast.Assign) and [getattr(t, "id", None) for t in stmt.targets] != ["rest"]:
+        return False
+    return (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+            and call.func.id == "_mod" and bool(call.args)
+            and isinstance(call.args[0], ast.Name) and call.args[0].id == "rest")
+
+
+def _accumulates_into_rest(stmt):
+    if isinstance(stmt, ast.AugAssign):
+        return isinstance(stmt.target, ast.Name) and stmt.target.id == "rest"
+    return (isinstance(stmt, ast.Assign) and not _is_mod_of_rest(stmt)
+            and [getattr(t, "id", None) for t in stmt.targets] == ["rest"]
+            and any(isinstance(n, ast.Name) and n.id == "rest" for n in ast.walk(stmt.value)))
+
+
+def test_recurrence_check_reduces_after_every_product():
+    # densepoly._sparse_recurrence keeps p + (p-1)^2 < 2^63 only by reducing
+    # its sum after each product conn[m] * a_(j-m): reduced once after the
+    # loop, a sum of L such products passes int64 above p ~ 2^30.5, where
+    # no test can build a whole grid.  So every loop iteration that adds
+    # into rest calls _mod on it before the next product.
+    path = SRC / "densepoly.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    core = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "_sparse_recurrence")
+    loops = [node for node in ast.walk(core) if isinstance(node, (ast.For, ast.While))
+             and any(_accumulates_into_rest(stmt) for stmt in node.body)]
+    assert loops, "densepoly._sparse_recurrence adds into rest in no loop"
+    found = []
+    for loop in loops:
+        pending = None  # the last addition not yet reduced
+        for stmt in loop.body:
+            if _accumulates_into_rest(stmt):
+                if pending is not None:
+                    found.append(f"densepoly.py:{pending.lineno}")
+                pending = stmt
+            elif _is_mod_of_rest(stmt):
+                pending = None
+        if pending is not None:
+            found.append(f"densepoly.py:{pending.lineno}")
+    assert not found, f"additions into rest not reduced before the next product: {found}"
+
+
 def test_no_catch_all_except():
     # every handler names the errors it expects, so a broken invariant or a
     # typo surfaces instead of being read as a failed reconstruction
@@ -155,12 +201,12 @@ def _cache_decorators(func):
 def test_every_cache_is_bounded():
     # a cache holds every result it keeps alive, and a solve asks for one
     # table and one sums array per prime: an unbounded cache of those would
-    # grow with every prime of every solve.  is_prime keeps only ints.
+    # grow with every prime of every solve
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for node in ast.walk(tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or node.name == "is_prime":
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             for dec in _cache_decorators(node):
                 args = [*dec.args[:1], *(k.value for k in dec.keywords if k.arg == "maxsize")] \
