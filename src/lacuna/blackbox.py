@@ -7,18 +7,23 @@ representation, a dense rational coefficient list, and straight-line
 programs, so tests can model genuinely opaque functions.  Every one of them
 evaluates the whole grid Z_p in bulk on int64 arrays.  The dense box is
 the lacunary box of its nonzero terms, so both sum terms by one exact
-kernel; the straight-line program box replays one plan over either a
-Python int or that array.  The plan, compiled once per bit length of the
-modulus, reduces a register only when the next operation could leave
-int64, not after every one (at the small primes of a solve four residues
-multiply inside int64, so about half the reductions of a squaring chain
-go), and writes each result over an operand read for the last time.
+kernel, and the last grid they gave is cached (``_lacunary_grid``): the
+interpolation phase confirms a padding prime against its candidate's grid
+at the shift, which is that same array whenever the candidate is the
+box's polynomial.  The straight-line program box replays one plan over
+either a Python int or that array.  The plan, compiled once per bit
+length of the modulus, reduces a register only when the next operation
+could leave int64, not after every one (at the small primes of a solve
+four residues multiply inside int64, so about half the reductions of a
+squaring chain go), and writes each result over an operand read for the
+last time.
 """
 
 import json
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator, Sequence, Tuple
 
 import numpy as np
@@ -179,42 +184,62 @@ class ModularBlackBox:
         return np.array([self._eval(p, i) for i in range(p)], dtype=np.int64)
 
 
+@lru_cache(maxsize=1)
+def _lacunary_grid(c0: int, shift: int, coeffs: Tuple[int, ...], exps: Tuple[int, ...],
+                   p: int) -> np.ndarray:
+    """The read-only grid of c0 + sum_k coeffs[k] (x - shift)^exps[k] over
+    Z_p, for residues c0, shift and coeffs modulo the prime p and exponents
+    exps >= 1.
+
+    The last grid is cached, so its arguments are ints and tuples.  A
+    ``LacunaryBox`` grid and the confirmation of a padding prime
+    (``sparse_interp._confirmed_image``) ask for the same grid one after
+    the other whenever the candidate at the shift is the box's polynomial:
+    the second call returns the first one's array, which every hit shares,
+    hence read-only.
+    """
+    # f(shift + g^a) = c0 + sum_k c_k g^(a*e_k): c0 is the term of exponent
+    # 0, and _geometric_sums adds all of them for every a in one exact
+    # product; at x = shift every other term vanishes (e >= 1).
+    around = np.empty(p, dtype=np.int64)  # around[x] = f(shift + x)
+    around[0] = c0
+    around[_generator_powers(p)] = _geometric_sums((c0, *coeffs), (0, *exps), p)
+    return _read_only(_rotate(around, -shift) if shift else around)
+
+
 class LacunaryBox(ModularBlackBox):
-    """Term-wise evaluation of a ShiftedLacunary via modular exponentiation."""
+    """Term-wise evaluation of a ShiftedLacunary via modular exponentiation.
+
+    The exponents and the (numerator, denominator) pairs of the constant,
+    the shift and the coefficients are taken from ``poly`` once, at
+    construction; a box of no terms never reads its shift.
+    """
 
     def __init__(self, poly: ShiftedLacunary):
         super().__init__()
         self.poly = poly
+        self._exps = tuple(e for _, e in poly.terms)
+        shift = poly.shift if poly.terms else Fraction(0)
+        self._ratios = tuple((q.numerator, q.denominator)
+                             for q in (poly.constant, shift, *(c for c, _ in poly.terms)))
 
     def _residues(self, p: int):
         """(c0, shift, coeffs) reduced mod p; DenominatorVanished when p
         divides a denominator."""
-        f = self.poly
-        c0 = frac_mod(f.constant, p)
-        if not f.terms:
-            return c0, 0, ()
-        shift = frac_mod(f.shift, p)
-        coeffs = tuple(frac_mod(c, p) for c, _ in f.terms)
-        return c0, shift, coeffs
+        c0, shift, *coeffs = (_ratio_mod(num, den, p) for num, den in self._ratios)
+        return c0, shift, tuple(coeffs)
 
     def _eval(self, p: int, theta: int) -> int:
         c0, shift, coeffs = self._residues(p)
         base = (theta - shift) % p
         acc = c0
-        for cm, (_, e) in zip(coeffs, self.poly.terms):
+        for cm, e in zip(coeffs, self._exps):
             acc = (acc + cm * pow(base, e, p)) % p
         return acc
 
     def _grid(self, p: int) -> np.ndarray:
         c0, shift, coeffs = self._residues(p)
-        # f(shift + g^a) = c0 + sum_k c_k g^(a*e_k): c0 is the term of exponent
-        # 0, and _geometric_sums adds all of them for every a in one exact
-        # product; at theta = shift every other term vanishes (e >= 1).
-        exps = (0, *(e for _, e in self.poly.terms))
-        around = np.empty(p, dtype=np.int64)  # around[x] = f(shift + x)
-        around[0] = c0
-        around[_generator_powers(p)] = _geometric_sums((c0, *coeffs), exps, p)
-        return _rotate(around, -shift)
+        return _lacunary_grid(c0, shift, coeffs, self._exps, p)
 
 
 class DenseBox(LacunaryBox):
@@ -394,7 +419,13 @@ class ProgramBox(ModularBlackBox):
 
 
 class ShiftedBox(ModularBlackBox):
-    """View of an inner box with the argument shifted by a rational alpha."""
+    """View of an inner box with the argument shifted by a rational alpha.
+
+    The box of ``shifted_blackbox``, a spec operation that the pipeline
+    does not use: ``sparse_interpolate`` takes the shift itself, confirms
+    a padding prime against the inner box's own grid, and rotates only a
+    grid it interpolates.
+    """
 
     def __init__(self, inner: ModularBlackBox, alpha):
         super().__init__()
@@ -432,22 +463,27 @@ def reduce_mod(bb: ModularBlackBox, p: int) -> DensePolyMod:
     return interpolate_range(bb.eval_range(p), p)
 
 
-def _reductions(bb: ModularBlackBox, stream) -> Iterator[Tuple[int, np.ndarray]]:
-    """(p, f on all of Z_p) for each next prime p of the stream, endlessly.
+def _reductions(bb: ModularBlackBox, stream,
+                shift=0) -> Iterator[Tuple[int, int, np.ndarray]]:
+    """(p, shift mod p, f on all of Z_p) for each next prime p of the
+    stream, endlessly.
 
     Each grid costs p queries; the callers read it with the sparse kernel,
     the shift phase through ``grid_shift``, which interpolates a grid
     densely only when more Hankel candidates pass than it would check.  A
-    prime where a denominator vanishes is discarded from the stream, so it
-    never counts toward the guarantee.  The stream raises BlackBoxFailure
-    once it has extended its reservoir past its limit, or has no primes
-    left below 2^31.
+    prime where a denominator vanishes, the shift's or one the box meets,
+    is discarded from the stream, so it never counts toward the guarantee;
+    the shift is reduced first, so a prime dividing its denominator costs
+    no query.  The stream raises BlackBoxFailure once it has extended its
+    reservoir past its limit, or has no primes left below 2^31.
     """
+    shift = Fraction(shift)
     while True:
         p = stream.next_prime()
         try:
+            a = frac_mod(shift, p)
             values = bb.eval_range(p)
         except DenominatorVanished:
             stream.discard(p)
             continue
-        yield p, values
+        yield p, a, values

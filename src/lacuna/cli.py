@@ -10,7 +10,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
 
 from . import prime_oracle
 from .blackbox import (
@@ -21,7 +20,6 @@ from .blackbox import (
     canonical_json,
     make_blackbox,
     reduce_mod,
-    shifted_blackbox,
 )
 from .errors import BlackBoxFailure, DenominatorVanished, LacunaError
 from .modular_core import is_prime
@@ -164,8 +162,7 @@ def _cmd_interpolate(args) -> int:
     bounds = _parse_bounds(args.bounds)
     if args.assume_shift is not None:
         alpha = _parse_rat(args.assume_shift)
-        flat = sparse_interpolate(shifted_blackbox(bb, alpha), bounds)
-        result = replace(flat, shift=alpha)
+        result = sparse_interpolate(bb, bounds, shift=alpha)
     else:
         result = full_interpolate(bb, bounds)
     _emit(args, json.loads(result.to_json()), _pretty_poly(result))

@@ -8,9 +8,10 @@ generator g of Z_p^*, and one table per prime, ``_generator_powers``, holds
 them: the lacunary box and every grid kernel walk the grid along it.  Only
 half the table is multiplied out, since g^((p-1)/2) = -1 makes
 pw[a + (p-1)/2] = p - pw[a].  The lacunary box's values along it are one
-``_geometric_sums`` call, whose last result is cached, so confirming a
-padding prime against the box's own polynomial reads the same array: one
-table and one sums evaluation per prime.  Whole tables are not kept
+``_geometric_sums`` call, scattered into its grid, and the last such grid
+is cached (``blackbox._lacunary_grid``), so confirming a padding prime
+against the box's own polynomial reads the same array: one table, one sums
+evaluation and one grid per prime.  Whole tables are not kept
 across solves, but the baby and giant steps they are built from
 (``_generator_steps``), a pure function of p, are kept for the last 1024
 primes the process met: about 16 sqrt(p/2) bytes a prime, at most 3.4 MB
@@ -252,14 +253,16 @@ def _generator_steps(p: int) -> Tuple[np.ndarray, np.ndarray]:
     return _read_only(np.array(small, dtype=np.int64)), _read_only(np.array(big, dtype=np.int64))
 
 
-@lru_cache(maxsize=2)
+@lru_cache(maxsize=1)
 def _generator_powers(p: int) -> np.ndarray:
     """pw[a] = g^a mod p for a < p-1, g = ``_primitive_root(p)``: a read-only
-    int64 array, the one table per prime.  Two primes are cached: a
-    prime's uses come one after another, so the cache builds each table
-    once for the box's grid, the candidate's sums and the gather that
-    confirm it (``sparse_interp``) and the kernel or interpolation that
-    reads it.  The array is shared by every hit, hence read-only.  Whole
+    int64 array, the one table per prime.  One prime is cached: every use
+    of a prime's table follows its grid directly, so the cache builds each
+    table at most once a grid, for whichever of these reads it first: the
+    lacunary box's sums, the candidate's grid that confirms a padding prime
+    when the box's grid is not it (``sparse_interp``), and the sparse
+    kernel, the shift search or the interpolation that reads the grid.
+    The array is shared by every hit, hence read-only.  Whole
     tables are not kept across solves, as a pass of the benchmark's
     lacunary set reads 242 distinct primes: only their steps are, in the
     1024 entries of ``_generator_steps`` (about 16 sqrt(p/2) bytes each,
@@ -358,17 +361,10 @@ def _power_sums_fft(u: np.ndarray, p: int) -> np.ndarray:
     return _mod(conv, p)
 
 
-@lru_cache(maxsize=1)
-def _geometric_sums(coeffs: Tuple[int, ...], exps: Tuple[int, ...], p: int) -> np.ndarray:
+def _geometric_sums(coeffs: Sequence[int], exps: Sequence[int], p: int) -> np.ndarray:
     """s[a] = sum_k coeffs[k] * g^(a * exps[k]) mod p for a = 0..p-2, exact,
-    as a read-only int64 array.
-
-    The last call is cached, so coeffs and exps are tuples.  A
-    ``LacunaryBox`` grid and the confirmation of a padding prime against
-    a candidate (``sparse_interp._confirmed_image``) ask for the same sums
-    one after the other whenever the candidate is the box's polynomial:
-    the second call returns the first one's array, which every hit shares,
-    hence read-only.
+    as an int64 array.  Its one caller, ``blackbox._lacunary_grid``,
+    scatters the sums into a grid and caches that, not them.
 
     g is the generator of ``_generator_powers``, coeffs are K residues in
     [0, p) and exps K integers >= 0, read modulo p - 1, the order of g.
@@ -405,7 +401,7 @@ def _geometric_sums(coeffs: Tuple[int, ...], exps: Tuple[int, ...], p: int) -> n
                 break  # more limbs only make more terms
     _, limbs, width, group = best
     if not k:  # no terms, no product: every sum is 0
-        return _read_only(np.zeros(n, dtype=np.int64))
+        return np.zeros(n, dtype=np.int64)
     e = [x % n for x in exps for _ in range(limbs)]
     c = [x * pow(2, width * j, p) % p for x in coeffs for j in range(limbs)]
     ramp = np.arange(m)
@@ -437,7 +433,7 @@ def _geometric_sums(coeffs: Tuple[int, ...], exps: Tuple[int, ...], p: int) -> n
         else:
             _mod(s, p)
             s += acc
-    return _read_only(_mod(s, p).reshape(-1)[:n])
+    return _mod(s, p).reshape(-1)[:n]
 
 
 def _check_grid_prime(p: int) -> None:

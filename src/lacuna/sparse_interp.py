@@ -13,8 +13,11 @@ The deterministic guarantee asks for beta1 + beta2 + 1 delivered primes,
 but a few images already meet the CRT targets.  From those a candidate f
 is rebuilt, and every later prime is confirmed against it, not
 interpolated (``_confirmed_image`` shows that the image is the same).
-When every later image confirmed it, the candidate is the answer (see
-``sparse_interpolate``).  Every prime of the guarantee is still reduced.
+The box is read at its own points: a prime compares the box's grid with
+the candidate's at the shift, and only a grid that is interpolated is
+rotated by the shift.  When every later image confirmed it, the candidate
+is the answer (see ``sparse_interpolate``).  Every prime of the guarantee
+is still reduced.
 """
 
 import math
@@ -24,11 +27,10 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .blackbox import ModularBlackBox, ShiftedLacunary, _reductions, shifted_blackbox
+from .blackbox import ModularBlackBox, ShiftedLacunary, _lacunary_grid, _reductions
 from .densepoly import (
     DensePolyMod,
-    _generator_powers,
-    _geometric_sums,
+    _rotate,
     _times_linear,
     bounded_rational_roots,
     interpolate_sparse,
@@ -128,8 +130,8 @@ def collect_images(
 ) -> List[PrimeImage]:
     """Reductions sharing the maximal term count, with enough mass for CRT.
 
-    The polynomial behind the box has shift 0 (``full_interpolate`` passes
-    the box already shifted by alpha), so every reduction f^(p) has at most
+    The polynomial behind the box has shift 0 (``sparse_interpolate`` takes
+    a shift alpha for any other box), so every reduction f^(p) has at most
     t <= bt non-constant terms: ``interpolate_sparse`` with s = bt reads
     each image off the grid, and a grid whose interpolant has more terms
     raises NoReconstruction, since the bounds are then violated.  A
@@ -151,14 +153,16 @@ def _collect(
     bb: ModularBlackBox,
     bounds: Bounds,
     stream: Optional[PrimeStream],
+    shift=0,
 ) -> Tuple[List[PrimeImage], Optional[ShiftedLacunary]]:
-    """``collect_images``'s images, and the candidate every later kept image
-    confirmed, or None.
+    """``collect_images``'s images of g(x) = f(x + shift), for the f behind
+    the box, and the candidate g every later kept image confirmed, or None.
 
     When the kept images first meet both CRT targets before the guarantee
-    is reached, ``_candidate`` rebuilds f from them.  Each later grid goes
-    to ``_confirmed_image`` first, which gives the image the sparse kernel
-    would; only a grid it rejects runs the kernel.  Either way a prime's
+    is reached, ``_candidate`` rebuilds g from them.  Each later grid of f
+    goes to ``_confirmed_image`` first, which gives the image the sparse
+    kernel would; only a grid it rejects is rotated by the shift modulo p,
+    to g's grid, and runs the kernel.  Either way a prime's
     term count is the length of its image's exponents.  A flush drops the
     candidate, as does a kept image the kernel read, which disagrees with
     it; a candidate is built at most once between flushes.
@@ -171,11 +175,11 @@ def _collect(
     t, prod, q_lcm = -1, 1, 1
     candidate: Optional[ShiftedLacunary] = None
     tried = False
-    for p, values in _reductions(bb, stream):
-        image = _confirmed_image(candidate, values, p) if candidate is not None else None
+    for p, a, values in _reductions(bb, stream, shift):
+        image = _confirmed_image(candidate, values, p, a) if candidate is not None else None
         confirmed = image is not None
         if not confirmed:
-            fp = interpolate_sparse(values, p, bounds.bt)
+            fp = interpolate_sparse(_rotate(values, a), p, bounds.bt)
             if fp is None:
                 raise NoReconstruction(f"the reduction at p={p} has more than bt={bounds.bt} terms")
             image = PrimeImage.from_poly(fp)
@@ -204,42 +208,35 @@ def _collect(
 
 
 def _confirmed_image(
-    candidate: ShiftedLacunary, values: np.ndarray, p: int
+    candidate: ShiftedLacunary, values: np.ndarray, p: int, shift: int = 0
 ) -> Optional[PrimeImage]:
-    """The image at p of ``candidate`` (shift 0) when the grid ``values``
-    holds the candidate's values, else None.
+    """The image at p of ``candidate`` g (shift 0) when the grid ``values``
+    holds the values of g(x - shift) over Z_p, else None.
 
-    No candidate grid is built: values[0] must be c0 mod p, and the values
-    gathered at x = g^a, a < p - 1, in the generator's order, must be the
-    sums c0 + sum_i c_i g^(a e_i) (``_geometric_sums``); together they read
-    every x in Z_p.  The grid's interpolant of degree < p is unique, so
-    equal values make its reduction the candidate's: c0 mod p plus
-    c_i x^remo(e_i, p - 1) over the terms, where x^e and x^remo(e, p - 1)
+    The grid of g at the residue ``shift`` comes from ``_lacunary_grid``,
+    and one comparison of all p values decides.  The grid's interpolant of
+    degree < p is unique, so when they agree, g's grid (``values`` rotated
+    by the shift) has the candidate's reduction as its interpolant: c0 mod p
+    plus c_i x^remo(e_i, p - 1) over the terms, where x^e and x^remo(e, p - 1)
     agree on all of Z_p.  ``PrimeImage._from_terms`` sums the terms reduced
     to one slot and drops slots summing to 0, which is
-    ``PrimeImage.from_poly(interpolate_sparse(values, p, bt))`` bit for bit.
-    None also when p divides a denominator of the candidate.
+    ``PrimeImage.from_poly(interpolate_sparse(g's grid, p, bt))`` bit for
+    bit.  None also when p divides a denominator of the candidate.
 
-    When the box is a ``LacunaryBox`` of the candidate's polynomial, its
-    grid has just asked ``_geometric_sums`` for the same sums, and they
-    come from its cache; from any other box they are computed here.  The
-    check compares every value of ``values`` either way.
+    When the box is a ``LacunaryBox`` of g at the shift, its grid is the
+    one ``_lacunary_grid`` just cached, and the comparison reads that array
+    against itself; from any other box the candidate's grid is built here.
+    The comparison reads every value either way.
     """
     try:
         c0 = frac_mod(candidate.constant, p)
-        coeffs = [frac_mod(c, p) for c, _ in candidate.terms]
+        coeffs = tuple(frac_mod(c, p) for c, _ in candidate.terms)
     except DenominatorVanished:
         return None
-    if values[0] != c0:
+    exps = tuple(e for _, e in candidate.terms)
+    if not np.array_equal(values, _lacunary_grid(c0, shift, coeffs, exps, p)):
         return None
-    # the sums before the gather: where they are not cached, the gathered
-    # array then reuses memory the sums' temporaries freed, for about a
-    # quarter fewer page faults a solve at t = 4 and p ~ 20-46k
-    sums = _geometric_sums((c0, *coeffs), (0, *(e for _, e in candidate.terms)), p)
-    if not np.array_equal(values[_generator_powers(p)], sums):
-        return None
-    return PrimeImage._from_terms(
-        p, c0, ((remo(e, p - 1), c) for c, (_, e) in zip(coeffs, candidate.terms)))
+    return PrimeImage._from_terms(p, c0, ((remo(e, p - 1), c) for c, e in zip(coeffs, exps)))
 
 
 # ---------------- exponent polynomial ----------------
@@ -334,8 +331,18 @@ def sparse_interpolate(
     bounds: Bounds,
     *,
     stream: Optional[PrimeStream] = None,
+    shift=0,
 ) -> ShiftedLacunary:
-    """The sparse polynomial (shift 0) behind the black box, bit-exact.
+    """The sparse polynomial behind the black box in the power basis of
+    x - shift, bit-exact: g(x) = f(x + shift) is interpolated, and its
+    terms come back with ``shift`` set.
+
+    The box itself is queried, not a view of it shifted: each prime reads
+    f's grid, a prime dividing the shift's denominator is discarded before
+    any query, and only a grid the candidate does not confirm is rotated to
+    g's (``_collect``).  The answer, the box's queries and the primes, in
+    order, are those of the unshifted pipeline on
+    ``shifted_blackbox(bb, shift)``.
 
     Every image collect_images keeps is good when the bounds hold (see
     there), so one pass suffices: a reduction with more than bt terms
@@ -352,8 +359,9 @@ def sparse_interpolate(
     primes past 2^(2*bh + 1) is at least 2 (2^bh)^2 + 1, where such a
     rational is the only one its residue has.
     """
-    images, candidate = _collect(bb, bounds, stream)
-    return candidate if candidate is not None else _reconstruct(images, bounds)
+    images, candidate = _collect(bb, bounds, stream, shift)
+    flat = candidate if candidate is not None else _reconstruct(images, bounds)
+    return replace(flat, shift=shift)
 
 
 def _reconstruct(images: Sequence[PrimeImage], bounds: Bounds) -> ShiftedLacunary:
@@ -389,5 +397,4 @@ def full_interpolate(bb: ModularBlackBox, bounds: Bounds) -> ShiftedLacunary:
         constant = shifted[0] if shifted else Fraction(0)
         terms = tuple((c, k) for k, c in enumerate(shifted) if k >= 1 and c != 0)
         return ShiftedLacunary(shift=sr.alpha, constant=constant, terms=terms)
-    flat = sparse_interpolate(shifted_blackbox(bb, sr.alpha), bounds)
-    return replace(flat, shift=sr.alpha)
+    return sparse_interpolate(bb, bounds, shift=sr.alpha)

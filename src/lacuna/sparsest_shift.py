@@ -112,7 +112,7 @@ def sparsest_shift(
     prod = 1
     recorded: List[Tuple[int, int]] = []
     passed = False  # some reduction passed the degree test, so deg f > 2*bt
-    for p, values in _reductions(bb, stream):
+    for p, _, values in _reductions(bb, stream):
         passes, gamma = grid_shift(values, p, tau_cap=bounds.bt)
         if passes:
             passed = True

@@ -17,7 +17,7 @@ from lacuna import (
     min_shift,
     next_prime_above,
 )
-from lacuna import densepoly
+from lacuna import blackbox, densepoly
 from lacuna.densepoly import (
     _HANKEL_MAX_CANDIDATES,
     _berlekamp_massey,
@@ -988,7 +988,7 @@ def test_geometric_sums_match_a_naive_sum():
             exps.append(rng.choice((0, n, 2 * n + rng.randrange(n), rng.randrange(n),
                                     rng.choice(exps or [1]))))
         coeffs = [rng.choice((0, p - 1, rng.randrange(p))) for _ in range(k)]
-        got = _geometric_sums(tuple(coeffs), tuple(exps), p)  # cached: tuples, not lists
+        got = _geometric_sums(coeffs, exps, p)
         assert got.dtype == np.int64 and len(got) == n
         points = range(n) if p < 100 else [0, 1, n - 1, *rng.sample(range(n), 40)]
         assert [int(got[a]) for a in points] == naive_geometric_sums(coeffs, exps, p, points)
@@ -998,7 +998,8 @@ def test_dense_box_grid_peaks_at_a_few_grids():
     # _geometric_sums gathers its tables for at most _SUMS_CHUNK terms at a
     # time: with one product of all 2,000 terms this grid peaked at 28.6
     # grids' worth of memory.  The prime's table, itself about a grid, is
-    # built before the trace.
+    # built before the trace, and the grid cache is emptied, so that the
+    # grid is built inside it.
     import tracemalloc
 
     rng = random.Random(131)
@@ -1006,7 +1007,7 @@ def test_dense_box_grid_peaks_at_a_few_grids():
     box = DenseBox(coeffs)
     p = 100003
     _generator_powers(p)
-    _geometric_sums.cache_clear()
+    blackbox._lacunary_grid.cache_clear()
     tracemalloc.start()
     try:
         grid = box.eval_range(p)

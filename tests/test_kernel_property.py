@@ -34,7 +34,7 @@ from lacuna import (
     make_blackbox,
     next_prime_above,
 )
-from lacuna import densepoly, sparse_interp
+from lacuna import blackbox, densepoly, sparse_interp
 from lacuna.densepoly import _difference, _hankel_singular, _horner, _mod
 
 from conftest import (
@@ -126,14 +126,18 @@ def test_cyclic_decision_is_the_naive_term_count(p, s, kind, seed):
 
 @settings(max_examples=150, deadline=None)
 @given(p=st.sampled_from(PRIMES_BELOW_600[2:]), t=st.integers(1, 5),
-       seed=st.integers(0, 2**32 - 1))
-@example(p=5, t=5, seed=0)
-@example(p=7, t=3, seed=1)
-def test_confirmed_image_is_the_sparse_kernel_image(p, t, seed):
+       seed=st.integers(0, 2**32 - 1), shift=st.integers(0, 598))
+@example(p=5, t=5, seed=0, shift=0)
+@example(p=7, t=3, seed=1, shift=0)
+@example(p=7, t=3, seed=1, shift=4)
+def test_confirmed_image_is_the_sparse_kernel_image(p, t, seed, shift):
     # exponents from a pool of fewer slots than terms collide modulo p - 1,
     # where coefficients are summed and may cancel; a numerator is a
-    # multiple of p one time in five, a denominator one time in ten
+    # multiple of p one time in five, a denominator one time in ten.  The
+    # box is the candidate's at the shift, and the kernel reads its grid
+    # rotated back
     rng = random.Random(seed)
+    shift %= p
     pool = rng.sample(range(1, p), min(p - 1, max(1, t - 1)))
     exps = set()
     while len(exps) < t:
@@ -146,18 +150,19 @@ def test_confirmed_image_is_the_sparse_kernel_image(p, t, seed):
     poly = ShiftedLacunary(Fraction(0), rng.choice((Fraction(0), rat())),
                            tuple((rat(), e) for e in sorted(exps)))
     try:
-        values = LacunaryBox(poly).eval_range(p)
+        values = LacunaryBox(ShiftedLacunary(shift, poly.constant, poly.terms)).eval_range(p)
     except DenominatorVanished:
         # the candidate has no image at p: the grid goes to the kernel
         noise = np.array([rng.randrange(p) for _ in range(p)], dtype=np.int64)
-        assert sparse_interp._confirmed_image(poly, noise, p) is None
+        assert sparse_interp._confirmed_image(poly, noise, p, shift) is None
         return
-    want = sparse_interp.PrimeImage.from_poly(interpolate_sparse(values, p, t))
-    assert sparse_interp._confirmed_image(poly, values, p) == want
+    want = sparse_interp.PrimeImage.from_poly(
+        interpolate_sparse(densepoly._rotate(values, shift), p, t))
+    assert sparse_interp._confirmed_image(poly, values, p, shift) == want
     changed = values.copy()
     changed[rng.randrange(p)] += rng.randrange(1, p)
     changed %= p
-    assert sparse_interp._confirmed_image(poly, changed, p) is None
+    assert sparse_interp._confirmed_image(poly, changed, p, shift) is None
 
 
 # ---------------- the Hankel singularity test ----------------
@@ -278,7 +283,7 @@ def test_lacunary_grid_same_under_every_reduction_schedule(p, seed, exact_bits, 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(densepoly, "_EXACT_FLOAT", 1 << exact_bits)
         mp.setattr(densepoly, "_SUMS_CHUNK", chunk)
-        densepoly._geometric_sums.cache_clear()  # sums cached under 2^53 would skip the schedule
+        blackbox._lacunary_grid.cache_clear()  # a grid cached under 2^53 would skip the schedule
         try:
             grid = make_blackbox(f).eval_range(p)
         except DenominatorVanished:

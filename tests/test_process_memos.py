@@ -1,12 +1,13 @@
 """Solves read the same primes and give the same answers whether the
-process-wide memos (a prime's generator steps, a start's walk) are empty,
-warm from an earlier solve, or cleared again."""
+process-wide memos (a prime's generator steps, a start's walk, the last
+lacunary grid) are empty, warm from an earlier solve, or cleared again."""
 
 from fractions import Fraction
 
 import pytest
 
-from lacuna import Bounds, LacunaryBox, ShiftedLacunary, densepoly, full_interpolate, prime_oracle
+from lacuna import (Bounds, LacunaryBox, ShiftedLacunary, blackbox, densepoly, full_interpolate,
+                    prime_oracle)
 
 from conftest import GOLDEN_JSON
 
@@ -15,7 +16,7 @@ MEMOS = (
     prime_oracle._walk_memo,
     densepoly._generator_steps,
     densepoly._generator_powers,
-    densepoly._geometric_sums,
+    blackbox._lacunary_grid,
 )
 
 

@@ -221,13 +221,16 @@ def test_every_cache_is_bounded():
 def test_cached_arrays_are_read_only():
     # every hit of a cache returns the same array: a caller writing to it
     # would change what every later hit reads
-    from lacuna.densepoly import _generator_powers, _generator_steps, _geometric_sums
+    from lacuna.blackbox import _lacunary_grid
+    from lacuna.densepoly import _generator_powers, _generator_steps
 
     for p in (2, 3, 1187):
         pw = _generator_powers(p)
-        sums = _geometric_sums((1, p - 1), (0, 5), p)
-        assert not pw.flags.writeable and not sums.flags.writeable
-        assert _generator_powers(p) is pw and _geometric_sums((1, p - 1), (0, 5), p) is sums
+        grid = _lacunary_grid(1, 0, (p - 1,), (5,), p)
+        assert not pw.flags.writeable and not grid.flags.writeable
+        assert _generator_powers(p) is pw and _lacunary_grid(1, 0, (p - 1,), (5,), p) is grid
+        shifted = _lacunary_grid(1, 1, (p - 1,), (5,), p)
+        assert not shifted.flags.writeable and _lacunary_grid(1, 1, (p - 1,), (5,), p) is shifted
         steps = _generator_steps(p)
         assert not any(a.flags.writeable for a in steps)
         assert all(a is b for a, b in zip(_generator_steps(p), steps))
@@ -250,9 +253,10 @@ def test_sparse_interp_names_its_reconstruction_misfits_once():
 
 
 def test_sparse_interp_confirms_candidates_without_a_box():
-    # a padding prime is confirmed from the candidate's residues and sums in
-    # the generator's order: naming LacunaryBox or reading a box's _grid
-    # would evaluate a whole second grid per prime
+    # a padding prime is confirmed against the candidate's grid from
+    # blackbox._lacunary_grid, the cache a lacunary box's grid fills: naming
+    # LacunaryBox or reading a box's _grid would evaluate a whole second
+    # grid per prime
     path = SRC / "sparse_interp.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     found = []
@@ -265,6 +269,25 @@ def test_sparse_interp_confirms_candidates_without_a_box():
         )
         found += [f"{n}:{node.lineno}" for n in names if n in ("LacunaryBox", "_grid")]
     assert not found, f"sparse_interp names a box's grid: {found}"
+
+
+def test_no_pipeline_module_queries_a_shifted_view():
+    # sparse_interpolate takes the shift and queries the box itself: a
+    # ShiftedBox in the pipeline would rotate every grid back by +alpha
+    # after the lacunary box rotated it by -alpha, and its padding primes
+    # would miss the grid cache
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "blackbox.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                fn = node.func
+                name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
+                if name in ("shifted_blackbox", "ShiftedBox"):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"shifted views built outside blackbox: {found}"
 
 
 def test_every_prime_image_is_built_by_one_constructor():

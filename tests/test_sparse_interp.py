@@ -213,9 +213,9 @@ def test_confirmed_image_leaves_a_vanishing_denominator_or_another_grid_to_the_k
 
 @pytest.mark.parametrize("p", [11, 1009, 10007])
 def test_confirmed_image_reads_zero_and_both_ends_of_the_generator_order(p):
-    # the check reads x = 0 apart and every other x as g^a, a < p - 1, in
-    # the generator's order: a grid off the candidate's at x = 0 alone, at
-    # x = 1 = g^0 alone or at x = g^(p-2) alone is not confirmed
+    # the check compares every x in Z_p: a grid off the candidate's at
+    # x = 0 alone, at x = 1 = g^0 alone or at x = g^(p-2) alone is not
+    # confirmed
     poly = ShiftedLacunary(Fraction(0), Fraction(3, 5), (
         (Fraction(-2), 4), (Fraction(7, 3), 31), (Fraction(1), 1000)))
     values = LacunaryBox(poly).eval_range(p)
@@ -225,6 +225,61 @@ def test_confirmed_image_reads_zero_and_both_ends_of_the_generator_order(p):
         changed = values.copy()
         changed[x] = (changed[x] + 1) % p
         assert si._confirmed_image(poly, changed, p) is None, x
+
+
+class _SpoiledBox(LacunaryBox):
+    """The lacunary box of its polynomial, but for one value of its grid at
+    one prime."""
+
+    def __init__(self, poly, p, x):
+        super().__init__(poly)
+        self.spoiled = p, x
+
+    def _grid(self, p):
+        grid = super()._grid(p)
+        if p == self.spoiled[0]:
+            x = self.spoiled[1]
+            grid = grid.copy()
+            grid[x] = (grid[x] + 1) % p
+        return grid
+
+
+@pytest.mark.parametrize("where", ["at the shift", "at zero", "at random"])
+def test_a_confirmation_reads_every_value(golden_poly, golden_bounds, where, monkeypatch):
+    # a padding prime's grid that is the candidate's at the shift but for
+    # one value, at x = alpha mod p (where every term vanishes and f reads
+    # c0), at x = 0 or at a random x, is not confirmed: it goes to the
+    # kernel, which reads more than bt terms in it
+    confirmed, kernel = [], []
+    real_confirm, real_kernel = si._confirmed_image, si.interpolate_sparse
+
+    def confirming(candidate, values, p, shift=0):
+        image = real_confirm(candidate, values, p, shift)
+        confirmed.extend([p] if image is not None else [])
+        return image
+
+    def interpolating(values, p, s):
+        kernel.append(p)
+        return real_kernel(values, p, s)
+
+    monkeypatch.setattr(si, "_confirmed_image", confirming)
+    monkeypatch.setattr(si, "interpolate_sparse", interpolating)
+    alpha = golden_poly.shift
+    assert sparse_interpolate(LacunaryBox(golden_poly), golden_bounds, shift=alpha) == golden_poly
+    p = confirmed[-1]
+    a = modular_core.frac_mod(alpha, p)
+    x = {"at the shift": a, "at zero": 0,
+         "at random": random.Random(p).choice([x for x in range(1, p) if x != a])}[where]
+    candidate = ShiftedLacunary(0, golden_poly.constant, golden_poly.terms)
+    values = LacunaryBox(golden_poly).eval_range(p)
+    assert real_confirm(candidate, values, p, a) is not None
+    changed = values.copy()
+    changed[x] = (changed[x] + 1) % p
+    assert real_confirm(candidate, changed, p, a) is None
+    kernel.clear()
+    with pytest.raises(NoReconstruction, match=f"p={p} has more than bt=2 terms"):
+        sparse_interpolate(_SpoiledBox(golden_poly, p, x), golden_bounds, shift=alpha)
+    assert kernel[-1] == p
 
 
 class _GridCountingBox(LacunaryBox):
@@ -238,10 +293,11 @@ class _GridCountingBox(LacunaryBox):
 
 def test_a_confirmed_grid_reuses_the_sums_its_box_computed(golden_poly, golden_bounds,
                                                            monkeypatch):
-    # a LacunaryBox grid computes the geometric sums once, and confirming it
-    # against a candidate that is the box's polynomial asks for the same
-    # sums: every grid is one miss of the cache, every confirmed grid one hit
-    from lacuna.densepoly import _geometric_sums
+    # a LacunaryBox grid is built once, and confirming it against a
+    # candidate that is the box's polynomial at the shift asks for the same
+    # grid: every grid is one miss of the grid cache, every confirmed grid
+    # one hit, and each grid builds its prime's table once
+    from lacuna.blackbox import _lacunary_grid
 
     accepted = []
     real = si._confirmed_image
@@ -253,11 +309,13 @@ def test_a_confirmed_grid_reuses_the_sums_its_box_computed(golden_poly, golden_b
 
     monkeypatch.setattr(si, "_confirmed_image", recording)
     box = _GridCountingBox(golden_poly)
-    _geometric_sums.cache_clear()
+    _lacunary_grid.cache_clear()
+    _generator_powers.cache_clear()
     assert full_interpolate(box, golden_bounds) == golden_poly
-    info = _geometric_sums.cache_info()
+    info = _lacunary_grid.cache_info()
     assert info.misses == box.grid_evals
     assert info.hits == accepted.count(True) > 0
+    assert _generator_powers.cache_info().misses == box.grid_evals
 
 
 class _SwitchingBox(ModularBlackBox):
