@@ -11,12 +11,10 @@ from .blackbox import (
     LacunaryBox,
     ModularBlackBox,
     ProgramBox,
-    ShiftedBox,
     ShiftedLacunary,
     canonical_json,
     make_blackbox,
     reduce_mod,
-    shifted_blackbox,
 )
 from .densepoly import (
     DensePolyMod,

@@ -418,39 +418,11 @@ class ProgramBox(ModularBlackBox):
         return values if isinstance(values, np.ndarray) else np.full(p, values, dtype=np.int64)
 
 
-class ShiftedBox(ModularBlackBox):
-    """View of an inner box with the argument shifted by a rational alpha.
-
-    The box of ``shifted_blackbox``, a spec operation that the pipeline
-    does not use: ``sparse_interpolate`` takes the shift itself, confirms
-    a padding prime against the inner box's own grid, and rotates only a
-    grid it interpolates.
-    """
-
-    def __init__(self, inner: ModularBlackBox, alpha):
-        super().__init__()
-        self.inner = inner
-        self.alpha = Fraction(alpha)
-
-    def _eval(self, p: int, theta: int) -> int:
-        a = frac_mod(self.alpha, p)
-        return self.inner.eval(p, (theta + a) % p)
-
-    def _grid(self, p: int) -> np.ndarray:
-        a = frac_mod(self.alpha, p)
-        return _rotate(self.inner.eval_range(p), a)
-
-
 # ---------------- spec operations ----------------
 
 def make_blackbox(f: ShiftedLacunary) -> ModularBlackBox:
     """Black box computing f(theta) mod p term-wise."""
     return LacunaryBox(f)
-
-
-def shifted_blackbox(bb: ModularBlackBox, alpha) -> ModularBlackBox:
-    """Black box for g(x) = f(x + alpha) built on top of the box for f."""
-    return ShiftedBox(bb, alpha)
 
 
 def reduce_mod(bb: ModularBlackBox, p: int) -> DensePolyMod:

@@ -16,27 +16,25 @@ prime divisor of C1 (p) or of C2 (q), as the walk's records have distinct
 q >= n and distinct p (S(q) = S(q') would need q*q' < q^1.89).
 
 A stream hands out each batch of records in ascending p, walking it only
-as far as the primes handed out need (``_ascending``).  The walk from n is
-a pure function of n, so every stream reads it through one memo per n
-(``_walk_memo``): the records some stream already walked, replayed, and
-the walk that extends them when a stream reads past them.  The memo holds
-only records already walked, as far as the furthest stream read, and
-keeps the last 32 walks started in the process.  Each holds the records
-of at most _MAX_REGENERATIONS + 2 = 12 batches, as many as one stream
-reads, about 150 bytes a record, plus the primes of the sieve segment its
-walk is in, a segment at most min(n, 2^20) wide: 3 MB at most, near
-n = 2^20 (tracemalloc).  The library starts no threads; the memo's
-extension holds a lock, so streams in a caller's threads share one walk.
+as far as the primes handed out need (``_ascending``).  A record depends
+on q alone, so the process keeps the last 8,192 made (``_record``): each
+stream walks its own primes q from n, and a record some walk already made
+is read back, not made again.  8,192 holds one solve's two streams at
+t = 16, bn = 32 and bh = ba = 4, one batch of 1,521 records and one of
+4,000; full, the cache holds 1.9 MB (tracemalloc, near q = 89,000).  A
+stream's own walk holds one sieve segment, at most min(n, 2^20) wide,
+while the stream lives.  Streams share nothing else, and two threads
+that make one record at once make the same one, so streams need no lock
+in a caller's threads.
 
 All logarithms here are natural.
 """
 
 import heapq
 import math
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import count, islice
+from itertools import islice
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional
 
 import numpy as np
@@ -124,14 +122,13 @@ def sieve_interval(lo: int, hi: int) -> List[int]:
         if base[i]:
             base[i * i :: i] = False
     seg = np.ones(hi - lo, dtype=bool)
-    for q in np.nonzero(base)[0]:
-        q = int(q)
+    for q in np.flatnonzero(base).tolist():
         start = max(q * q, (lo + q - 1) // q * q)
         if start < hi:
             seg[start - lo :: q] = False
     if lo <= 1:
         seg[: min(2 - lo, hi - lo)] = False
-    return [int(i) + lo for i in np.nonzero(seg)[0]]
+    return (np.flatnonzero(seg) + lo).tolist()
 
 
 def s_of_q(q: int, cap: Optional[float] = None) -> Optional[int]:
@@ -159,59 +156,22 @@ def _primes_from(lo: int, hi: int) -> Iterator[int]:
         lo = top
 
 
+@lru_cache(maxsize=8192)
+def _record(q: int) -> Optional[PrimeRecord]:
+    """The record S(q) < min(q^1.89, 2^31) of the prime q, or None when q
+    has none.  It depends on q alone, so every walk through q reads it from
+    here once some walk has made it."""
+    p = s_of_q(q, cap=min(float(q) ** 1.89, _GRID_LIMIT))
+    return None if p is None else PrimeRecord(p, q, (p - 1) // q)
+
+
 def _walk(n: int) -> Iterator[PrimeRecord]:
-    """Records S(q) < min(q^1.89, 2^31) for the primes q = n, n+1, ... below
-    2^30, in increasing q."""
+    """The records of the primes q = n, n+1, ... below 2^30, in increasing
+    q: each walk sieves its own q and reads their records from ``_record``."""
     for q in _primes_from(n, _N_LIMIT):
-        p = s_of_q(q, cap=min(float(q) ** 1.89, _GRID_LIMIT))
-        if p is not None:
-            yield PrimeRecord(p, q, (p - 1) // q)
-
-
-class _Walked:
-    """The records ``_walk(n)`` has yielded so far, and the walk that
-    yields the next ones (None while a read is under way, and after one
-    that raised)."""
-
-    __slots__ = ("records", "rest")
-
-    def __init__(self, n: int):
-        self.records: List[PrimeRecord] = []
-        self.rest: Optional[Iterator[PrimeRecord]] = _walk(n)
-
-
-@lru_cache(maxsize=32)
-def _walk_memo(n: int) -> _Walked:
-    """The walk from n as read so far in this process, by every stream."""
-    return _Walked(n)
-
-
-# Guards the extension of every walk memo: a record is walked, and appended,
-# by one reader at a time, in whatever threads the streams run.
-_WALK_LOCK = threading.Lock()
-
-
-def _walked(n: int) -> Iterator[PrimeRecord]:
-    """The records of ``_walk(n)``, read through ``_walk_memo(n)``: records
-    an earlier reader walked are replayed, and the walk is extended only
-    when a reader gets past them, one record at a time.
-
-    A read that raises (an interrupt inside ``s_of_q``, say) closes the
-    memo's walk; the next read starts a new one just past the last record
-    kept, which yields the same records from there on."""
-    memo = _walk_memo(n)
-    for i in count():
-        with _WALK_LOCK:
-            if i == len(memo.records):
-                walk, memo.rest = memo.rest, None
-                if walk is None:
-                    walk = _walk(memo.records[-1].q + 1 if memo.records else n)
-                r = next(walk, None)
-                memo.rest = walk
-                if r is None:
-                    return
-                memo.records.append(r)
-        yield memo.records[i]
+        r = _record(q)
+        if r is not None:
+            yield r
 
 
 def _ascending(records: Iterable[PrimeRecord]) -> Iterator[PrimeRecord]:
@@ -247,10 +207,10 @@ class PrimeStream:
 
     Each batch is walked lazily by ``_ascending``; ``records`` and
     ``reservoir`` walk the rest of the current batch first, so they read
-    what an eagerly filled batch would hold.  The walk is read through the
-    process's memo of it (``_walked``): streams of one config hand out the
-    same primes in the same order, and only the first to reach a record
-    walks it.
+    what an eagerly filled batch would hold.  Each stream walks from n on
+    its own (``_walk``), so streams of one config hand out the same primes
+    in the same order, and each record is made once while ``_record``
+    keeps it.
 
     Regeneration cannot be sized away.  The reservoir covers beta1 + beta2
     bad primes plus ell good ones, but the bounds (beta1, beta2, ell) say
@@ -265,7 +225,7 @@ class PrimeStream:
         self.config = config
         self._batch = config.beta1 + config.beta2 + config.ell
         self.n = choose_n(self._batch)
-        self._walk = _walked(self.n)
+        self._walk = _walk(self.n)
         self._rest = _ascending(islice(self._walk, self._batch))
         self._handed: Dict[int, PrimeRecord] = {}  # p -> record, in the order handed
         self._dead = set()

@@ -341,8 +341,9 @@ def sparse_interpolate(
     f's grid, a prime dividing the shift's denominator is discarded before
     any query, and only a grid the candidate does not confirm is rotated to
     g's (``_collect``).  The answer, the box's queries and the primes, in
-    order, are those of the unshifted pipeline on
-    ``shifted_blackbox(bb, shift)``.
+    order, are those of the unshifted pipeline on a view of the box that
+    answers f(theta + shift) at theta (``tests/conftest.py`` keeps one as
+    reference code).
 
     Every image collect_images keeps is good when the bounds hold (see
     there), so one pass suffices: a reduction with more than bt terms

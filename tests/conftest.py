@@ -11,8 +11,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lacuna import Bounds, ShiftedLacunary, make_blackbox, prime_oracle, size_of
+from lacuna import Bounds, ModularBlackBox, ShiftedLacunary, make_blackbox, prime_oracle, size_of
 from lacuna.densepoly import _generator_powers, _mod, _rotate
+from lacuna.modular_core import frac_mod
 
 # ---------------- acceptance reporting ----------------
 
@@ -39,12 +40,12 @@ def pytest_terminal_summary(terminalreporter):
 
 @pytest.fixture(autouse=True)
 def fresh_walks():
-    """Every test starts and ends with an empty walk memo: the records a
-    stream replays are those of the ``_walk`` and ``s_of_q`` the test sees,
-    not of an earlier test's stand-ins, and none of its own outlive it."""
-    prime_oracle._walk_memo.cache_clear()
+    """Every test starts and ends with an empty record cache: the records a
+    stream reads are those of the ``s_of_q`` the test sees, not of an
+    earlier test's stand-ins, and none of its own outlive it."""
+    prime_oracle._record.cache_clear()
     yield
-    prime_oracle._walk_memo.cache_clear()
+    prime_oracle._record.cache_clear()
 
 
 GOLDEN_JSON = '{"shift":"3","constant":"0","terms":[{"coeff":"1","exp":15},{"coeff":"-2","exp":5}]}'
@@ -115,6 +116,33 @@ def naive_program_value(ops, x):
             a, b = regs[args[0]], regs[args[1]]
             regs.append(a + b if kind == "add" else a - b if kind == "sub" else a * b)
     return regs[-1]
+
+
+class ShiftedBox(ModularBlackBox):
+    """The box of g(x) = f(x + alpha) over an inner box of f: each point
+    theta asks the inner box at theta + alpha mod p.  Its grid rotates the
+    inner box's grid instead of asking p points one at a time, so the
+    property tests built on it stay fast."""
+
+    def __init__(self, inner: ModularBlackBox, alpha):
+        super().__init__()
+        self.inner = inner
+        self.alpha = Fraction(alpha)
+
+    def _eval(self, p: int, theta: int) -> int:
+        a = frac_mod(self.alpha, p)
+        return self.inner.eval(p, (theta + a) % p)
+
+    def _grid(self, p: int) -> np.ndarray:
+        a = frac_mod(self.alpha, p)
+        return _rotate(self.inner.eval_range(p), a)
+
+
+def shifted_blackbox(bb: ModularBlackBox, alpha) -> ModularBlackBox:
+    """Black box for g(x) = f(x + alpha) built on top of the box for f: the
+    unshifted pipeline on it is what ``sparse_interpolate``'s shift must
+    match."""
+    return ShiftedBox(bb, alpha)
 
 
 def naive_remo(a, m):

@@ -18,7 +18,6 @@ from lacuna import (
     make_blackbox,
     reduce_mod,
     next_prime_above,
-    shifted_blackbox,
 )
 from lacuna import blackbox
 from lacuna.densepoly import _mod
@@ -29,6 +28,7 @@ from conftest import (
     naive_program_value,
     naive_termwise_reduction,
     random_instance,
+    shifted_blackbox,
 )
 
 
@@ -517,7 +517,7 @@ def test_program_box_array_path_refuses_a_product_past_int64():
         assert bb.eval(p, p - 1) == 1
 
 
-# ---------------- shifted_blackbox ----------------
+# ---------------- the shifted reference box ----------------
 
 def test_shifted_box_golden(golden_box):
     sb = shifted_blackbox(golden_box, Fraction(3))

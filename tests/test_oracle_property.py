@@ -100,10 +100,22 @@ def test_ascending_yields_sorted_by_p_reading_only_what_it_must(records):
 
 
 @contextmanager
+def standing_in(name, stand_in):
+    """``prime_oracle.<name>`` replaced by ``stand_in`` inside the block.
+    The record cache is emptied on entry and exit, so that each hypothesis
+    example reads its own records, and none outlives the block."""
+    prime_oracle._record.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(prime_oracle, name, stand_in)
+            yield
+    finally:
+        prime_oracle._record.cache_clear()
+
+
+@contextmanager
 def counting_walk():
-    """The records every stream made inside the block walks, in walk order.
-    The walk memo is emptied on entry and exit, so that each hypothesis
-    example counts its own walks, and none outlives the block."""
+    """The records every stream made inside the block walks, in walk order."""
     walked = []
     real = prime_oracle._walk
 
@@ -112,13 +124,22 @@ def counting_walk():
             walked.append(r)
             yield r
 
-    prime_oracle._walk_memo.cache_clear()
-    try:
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(prime_oracle, "_walk", counting)
-            yield walked
-    finally:
-        prime_oracle._walk_memo.cache_clear()
+    with standing_in("_walk", counting):
+        yield walked
+
+
+@contextmanager
+def counting_s_of_q():
+    """The q of every record made inside the block, in the order made."""
+    made = []
+    real = prime_oracle.s_of_q
+
+    def counting(q, cap=None):
+        made.append(q)
+        return real(q, cap)
+
+    with standing_in("s_of_q", counting):
+        yield made
 
 
 def eager_batches(n, batch, count):
@@ -161,21 +182,22 @@ def test_lazy_walk_hands_out_each_sorted_batch_and_walks_no_more(beta1, beta2, e
     data=st.data(),
 )
 def test_a_stream_on_a_partly_walked_memo_hands_out_the_eager_batches(beta1, beta2, ell, data):
-    # an earlier reader left the memo at any point of the walk, inside a
-    # batch or past it: a new stream hands out what an eager one would, and
-    # between them the two walk each record once
+    # an earlier walk stopped at any point, inside a batch or past it: a new
+    # stream, which walks from n again, hands out what an eager one would,
+    # and between them the two make each q's record once
     batch = beta1 + beta2 + ell
     n = prime_oracle.choose_n(batch)
     ahead = data.draw(st.integers(0, 4 * batch), label="ahead")
     requests = data.draw(st.integers(0, 5 * batch), label="requests")
-    with counting_walk() as walked:
-        assert len(list(islice(prime_oracle._walked(n), ahead))) == ahead
+    with counting_s_of_q() as made:
+        assert len(list(islice(prime_oracle._walk(n), ahead))) == ahead
         stream = generate(OracleConfig(beta1, beta2, ell))
         handed = [stream.next_prime() for _ in range(requests)]
         records = stream.records
     want = eager_batches(n, batch, stream.regenerations + 1)
     assert handed == [r.p for r in want[:requests]] and records == want
-    assert walked == list(islice(prime_oracle._walk(n), max(ahead, len(want))))
+    last = list(islice(prime_oracle._walk(n), max(ahead, len(want))))[-1]
+    assert made == prime_oracle.sieve_interval(n, last.q + 1)
 
 
 def test_a_shift_phase_walks_fewer_records_than_its_batch(golden_poly, golden_bounds):

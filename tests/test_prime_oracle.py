@@ -1,6 +1,7 @@
 """Prime reservoir generation and guarantee accounting tests."""
 
 import dataclasses
+import gc
 import itertools
 import math
 import random
@@ -308,7 +309,7 @@ def test_regeneration_reuses_primality_work():
     assert time.monotonic() - t0 < 2.0
 
 
-# ---------------- the walk memo ----------------
+# ---------------- the record cache ----------------
 
 def eager_walk(n, batch, count):
     """The primes of the walk's first ``count`` batches from n, each batch
@@ -317,9 +318,35 @@ def eager_walk(n, batch, count):
     return [r.p for _ in range(count) for r in sorted(itertools.islice(walk, batch))]
 
 
-def test_streams_of_one_config_hand_out_the_same_primes():
-    # the second stream replays what the first walked, then reads on past
-    # it; the first then reads on past the second: one walk, one order
+def counting_s_of_q(monkeypatch):
+    """The q of every record made from here on, in the order made."""
+    made, real = [], prime_oracle.s_of_q
+
+    def counting(q, cap=None):
+        made.append(q)
+        return real(q, cap)
+
+    monkeypatch.setattr(prime_oracle, "s_of_q", counting)
+    return made
+
+
+def direct_records(n, count):
+    """The first ``count`` records from n, straight from s_of_q and is_prime."""
+    records, q = [], n
+    while len(records) < count:
+        if is_prime(q):
+            p = s_of_q(q, cap=min(q ** 1.89, 1 << 31))
+            if p is not None:
+                records.append(prime_oracle.PrimeRecord(p, q, (p - 1) // q))
+        q += 1
+    return records
+
+
+def test_streams_of_one_config_hand_out_the_same_primes(monkeypatch):
+    # the second stream reads back the records the first made, then reads
+    # on past them; the first then reads on past the second: one order, and
+    # each q's record made once
+    made = counting_s_of_q(monkeypatch)
     config = OracleConfig(2, 1, 1)
     a, b = generate(config), generate(config)
     first = [a.next_prime() for _ in range(6)]
@@ -327,7 +354,44 @@ def test_streams_of_one_config_hand_out_the_same_primes():
     first += [a.next_prime() for _ in range(11)]
     assert first[:13] == second
     assert b.records == a.records[: len(b.records)]
-    assert prime_oracle._walk_memo.cache_info().currsize == 1
+    assert made == sieve_interval(a.n, made[-1] + 1)
+
+
+def test_a_stream_makes_no_record_an_overlapping_walk_made(monkeypatch):
+    # two configs start one walk at different n, and the first stream's
+    # walk runs past the second's start: the second stream reads those
+    # records back, and makes only the ones past them
+    made = counting_s_of_q(monkeypatch)
+    first = generate(OracleConfig(0, 0, 20))
+    [first.next_prime() for _ in range(40)]
+    by_first = list(made)
+    second = generate(OracleConfig(0, 0, 21))
+    handed = [second.next_prime() for _ in range(63)]
+    by_second = made[len(by_first):]
+    assert first.n < second.n <= by_first[-1]
+    assert by_second == sieve_interval(by_first[-1] + 1, by_second[-1] + 1)
+    assert handed == eager_walk(second.n, 21, 3)
+
+
+def test_walks_from_many_starts_keep_only_their_records(monkeypatch):
+    # 40 streams from starts near 2^18, each dropped after 5 primes: what
+    # stays behind is the records they read, not the sieve segment each
+    # walk held, about 0.8 MB a start
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(40):
+            n = (1 << 18) + 1000 * i
+            monkeypatch.setattr(prime_oracle, "choose_n", lambda target, n=n: n)
+            st = generate(OracleConfig(0, 0, 5))
+            assert len({st.next_prime() for _ in range(5)}) == 5
+        del st
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 4 << 20
 
 
 class Interrupted(Exception):
@@ -335,9 +399,10 @@ class Interrupted(Exception):
 
 
 def test_an_interrupted_walk_leaves_the_memo_whole(monkeypatch):
-    # a walk that raises inside s_of_q leaves the records walked so far,
-    # and the next stream walks on from them to the same primes as a walk
-    # that was never interrupted
+    # a walk that raises inside s_of_q keeps the records made before it,
+    # and none for the q it raised on: the next stream makes only the
+    # records past those, and hands out the primes of a walk that was
+    # never interrupted
     config, n = OracleConfig(3, 3, 2), choose_n(8)
     real = prime_oracle.s_of_q
     walked = []
@@ -354,16 +419,19 @@ def test_an_interrupted_walk_leaves_the_memo_whole(monkeypatch):
     with pytest.raises(Interrupted):
         generate(config).records
     monkeypatch.setattr(prime_oracle, "s_of_q", real)
-    assert prime_oracle._walk_memo(n).records == list(itertools.islice(prime_oracle._walk(n), 5))
+    made = counting_s_of_q(monkeypatch)
     st = generate(config)
-    assert [st.next_prime() for _ in range(24)] == eager_walk(n, 8, 3)
+    handed = [st.next_prime() for _ in range(24)]
+    assert made == sieve_interval(walked[-1] + 1, made[-1] + 1)
+    assert handed == eager_walk(n, 8, 3)
 
 
 def test_streams_in_threads_share_one_walk():
     # four threads, more than the cores, start together and each read ten
     # batches of one config while the interpreter switches threads as often
-    # as it can: a record walked twice would reach a stream twice, and one
-    # skipped would reach none.  Five configs, each a walk not read before.
+    # as it can: each stream walks on its own, reading back the records the
+    # others made, and hands out the eager batches.  Five configs, each a
+    # walk not read before.
     def read(config, start, handed, k):
         st = generate(config)
         start.wait(timeout=60)
@@ -388,18 +456,18 @@ def test_streams_in_threads_share_one_walk():
 
 
 def test_walk_memos_stay_bounded():
-    # more walk starts than the memo keeps: each still reads its own walk
-    maxsize = prime_oracle._walk_memo.cache_info().maxsize
-    starts = range(22, 22 + 2 * maxsize)
-    for n in starts:
-        assert next(prime_oracle._walked(n)) == next(prime_oracle._walk(n))
-    assert prime_oracle._walk_memo.cache_info().currsize <= maxsize
+    # a walk past the record cache's size: the cache stays within it, as
+    # choose_n's does, and walks from an evicted start and from a late one
+    # still read their own records
+    maxsize = prime_oracle._record.cache_info().maxsize
+    late = list(itertools.islice(prime_oracle._walk(22), maxsize + 100))[-12:]
+    assert prime_oracle._record.cache_info().currsize <= maxsize
     for target in range(1, 2 * choose_n.cache_info().maxsize):
         choose_n(target)
     assert choose_n.cache_info().currsize <= choose_n.cache_info().maxsize
-    for n in (starts[0], starts[-1]):
-        assert list(itertools.islice(prime_oracle._walked(n), 12)) == \
-            list(itertools.islice(prime_oracle._walk(n), 12))
+    assert list(itertools.islice(prime_oracle._walk(22), 12)) == direct_records(22, 12)
+    assert list(itertools.islice(prime_oracle._walk(late[0].q), 12)) == late
+    assert late == direct_records(late[0].q, 12)
 
 
 def test_adversarial_divisibility_guarantee():

@@ -1,5 +1,5 @@
 """Solves read the same primes and give the same answers whether the
-process-wide memos (a prime's generator steps, a start's walk, the last
+process-wide memos (a prime's generator steps, a q's record, the last
 lacunary grid) are empty, warm from an earlier solve, or cleared again."""
 
 from fractions import Fraction
@@ -13,7 +13,7 @@ from conftest import GOLDEN_JSON
 
 MEMOS = (
     prime_oracle.choose_n,
-    prime_oracle._walk_memo,
+    prime_oracle._record,
     densepoly._generator_steps,
     densepoly._generator_powers,
     blackbox._lacunary_grid,
@@ -61,8 +61,11 @@ def test_a_solve_repeats_cold_warm_and_after_clearing_every_memo(name):
             clear_memos()
         box = RecordingBox(poly)
         runs.append((full_interpolate(box, bounds), box.calls, box.primes))
-        if len(runs) == 2:  # the warm solve read its walks and steps from the memos
-            assert prime_oracle._walk_memo.cache_info().hits >= 2
+        if len(runs) == 1:
+            made = prime_oracle._record.cache_info().misses
+        if len(runs) == 2:  # the warm solve read its records and steps from the memos
+            assert prime_oracle._record.cache_info().misses == made
+            assert prime_oracle._record.cache_info().hits >= made
             assert densepoly._generator_steps.cache_info().hits >= len(set(box.primes))
     assert runs[0][0] == poly
     assert runs[0] == runs[1] == runs[2]

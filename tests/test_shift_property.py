@@ -1,6 +1,7 @@
 """Property test of ``sparse_interpolate``'s shift: the box is queried
 itself, and the answer or error, the queries and the primes, in order, are
-those of the unshifted pipeline on the box shifted by ``shifted_blackbox``.
+those of the unshifted pipeline on the box shifted by conftest's
+``shifted_blackbox``.
 
 Kept apart from test_sparse_interp so that the other pipeline tests still
 run where hypothesis is not installed.
@@ -22,13 +23,12 @@ from lacuna import (
     ProgramBox,
     ShiftedLacunary,
     generate,
-    shifted_blackbox,
     sparse_interpolate,
 )
 from lacuna.sparse_interp import interp_oracle_config
 from lacuna.sparsest_shift import taylor_shift_exact
 
-from conftest import naive_frac_mod
+from conftest import naive_frac_mod, shifted_blackbox
 
 
 class PointBox(ModularBlackBox):

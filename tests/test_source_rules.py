@@ -31,9 +31,9 @@ def test_no_assert_statements():
     assert not found, f"assert statements or raise AssertionError in src/lacuna: {found}"
 
 
-def test_no_module_imports_random():
-    # the paper's guarantee is deterministic: the library draws no random
-    # numbers, so every run of a solve takes the same steps
+def _imports_of(top):
+    """Where a library module imports the package ``top`` or one of its
+    submodules, as file:line."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -44,10 +44,24 @@ def test_no_module_imports_random():
                 modules = [node.module or ""]
             else:
                 continue
-            if any(m.split(".")[0] == "random" for m in modules):
+            if any(m.split(".")[0] == top for m in modules):
                 found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_no_module_imports_random():
+    # the paper's guarantee is deterministic: the library draws no random
+    # numbers, so every run of a solve takes the same steps
+    found = _imports_of("random")
     assert not found, f"imports of random in src/lacuna: {found}"
 
+
+def test_no_module_imports_threading():
+    # the library starts no threads and holds no lock: streams share only
+    # caches of pure functions (prime_oracle._record), so no walk state is
+    # shared between streams that a lock would have to guard
+    found = _imports_of("threading")
+    assert not found, f"imports of threading in src/lacuna: {found}"
 
 
 def test_no_numpy_roll():

@@ -31,7 +31,6 @@ from lacuna import (
     make_blackbox,
     match_and_recover,
     recover_g,
-    shifted_blackbox,
     sparse_interpolate,
     sparsest_shift,
 )
@@ -42,7 +41,7 @@ from lacuna.densepoly import _generator_powers
 from lacuna.sparse_interp import PrimeImage, interp_oracle_config, q_target_bits
 from lacuna.sparsest_shift import shift_oracle_config
 
-from conftest import FakeStream, naive_crt_scan, random_instance
+from conftest import FakeStream, naive_crt_scan, random_instance, shifted_blackbox
 
 
 def unshifted_two_term():
