@@ -4,6 +4,12 @@ Given only modular black-box evaluations f(theta) mod p and size bounds on
 the answer, the pipeline recovers the exact representation
 f(x) = c_0 + sum_i c_i (x - alpha)^(e_i) in time polynomial in the size of
 that representation.
+
+The package binds its public surface, ``__all__``; every other name stays
+in the module that defines it.  ``lacuna.sparsest_shift`` is the driver
+function, which shadows its module: reach the module as
+``sys.modules["lacuna.sparsest_shift"]`` or through
+``from lacuna.sparsest_shift import ...``.
 """
 
 from .blackbox import (
@@ -16,13 +22,7 @@ from .blackbox import (
     make_blackbox,
     reduce_mod,
 )
-from .densepoly import (
-    DensePolyMod,
-    MinShift,
-    interpolate_range,
-    interpolate_sparse,
-    min_shift,
-)
+from .densepoly import DensePolyMod, interpolate_range, interpolate_sparse
 from .errors import (
     AmbiguousMatch,
     BlackBoxFailure,
@@ -33,45 +33,25 @@ from .errors import (
     NoReconstruction,
     NotSplitting,
 )
-from .modular_core import (
-    Residue,
-    crt_list,
-    crt_pair,
-    is_prime,
-    next_prime_above,
-    rational_reconstruct,
-    remo,
-    signed_lift,
-    size_of,
-)
-from .prime_oracle import (
-    OracleConfig,
-    PrimeRecord,
-    PrimeStream,
-    choose_n,
-    generate,
-    s_of_q,
-    upsilon,
-)
-from .sparse_interp import (
-    PrimeImage,
-    SymPoly,
-    build_g_image,
-    collect_images,
-    full_interpolate,
-    integer_roots,
-    match_and_recover,
-    recover_g,
-    sparse_interpolate,
-)
-from .sparsest_shift import (
-    Bounds,
-    ShiftPath,
-    ShiftResult,
-    dense_case_recover,
-    dense_sparsest_shift,
-    reconstruct_shift,
-    sparsest_shift,
-)
+from .prime_oracle import OracleConfig, PrimeRecord, PrimeStream, generate
+from .sparse_interp import full_interpolate, sparse_interpolate
+from .sparsest_shift import Bounds, ShiftPath, ShiftResult, sparsest_shift
+
+__all__ = [
+    # the boxes and their spec operations
+    "ModularBlackBox", "LacunaryBox", "DenseBox", "ProgramBox", "make_blackbox", "reduce_mod",
+    # the representation
+    "ShiftedLacunary", "canonical_json",
+    # the drivers and their types
+    "full_interpolate", "sparsest_shift", "sparse_interpolate", "Bounds", "ShiftResult",
+    "ShiftPath",
+    # the prime oracle
+    "OracleConfig", "PrimeStream", "PrimeRecord", "generate",
+    # the grid kernels
+    "DensePolyMod", "interpolate_range", "interpolate_sparse",
+    # the errors
+    "LacunaError", "AmbiguousMatch", "BlackBoxFailure", "DenominatorVanished",
+    "InconsistentResidues", "NoMatch", "NoReconstruction", "NotSplitting",
+]
 
 __version__ = "0.1.0"

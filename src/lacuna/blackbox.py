@@ -7,16 +7,13 @@ representation, a dense rational coefficient list, and straight-line
 programs, so tests can model genuinely opaque functions.  Every one of them
 evaluates the whole grid Z_p in bulk on int64 arrays.  The dense box is
 the lacunary box of its nonzero terms, so both sum terms by one exact
-kernel, and the last grid they gave is cached (``_lacunary_grid``): the
-interpolation phase confirms a padding prime against its candidate's grid
-at the shift, which is that same array whenever the candidate is the
-box's polynomial.  The straight-line program box replays one plan over
-either a Python int or that array.  The plan, compiled once per bit
-length of the modulus, reduces a register only when the next operation
-could leave int64, not after every one (at the small primes of a solve
-four residues multiply inside int64, so about half the reductions of a
-squaring chain go), and writes each result over an operand read for the
-last time.
+kernel, ``_lacunary_grid``, the padding-prime grid cache (see there).
+The straight-line program box replays one plan over either a Python int
+or an int64 array.  The plan, compiled once per bit length of the
+modulus, reduces a register only when the next operation could leave
+int64, not after every one (at the small primes of a solve four residues
+multiply inside int64, so about half the reductions of a squaring chain
+go), and writes each result over an operand read for the last time.
 """
 
 import json
@@ -191,12 +188,18 @@ def _lacunary_grid(c0: int, shift: int, coeffs: Tuple[int, ...], exps: Tuple[int
     Z_p, for residues c0, shift and coeffs modulo the prime p and exponents
     exps >= 1.
 
-    The last grid is cached, so its arguments are ints and tuples.  A
-    ``LacunaryBox`` grid and the confirmation of a padding prime
-    (``sparse_interp._confirmed_image``) ask for the same grid one after
-    the other whenever the candidate at the shift is the box's polynomial:
-    the second call returns the first one's array, which every hit shares,
-    hence read-only.
+    The padding-prime grid cache: the last grid is kept, so the arguments
+    are ints and tuples.  The interpolation phase confirms each padding
+    prime by comparing the box's grid with its candidate's at the shift
+    (``sparse_interp._confirmed_image``), and it queries the box itself,
+    not a shifted view of it.  A ``LacunaryBox`` builds its grid here, so
+    whenever the candidate at the shift is the box's polynomial the two
+    calls come one after the other with equal arguments, and the second
+    returns the first one's array: a padding prime then costs one power
+    table (``densepoly._generator_powers``, itself cached for one prime),
+    one ``_geometric_sums`` product and one grid, and the comparison reads
+    that array against itself.  From any other box the candidate's grid is
+    built here.  Every hit shares the array, hence read-only.
     """
     # f(shift + g^a) = c0 + sum_k c_k g^(a*e_k): c0 is the term of exponent
     # 0, and _geometric_sums adds all of them for every a in one exact
@@ -324,16 +327,16 @@ class ProgramBox(ModularBlackBox):
         self._plans = {}  # bit length of the modulus -> its plan
 
     def _compile(self, bits: int) -> tuple:
-        """The plan of every modulus p of ``bits`` bits: (consts,
-        array_steps, scalar_steps, reduce_result, unsafe).
+        """The plan of every modulus p of ``bits`` bits: (consts, steps,
+        reduce_result, unsafe).
 
         ``consts`` holds (register, numerator, denominator) for each
-        constant.  Each step (k, fn, i, j, reduced, dead) first reduces the
-        registers ``reduced`` and then writes fn(r_i, r_j) into register k,
-        into the array of register ``dead`` when it is not None (array
-        steps only).  ``reduce_result`` says whether the result needs a
-        last reduction, and ``unsafe`` names the first operation whose bound
-        stays above 2^63, or is None.
+        constant.  Each step (k, kind, i, j, reduced, dead) first reduces
+        the registers ``reduced`` and then writes the operation ``kind`` of
+        r_i and r_j into register k; on the array path, into the array of
+        register ``dead`` when it is not None.  ``reduce_result`` says
+        whether the result needs a last reduction, and ``unsafe`` names the
+        first operation whose bound stays above 2^63, or is None.
 
         Each register r_i keeps a bound B_i with |r_i| < B_i: P = 2^bits - 1
         for the input and a constant, B_i + B_j for a sum or difference,
@@ -353,7 +356,7 @@ class ProgramBox(ModularBlackBox):
         bound_p = (1 << bits) - 1
         last_read = {r: k for k, (kind, *args) in enumerate(self.ops) if kind in _UFUNCS
                      for r in args}
-        consts, array_steps, scalar_steps = [], [], []
+        consts, steps = [], []
         bounds, on_input = [], []  # on_input[k]: register k is an array on the array path
         unsafe = None
         for k, (kind, *args) in enumerate(self.ops):
@@ -383,11 +386,8 @@ class ProgramBox(ModularBlackBox):
             on_input.append(on_input[i] or on_input[j])
             dead = next((r for r in (i, j) if last_read[r] == k
                          and self.ops[r][0] in _UFUNCS and on_input[r]), None)
-            scalar_steps.append((k, _OPERATORS[kind], i, j, tuple(reduced), None))
-            array_steps.append((k, _OPERATORS[kind] if dead is None else _UFUNCS[kind],
-                                i, j, tuple(reduced), dead))
-        return (tuple(consts), tuple(array_steps), tuple(scalar_steps),
-                bounds[-1] > bound_p, unsafe)
+            steps.append((k, kind, i, j, tuple(reduced), dead))
+        return tuple(consts), tuple(steps), bounds[-1] > bound_p, unsafe
 
     def _eval(self, p: int, x):
         """The program's value modulo p at x: a reduced Python int for an
@@ -399,17 +399,20 @@ class ProgramBox(ModularBlackBox):
         plan = self._plans.get(bits)
         if plan is None:
             plan = self._plans[bits] = self._compile(bits)
-        consts, array_steps, scalar_steps, reduce_result, unsafe = plan
+        consts, steps, reduce_result, unsafe = plan
         on_array = isinstance(x, np.ndarray)
         if on_array and unsafe:
             raise RuntimeError(f"{unsafe} modulo {p} could leave int64")
         regs = [x] * len(self.ops)
         for k, num, den in consts:
             regs[k] = _ratio_mod(num, den, p)
-        for k, fn, i, j, reduced, dead in array_steps if on_array else scalar_steps:
+        for k, kind, i, j, reduced, dead in steps:
             for r in reduced:
                 regs[r] = _mod(regs[r], p)
-            regs[k] = fn(regs[i], regs[j]) if dead is None else fn(regs[i], regs[j], out=regs[dead])
+            if on_array and dead is not None:
+                regs[k] = _UFUNCS[kind](regs[i], regs[j], out=regs[dead])
+            else:
+                regs[k] = _OPERATORS[kind](regs[i], regs[j])
         return _mod(regs[-1], p) if reduce_result else regs[-1]
 
     def _grid(self, p: int) -> np.ndarray:

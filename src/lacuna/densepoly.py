@@ -1,85 +1,47 @@
 """Dense polynomial arithmetic over Z_m and the per-prime sparsest-shift search.
 
-A solve only ever turns grid values into coefficients: each prime's image
-f^(p) is read off the box's values on the full grid {0, ..., p-1}, and the
-grid operations (interpolation, shift search) require a prime modulus
+A solve only turns grid values into coefficients: each prime's image f^(p)
+is read off the box's values on the full grid {0, ..., p-1}, for a prime
 p < 2^31 and degree < p.  Every nonzero grid point is a power g^a of one
-generator g of Z_p^*, and one table per prime, ``_generator_powers``, holds
-them: the lacunary box and every grid kernel walk the grid along it.  Only
-half the table is multiplied out, since g^((p-1)/2) = -1 makes
-pw[a + (p-1)/2] = p - pw[a].  The lacunary box's values along it are one
-``_geometric_sums`` call, scattered into its grid, and the last such grid
-is cached (``blackbox._lacunary_grid``), so confirming a padding prime
-against the box's own polynomial reads the same array: one table, one sums
-evaluation and one grid per prime.  Whole tables are not kept
-across solves, but the baby and giant steps they are built from
-(``_generator_steps``), a pure function of p, are kept for the last 1024
-primes the process met: about 16 sqrt(p/2) bytes a prime, at most 3.4 MB
-below p = 2^16.
-Dense interpolation goes through one kernel, ``_power_sums_fft``: the
-Lagrange coefficients are sums s_j = sum_a u_a g^(a*j) over a = 0..p-2, an
-order-(p-1) transform that Bluestein's chirp identity turns into one cyclic
-convolution of 5-smooth length >= 2(p-1) - 1, run in float64 FFTs over
-limbs of the residues.  The limbs are narrow enough (``_limb_split``) that
-Percival's error bound for FFT products, with a 5-fold margin for
-mixed-radix transforms, stays below 1/2, so the transform is exact and
-O(p log p) for every such prime.
+generator g of Z_p^*, and the lacunary box and every grid kernel walk the
+grid along the one table of them.  The padding-prime grid cache, which
+lets a confirmation read the box's own grid, is argued in
+``blackbox._lacunary_grid``.
 
-A grid whose interpolant has at most s non-constant terms takes the sparse
-kernel, ``interpolate_sparse``, instead: Ben-Or and Tiwari's method reads
-the terms off f(0) and f(g^i) for i < 2s.  One cyclic recurrence check,
-``_sparse_recurrence``, decides whether there are at most s; only then do
-a root search over the powers of g and a transposed Vandermonde solve run.
-The per-prime shift search, ``grid_shift``, first decides the degree test
-by one finite difference of a short prefix of the grid, then of the whole
-grid only when that prefix reads zero, and searches only a grid that
-passes.  The search rests on the same recurrence: at any term bound t, the
-shifts whose rotated grid can be sparse make two (t+1) x (t+1) Hankel
-matrices over the grid singular, which ``_hankel_singular`` tests at every
-shift at once.  At most ``_HANKEL_MAX_CANDIDATES`` candidates are each
-decided by the cyclic check, each window and rotation a view of one doubled
-grid; more, as on spike and half-degree grids, go straight to one dense
-transform and ``min_shift``, which checks the roots of f's top t Taylor
-rows, at most t(t+1)/2 of them.  Small list-based helpers at the bottom
-hold the library's one Horner evaluator, ``_horner``, for a single int or
-Fraction point as well as an int64 array of points, and its one expansion
-of f(x + y) into polynomials in y, ``_taylor_rows``, for both shift
-searches and the exact Taylor shift; only short polynomials reach it on an
-array.  On top of them ``bounded_rational_roots`` is the one root finder
-for both the exponent polynomial and the dense-regime shift search: a
-``_horner`` scan of the grid of a small prime, then Newton lifting, so it
-too only ever works modulo primes below 2^31.
-
-Grid values are int64 arrays, and every reduction of one, here and in the
-boxes, goes through ``_mod``, which divides by the modulus with numpy's
-floor division (a multiply and a shift) in place of its % (a hardware
-division).  Only ``_geometric_sums`` takes numpy's % on its two arrays of
-about sqrt(p) entries a term, where one call costs less than ``_mod``'s
-three.  Every sum stays exact by one of these bounds, each proved in the
-docstring of the function named:
-- ``_mod``: x - (x // m) * m is exact for every int64 x, wrap-around too.
-- ``_sparse_recurrence``: the recurrence check reduces after each product,
-  and a value in (-p, p) plus one product stays below p + (p-1)^2 < 2^63.
-- ``_horner``: reduced before every step, below m^2.
-- ``ProgramBox._eval`` (in ``blackbox``): each register carries a bound,
-  and one is reduced only before an operation whose bound would pass 2^63.
-  ``_horner`` keeps no such schedule: its array callers run at most 2t + 1
-  steps, where a program's squaring chain runs about bn products, half of
-  whose reductions the bounds skip at the primes of a solve.
-- ``_difference``: 31 differences of residues run unreduced, below 2^62.
-- ``_hankel_singular``: each step, the first on unreduced entries in
-  (-p, p), keeps every difference of two products below 2(p-1)^2 < 2^63.
-- ``_geometric_sums``: limbs and groups keep every float64 sum below 2^53.
-- ``_limb_split``: FFT limbs keep Percival's rounding error below 1/2.
-Beside them, one argument makes the sparse decision exact, proved in
-``_sparse_recurrence``: the values f(g^j) - f(0) are periodic in j, so
-their minimal polynomial divides z^(p-1) - 1, squarefree with one root in
-Z_p^* a term, and by Massey's uniqueness Berlekamp-Massey on 2s values
-returns it whenever its degree is <= s.  A recurrence that holds
-cyclically along all p - 1 values is a multiple of it.  So the check
-alone accepts exactly the grids with at most s non-constant terms, the
-kernel's root search finds as many roots as the recurrence's order, and
-``grid_shift`` and ``min_shift`` accept a shift with no root search.
+The kernels, and the bound each one's docstring proves:
+- ``_generator_powers``: the table, half of it multiplied out, as
+  g^((p-1)/2) = -1; its steps (``_generator_steps``) are kept for the
+  last 1024 primes, at most 3.4 MB below p = 2^16.
+- ``_geometric_sums``: the lacunary box's values along the table, one
+  float64 matrix product; limbs and groups keep every sum below 2^53.  Its
+  two arrays of about sqrt(p) entries a term take numpy's %, where one
+  call costs less than ``_mod``'s three.
+- ``interpolate_range``: dense interpolation through ``_power_sums_fft``,
+  one Bluestein convolution in float64 FFTs, O(p log p); ``_limb_split``
+  keeps Percival's rounding error below 1/2, so it is exact.
+- ``interpolate_sparse``: Ben-Or and Tiwari's method, decided by
+  ``_sparse_recurrence``, which reduces after each product (below
+  p + (p-1)^2 < 2^63) and proves by Massey's uniqueness that its cyclic
+  check accepts exactly the grids with at most s non-constant terms.
+- ``grid_shift``: the degree test by ``_difference`` (31 differences of
+  residues run unreduced, below 2^62), then the shifts whose Hankel
+  matrices ``_hankel_singular`` flags (each difference of two products
+  below 2(p-1)^2 < 2^63), each decided by ``_sparse_recurrence``; past
+  ``_HANKEL_MAX_CANDIDATES`` candidates, one dense transform and
+  ``min_shift``, which checks at most t(t+1)/2 roots of f's top t Taylor
+  rows.
+- ``_horner``: the one Horner evaluator, for an int, a Fraction or an
+  int64 array, reduced before every step, below m^2; ``_taylor_rows``, the
+  one expansion of f(x + y), for both shift searches and the exact Taylor
+  shift.
+- ``bounded_rational_roots``: the one root finder, for the exponent
+  polynomial and the dense-regime shift search, a ``_horner`` scan modulo
+  a small prime and then Newton lifting.
+- ``_mod``: the one reduction of int64 arrays, by floor division (a
+  multiply and a shift, not a hardware division), exact for every int64 x,
+  wrap-around too.  ``ProgramBox._eval`` (in ``blackbox``) keeps a bound
+  on each register and reduces one only where an operation's bound would
+  pass 2^63.
 """
 
 import math
@@ -257,16 +219,13 @@ def _generator_steps(p: int) -> Tuple[np.ndarray, np.ndarray]:
 def _generator_powers(p: int) -> np.ndarray:
     """pw[a] = g^a mod p for a < p-1, g = ``_primitive_root(p)``: a read-only
     int64 array, the one table per prime.  One prime is cached: every use
-    of a prime's table follows its grid directly, so the cache builds each
-    table at most once a grid, for whichever of these reads it first: the
-    lacunary box's sums, the candidate's grid that confirms a padding prime
-    when the box's grid is not it (``sparse_interp``), and the sparse
-    kernel, the shift search or the interpolation that reads the grid.
-    The array is shared by every hit, hence read-only.  Whole
-    tables are not kept across solves, as a pass of the benchmark's
-    lacunary set reads 242 distinct primes: only their steps are, in the
-    1024 entries of ``_generator_steps`` (about 16 sqrt(p/2) bytes each,
-    3.4 MB at most below p = 2^16), and a table is one product of them.
+    of a prime's table follows its grid directly, so each table is built
+    at most once a grid, by whichever reader of the grid comes first (the
+    padding-prime grid cache: ``blackbox._lacunary_grid``).  The array is
+    shared by every hit, hence read-only.  Whole tables are not kept
+    across solves, as a pass of the benchmark's lacunary set reads 242
+    distinct primes: only their steps are (``_generator_steps``), and a
+    table is one product of them.
 
     Only the first half is multiplied out: for odd p, g^((p-1)/2) = -1, so
     pw[a + (p-1)/2] = p - pw[a].

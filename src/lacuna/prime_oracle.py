@@ -205,9 +205,9 @@ class PrimeStream:
     failures).  A request made after more than _MAX_REGENERATIONS
     regenerations, or past the walk's end at 2^30, raises BlackBoxFailure.
 
-    Each batch is walked lazily by ``_ascending``; ``records`` and
-    ``reservoir`` walk the rest of the current batch first, so they read
-    what an eagerly filled batch would hold.  Each stream walks from n on
+    Each batch is walked lazily by ``_ascending``; ``records`` walks the
+    rest of the current batch first, so it reads what an eagerly filled
+    batch would hold.  Each stream walks from n on
     its own (``_walk``), so streams of one config hand out the same primes
     in the same order, and each record is made once while ``_record``
     keeps it.
@@ -238,10 +238,6 @@ class PrimeStream:
         rest = list(self._rest)
         self._rest = iter(rest)
         return [*self._handed.values(), *rest]
-
-    @property
-    def reservoir(self) -> tuple:
-        return tuple(r.p for r in self.records)
 
     @property
     def delivered(self) -> int:

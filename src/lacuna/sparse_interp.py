@@ -14,10 +14,10 @@ but a few images already meet the CRT targets.  From those a candidate f
 is rebuilt, and every later prime is confirmed against it, not
 interpolated (``_confirmed_image`` shows that the image is the same).
 The box is read at its own points: a prime compares the box's grid with
-the candidate's at the shift, and only a grid that is interpolated is
-rotated by the shift.  When every later image confirmed it, the candidate
-is the answer (see ``sparse_interpolate``).  Every prime of the guarantee
-is still reduced.
+the candidate's at the shift (``blackbox._lacunary_grid`` caches it), and
+only a grid that is interpolated is rotated by the shift.  When every
+later image confirmed it, the candidate is the answer (see
+``sparse_interpolate``).  Every prime of the guarantee is still reduced.
 """
 
 import math
@@ -213,8 +213,10 @@ def _confirmed_image(
     """The image at p of ``candidate`` g (shift 0) when the grid ``values``
     holds the values of g(x - shift) over Z_p, else None.
 
-    The grid of g at the residue ``shift`` comes from ``_lacunary_grid``,
-    and one comparison of all p values decides.  The grid's interpolant of
+    One comparison of all p values with the candidate's grid at the
+    residue ``shift`` decides; that grid comes from the padding-prime grid
+    cache, ``_lacunary_grid``, and is the box's own array when the box is
+    a ``LacunaryBox`` of the candidate.  The grid's interpolant of
     degree < p is unique, so when they agree, g's grid (``values`` rotated
     by the shift) has the candidate's reduction as its interpolant: c0 mod p
     plus c_i x^remo(e_i, p - 1) over the terms, where x^e and x^remo(e, p - 1)
@@ -222,11 +224,6 @@ def _confirmed_image(
     to one slot and drops slots summing to 0, which is
     ``PrimeImage.from_poly(interpolate_sparse(g's grid, p, bt))`` bit for
     bit.  None also when p divides a denominator of the candidate.
-
-    When the box is a ``LacunaryBox`` of g at the shift, its grid is the
-    one ``_lacunary_grid`` just cached, and the comparison reads that array
-    against itself; from any other box the candidate's grid is built here.
-    The comparison reads every value either way.
     """
     try:
         c0 = frac_mod(candidate.constant, p)
@@ -338,12 +335,13 @@ def sparse_interpolate(
     terms come back with ``shift`` set.
 
     The box itself is queried, not a view of it shifted: each prime reads
-    f's grid, a prime dividing the shift's denominator is discarded before
-    any query, and only a grid the candidate does not confirm is rotated to
-    g's (``_collect``).  The answer, the box's queries and the primes, in
-    order, are those of the unshifted pipeline on a view of the box that
-    answers f(theta + shift) at theta (``tests/conftest.py`` keeps one as
-    reference code).
+    f's grid, which a confirmation compares as it is (the padding-prime
+    grid cache, ``blackbox._lacunary_grid``), a prime dividing the shift's
+    denominator is discarded before any query, and only a grid the
+    candidate does not confirm is rotated to g's (``_collect``).  The
+    answer, the box's queries and the primes, in order, are those of the
+    unshifted pipeline on a view of the box that answers f(theta + shift)
+    at theta (``tests/conftest.py`` keeps one as reference code).
 
     Every image collect_images keeps is good when the bounds hold (see
     there), so one pass suffices: a reduction with more than bt terms

@@ -11,9 +11,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lacuna import Bounds, ModularBlackBox, ShiftedLacunary, make_blackbox, prime_oracle, size_of
+from lacuna import Bounds, ModularBlackBox, ShiftedLacunary, make_blackbox, prime_oracle
 from lacuna.densepoly import _generator_powers, _mod, _rotate
-from lacuna.modular_core import frac_mod
+from lacuna.modular_core import frac_mod, size_of
 
 # ---------------- acceptance reporting ----------------
 

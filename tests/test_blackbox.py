@@ -17,10 +17,10 @@ from lacuna import (
     interpolate_sparse,
     make_blackbox,
     reduce_mod,
-    next_prime_above,
 )
 from lacuna import blackbox
 from lacuna.densepoly import _mod
+from lacuna.modular_core import next_prime_above
 
 from conftest import (
     GOLDEN_JSON,

@@ -12,10 +12,7 @@ from lacuna import (
     ShiftedLacunary,
     interpolate_range,
     interpolate_sparse,
-    is_prime,
     make_blackbox,
-    min_shift,
-    next_prime_above,
 )
 from lacuna import blackbox, densepoly
 from lacuna.densepoly import (
@@ -32,7 +29,9 @@ from lacuna.densepoly import (
     _times_linear,
     bounded_rational_roots,
     grid_shift,
+    min_shift,
 )
+from lacuna.modular_core import is_prime, next_prime_above
 from lacuna.sparsest_shift import taylor_shift_exact
 
 from conftest import (

@@ -30,12 +30,11 @@ from lacuna import (
     ShiftedLacunary,
     interpolate_range,
     interpolate_sparse,
-    is_prime,
     make_blackbox,
-    next_prime_above,
 )
 from lacuna import blackbox, densepoly, sparse_interp
 from lacuna.densepoly import _difference, _hankel_singular, _horner, _mod
+from lacuna.modular_core import is_prime, next_prime_above
 
 from conftest import (
     naive_frac_mod,

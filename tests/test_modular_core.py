@@ -6,12 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from lacuna import (
-    InconsistentResidues,
-    NoReconstruction,
+from lacuna import InconsistentResidues, NoReconstruction
+from lacuna.modular_core import (
+    _MR_PROVEN_LIMIT,
     Residue,
+    _factorize,
     crt_list,
     crt_pair,
+    frac_mod,
     is_prime,
     next_prime_above,
     rational_reconstruct,
@@ -19,7 +21,6 @@ from lacuna import (
     signed_lift,
     size_of,
 )
-from lacuna.modular_core import _MR_PROVEN_LIMIT, _factorize, frac_mod
 from lacuna.errors import DenominatorVanished
 
 from conftest import naive_crt_scan, naive_factorize, naive_probable_prime

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lacuna import OracleConfig, generate, is_prime, make_blackbox, prime_oracle, sparsest_shift
+from lacuna import OracleConfig, generate, make_blackbox, prime_oracle, sparsest_shift
+from lacuna.modular_core import is_prime
 from lacuna.sparsest_shift import shift_oracle_config
 
 

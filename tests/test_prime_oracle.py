@@ -11,17 +11,10 @@ import tracemalloc
 
 import pytest
 
-from lacuna import (
-    BlackBoxFailure,
-    OracleConfig,
-    choose_n,
-    generate,
-    is_prime,
-    s_of_q,
-    upsilon,
-)
+from lacuna import BlackBoxFailure, OracleConfig, generate
 from lacuna import prime_oracle
-from lacuna.prime_oracle import PrimeStream, sieve_interval
+from lacuna.modular_core import is_prime
+from lacuna.prime_oracle import PrimeStream, choose_n, s_of_q, sieve_interval, upsilon
 from lacuna.sparse_interp import interp_oracle_config
 from lacuna.sparsest_shift import shift_oracle_config
 
@@ -133,7 +126,7 @@ def check_reservoir(stream: PrimeStream, need: int):
 def test_generate_single_prime():
     st = generate(OracleConfig(0, 0, 1))
     check_reservoir(st, 1)
-    assert st.reservoir == (47,)  # S(23) = 47 from the interval [22, 44)
+    assert tuple(r.p for r in st.records) == (47,)  # S(23) = 47 from the interval [22, 44)
 
 
 def test_generate_counts_and_structure():
@@ -144,15 +137,15 @@ def test_generate_counts_and_structure():
 def test_first_reservoirs_are_pinned(golden_bounds):
     # the golden example's two phases and a mid-sized config: the walk's
     # first batch is what [n, 2n) gave before there was a walk
-    assert generate(shift_oracle_config(golden_bounds)).reservoir == (
+    assert tuple(r.p for r in generate(shift_oracle_config(golden_bounds)).records) == (
         1187, 1283, 1307, 1319, 1367, 1439, 1487, 1523, 2309, 2477, 2693, 2837, 2909,
         2957, 3343, 3607, 3643, 3967, 4507, 4793, 4937, 5417, 5471, 5711, 6131, 6311,
         6829, 6911, 7331, 7691, 7717, 7883, 8219, 9059, 9739, 12113, 12619)
-    assert generate(interp_oracle_config(golden_bounds)).reservoir == (
+    assert tuple(r.p for r in generate(interp_oracle_config(golden_bounds)).records) == (
         839, 863, 887, 983, 1019, 1187, 1637, 1733, 1949, 1997, 2309, 2767, 2803, 3019,
         3343, 3593, 3833, 4211, 4391, 5231, 5471, 5557, 5711, 6829, 7883, 8219, 9739,
         13711, 16673)
-    assert generate(OracleConfig(10, 10, 5)).reservoir == (
+    assert tuple(r.p for r in generate(OracleConfig(10, 10, 5)).records) == (
         719, 839, 863, 887, 1493, 1637, 1733, 1949, 2083, 2203, 2383, 2767, 2803, 3209,
         3491, 3593, 3833, 4211, 4391, 4549, 4597, 4943, 5557, 9337, 13711)
 

@@ -1,8 +1,11 @@
 """Checks on the library source itself."""
 
 import ast
+import sys
+import types
 from pathlib import Path
 
+import lacuna
 from lacuna import blackbox, errors
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "lacuna"
@@ -359,3 +362,27 @@ def test_every_library_box_evaluates_grids_in_bulk():
     assert boxes, "no box classes in lacuna.blackbox"
     missing = [cls.__name__ for cls in boxes if cls._grid is blackbox.ModularBlackBox._grid]
     assert not missing, f"boxes without a bulk _grid: {missing}"
+
+
+_PUBLIC = (
+    "AmbiguousMatch", "BlackBoxFailure", "Bounds", "DenominatorVanished", "DenseBox",
+    "DensePolyMod", "InconsistentResidues", "LacunaError", "LacunaryBox", "ModularBlackBox",
+    "NoMatch", "NoReconstruction", "NotSplitting", "OracleConfig", "PrimeRecord", "PrimeStream",
+    "ProgramBox", "ShiftPath", "ShiftResult", "ShiftedLacunary", "canonical_json",
+    "full_interpolate", "generate", "interpolate_range", "interpolate_sparse", "make_blackbox",
+    "reduce_mod", "sparse_interpolate", "sparsest_shift",
+)
+
+
+def test_package_binds_exactly_its_public_surface():
+    # the package re-exports the boxes, the drivers, the oracle, the grid
+    # kernels and the errors; a layer's internals are imported from the
+    # module that defines them, so re-exports cannot grow back
+    assert sorted(lacuna.__all__) == sorted(_PUBLIC)
+    assert all(getattr(lacuna, name, None) is not None for name in lacuna.__all__)
+    extra = [name for name, obj in vars(lacuna).items()
+             if not name.startswith("_") and name not in lacuna.__all__
+             and not isinstance(obj, types.ModuleType)]
+    assert not extra, f"public names outside lacuna.__all__: {extra}"
+    # the one deliberate shadow: the driver function hides its module
+    assert lacuna.sparsest_shift is sys.modules["lacuna.sparsest_shift"].sparsest_shift

@@ -20,17 +20,12 @@ from lacuna import (
     NoReconstruction,
     NotSplitting,
     PrimeRecord,
+    PrimeStream,
     ProgramBox,
     ShiftedLacunary,
-    SymPoly,
-    build_g_image,
-    collect_images,
     full_interpolate,
     generate,
-    integer_roots,
     make_blackbox,
-    match_and_recover,
-    recover_g,
     sparse_interpolate,
     sparsest_shift,
 )
@@ -38,7 +33,17 @@ from lacuna import LacunaError, LacunaryBox, interpolate_sparse, modular_core, p
 from lacuna import densepoly
 from lacuna import sparse_interp as si
 from lacuna.densepoly import _generator_powers
-from lacuna.sparse_interp import PrimeImage, interp_oracle_config, q_target_bits
+from lacuna.sparse_interp import (
+    PrimeImage,
+    SymPoly,
+    build_g_image,
+    collect_images,
+    integer_roots,
+    interp_oracle_config,
+    match_and_recover,
+    q_target_bits,
+    recover_g,
+)
 from lacuna.sparsest_shift import shift_oracle_config
 
 from conftest import FakeStream, naive_crt_scan, random_instance, shifted_blackbox
@@ -698,6 +703,33 @@ def test_sparse_interpolate_random_round_trip():
         assert got == flat
 
 
+def test_sparse_interpolate_survives_bad_primes_at_the_head_of_its_stream():
+    # The interpolation stream at these bounds hands out 3119, then 3167.
+    # Both are bad: 3119 divides a coefficient's numerator (C1), and
+    # 3167 - 1 divides the difference 3171 - 5 of two exponents (C2).
+    bounds = Bounds(ba=1, bt=2, bh=14, bn=12)
+    f = ShiftedLacunary(Fraction(0), Fraction(1, 3), ((Fraction(3119), 5), (Fraction(3), 3171)))
+
+    def bad(p):
+        (c1, e1), (c2, e2) = f.terms
+        return (c1 * c2).numerator % p == 0 or (e2 - e1) % (p - 1) == 0
+
+    class RecordingStream(PrimeStream):
+        handed = ()
+
+        def next_prime(self):
+            self.handed = (*self.handed, super().next_prime())
+            return self.handed[-1]
+
+    stream = RecordingStream(interp_oracle_config(bounds))
+    assert sparse_interpolate(make_blackbox(f), bounds, stream=stream) == f
+    assert stream.handed[:2] == (3119, 3167) and bad(3119) and bad(3167)
+    kept = {im.p for im in collect_images(make_blackbox(f), bounds)}
+    assert not kept & {3119, 3167}
+    beta = interp_oracle_config(bounds)
+    assert sum(map(bad, stream.handed)) <= beta.beta1 + beta.beta2 == 68
+
+
 def test_full_interpolate_golden(golden_poly, golden_bounds):
     got = full_interpolate(make_blackbox(golden_poly), golden_bounds)
     assert got == golden_poly
@@ -761,7 +793,7 @@ def test_regeneration_outlasts_a_box_that_divides_by_every_reservoir_prime(golde
     # discarded and only regenerated reservoirs give usable primes.
     shift_stream = generate(shift_oracle_config(golden_bounds))
     interp_stream = generate(interp_oracle_config(golden_bounds))
-    big = math.prod(shift_stream.reservoir) * math.prod(interp_stream.reservoir)
+    big = math.prod(r.p for st in (shift_stream, interp_stream) for r in st.records)
     box = ProgramBox([
         ("input",), ("const", 3), ("sub", 0, 1),            # 2: x - 3
         ("mul", 2, 2), ("mul", 3, 3), ("mul", 4, 2),        # 5: (x - 3)^5

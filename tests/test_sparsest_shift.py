@@ -14,17 +14,15 @@ from lacuna import (
     ShiftPath,
     full_interpolate,
     generate,
-    is_prime,
     make_blackbox,
-    next_prime_above,
-    reconstruct_shift,
-    size_of,
     sparsest_shift,
 )
 from lacuna.densepoly import _taylor_rows, bounded_rational_roots
+from lacuna.modular_core import is_prime, next_prime_above, size_of
 from lacuna.sparsest_shift import (
     dense_case_recover,
     dense_sparsest_shift,
+    reconstruct_shift,
     shift_oracle_config,
     taylor_shift_exact,
 )
